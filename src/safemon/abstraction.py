@@ -234,7 +234,7 @@ def select_level(
     from . import monitor as monitor_mod
     from .dataset import split
     from .evaluation import (
-        _trace_from_series,
+        _traces_from_series,
         episode_probability_series,
         macro_f1,
         metrics_over_time,
@@ -285,7 +285,7 @@ def select_level(
                     table=table, forest=model, mode=mode, criterion=crit, theta=theta
                 )
                 series = episode_probability_series(monitor, inner_test.episodes)
-                traces = [_trace_from_series(s, crit, theta) for s in series]
+                traces = _traces_from_series(series, inner_test.episodes, crit, theta)
                 operation_f1 = metrics_over_time(traces, labels, horizon)[-1].f1_macro
                 fires = [
                     t.first_fire_step

@@ -123,6 +123,17 @@ def cmd_collect(args) -> int:
     return EXIT_OK
 
 
+def _require_both_classes(episode_set, path, what) -> None:
+    from .dataset import DatasetError
+
+    counts = episode_set.label_counts()
+    if min(counts.values()) == 0:
+        raise DatasetError(
+            f"{path}: {what} must contain both classes, got "
+            f"{counts['safe']} safe and {counts['unsafe']} unsafe episodes"
+        )
+
+
 def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, theta, unseen_name):
     from .abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
     from .dataset import Label, read_jsonl, split
@@ -132,6 +143,9 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
     from .seeding import derive_seed
 
     corpus = read_jsonl(episodes_path)
+    _require_both_classes(corpus, episodes_path, "the corpus")
+    inner_train, inner_test = split(corpus, 0.7, derive_seed(seed, "build-split"))
+    _require_both_classes(inner_train, episodes_path, "the 70% inner training split")
     mode = FeatureMode(mode_name)
     criterion = Criterion(criterion_name)
     unseen = UnseenPolicy(unseen_name)
@@ -142,7 +156,6 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
     forest = train_forest(x, y, ForestConfig(n_trees=trees), derive_seed(seed, "build-forest"))
 
     # Held-out sanity figure: retrain on 70% and score the remaining 30%.
-    inner_train, inner_test = split(corpus, 0.7, derive_seed(seed, "build-split"))
     x70 = episode_feature_matrix(inner_train.episodes, table, mode)
     y70 = np.array([e.label is Label.UNSAFE for e in inner_train.episodes], dtype=np.int64)
     inner_forest = train_forest(x70, y70, ForestConfig(n_trees=trees), derive_seed(seed, "inner-forest"))
@@ -266,7 +279,10 @@ def cmd_evaluate(args) -> int:
         args.out_prefix + ".decision_stats.json",
     )
     if args.sweep:
-        report = sweep(model, corpus, list(Criterion), [0.25, 0.5, 0.75], horizon=horizon)
+        report = sweep(
+            model, corpus, list(Criterion), [0.25, 0.5, 0.75], horizon=horizon,
+            series=[t.series for t in traces],
+        )
         write_sweep_csv(report, args.out_prefix + ".sweep.csv", time_base=args.time_base)
     if args.traces:
         write_traces_csv(traces, labels, args.out_prefix + ".traces.csv", time_base=args.time_base)

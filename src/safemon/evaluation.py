@@ -21,11 +21,16 @@ from .abstraction import (
     AbstractionTable,
     FeatureMode,
     episode_feature_matrix,
-    prefix_feature_matrix,
 )
-from .dataset import EpisodeSet, Label, split
-from .forest import ForestConfig, predict_batch, train_forest
-from .monitor import Criterion, DecisionTrace, MonitorModel, _criterion_holds_batch
+from .dataset import EpisodeSet, Label
+from .forest import ForestConfig, train_forest
+from .monitor import (
+    Criterion,
+    DecisionTrace,
+    MonitorModel,
+    first_fire_step,
+    probability_series,
+)
 from .seeding import derive_seed
 
 
@@ -191,24 +196,22 @@ class SweepReport:
 
 
 def episode_probability_series(model: MonitorModel, episodes):
-    """Per-step (mean, low, up) series for each episode, computed once so
-    criterion/threshold grids can be swept without re-querying the forest."""
-    series = []
-    for episode in episodes:
-        ids = model.table.lookup_batch(episode.qs)
-        features = prefix_feature_matrix(ids, model.table.n, model.mode)
-        series.append(predict_batch(model.forest, features))
-    return series
+    """Per-step (mean, low, up) series for each episode, cut as run_trace
+    cuts it, so criterion/threshold grids can be swept without re-querying
+    the forest."""
+    return [probability_series(model, episode.qs)[0] for episode in episodes]
 
 
-def _trace_from_series(batch, criterion: Criterion, theta: float) -> DecisionTrace:
-    hold = _criterion_holds_batch(batch, criterion, theta)
-    idx = np.nonzero(hold)[0]
-    return DecisionTrace(
-        assessments=[],
-        first_fire_step=int(idx[0]) if idx.size else None,
-        episode_length=len(batch.mean),
-    )
+def _traces_from_series(series, episodes, criterion: Criterion, theta: float):
+    """Decision traces, without per-step assessments, for one criterion/theta."""
+    return [
+        DecisionTrace(
+            assessments=[],
+            first_fire_step=first_fire_step(batch, criterion, theta),
+            episode_length=episode.length,
+        )
+        for batch, episode in zip(series, episodes)
+    ]
 
 
 def sweep(
@@ -217,19 +220,27 @@ def sweep(
     criteria: Sequence[Criterion],
     thetas: Sequence[float],
     horizon: Optional[int] = None,
+    series=None,
 ) -> SweepReport:
-    """Metrics, decision times, and FP/FN counts over a criterion x theta grid."""
+    """Metrics, decision times, and FP/FN counts over a criterion x theta grid.
+
+    `series` may carry the episodes' probability series already computed
+    (``DecisionTrace.series`` from run_trace); otherwise they are computed.
+    """
     if not criteria or not thetas:
         raise ValueError("criteria and thetas must be non-empty")
     episodes = test_set.episodes
     labels = [e.label for e in episodes]
     horizon = horizon if horizon is not None else max(e.length for e in episodes)
-    series = episode_probability_series(model, episodes)
+    if series is None:
+        series = episode_probability_series(model, episodes)
+    elif len(series) != len(episodes):
+        raise ValueError("series and episodes disagree on episode count")
     unsafe = _labels_array(labels)
     rows = []
     for criterion in criteria:
         for theta in thetas:
-            traces = [_trace_from_series(s, criterion, theta) for s in series]
+            traces = _traces_from_series(series, episodes, criterion, theta)
             metrics = metrics_over_time(traces, labels, horizon)[-1]
             stats = decision_time_stats(traces, labels)
             fired = _fire_array(traces) < math.inf
@@ -290,7 +301,7 @@ def abstraction_report(
             table=table, forest=forest, mode=mode, criterion=criterion, theta=theta
         )
         series = episode_probability_series(model, test.episodes)
-        traces = [_trace_from_series(s, criterion, theta) for s in series]
+        traces = _traces_from_series(series, test.episodes, criterion, theta)
         metrics = metrics_over_time(traces, labels, horizon)
         curve = [m.f1_macro for m in metrics]
         final = curve[-1]
@@ -395,23 +406,6 @@ def write_decision_stats_json(entries: Sequence[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(list(entries), fh, indent=2)
         fh.write("\n")
-
-
-def write_abstraction_csv(report: AbstractionReport, summary_path, curves_path) -> None:
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "n_states", "f1_macro_final", "plateau_step"])
-        for row in report.rows:
-            writer.writerow(
-                [row.d, row.n_states, f"{row.f1_macro_final:.6f}",
-                 "" if row.plateau_step is None else row.plateau_step]
-            )
-    with open(curves_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["d", "t", "f1_macro"])
-        for row in report.rows:
-            for t, f1 in enumerate(row.f1_curve):
-                writer.writerow([row.d, t, f"{f1:.6f}"])
 
 
 def write_traces_csv(traces, labels, path, time_base: int = 0) -> None:

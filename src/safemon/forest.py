@@ -10,14 +10,12 @@ with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
 from __future__ import annotations
 
 import math
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .seeding import derive_seed, resolve_workers
+from .seeding import derive_seed
 
 Z_CRITICAL = 1.96
 
@@ -124,36 +122,35 @@ class BatchSummary:
 def _best_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
     """Lowest weighted-Gini (feature, threshold) among candidate features.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    ties keep the earliest candidate, so results are order-deterministic.
+    All candidates are scored in one pass over the (n, k) block of their
+    columns. Thresholds are midpoints between consecutive distinct sorted
+    values; ties keep the first boundary within a candidate and then the
+    earliest candidate, so results are order-deterministic.
     """
     n = len(y)
-    best = None
-    best_gini = np.inf
-    for f in candidates:
-        v = x_columns[:, f].astype(np.float64)
-        order = np.argsort(v, kind="stable")
-        vs = v[order]
-        boundaries = np.nonzero(vs[:-1] != vs[1:])[0]
-        if boundaries.size == 0:
-            continue
-        cum_pos = np.cumsum(y[order])
-        total_pos = cum_pos[-1]
-        left_n = boundaries + 1.0
-        left_pos = cum_pos[boundaries]
-        right_n = n - left_n
-        right_pos = total_pos - left_pos
-        p_left = left_pos / left_n
-        p_right = right_pos / right_n
-        weighted = (
-            left_n * 2.0 * p_left * (1.0 - p_left)
-            + right_n * 2.0 * p_right * (1.0 - p_right)
-        ) / n
-        j = int(np.argmin(weighted))
-        if weighted[j] < best_gini:
-            best_gini = weighted[j]
-            best = (int(f), (vs[boundaries[j]] + vs[boundaries[j] + 1]) / 2.0)
-    return best
+    block = x_columns[:, candidates].astype(np.float64, copy=False)
+    order = np.argsort(block, axis=0, kind="stable")
+    vs = np.take_along_axis(block, order, axis=0)
+    cum_pos = np.cumsum(y[order], axis=0)
+    total_pos = cum_pos[-1]
+    left_n = np.arange(1.0, n)[:, None]
+    left_pos = cum_pos[:-1]
+    right_n = n - left_n
+    right_pos = total_pos - left_pos
+    p_left = left_pos / left_n
+    p_right = right_pos / right_n
+    weighted = (
+        left_n * 2.0 * p_left * (1.0 - p_left)
+        + right_n * 2.0 * p_right * (1.0 - p_right)
+    ) / n
+    weighted[vs[:-1] == vs[1:]] = np.inf  # only boundaries between distinct values
+    rows = np.argmin(weighted, axis=0)
+    cols = np.arange(len(candidates))
+    c = int(np.argmin(weighted[rows, cols]))
+    j = rows[c]
+    if weighted[j, c] == np.inf:
+        return None  # every candidate is constant on this node
+    return int(candidates[c]), (vs[j, c] + vs[j + 1, c]) / 2.0
 
 
 def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> Tree:
@@ -161,6 +158,7 @@ def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -
     n_samples, n_features = x.shape
     boot = rng.integers(0, n_samples, size=n_samples)
     k = config.resolve_feature_count(n_features)
+    local = np.arange(k)
 
     feature, threshold, left, right = [], [], [], []
     value, count = [], []
@@ -184,8 +182,9 @@ def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -
             and n_node >= config.min_split
             and (config.max_depth is None or depth < config.max_depth)
         ):
+            # Gather the node's k candidate columns only, not all of x[idx].
             candidates = rng.choice(n_features, size=k, replace=False)
-            split = _best_split(x[idx], y_node, candidates)
+            split = _best_split(x[np.ix_(idx, candidates)], y_node, local)
 
         if split is None:
             feature.append(-1)
@@ -196,7 +195,7 @@ def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -
             count.append(n_node)
             continue
 
-        f, thr = split
+        f, thr = int(candidates[split[0]]), split[1]
         go_left = x[idx, f] <= thr
         feature.append(f)
         threshold.append(thr)
@@ -218,51 +217,32 @@ def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -
     )
 
 
-_FORK_STATE: dict = {}
-
-
-def _build_tree_range(args):
-    lo, hi = args
-    x, y, config, seed = (
-        _FORK_STATE["x"],
-        _FORK_STATE["y"],
-        _FORK_STATE["config"],
-        _FORK_STATE["seed"],
-    )
-    return [_build_tree(x, y, config, derive_seed(seed, f"tree:{i}")) for i in range(lo, hi)]
-
-
 def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
     """Grow the ensemble; deterministic given (data, config, seed).
 
-    Tree i always uses the stream derived from (seed, i), so the result is
-    identical whether trees are built sequentially or by a worker pool.
+    Trees are grown one after another in this process; tree i always uses
+    the random stream derived from (seed, i).
     """
     x = np.asarray(features)
-    y = np.asarray(labels, dtype=np.int64)
+    labels = np.asarray(labels)
     if x.ndim != 2 or len(x) == 0:
         raise ValueError("need a non-empty 2-D feature matrix")
-    if len(y) != len(x):
+    if len(labels) != len(x):
         raise ValueError("features and labels disagree on sample count")
+    if not np.isin(labels, (0, 1)).all():
+        raise ValueError(
+            f"labels must be 0 or 1, got values {np.unique(labels).tolist()}"
+        )
+    if not np.isfinite(x).all():
+        raise ValueError("features must be finite, got NaN or infinite values")
+    y = labels.astype(np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
 
-    workers = resolve_workers()
-    if workers <= 1 or config.n_trees < 2 * workers:
-        trees = [
-            _build_tree(x, y, config, derive_seed(seed, f"tree:{i}"))
-            for i in range(config.n_trees)
-        ]
-    else:
-        _FORK_STATE.update(x=x, y=y, config=config, seed=seed)
-        bounds = np.linspace(0, config.n_trees, workers + 1, dtype=int)
-        spans = list(zip(bounds[:-1], bounds[1:]))
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            chunks = list(pool.map(_build_tree_range, spans))
-        _FORK_STATE.clear()
-        trees = [tree for chunk in chunks for tree in chunk]
-
+    trees = [
+        _build_tree(x, y, config, derive_seed(seed, f"tree:{i}"))
+        for i in range(config.n_trees)
+    ]
     return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
 
 

@@ -24,6 +24,7 @@ from .abstraction import (
     prefix_feature_matrix,
 )
 from .forest import (
+    BatchSummary,
     Forest,
     ForestConfig,
     ProbabilitySummary,
@@ -91,9 +92,12 @@ class DecisionTrace:
     assessments: list[StepAssessment]
     first_fire_step: Optional[int]
     episode_length: int
+    series: Optional[BatchSummary] = None  # per-step summaries up to any stop cutoff
 
 
-def criterion_holds(summary, criterion: Criterion, theta: float) -> bool:
+def criterion_holds(summary, criterion: Criterion, theta: float):
+    """Whether the criterion fires for a ProbabilitySummary (a bool) or for
+    every column of a BatchSummary (a bool array), with the same strictness."""
     if criterion is Criterion.UPPER_BOUND:
         return summary.up >= theta
     if criterion is Criterion.OUTPUT_PROBABILITY:
@@ -132,32 +136,42 @@ def observe(model: MonitorModel, running: RunningState, q) -> StepAssessment:
     )
 
 
-def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:
-    """Monitor a stored episode end to end (it keeps running after firing).
+def probability_series(model: MonitorModel, episode_qs) -> tuple[BatchSummary, bool]:
+    """Forest summaries for each monitored step of a stored episode, and
+    whether the stop policy cut the episode short.
 
-    Under the stop policy the trace ends at the first unseen abstract
+    Under the stop policy the series ends at the first unseen abstract
     state, since the stream would refuse further observations there.
     """
     episode_qs = np.asarray(episode_qs, dtype=np.float64)
     if len(episode_qs) == 0:
         raise ValueError("empty Q-value stream")
-
     ids = model.table.lookup_batch(episode_qs)
-    cutoff = len(ids)
     stop_hit = False
     if model.unseen_policy is UnseenPolicy.STOP:
         unseen_at = np.nonzero(ids < 0)[0]
         if unseen_at.size:
-            cutoff = int(unseen_at[0]) + 1
+            ids = ids[: int(unseen_at[0]) + 1]
             stop_hit = True
-            ids = ids[:cutoff]
-
     features = prefix_feature_matrix(ids, model.table.n, model.mode)
-    batch = predict_batch(model.forest, features)
-    hold = _criterion_holds_batch(batch, model.criterion, model.theta)
-    fired_idx = np.nonzero(hold)[0]
-    first_fire = int(fired_idx[0]) if fired_idx.size else None
+    return predict_batch(model.forest, features), stop_hit
 
+
+def first_fire_step(batch: BatchSummary, criterion: Criterion, theta: float) -> Optional[int]:
+    """First step of a probability series at which the criterion holds."""
+    fired = np.nonzero(criterion_holds(batch, criterion, theta))[0]
+    return int(fired[0]) if fired.size else None
+
+
+def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:
+    """Monitor a stored episode end to end (it keeps running after firing).
+
+    The trace covers the steps of probability_series: under the stop
+    policy it ends at the first unseen abstract state.
+    """
+    batch, stop_hit = probability_series(model, episode_qs)
+    first_fire = first_fire_step(batch, model.criterion, model.theta)
+    cutoff = len(batch.mean)
     assessments = []
     for t in range(cutoff):
         summary = ProbabilitySummary(
@@ -179,20 +193,8 @@ def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:
         assessments=assessments,
         first_fire_step=first_fire,
         episode_length=len(episode_qs),
+        series=batch,
     )
-
-
-def _criterion_holds_batch(batch, criterion: Criterion, theta: float) -> np.ndarray:
-    if criterion is Criterion.UPPER_BOUND:
-        return batch.up >= theta
-    if criterion is Criterion.OUTPUT_PROBABILITY:
-        return batch.mean >= theta
-    return batch.low > theta
-
-
-def first_fire_steps(model: MonitorModel, episodes) -> list[Optional[int]]:
-    """First fire step per episode (None when the monitor never fires)."""
-    return [run_trace(model, e.qs).first_fire_step for e in episodes]
 
 
 def save_model(model: MonitorModel, path) -> None:

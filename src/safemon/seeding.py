@@ -8,7 +8,6 @@ are plain strings such as ``"collect:episode:17"``.
 from __future__ import annotations
 
 import hashlib
-import os
 
 import numpy as np
 
@@ -27,14 +26,3 @@ def derive_rng(root: int, label: str) -> np.random.Generator:
     """Seeded generator for one purpose-labelled random stream."""
     return np.random.default_rng(derive_seed(root, label))
 
-
-def resolve_workers(default: int = 1) -> int:
-    """Worker-pool cap, read from the SMARLA_THREADS environment variable."""
-    raw = os.environ.get("SMARLA_THREADS", "")
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        return default
-    return max(1, value)

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import two_band_corpus
+from conftest import make_episode, make_set, two_band_corpus
 from safemon.agent import AgentModel, QNetwork, save_agent
 from safemon.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from safemon.dataset import write_jsonl
@@ -102,6 +102,31 @@ def test_build_prints_states_and_f1(corpus_path, tmp_path, capsys):
     doc = json.loads(open(out, encoding="utf-8").read())
     assert doc["mode"] == "binary"
     assert doc["theta"] == 0.5
+
+
+def test_build_one_class_corpus_is_io_error_naming_counts(tmp_path, capsys):
+    path = tmp_path / "safe_only.jsonl"
+    write_jsonl(make_set([make_episode(np.full((4, 1), 4.5)) for _ in range(6)]), path)
+    code = main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "5",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"{path}: the corpus must contain both classes, got 6 safe and 0 unsafe" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_build_one_class_inner_split_is_io_error(tmp_path, capsys):
+    # Seed 1 puts the only unsafe episode into the 30% inner test split.
+    episodes = [make_episode(np.full((4, 1), 4.5)) for _ in range(9)]
+    episodes.append(make_episode(np.full((4, 1), 9.5), unsafe=True))
+    path = tmp_path / "one_unsafe.jsonl"
+    write_jsonl(make_set(episodes), path)
+    code = main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "5",
+                 "--seed", "1", "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert (f"{path}: the 70% inner training split must contain both classes, "
+            "got 7 safe and 0 unsafe") in err
 
 
 def test_select_d_writes_report(corpus_path, tmp_path, capsys):

@@ -19,7 +19,8 @@ from safemon.evaluation import (
     write_sweep_csv,
 )
 from safemon.forest import ForestConfig, train_forest
-from safemon.monitor import Criterion, DecisionTrace, MonitorModel
+from safemon.abstraction import UnseenPolicy
+from safemon.monitor import Criterion, DecisionTrace, MonitorModel, run_trace
 
 
 def trace(fire_step, length):
@@ -156,6 +157,40 @@ def test_sweep_grid_and_monotonicity():
 
     full = sweep(model, corpus, list(Criterion), [0.25, 0.5, 0.75])
     assert len(full.rows) == 9
+
+
+def test_sweep_matches_run_trace_under_stop_policy():
+    # Unsafe episodes differ from safe ones only by reaching Q = 9.5.
+    safe, unseen, alarm = 4.5, 20.0, 9.5
+    train = make_set(
+        [make_episode(np.full((4, 1), safe)) for _ in range(10)]
+        + [make_episode(np.array([[safe], [safe], [alarm], [alarm]]), unsafe=True)
+           for _ in range(10)]
+    )
+    model = fitted_model(train, unseen_policy=UnseenPolicy.STOP)
+    test = make_set(
+        [
+            # The stop policy freezes this safe episode before the alarm state.
+            make_episode(np.array([[safe], [unseen], [alarm], [alarm]])),
+            make_episode(np.array([[safe], [alarm], [unseen], [alarm]]), unsafe=True),
+            make_episode(np.full((4, 1), safe)),
+            make_episode(np.array([[safe], [safe], [alarm], [alarm]]), unsafe=True),
+        ]
+    )
+    labels = [e.label for e in test.episodes]
+    traces = [run_trace(model, e.qs) for e in test.episodes]
+    assert [len(t.assessments) for t in traces] == [2, 3, 4, 4]
+    horizon_row = metrics_over_time(traces, labels, 4)[-1]
+    stats = decision_time_stats(traces, labels)
+    assert (horizon_row.confusion.tp, horizon_row.confusion.fp) == (2, 0)
+
+    computed = sweep(model, test, [model.criterion], [model.theta], horizon=4)
+    reused = sweep(model, test, [model.criterion], [model.theta], horizon=4,
+                   series=[t.series for t in traces])
+    for report in (computed, reused):
+        (row,) = report.rows
+        assert row.metrics == horizon_row
+        assert row.stats == stats
 
 
 def test_sweep_rejects_empty_grid():

@@ -1,8 +1,10 @@
-import itertools
+import hashlib
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from safemon.forest import (
     Forest,
@@ -77,6 +79,96 @@ def test_best_split_matches_brute_force_on_six_samples():
     assert got == oracle
     assert oracle == (0, 3.5)
     assert oracle_gini == 0.0
+
+
+def reference_best_split(x_columns, y, candidates):
+    """The original per-candidate split search, kept as the reference."""
+    n = len(y)
+    best = None
+    best_gini = np.inf
+    for f in candidates:
+        v = x_columns[:, f].astype(np.float64)
+        order = np.argsort(v, kind="stable")
+        vs = v[order]
+        boundaries = np.nonzero(vs[:-1] != vs[1:])[0]
+        if boundaries.size == 0:
+            continue
+        cum_pos = np.cumsum(y[order])
+        total_pos = cum_pos[-1]
+        left_n = boundaries + 1.0
+        left_pos = cum_pos[boundaries]
+        right_n = n - left_n
+        right_pos = total_pos - left_pos
+        p_left = left_pos / left_n
+        p_right = right_pos / right_n
+        weighted = (
+            left_n * 2.0 * p_left * (1.0 - p_left)
+            + right_n * 2.0 * p_right * (1.0 - p_right)
+        ) / n
+        j = int(np.argmin(weighted))
+        if weighted[j] < best_gini:
+            best_gini = weighted[j]
+            best = (int(f), (vs[boundaries[j]] + vs[boundaries[j] + 1]) / 2.0)
+    return best
+
+
+@st.composite
+def split_nodes(draw):
+    """Small-integer node matrices with ties, constant and duplicated columns."""
+    n = draw(st.integers(2, 12))
+    width = draw(st.integers(1, 8))
+    top = draw(st.integers(1, 4))
+    cells = st.integers(0, top)
+    columns = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(width)]
+    for j in range(width):
+        kind = draw(st.sampled_from(["drawn", "constant", "duplicate"]))
+        if kind == "constant":
+            columns[j] = [columns[j][0]] * n
+        elif kind == "duplicate":
+            columns[j] = list(columns[draw(st.integers(0, width - 1))])
+    x = np.array(columns, dtype=np.float32).T
+    y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
+    k = draw(st.integers(1, width))
+    candidates = np.array(draw(st.permutations(range(width)))[:k])
+    return x, y, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(split_nodes())
+def test_best_split_matches_reference_loop(node):
+    x, y, candidates = node
+    assert _best_split(x, y, candidates) == reference_best_split(x, y, candidates)
+
+
+def golden_data(kind):
+    """Seeded 0/1 or small-count matrix whose labels depend on three columns."""
+    rng = np.random.default_rng(20231)
+    if kind == "binary":
+        x = (rng.random((90, 60)) < 0.3).astype(np.float32)
+    else:
+        x = rng.integers(0, 6, size=(90, 60)).astype(np.float32)
+    score = x[:, 3] + x[:, 17] - x[:, 42] + rng.normal(0, 0.8, size=90)
+    y = (score > np.median(score)).astype(np.int64)
+    return x, y
+
+
+# sha256 of json.dumps(forest_to_json_list(...)); recorded with the original
+# per-candidate split search, so any change to the trees grown shows here.
+GOLDEN_FOREST_SHA256 = {
+    ("binary", "sqrt"): "db9fc8068c6b6de3ddc9eb6bd58bf69dc18a4412a7ff87cf529a9046035d9b0a",
+    ("binary", "all"): "0bd2701d703549a17d362fbd45654cd8cd976cfc78867e6cd75935043ca634d5",
+    ("frequency", "sqrt"): "e5cdcf66473e4340f9c716e76fef994fedd6380e58120305eaa14441f48d1e6c",
+    ("frequency", "all"): "a3e725b4d7dcf5e4e7fb671e9280f717ff0e30579b149dacc3a70cb32eb16070",
+}
+
+
+@pytest.mark.parametrize("kind, features_per_split", sorted(GOLDEN_FOREST_SHA256))
+def test_trained_forest_matches_golden_hash(kind, features_per_split):
+    x, y = golden_data(kind)
+    config = ForestConfig(n_trees=12, features_per_split=features_per_split)
+    doc = json.dumps(forest_to_json_list(train_forest(x, y, config, seed=77)))
+    digest = hashlib.sha256(doc.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_FOREST_SHA256[(kind, features_per_split)]
 
 
 def test_depth_one_tree_split_matches_brute_force_on_its_bootstrap():
@@ -225,6 +317,18 @@ def test_training_input_validation():
         train_forest(np.zeros((4, 2)), np.zeros(4, dtype=int), ForestConfig(), seed=0)
     with pytest.raises(ValueError):
         train_forest(np.zeros((4, 2)), np.array([0, 1, 0]), ForestConfig(), seed=0)
+
+
+def test_training_rejects_bad_labels_and_features():
+    x = np.zeros((4, 2))
+    with pytest.raises(ValueError, match=r"labels must be 0 or 1, got values \[0, 1, 2\]"):
+        train_forest(x, np.array([0, 2, 1, 0]), ForestConfig(), seed=0)
+    with pytest.raises(ValueError, match="labels must be 0 or 1"):
+        train_forest(x, np.array([0.0, 0.5, 1.0, 0.0]), ForestConfig(), seed=0)
+    for bad in (np.nan, np.inf):
+        x_bad = np.array([[0.0, 1.0], [bad, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="features must be finite"):
+            train_forest(x_bad, np.array([0, 1, 1, 0]), ForestConfig(), seed=0)
 
 
 def test_predict_dimension_mismatch():
