@@ -96,9 +96,6 @@ class AbstractionTable:
         """Abstract id of a Q-vector, or None when its key was never seen."""
         return self.index.get(bucketize(q, self.d))
 
-    def lookup_key(self, key: BucketKey) -> Optional[int]:
-        return self.index.get(tuple(key))
-
     def lookup_batch(self, qs: np.ndarray) -> np.ndarray:
         """Ids for a (steps, actions) Q-matrix; unseen keys become -1."""
         get = self.index.get
@@ -125,18 +122,12 @@ class AbstractionTable:
         return cls(d=float(doc["d"]), index=index)
 
 
-def encode(
-    ids: Sequence[Optional[int]],
-    n: int,
-    mode: FeatureMode,
-    unseen_policy: UnseenPolicy = UnseenPolicy.IGNORE,
-) -> np.ndarray:
+def encode(ids: Sequence[Optional[int]], n: int, mode: FeatureMode) -> np.ndarray:
     """Feature vector for an episode prefix given its abstract-state ids.
 
     Unseen entries (None) are dropped; the stop policy's freeze semantics
     live in the monitor, which stops feeding ids in the first place.
     """
-    del unseen_policy  # both policies drop unseen ids at encoding time
     vector = np.zeros(n, dtype=np.float64)
     for i in ids:
         if i is None:

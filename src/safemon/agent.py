@@ -20,6 +20,7 @@ import numpy as np
 from .envs import CARTPOLE, MOUNTAINCAR, Cause, make_env
 from .seeding import derive_rng, derive_seed
 
+AGENT_FORMAT = "agent/1"
 UNSAFE_RATE_BAND = (0.05, 0.20)
 BAND_EVAL_EPISODES = 200
 REPORT_EVAL_EPISODES = 100
@@ -382,7 +383,7 @@ def train_agent(env_kind: str, config: AgentTrainConfig) -> AgentModel:
 
 def _core_doc(model: AgentModel) -> dict:
     return {
-        "format": "agent/1",
+        "format": AGENT_FORMAT,
         "env": model.env_kind,
         "gamma": model.gamma,
         "seed": model.seed,
@@ -427,8 +428,12 @@ def save_agent(model: AgentModel, path) -> None:
 
 
 def load_agent(path) -> AgentModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    from .dataset import load_document  # dataset imports this module
+
+    return load_document(path, AGENT_FORMAT, _agent_from_doc)
+
+
+def _agent_from_doc(doc: dict) -> AgentModel:
     network = QNetwork(
         doc["layer_sizes"],
         weights=[(entry["w"], entry["b"]) for entry in doc["weights"]],

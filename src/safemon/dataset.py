@@ -28,6 +28,28 @@ class DatasetError(ValueError):
     pass
 
 
+def load_document(path, tag: str, build):
+    """Parse the JSON document at `path`, check its "format" tag, and
+    return build(doc).
+
+    Text that is not JSON, another tag or a key that `build` misses raises
+    DatasetError naming the file, so a bad file fails where it is read.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict) or "format" not in doc:
+        raise DatasetError(f"{path}: no format tag, expected {tag!r}")
+    if doc["format"] != tag:
+        raise DatasetError(f"{path}: format tag {doc['format']!r}, expected {tag!r}")
+    try:
+        return build(doc)
+    except KeyError as exc:
+        raise DatasetError(f"{path}: {tag} document has no key {exc.args[0]!r}") from exc
+
+
 @dataclass
 class Episode:
     states: np.ndarray  # (length, state_dim)

@@ -112,6 +112,29 @@ def _labels_array(labels) -> np.ndarray:
     return np.array([label is Label.UNSAFE or label == Label.UNSAFE.value for label in labels])
 
 
+def _metrics_row(fire: np.ndarray, unsafe: np.ndarray, t: int) -> MetricsRow:
+    """Weighted P/R/F1 and macro F1 of the latched predictions at step t."""
+    pred = fire <= t  # latched; terminated episodes keep their last status
+    c = Confusion(
+        tp=int(np.sum(pred & unsafe)),
+        fp=int(np.sum(pred & ~unsafe)),
+        tn=int(np.sum(~pred & ~unsafe)),
+        fn=int(np.sum(~pred & unsafe)),
+    )
+    (p_pos, r_pos, f1_pos), (p_neg, r_neg, f1_neg) = _prf_both_classes(c)
+    n_pos = c.tp + c.fn
+    n_neg = c.tn + c.fp
+    total = n_pos + n_neg
+    return MetricsRow(
+        t=t,
+        precision_weighted=(n_pos * p_pos + n_neg * p_neg) / total,
+        recall_weighted=(n_pos * r_pos + n_neg * r_neg) / total,
+        f1_weighted=(n_pos * f1_pos + n_neg * f1_neg) / total,
+        f1_macro=(f1_pos + f1_neg) / 2.0,
+        confusion=c,
+    )
+
+
 def metrics_over_time(
     traces: Sequence[DecisionTrace], labels, horizon: int
 ) -> list[MetricsRow]:
@@ -122,30 +145,7 @@ def metrics_over_time(
         raise ValueError("need at least one trace")
     fire = _fire_array(traces)
     unsafe = _labels_array(labels)
-    rows = []
-    for t in range(horizon):
-        pred = fire <= t  # latched; terminated episodes keep their last status
-        c = Confusion(
-            tp=int(np.sum(pred & unsafe)),
-            fp=int(np.sum(pred & ~unsafe)),
-            tn=int(np.sum(~pred & ~unsafe)),
-            fn=int(np.sum(~pred & unsafe)),
-        )
-        (p_pos, r_pos, f1_pos), (p_neg, r_neg, f1_neg) = _prf_both_classes(c)
-        n_pos = c.tp + c.fn
-        n_neg = c.tn + c.fp
-        total = n_pos + n_neg
-        rows.append(
-            MetricsRow(
-                t=t,
-                precision_weighted=(n_pos * p_pos + n_neg * p_neg) / total,
-                recall_weighted=(n_pos * r_pos + n_neg * r_neg) / total,
-                f1_weighted=(n_pos * f1_pos + n_neg * f1_neg) / total,
-                f1_macro=(f1_pos + f1_neg) / 2.0,
-                confusion=c,
-            )
-        )
-    return rows
+    return [_metrics_row(fire, unsafe, t) for t in range(horizon)]
 
 
 def decision_time_stats(traces: Sequence[DecisionTrace], labels) -> DecisionTimeStats:
@@ -232,6 +232,8 @@ def sweep(
     episodes = test_set.episodes
     labels = [e.label for e in episodes]
     horizon = horizon if horizon is not None else max(e.length for e in episodes)
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
     if series is None:
         series = episode_probability_series(model, episodes)
     elif len(series) != len(episodes):
@@ -241,9 +243,10 @@ def sweep(
     for criterion in criteria:
         for theta in thetas:
             traces = _traces_from_series(series, episodes, criterion, theta)
-            metrics = metrics_over_time(traces, labels, horizon)[-1]
+            fire = _fire_array(traces)
+            metrics = _metrics_row(fire, unsafe, horizon - 1)
             stats = decision_time_stats(traces, labels)
-            fired = _fire_array(traces) < math.inf
+            fired = fire < math.inf
             fn_count = int(np.sum(unsafe & ~fired))
             rows.append(SweepRow(criterion, theta, metrics, stats, fn_count))
     return SweepReport(rows=rows, horizon=horizon)

@@ -5,12 +5,23 @@ a random feature subset per node. The forest exposes the individual tree
 probabilities, not just their average: the monitor's confidence interval
 is the mean per-tree unsafe probability plus or minus Z * sigma / sqrt(m)
 with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
+
+Batch inference runs on a packed form of the whole ensemble (`PackedTrees`,
+built once per `Forest`): the node arrays of all trees concatenated, one
+root offset per tree, children as global node indices, and every leaf
+turned into a node that branches to itself on feature 0 with threshold
++inf. `predict_batch` walks a (trees, rows) matrix of node indices one
+level per step for all pairs at once, until no pair moves, and copies the
+leaf values, so its output is bit-identical to walking each tree alone.
+The single-input `predict` keeps the per-tree walk (`Tree.probability`):
+for one row, the fixed cost of the array operations at every level is
+larger than walking 100 short trees in Python.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -66,19 +77,54 @@ class Tree:
                 node = self.right[node]
         return float(self.value[node])
 
-    def probability_batch(self, x_rows: np.ndarray) -> np.ndarray:
-        nodes = np.zeros(len(x_rows), dtype=np.int64)
+
+@dataclass(frozen=True)
+class PackedTrees:
+    """The node arrays of every tree of a forest, concatenated.
+
+    Node ids are global. `branch[i, 1]` is the child taken when
+    x[feature[i]] <= threshold[i] (left) and `branch[i, 0]` the other one
+    (right), so one step of a walk is branch[node, x <= threshold]. A leaf
+    tests feature 0 against +inf and both its branches point to itself.
+    """
+
+    feature: np.ndarray  # (n_nodes,) intp
+    threshold: np.ndarray  # (n_nodes,) float64
+    branch: np.ndarray  # (n_nodes, 2) intp: [right, left]
+    value: np.ndarray  # (n_nodes,) float64
+    roots: np.ndarray  # (n_trees,) intp: node id of each tree's root
+
+    @classmethod
+    def from_trees(cls, trees: list[Tree]) -> "PackedTrees":
+        sizes = [len(t.feature) for t in trees]
+        roots = np.concatenate([[0], np.cumsum(sizes[:-1])]).astype(np.intp)
+        feature = np.concatenate([t.feature for t in trees]).astype(np.intp)
+        threshold = np.concatenate([t.threshold for t in trees])
+        leaf = feature < 0
+        feature[leaf] = 0
+        threshold[leaf] = np.inf
+        own = np.arange(len(feature), dtype=np.intp)
+        offset = np.repeat(roots, sizes)
+        right = np.concatenate([t.right for t in trees]) + offset
+        left = np.concatenate([t.left for t in trees]) + offset
+        branch = np.stack([np.where(leaf, own, right), np.where(leaf, own, left)], axis=1)
+        value = np.concatenate([t.value for t in trees])
+        return cls(feature, threshold, branch, value, roots)
+
+    def leaf_values(self, x_rows: np.ndarray) -> np.ndarray:
+        """(n_trees, n_rows) values of the leaves the rows reach, one level
+        of every tree per step; ties at a split go left."""
+        n_rows, width = x_rows.shape
+        flat = x_rows.ravel()
+        row_start = np.arange(n_rows, dtype=np.intp) * width
+        nodes = np.repeat(self.roots[:, None], n_rows, axis=1)
         while True:
-            feats = self.feature[nodes]
-            active = np.nonzero(feats >= 0)[0]
-            if active.size == 0:
-                break
-            vals = x_rows[active, feats[active]]
-            go_left = vals <= self.threshold[nodes[active]]
-            nodes[active] = np.where(
-                go_left, self.left[nodes[active]], self.right[nodes[active]]
-            )
-        return self.value[nodes]
+            x = flat.take(row_start + self.feature.take(nodes))
+            goes_left = x <= self.threshold.take(nodes)
+            moved = self.branch.take(2 * nodes + goes_left)  # branch[nodes, goes_left]
+            if np.array_equal(moved, nodes):
+                return self.value.take(nodes)
+            nodes = moved
 
 
 @dataclass
@@ -87,6 +133,10 @@ class Forest:
     feature_count: int
     config: ForestConfig
     seed: int
+    packed: PackedTrees = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.packed = PackedTrees.from_trees(self.trees)
 
     @property
     def n_trees(self) -> int:
@@ -286,13 +336,13 @@ def predict(forest: Forest, x) -> ProbabilitySummary:
 
 
 def predict_batch(forest: Forest, x_rows: np.ndarray) -> BatchSummary:
-    """Vectorized predict() over the rows of a feature matrix."""
+    """predict() over the rows of a feature matrix, all trees at once."""
     x_rows = np.asarray(x_rows)
     if x_rows.ndim != 2 or x_rows.shape[1] != forest.feature_count:
         raise ValueError(
             f"expected rows of length {forest.feature_count}, got shape {x_rows.shape}"
         )
-    per_tree = np.stack([t.probability_batch(x_rows) for t in forest.trees])
+    per_tree = forest.packed.leaf_values(x_rows)
     mean, std, low, up = _summarize(per_tree)
     return BatchSummary(per_tree, mean, std, low, up)
 

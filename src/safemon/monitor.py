@@ -23,6 +23,7 @@ from .abstraction import (
     UnseenPolicy,
     prefix_feature_matrix,
 )
+from .dataset import load_document
 from .forest import (
     BatchSummary,
     Forest,
@@ -33,6 +34,9 @@ from .forest import (
     predict,
     predict_batch,
 )
+
+
+MODEL_FORMAT = "monitor-model/1"
 
 
 class Criterion(str, enum.Enum):
@@ -200,7 +204,7 @@ def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:
 def save_model(model: MonitorModel, path) -> None:
     """Write the whole monitor (table, forest, decision config) as one JSON."""
     doc = {
-        "format": "monitor-model/1",
+        "format": MODEL_FORMAT,
         "table": model.table.to_json_dict(),
         "forest": forest_to_json_list(model.forest),
         "forest_config": {
@@ -223,8 +227,10 @@ def save_model(model: MonitorModel, path) -> None:
 
 
 def load_model(path) -> MonitorModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+    return load_document(path, MODEL_FORMAT, _model_from_doc)
+
+
+def _model_from_doc(doc: dict) -> MonitorModel:
     cfg = doc["forest_config"]
     config = ForestConfig(
         n_trees=cfg["n_trees"],

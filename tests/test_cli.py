@@ -208,3 +208,57 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
     assert len(replies) == 2
     assert {"t", "p", "low", "up", "fired", "unseen"} <= set(replies[0])
     assert "line 2" in captured.err
+
+
+def damaged_copy(path, tmp_path, damage, key):
+    """A copy of a saved JSON document with a wrong or no format tag, cut
+    short, or missing one key."""
+    text = open(path, encoding="utf-8").read()
+    doc = json.loads(text)
+    if damage == "wrong-tag":
+        doc["format"] = "something-else/9"
+        text = json.dumps(doc)
+    elif damage == "truncated":
+        text = text[: len(text) // 2]
+    elif damage == "untagged":
+        del doc["format"]
+        text = json.dumps(doc)
+    else:
+        del doc[key]
+        text = json.dumps(doc)
+    out = tmp_path / f"{damage}.json"
+    out.write_text(text, encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("damage", ["wrong-tag", "untagged", "truncated", "missing-key"])
+@pytest.mark.parametrize("command", ["evaluate", "watch", "collect"])
+def test_damaged_model_or_agent_is_io_error_naming_file(
+    command, damage, corpus_path, model_path, agent_path, tmp_path, capsys, monkeypatch
+):
+    if command == "collect":
+        bad = damaged_copy(agent_path, tmp_path, damage, "weights")
+        argv = ["collect", "--agent", str(bad), "--episodes", "2",
+                "--out", str(tmp_path / "c.jsonl")]
+        tag, key = "agent/1", "weights"
+    else:
+        bad = damaged_copy(model_path, tmp_path, damage, "forest_config")
+        argv = {
+            "evaluate": ["evaluate", "--model", str(bad), "--episodes", corpus_path,
+                         "--out-prefix", str(tmp_path / "eval")],
+            "watch": ["watch", "--model", str(bad)],
+        }[command]
+        tag, key = "monitor-model/1", "forest_config"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err
+    assert f"i/o error: {bad}: " in err
+    expected = {
+        "wrong-tag": f"format tag 'something-else/9', expected '{tag}'",
+        "untagged": f"no format tag, expected '{tag}'",
+        "truncated": "not a JSON document",
+        "missing-key": f"{tag} document has no key '{key}'",
+    }[damage]
+    assert expected in err

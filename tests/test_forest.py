@@ -171,6 +171,91 @@ def test_trained_forest_matches_golden_hash(kind, features_per_split):
     assert digest == GOLDEN_FOREST_SHA256[(kind, features_per_split)]
 
 
+# sha256 of the per_tree, mean, std, low and up bytes of predict_batch;
+# recorded with the tree-at-a-time evaluator the packed walk replaced.
+GOLDEN_BATCH_SHA256 = {
+    "binary": "0c402f5e1d29cd91e53042d292054cf893ca1986ba13f872c5d324bac772083c",
+    "frequency": "3ba2460eda244f45a74202c3386df1ccea73aeac32d228b623d9b55a51ef4c4f",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BATCH_SHA256))
+def test_predict_batch_matches_golden_hash(kind):
+    x, y = golden_data(kind)
+    forest = train_forest(x, y, ForestConfig(n_trees=30), seed=77)
+    rng = np.random.default_rng(5)
+    if kind == "binary":
+        extra = (rng.random((40, 60)) < 0.5).astype(np.float32)
+    else:
+        extra = rng.integers(0, 7, size=(40, 60)).astype(np.float32)
+    batch = predict_batch(forest, np.vstack([x, extra]))
+    fields = (batch.per_tree, batch.mean, batch.std, batch.low, batch.up)
+    digest = hashlib.sha256(b"".join(a.tobytes() for a in fields)).hexdigest()
+    assert digest == GOLDEN_BATCH_SHA256[kind]
+
+
+# Split thresholds and input values share a grid, so inputs often sit
+# exactly on a threshold (ties go left).
+GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
+@st.composite
+def random_trees(draw, width):
+    """A tree of depth at most 4, nodes numbered depth-first."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(draw(st.floats(0.0, 1.0)))
+        if depth < 4 and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, width - 1))
+            threshold[node] = draw(st.sampled_from(GRID))
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    n = len(feature)
+    return Tree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        value=np.array(value),
+        count=np.ones(n, dtype=np.int64),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_predict_batch_matches_per_tree_walks(data):
+    width = data.draw(st.integers(1, 4))
+    trees = data.draw(st.lists(random_trees(width), min_size=1, max_size=6))
+    trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
+    row = st.lists(st.sampled_from(GRID + [2.5]), min_size=width, max_size=width)
+    rows = data.draw(st.lists(row, max_size=8))
+    rows += rows[: data.draw(st.integers(0, len(rows)))]  # duplicated rows
+    x = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    config = ForestConfig(n_trees=len(trees))
+    forest = Forest(trees=trees, feature_count=width, config=config, seed=0)
+
+    batch = predict_batch(forest, x)
+    assert batch.per_tree.shape == (len(trees), len(x))
+    for i, row in enumerate(x):
+        walked = np.array([t.probability(row) for t in trees])
+        assert batch.per_tree[:, i].tobytes() == walked.tobytes()
+        single = predict(forest, row)
+        assert (single.mean, single.std, single.low, single.up) == (
+            batch.mean[i], batch.std[i], batch.low[i], batch.up[i]
+        )
+    empty = predict_batch(forest, x[:0])
+    assert empty.per_tree.shape == (len(trees), 0) and empty.mean.shape == (0,)
+
+
 def test_depth_one_tree_split_matches_brute_force_on_its_bootstrap():
     config = ForestConfig(n_trees=1, max_depth=1, features_per_split="all")
     seed = 99
@@ -226,7 +311,7 @@ def test_ensemble_identity_on_random_inputs():
     forest = train_forest(x, y, ForestConfig(n_trees=15), seed=4)
     probes = rng.uniform(-0.5, 1.5, size=(1000, 5))
     batch = predict_batch(forest, probes)
-    manual = np.stack([t.probability_batch(probes) for t in forest.trees]).mean(axis=0)
+    manual = np.array([[t.probability(p) for p in probes] for t in forest.trees]).mean(axis=0)
     assert np.max(np.abs(batch.mean - manual)) <= 1e-12
     s = predict(forest, probes[0])
     assert abs(s.mean - np.mean(s.per_tree)) <= 1e-12
@@ -300,7 +385,10 @@ def test_exact_threshold_routes_left():
     )
     assert tree_probability(tree, [0.5]) == 0.1
     assert tree_probability(tree, [0.5000001]) == 0.9
-    assert tree.probability_batch(np.array([[0.5], [0.6]])).tolist() == [0.1, 0.9]
+    rows = np.array([[0.5], [0.6]])
+    assert [tree.probability(row) for row in rows] == [0.1, 0.9]
+    forest = Forest(trees=[tree], feature_count=1, config=ForestConfig(n_trees=1), seed=0)
+    assert predict_batch(forest, rows).per_tree[0].tolist() == [0.1, 0.9]
 
 
 def test_leaf_only_tree_constant_output():
