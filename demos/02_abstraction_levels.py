@@ -8,8 +8,8 @@ features for the violation predictor.
 
 import numpy as np
 
-from safemon import CARTPOLE, AgentModel, FeatureMode, bucketize, collect, encode
-from safemon.abstraction import AbstractionTable, distinct_q_count
+from safemon import CARTPOLE, AgentModel, FeatureMode, bucketize, collect
+from safemon.abstraction import AbstractionTable, distinct_q_count, episode_feature_matrix
 from safemon.agent import QNetwork
 
 print("bucket arithmetic at d = 0.11:")
@@ -35,8 +35,8 @@ table = AbstractionTable.build(corpus, 0.1)
 episode = corpus.episodes[0]
 ids = [table.lookup(q) for q in episode.qs]
 print(f"\nat d=0.1 the first episode visits ids {sorted(set(ids))!r}")
-binary = encode(ids, table.n, FeatureMode.BINARY)
-frequency = encode(ids, table.n, FeatureMode.FREQUENCY)
+(binary,) = episode_feature_matrix([episode], table, FeatureMode.BINARY)
+(frequency,) = episode_feature_matrix([episode], table, FeatureMode.FREQUENCY)
 nz = np.nonzero(frequency)[0]
 print("feature vectors over those ids (binary: presence, frequency: visits):")
 print("  binary   ", binary[nz])

@@ -15,6 +15,7 @@ from safemon import (
     FeatureMode,
     ForestConfig,
     MonitorModel,
+    run_trace,
     sweep,
     train_forest,
 )
@@ -51,7 +52,10 @@ y = np.array([e.label is Label.UNSAFE for e in train_set.episodes], dtype=np.int
 forest = train_forest(x, y, ForestConfig(n_trees=80), seed=1)
 model = MonitorModel(table=table, forest=forest)
 
-report = sweep(model, test_set, list(Criterion), [0.25, 0.5, 0.75])
+# Replay each test episode once; the sweep re-reads the same probability series.
+traces = [run_trace(model, e.qs) for e in test_set.episodes]
+labels = [e.label for e in test_set.episodes]
+report = sweep(traces, labels, list(Criterion), [0.25, 0.5, 0.75])
 print(f"{'criterion':<20} {'theta':>5} {'macroF1':>8} {'avg step':>9} {'FP':>4} {'FN':>4}")
 for row in report.rows:
     step = f"{row.stats.decision_step_avg:,.1f}" if row.stats.decision_step_avg is not None else "-"

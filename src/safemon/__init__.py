@@ -12,7 +12,6 @@ from .abstraction import (
     FeatureMode,
     UnseenPolicy,
     bucketize,
-    encode,
     select_level,
 )
 from .agent import (
@@ -23,7 +22,6 @@ from .agent import (
     agent_fingerprint,
     greedy_action,
     load_agent,
-    q_values,
     save_agent,
     train_agent,
 )

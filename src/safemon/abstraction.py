@@ -5,6 +5,12 @@ Q-value lands in the same width-``d`` ceiling bucket. Episodes are then
 encoded over the resulting abstract-state vocabulary, either as presence
 bits or as visit counts, and those vectors are what the violation
 predictor consumes.
+
+One function counts visits into feature rows: prefix_feature_matrix uses
+it for every prefix of one episode (batch replay), episode_feature_matrix
+for the end of each training episode. The monitor's running counts in
+observe are the same encoding, kept one step at a time. A Q-vector whose
+width differs from the table's is rejected where it is looked up.
 """
 
 from __future__ import annotations
@@ -92,12 +98,23 @@ class AbstractionTable:
                     index[key] = len(index)
         return table
 
+    def _require_width(self, q: np.ndarray, ndim: int) -> None:
+        """Reject Q-values whose shape is not ([steps,] actions)."""
+        if q.ndim != ndim or q.shape[-1] != self.key_width:
+            raise ValueError(
+                f"expected {self.key_width} Q-values per step, got an array of shape {q.shape}"
+            )
+
     def lookup(self, q: Sequence[float]) -> Optional[int]:
         """Abstract id of a Q-vector, or None when its key was never seen."""
+        q = np.asarray(q)
+        self._require_width(q, 1)
         return self.index.get(bucketize(q, self.d))
 
     def lookup_batch(self, qs: np.ndarray) -> np.ndarray:
         """Ids for a (steps, actions) Q-matrix; unseen keys become -1."""
+        qs = np.asarray(qs)
+        self._require_width(qs, 2)
         get = self.index.get
         return np.fromiter(
             (get(tuple(row.tolist()), -1) for row in bucketize_batch(qs, self.d)),
@@ -122,49 +139,34 @@ class AbstractionTable:
         return cls(d=float(doc["d"]), index=index)
 
 
-def encode(ids: Sequence[Optional[int]], n: int, mode: FeatureMode) -> np.ndarray:
-    """Feature vector for an episode prefix given its abstract-state ids.
-
-    Unseen entries (None) are dropped; the stop policy's freeze semantics
-    live in the monitor, which stops feeding ids in the first place.
-    """
-    vector = np.zeros(n, dtype=np.float64)
-    for i in ids:
-        if i is None:
-            continue
-        if not 0 <= i < n:
-            raise ValueError(f"abstract id {i} out of range for table of size {n}")
-        vector[i] += 1.0
-    if mode is FeatureMode.BINARY:
-        return np.minimum(vector, 1.0)
-    return vector
+def _visit_counts(n_rows: int, n: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """(n_rows, n) float32 matrix with one visit of abstract id ids[i]
+    counted into row rows[i]; unseen ids (-1) are dropped."""
+    counts = np.zeros((n_rows, n), dtype=np.float32)
+    seen = ids >= 0
+    np.add.at(counts, (rows[seen], ids[seen]), 1.0)
+    return counts
 
 
 def prefix_feature_matrix(ids: np.ndarray, n: int, mode: FeatureMode) -> np.ndarray:
-    """Stack of per-step feature vectors for one episode (unseen ids = -1).
-
-    Row t equals encode(ids[: t + 1]); used for batch tracing.
-    """
-    t = len(ids)
-    increments = np.zeros((t, n), dtype=np.float32)
-    valid = ids >= 0
-    increments[np.nonzero(valid)[0], ids[valid]] = 1.0
-    counts = np.cumsum(increments, axis=0)
+    """Feature rows of every prefix of one episode (unseen ids = -1): row t
+    encodes the abstract states visited in steps 0..t."""
+    counts = _visit_counts(len(ids), n, np.arange(len(ids)), ids)
+    np.cumsum(counts, axis=0, out=counts)
     if mode is FeatureMode.BINARY:
-        return np.minimum(counts, 1.0)
+        np.minimum(counts, 1.0, out=counts)
     return counts
 
 
 def episode_feature_matrix(episodes, table: AbstractionTable, mode: FeatureMode) -> np.ndarray:
     """End-of-episode feature rows for a list of episodes."""
-    out = np.zeros((len(episodes), table.n), dtype=np.float32)
-    for row, episode in zip(out, episodes):
-        ids = table.lookup_batch(episode.qs)
-        valid = ids[ids >= 0]
-        np.add.at(row, valid, 1.0)
+    ids = [table.lookup_batch(episode.qs) for episode in episodes]
+    rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
+    flat = np.concatenate(ids) if ids else rows  # no episodes, no visits
+    counts = _visit_counts(len(ids), table.n, rows, flat)
     if mode is FeatureMode.BINARY:
-        np.minimum(out, 1.0, out=out)
-    return out
+        np.minimum(counts, 1.0, out=counts)
+    return counts
 
 
 def distinct_q_count(episode_set) -> int:
@@ -224,12 +226,7 @@ def select_level(
     from . import forest as forest_mod
     from . import monitor as monitor_mod
     from .dataset import split
-    from .evaluation import (
-        _traces_from_series,
-        episode_probability_series,
-        macro_f1,
-        metrics_over_time,
-    )
+    from .evaluation import macro_f1, metrics_over_time
 
     if len(candidate_ds) < 2:
         raise ValueError("need at least two candidate abstraction levels")
@@ -275,8 +272,7 @@ def select_level(
                 monitor = monitor_mod.MonitorModel(
                     table=table, forest=model, mode=mode, criterion=crit, theta=theta
                 )
-                series = episode_probability_series(monitor, inner_test.episodes)
-                traces = _traces_from_series(series, inner_test.episodes, crit, theta)
+                traces = [monitor_mod.run_trace(monitor, e.qs) for e in inner_test.episodes]
                 operation_f1 = metrics_over_time(traces, labels, horizon)[-1].f1_macro
                 fires = [
                     t.first_fire_step

@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -245,10 +245,6 @@ class AgentModel:
         return self.network.forward(state)
 
 
-def q_values(agent: AgentModel, state) -> np.ndarray:
-    return agent.q_values(state)
-
-
 def greedy_action(q) -> int:
     """Index of the maximum Q-value; ties break toward the lowest index."""
     q = np.asarray(q)
@@ -405,23 +401,7 @@ def agent_fingerprint(model: AgentModel) -> str:
 def save_agent(model: AgentModel, path) -> None:
     doc = _core_doc(model)
     if model.report is not None:
-        doc["report"] = {
-            "mean_reward": model.report.mean_reward,
-            "unsafe_rate": model.report.unsafe_rate,
-            "mean_length": model.report.mean_length,
-            "eval_episodes": model.report.eval_episodes,
-            "selected_step": model.report.selected_step,
-            "band_satisfied": model.report.band_satisfied,
-            "checkpoints": [
-                {
-                    "step": c.step,
-                    "unsafe_rate": c.unsafe_rate,
-                    "mean_reward": c.mean_reward,
-                    "mean_length": c.mean_length,
-                }
-                for c in model.report.checkpoints
-            ],
-        }
+        doc["report"] = asdict(model.report)
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -76,25 +77,7 @@ def cmd_train_agent(args) -> int:
     model = train_agent(args.env, config)
     save_agent(model, args.out)
     report = model.report
-    report_doc = {
-        "env": args.env,
-        "seed": args.seed,
-        "selected_step": report.selected_step,
-        "band_satisfied": report.band_satisfied,
-        "mean_reward": report.mean_reward,
-        "unsafe_rate": report.unsafe_rate,
-        "mean_length": report.mean_length,
-        "eval_episodes": report.eval_episodes,
-        "checkpoints": [
-            {
-                "step": c.step,
-                "unsafe_rate": c.unsafe_rate,
-                "mean_reward": c.mean_reward,
-                "mean_length": c.mean_length,
-            }
-            for c in report.checkpoints
-        ],
-    }
+    report_doc = {"env": args.env, "seed": args.seed, **asdict(report)}
     with open(args.report_out or args.out + ".report.json", "w", encoding="utf-8") as fh:
         json.dump(report_doc, fh, indent=2)
         fh.write("\n")
@@ -242,7 +225,7 @@ def cmd_select_d(args) -> int:
 def cmd_evaluate(args) -> int:
     from dataclasses import replace
 
-    from .dataset import read_jsonl
+    from .dataset import DatasetError, read_jsonl
     from .evaluation import (
         decision_stats_json,
         decision_time_stats,
@@ -267,6 +250,12 @@ def cmd_evaluate(args) -> int:
         model = replace(model, **overrides)
 
     corpus = read_jsonl(args.episodes)
+    width = corpus.episodes[0].qs.shape[1]
+    if width != model.table.key_width:
+        raise DatasetError(
+            f"{args.episodes}: episodes have {width} Q-values per step, but the "
+            f"model {args.model} was built over {model.table.key_width}"
+        )
     labels = [e.label for e in corpus.episodes]
     horizon = max(e.length for e in corpus.episodes)
     traces = [run_trace(model, e.qs) for e in corpus.episodes]
@@ -279,10 +268,7 @@ def cmd_evaluate(args) -> int:
         args.out_prefix + ".decision_stats.json",
     )
     if args.sweep:
-        report = sweep(
-            model, corpus, list(Criterion), [0.25, 0.5, 0.75], horizon=horizon,
-            series=[t.series for t in traces],
-        )
+        report = sweep(traces, labels, list(Criterion), [0.25, 0.5, 0.75], horizon=horizon)
         write_sweep_csv(report, args.out_prefix + ".sweep.csv", time_base=args.time_base)
     if args.traces:
         write_traces_csv(traces, labels, args.out_prefix + ".traces.csv", time_base=args.time_base)

@@ -32,8 +32,9 @@ def load_document(path, tag: str, build):
     """Parse the JSON document at `path`, check its "format" tag, and
     return build(doc).
 
-    Text that is not JSON, another tag or a key that `build` misses raises
-    DatasetError naming the file, so a bad file fails where it is read.
+    Text that is not JSON, another tag, or a key or value that `build`
+    cannot use raises DatasetError naming the file, so a bad file fails
+    where it is read.
     """
     with open(path, encoding="utf-8") as fh:
         try:
@@ -48,6 +49,8 @@ def load_document(path, tag: str, build):
         return build(doc)
     except KeyError as exc:
         raise DatasetError(f"{path}: {tag} document has no key {exc.args[0]!r}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DatasetError(f"{path}: {tag} document has a bad value: {exc}") from exc
 
 
 @dataclass
@@ -180,10 +183,13 @@ def _episode_from_obj(obj: dict) -> Episode:
     steps = obj["steps"]
     if not steps:
         raise DatasetError("episode has no steps")
+    qs = np.array([s["q"] for s in steps], dtype=np.float64)
+    if qs.ndim != 2:
+        raise DatasetError("every step's q must be a list of numbers")
     return Episode(
         states=np.array([s["s"] for s in steps], dtype=np.float64),
         actions=np.array([s["a"] for s in steps], dtype=np.int64),
-        qs=np.array([s["q"] for s in steps], dtype=np.float64),
+        qs=qs,
         rewards=np.array([s["r"] for s in steps], dtype=np.float64),
         label=Label(obj["label"]),
         cause=Cause(obj["cause"]),
@@ -199,7 +205,8 @@ def write_jsonl(episode_set: EpisodeSet, path) -> None:
 
 
 def read_jsonl(path) -> EpisodeSet:
-    """Parse an episode corpus; malformed lines fail with their number.
+    """Parse an episode corpus; malformed lines, and lines whose Q-vector
+    width differs from the first episode's, fail with their number.
 
     Set-level metadata is not part of the line schema: the environment
     kind is inferred from the Q-vector width, fingerprint and seed stay
@@ -211,11 +218,19 @@ def read_jsonl(path) -> EpisodeSet:
             if not line.strip():
                 continue
             try:
-                episodes.append(_episode_from_obj(json.loads(line)))
+                episode = _episode_from_obj(json.loads(line))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise DatasetError(f"{path}: malformed episode at line {lineno}: {exc}") from exc
+            width = episode.qs.shape[1]
+            if not episodes:
+                first_line, action_count = lineno, width
+            elif width != action_count:
+                raise DatasetError(
+                    f"{path}: episode at line {lineno} has {width} Q-values per step, "
+                    f"the one at line {first_line} has {action_count}"
+                )
+            episodes.append(episode)
     if not episodes:
         raise DatasetError(f"{path}: empty episode set")
-    action_count = episodes[0].qs.shape[1]
     env_kind = {2: "cartpole", 3: "mountaincar"}.get(action_count)
     return EpisodeSet(episodes=episodes, env_kind=env_kind)

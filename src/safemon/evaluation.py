@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -24,13 +24,7 @@ from .abstraction import (
 )
 from .dataset import EpisodeSet, Label
 from .forest import ForestConfig, train_forest
-from .monitor import (
-    Criterion,
-    DecisionTrace,
-    MonitorModel,
-    first_fire_step,
-    probability_series,
-)
+from .monitor import Criterion, DecisionTrace, MonitorModel, first_fire_step, run_trace
 from .seeding import derive_seed
 
 
@@ -195,59 +189,37 @@ class SweepReport:
     horizon: int
 
 
-def episode_probability_series(model: MonitorModel, episodes):
-    """Per-step (mean, low, up) series for each episode, cut as run_trace
-    cuts it, so criterion/threshold grids can be swept without re-querying
-    the forest."""
-    return [probability_series(model, episode.qs)[0] for episode in episodes]
-
-
-def _traces_from_series(series, episodes, criterion: Criterion, theta: float):
-    """Decision traces, without per-step assessments, for one criterion/theta."""
-    return [
-        DecisionTrace(
-            assessments=[],
-            first_fire_step=first_fire_step(batch, criterion, theta),
-            episode_length=episode.length,
-        )
-        for batch, episode in zip(series, episodes)
-    ]
-
-
 def sweep(
-    model: MonitorModel,
-    test_set: EpisodeSet,
+    traces: Sequence[DecisionTrace],
+    labels,
     criteria: Sequence[Criterion],
     thetas: Sequence[float],
     horizon: Optional[int] = None,
-    series=None,
 ) -> SweepReport:
     """Metrics, decision times, and FP/FN counts over a criterion x theta grid.
 
-    `series` may carry the episodes' probability series already computed
-    (``DecisionTrace.series`` from run_trace); otherwise they are computed.
+    Each pair re-derives only the fire steps from the traces' probability
+    series, so the forest is not queried again.
     """
     if not criteria or not thetas:
         raise ValueError("criteria and thetas must be non-empty")
-    episodes = test_set.episodes
-    labels = [e.label for e in episodes]
-    horizon = horizon if horizon is not None else max(e.length for e in episodes)
+    if len(traces) != len(labels):
+        raise ValueError("traces and labels disagree on episode count")
+    horizon = horizon if horizon is not None else max(t.episode_length for t in traces)
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    if series is None:
-        series = episode_probability_series(model, episodes)
-    elif len(series) != len(episodes):
-        raise ValueError("series and episodes disagree on episode count")
     unsafe = _labels_array(labels)
     rows = []
     for criterion in criteria:
         for theta in thetas:
-            traces = _traces_from_series(series, episodes, criterion, theta)
-            fire = _fire_array(traces)
+            refired = [
+                replace(t, first_fire_step=first_fire_step(t.series, criterion, theta))
+                for t in traces
+            ]
+            fire = _fire_array(refired)
             metrics = _metrics_row(fire, unsafe, horizon - 1)
-            stats = decision_time_stats(traces, labels)
-            fired = fire < math.inf
-            fn_count = int(np.sum(unsafe & ~fired))
+            stats = decision_time_stats(refired, labels)
+            fn_count = int(np.sum(unsafe & (fire == math.inf)))
             rows.append(SweepRow(criterion, theta, metrics, stats, fn_count))
     return SweepReport(rows=rows, horizon=horizon)
 
@@ -303,8 +275,7 @@ def abstraction_report(
         model = MonitorModel(
             table=table, forest=forest, mode=mode, criterion=criterion, theta=theta
         )
-        series = episode_probability_series(model, test.episodes)
-        traces = _traces_from_series(series, test.episodes, criterion, theta)
+        traces = [run_trace(model, e.qs) for e in test.episodes]
         metrics = metrics_over_time(traces, labels, horizon)
         curve = [m.f1_macro for m in metrics]
         final = curve[-1]
@@ -418,13 +389,12 @@ def write_traces_csv(traces, labels, path, time_base: int = 0) -> None:
         writer.writerow(["episode", "label", "t", "p", "low", "up", "fired"])
         for i, (trace, label) in enumerate(zip(traces, labels)):
             name = label.value if isinstance(label, Label) else label
-            for a in trace.assessments:
+            s, fire = trace.series, trace.first_fire_step
+            for t, (p, low, up) in enumerate(zip(s.mean.tolist(), s.low.tolist(), s.up.tolist())):
                 writer.writerow(
                     [
-                        i, name, a.t + time_base,
-                        f"{a.summary.mean:.6f}",
-                        f"{a.summary.low:.6f}",
-                        f"{a.summary.up:.6f}",
-                        int(a.fired),
+                        i, name, t + time_base,
+                        f"{p:.6f}", f"{low:.6f}", f"{up:.6f}",
+                        int(fire is not None and t >= fire),
                     ]
                 )

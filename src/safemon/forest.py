@@ -153,10 +153,6 @@ class ProbabilitySummary:
     low: float
     up: float
 
-    @property
-    def classification_unsafe(self) -> bool:
-        return self.mean >= 0.5
-
 
 @dataclass(frozen=True)
 class BatchSummary:
@@ -294,12 +290,6 @@ def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
         for i in range(config.n_trees)
     ]
     return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
-
-
-def tree_probability(tree: Tree, x) -> float:
-    """Unsafe fraction of the leaf reached by x (ties at a split go left)."""
-    x = np.asarray(x, dtype=np.float64)
-    return tree.probability(x)
 
 
 def _summarize(per_tree: np.ndarray):

@@ -6,13 +6,19 @@ decision fires once the configured criterion holds and then latches for
 the rest of the episode. Comparison strictness follows the criteria
 definitions: upper bound and output probability fire at >= theta, the
 lower bound only at > theta.
+
+A stored episode is replayed in one batch: run_trace encodes every
+prefix, scores them with one forest call, and returns a DecisionTrace
+that is that probability series plus the first fire step. Its per-step
+assessments are derived from the series on demand and equal what observe
+returns step by step, bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -93,10 +99,37 @@ class StepAssessment:
 
 @dataclass(frozen=True)
 class DecisionTrace:
-    assessments: list[StepAssessment]
+    """A stored episode replayed through the monitor.
+
+    `series` holds the forest summaries of each monitored step, up to any
+    stop-policy cutoff (`stop_hit`); `episode_length` counts every step.
+    """
+
+    series: BatchSummary
     first_fire_step: Optional[int]
     episode_length: int
-    series: Optional[BatchSummary] = None  # per-step summaries up to any stop cutoff
+    stop_hit: bool
+
+    @property
+    def assessments(self) -> list[StepAssessment]:
+        """The per-step assessments observe would have returned."""
+        batch, fire = self.series, self.first_fire_step
+        cutoff = len(batch.mean)
+        return [
+            StepAssessment(
+                t=t,
+                summary=ProbabilitySummary(
+                    per_tree=batch.per_tree[:, t],
+                    mean=float(batch.mean[t]),
+                    std=float(batch.std[t]),
+                    low=float(batch.low[t]),
+                    up=float(batch.up[t]),
+                ),
+                fired=fire is not None and t >= fire,
+                unseen_alert=self.stop_hit and t == cutoff - 1,
+            )
+            for t in range(cutoff)
+        ]
 
 
 def criterion_holds(summary, criterion: Criterion, theta: float):
@@ -174,30 +207,11 @@ def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:
     policy it ends at the first unseen abstract state.
     """
     batch, stop_hit = probability_series(model, episode_qs)
-    first_fire = first_fire_step(batch, model.criterion, model.theta)
-    cutoff = len(batch.mean)
-    assessments = []
-    for t in range(cutoff):
-        summary = ProbabilitySummary(
-            per_tree=batch.per_tree[:, t],
-            mean=float(batch.mean[t]),
-            std=float(batch.std[t]),
-            low=float(batch.low[t]),
-            up=float(batch.up[t]),
-        )
-        assessments.append(
-            StepAssessment(
-                t=t,
-                summary=summary,
-                fired=first_fire is not None and t >= first_fire,
-                unseen_alert=stop_hit and t == cutoff - 1,
-            )
-        )
     return DecisionTrace(
-        assessments=assessments,
-        first_fire_step=first_fire,
-        episode_length=len(episode_qs),
         series=batch,
+        first_fire_step=first_fire_step(batch, model.criterion, model.theta),
+        episode_length=len(episode_qs),
+        stop_hit=stop_hit,
     )
 
 
@@ -207,12 +221,7 @@ def save_model(model: MonitorModel, path) -> None:
         "format": MODEL_FORMAT,
         "table": model.table.to_json_dict(),
         "forest": forest_to_json_list(model.forest),
-        "forest_config": {
-            "n_trees": model.forest.config.n_trees,
-            "max_depth": model.forest.config.max_depth,
-            "min_split": model.forest.config.min_split,
-            "features_per_split": model.forest.config.features_per_split,
-        },
+        "forest_config": asdict(model.forest.config),
         "forest_seed": model.forest.seed,
         "feature_count": model.forest.feature_count,
         "mode": model.mode.value,
@@ -266,10 +275,6 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
             msg = json.loads(line)
             t = int(msg["t"])
             q = np.asarray(msg["q"], dtype=np.float64)
-            if q.shape != (model.table.key_width,):
-                raise ValueError(
-                    f"expected {model.table.key_width} Q-values, got shape {q.shape}"
-                )
             assessment = observe(model, running, q)
         except MonitorStopped:
             print(f"line {lineno}: session frozen by stop policy", file=err_stream)

@@ -1,5 +1,6 @@
 import numpy as np
 
+from safemon.abstraction import AbstractionTable
 from safemon.dataset import Episode, EpisodeSet, Label
 from safemon.envs import Cause
 
@@ -30,3 +31,8 @@ def two_band_corpus(n_per_class=20, steps=3, safe_q=4.5, unsafe_q=9.5, actions=1
         q = unsafe_q if unsafe else safe_q
         episodes.append(make_episode(np.full((steps, actions), q), unsafe=unsafe))
     return make_set(episodes)
+
+
+def id_table(n):
+    """Table whose key for q=[k + 0.5] is id k (d=1 ceiling); q=[-0.5] is unseen."""
+    return AbstractionTable(d=1.0, index={(k + 1,): k for k in range(n)})

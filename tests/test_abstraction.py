@@ -2,19 +2,33 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_episode, make_set, two_band_corpus
+from conftest import id_table, make_episode, make_set, two_band_corpus
 from safemon.abstraction import (
     AbstractionTable,
     FeatureMode,
     bucketize,
     bucketize_batch,
     distinct_q_count,
-    encode,
     episode_feature_matrix,
     prefix_feature_matrix,
     select_level,
 )
+
+
+def encode(ids, n, mode):
+    """Reference encoder: one visit per id, unseen ids (None or -1) dropped."""
+    vector = np.zeros(n)
+    for i in ids:
+        if i is not None and i >= 0:
+            vector[i] += 1.0
+    return np.minimum(vector, 1.0) if mode is FeatureMode.BINARY else vector
+
+
+def id_episode(ids):
+    return make_episode([[i + 0.5] if i >= 0 else [-0.5] for i in ids])
 
 
 def test_bucketize_hand_evaluated():
@@ -127,39 +141,38 @@ def test_lookup_batch_matches_scalar():
 
 
 def test_encode_by_definition():
-    assert np.array_equal(
-        encode([2, 5, 2], 6, FeatureMode.BINARY), [0, 0, 1, 0, 0, 1]
-    )
-    assert np.array_equal(
-        encode([2, 5, 2], 6, FeatureMode.FREQUENCY), [0, 0, 2, 0, 0, 1]
-    )
-    assert np.array_equal(encode([], 4, FeatureMode.BINARY), [0, 0, 0, 0])
-    assert np.array_equal(encode([], 4, FeatureMode.FREQUENCY), [0, 0, 0, 0])
+    for ids, binary, frequency in [
+        ([2, 5, 2], [0, 0, 1, 0, 0, 1], [0, 0, 2, 0, 0, 1]),
+        ([-1, 3], [0, 0, 0, 1, 0, 0], [0, 0, 0, 1, 0, 0]),
+    ]:
+        episode = id_episode(ids)
+        for mode, want in ((FeatureMode.BINARY, binary), (FeatureMode.FREQUENCY, frequency)):
+            assert np.array_equal(prefix_feature_matrix(np.array(ids), 6, mode)[-1], want)
+            assert np.array_equal(episode_feature_matrix([episode], id_table(6), mode), [want])
+    for mode in FeatureMode:
+        assert prefix_feature_matrix(np.zeros(0, dtype=np.int64), 4, mode).shape == (0, 4)
+        assert episode_feature_matrix([], id_table(4), mode).shape == (0, 4)
 
 
 def test_encode_drops_unseen_and_validates_range():
     assert np.array_equal(
-        encode([1, None, 1], 3, FeatureMode.FREQUENCY), [0, 2, 0]
+        prefix_feature_matrix(np.array([1, -1, 1]), 3, FeatureMode.FREQUENCY),
+        [[0, 1, 0], [0, 1, 0], [0, 2, 0]],
     )
-    with pytest.raises(ValueError):
-        encode([3], 3, FeatureMode.BINARY)
-    with pytest.raises(ValueError):
-        encode([-1], 3, FeatureMode.BINARY)
+    # An id past the table is an error, never a visit counted elsewhere.
+    with pytest.raises(IndexError):
+        prefix_feature_matrix(np.array([0, 3]), 3, FeatureMode.BINARY)
 
 
 def test_feature_monotonicity_and_mode_consistency():
     rng = np.random.default_rng(19)
     n = 12
-    ids = [int(i) if i >= 0 else None for i in rng.integers(-1, n, size=60)]
-    prev_b = np.zeros(n)
-    prev_f = np.zeros(n)
-    for t in range(1, len(ids) + 1):
-        b = encode(ids[:t], n, FeatureMode.BINARY)
-        f = encode(ids[:t], n, FeatureMode.FREQUENCY)
-        assert np.all(b >= prev_b) and np.all(f >= prev_f)
-        assert np.array_equal(b, np.minimum(f, 1.0))
-        assert set(np.unique(b)) <= {0.0, 1.0}
-        prev_b, prev_f = b, f
+    ids = rng.integers(-1, n, size=60)
+    b = prefix_feature_matrix(ids, n, FeatureMode.BINARY)
+    f = prefix_feature_matrix(ids, n, FeatureMode.FREQUENCY)
+    assert np.all(np.diff(b, axis=0) >= 0) and np.all(np.diff(f, axis=0) >= 0)
+    assert np.array_equal(b, np.minimum(f, 1.0))
+    assert set(np.unique(b)) <= {0.0, 1.0}
 
 
 def test_prefix_feature_matrix_matches_encode():
@@ -168,6 +181,7 @@ def test_prefix_feature_matrix_matches_encode():
     raw = rng.integers(-1, n, size=40)
     for mode in FeatureMode:
         matrix = prefix_feature_matrix(raw, n, mode)
+        assert matrix.dtype == np.float32
         for t in range(len(raw)):
             ids = [int(i) if i >= 0 else None for i in raw[: t + 1]]
             assert np.array_equal(matrix[t], encode(ids, n, mode))
@@ -180,9 +194,42 @@ def test_episode_feature_matrix_matches_encode():
     table = AbstractionTable.build(corpus, 0.5)
     for mode in FeatureMode:
         matrix = episode_feature_matrix(episodes, table, mode)
+        assert matrix.dtype == np.float32
         for row, episode in zip(matrix, episodes):
             ids = [table.lookup(q) for q in episode.qs]
             assert np.array_equal(row, encode(ids, table.n, mode))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 8),
+    data=st.data(),
+    mode=st.sampled_from(FeatureMode),
+)
+def test_encoders_match_reference_property(n, data, mode):
+    id_lists = data.draw(
+        st.lists(st.lists(st.integers(-1, n - 1), min_size=1, max_size=30), min_size=1, max_size=5)
+    )
+    ends = []
+    for ids in id_lists:
+        matrix = prefix_feature_matrix(np.array(ids, dtype=np.int64), n, mode)
+        for t in range(len(ids)):
+            assert np.array_equal(matrix[t], encode(ids[: t + 1], n, mode))
+        ends.append(matrix[-1])
+    episodes = [id_episode(ids) for ids in id_lists]
+    assert np.array_equal(episode_feature_matrix(episodes, id_table(n), mode), ends)
+
+
+def test_lookup_rejects_wrong_width():
+    table = AbstractionTable.build(make_set([make_episode(np.zeros((3, 2)))]), 1.0)
+    assert table.key_width == 2
+    for q in ([0.5, 0.5, 0.5], [0.5], 0.5):
+        with pytest.raises(ValueError, match="expected 2 Q-values per step"):
+            table.lookup(q)
+    for qs in (np.zeros((4, 3)), np.zeros((4, 1)), np.zeros(2)):
+        with pytest.raises(ValueError, match="expected 2 Q-values per step"):
+            table.lookup_batch(qs)
+    assert table.lookup_batch(np.zeros((0, 2))).shape == (0,)
 
 
 def test_distinct_q_count():

@@ -10,7 +10,6 @@ from safemon.agent import (
     agent_fingerprint,
     greedy_action,
     load_agent,
-    q_values,
     save_agent,
     train_agent,
 )
@@ -35,15 +34,15 @@ def test_greedy_action_rules():
 def test_q_values_deterministic_and_sized():
     cart = tiny_model(CARTPOLE)
     state = np.array([0.01, -0.02, 0.03, 0.0])
-    assert np.array_equal(q_values(cart, state), q_values(cart, state))
-    assert q_values(cart, state).shape == (2,)
+    assert np.array_equal(cart.q_values(state), cart.q_values(state))
+    assert cart.q_values(state).shape == (2,)
     mc = tiny_model(MOUNTAINCAR)
-    assert q_values(mc, np.array([-0.5, 0.0])).shape == (3,)
+    assert mc.q_values(np.array([-0.5, 0.0])).shape == (3,)
 
 
 def test_q_values_dimension_mismatch():
     with pytest.raises(ValueError):
-        q_values(tiny_model(CARTPOLE), np.zeros(2))
+        tiny_model(CARTPOLE).q_values(np.zeros(2))
 
 
 def test_td_gradient_matches_central_differences():

@@ -79,6 +79,11 @@ def test_train_agent_reports_deterministically(tmp_path, capsys):
     doc = json.loads(report1)
     assert doc["selected_step"] == 300
     assert "unsafe_rate" in doc and "mean_reward" in doc
+    # The sidecar is the agent file's report behind the env and seed.
+    assert list(doc)[:2] == ["env", "seed"]
+    saved = json.loads(open(out1, encoding="utf-8").read())["report"]
+    assert {k: v for k, v in doc.items() if k not in ("env", "seed")} == saved
+    assert list(saved) == list(doc)[2:]
 
 
 def test_collect_prints_balance_and_is_deterministic(agent_path, tmp_path, capsys):
@@ -210,9 +215,9 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
     assert "line 2" in captured.err
 
 
-def damaged_copy(path, tmp_path, damage, key):
+def damaged_copy(path, tmp_path, damage, keys):
     """A copy of a saved JSON document with a wrong or no format tag, cut
-    short, or missing one key."""
+    short, missing one key, or with a null or nonsense value."""
     text = open(path, encoding="utf-8").read()
     doc = json.loads(text)
     if damage == "wrong-tag":
@@ -223,32 +228,40 @@ def damaged_copy(path, tmp_path, damage, key):
     elif damage == "untagged":
         del doc["format"]
         text = json.dumps(doc)
+    elif damage == "missing-key":
+        del doc[keys[damage]]
+        text = json.dumps(doc)
     else:
-        del doc[key]
+        doc[keys[damage]] = None if damage == "null-value" else "bogus"
         text = json.dumps(doc)
     out = tmp_path / f"{damage}.json"
     out.write_text(text, encoding="utf-8")
     return out
 
 
-@pytest.mark.parametrize("damage", ["wrong-tag", "untagged", "truncated", "missing-key"])
+@pytest.mark.parametrize(
+    "damage", ["wrong-tag", "untagged", "truncated", "missing-key", "null-value", "bogus-value"]
+)
 @pytest.mark.parametrize("command", ["evaluate", "watch", "collect"])
 def test_damaged_model_or_agent_is_io_error_naming_file(
     command, damage, corpus_path, model_path, agent_path, tmp_path, capsys, monkeypatch
 ):
     if command == "collect":
-        bad = damaged_copy(agent_path, tmp_path, damage, "weights")
+        keys = {"missing-key": "weights", "null-value": "layer_sizes",
+                "bogus-value": "input_scale"}
+        bad = damaged_copy(agent_path, tmp_path, damage, keys)
         argv = ["collect", "--agent", str(bad), "--episodes", "2",
                 "--out", str(tmp_path / "c.jsonl")]
-        tag, key = "agent/1", "weights"
+        tag = "agent/1"
     else:
-        bad = damaged_copy(model_path, tmp_path, damage, "forest_config")
+        keys = {"missing-key": "forest_config", "null-value": "theta", "bogus-value": "mode"}
+        bad = damaged_copy(model_path, tmp_path, damage, keys)
         argv = {
             "evaluate": ["evaluate", "--model", str(bad), "--episodes", corpus_path,
                          "--out-prefix", str(tmp_path / "eval")],
             "watch": ["watch", "--model", str(bad)],
         }[command]
-        tag, key = "monitor-model/1", "forest_config"
+        tag = "monitor-model/1"
     monkeypatch.setattr(sys, "stdin", io.StringIO(""))
     assert main(argv) == EXIT_IO
     captured = capsys.readouterr()
@@ -259,6 +272,21 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
         "wrong-tag": f"format tag 'something-else/9', expected '{tag}'",
         "untagged": f"no format tag, expected '{tag}'",
         "truncated": "not a JSON document",
-        "missing-key": f"{tag} document has no key '{key}'",
+        "missing-key": f"{tag} document has no key '{keys['missing-key']}'",
+        "null-value": f"{tag} document has a bad value",
+        "bogus-value": f"{tag} document has a bad value",
     }[damage]
     assert expected in err
+
+
+def test_evaluate_rejects_corpus_of_another_width(model_path, tmp_path, capsys):
+    # The model was built over 1-action Q-vectors; this corpus has 3.
+    path = tmp_path / "wide.jsonl"
+    write_jsonl(two_band_corpus(n_per_class=3, steps=4, actions=3), path)
+    code = main(["evaluate", "--model", model_path, "--episodes", str(path),
+                 "--out-prefix", str(tmp_path / "eval")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"i/o error: {path}: " in err
+    assert "3 Q-values per step" in err and "built over 1" in err
+    assert not (tmp_path / "eval.metrics.csv").exists()

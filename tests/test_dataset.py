@@ -170,3 +170,23 @@ def test_episode_validation():
         )
     with pytest.raises(DatasetError):
         EpisodeSet(episodes=[])
+
+
+def test_jsonl_rejects_episode_of_another_width(tmp_path):
+    path = tmp_path / "mixed.jsonl"
+    write_jsonl(
+        make_set([make_episode([[1.0, 2.0]]), make_episode([[1.0, 2.0]]),
+                  make_episode([[1.0, 2.0, 3.0]])]),
+        path,
+    )
+    with pytest.raises(DatasetError, match="line 3 has 3 Q-values per step, the one at line 1 has 2"):
+        read_jsonl(path)
+
+
+def test_jsonl_rejects_scalar_q(tmp_path):
+    path = tmp_path / "scalar.jsonl"
+    obj = {"label": "safe", "cause": "goal",
+           "steps": [{"s": [-0.5, 0.0], "a": 0, "q": 0.5, "r": -1.0}]}
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match="line 1"):
+        read_jsonl(path)

@@ -1,5 +1,6 @@
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from safemon.evaluation import (
     sweep,
     write_metrics_csv,
     write_sweep_csv,
+    write_traces_csv,
 )
 from safemon.forest import ForestConfig, train_forest
 from safemon.abstraction import UnseenPolicy
@@ -24,7 +26,10 @@ from safemon.monitor import Criterion, DecisionTrace, MonitorModel, run_trace
 
 
 def trace(fire_step, length):
-    return DecisionTrace(assessments=[], first_fire_step=fire_step, episode_length=length)
+    """A trace for the metrics, which read only the fire step and length."""
+    return DecisionTrace(
+        series=None, first_fire_step=fire_step, episode_length=length, stop_hit=False
+    )
 
 
 U, S = Label.UNSAFE, Label.SAFE
@@ -142,10 +147,17 @@ def fitted_model(corpus, d=1.0, mode=FeatureMode.BINARY, **kwargs):
     return MonitorModel(table=table, forest=forest, mode=mode, **kwargs)
 
 
+def replay(model, corpus):
+    """Traces and labels of a corpus, as evaluate computes them."""
+    traces = [run_trace(model, e.qs) for e in corpus.episodes]
+    return traces, [e.label for e in corpus.episodes]
+
+
 def test_sweep_grid_and_monotonicity():
     corpus = two_band_corpus(n_per_class=30, steps=6)
     model = fitted_model(corpus)
-    report = sweep(model, corpus, [Criterion.UPPER_BOUND], [0.25, 0.5, 0.75])
+    traces, labels = replay(model, corpus)
+    report = sweep(traces, labels, [Criterion.UPPER_BOUND], [0.25, 0.5, 0.75])
     assert len(report.rows) == 3
     fps = [row.stats.fp_count for row in report.rows]
     fns = [row.fn_count for row in report.rows]
@@ -155,8 +167,26 @@ def test_sweep_grid_and_monotonicity():
     present = [s for s in steps if s is not None]
     assert present == sorted(present)
 
-    full = sweep(model, corpus, list(Criterion), [0.25, 0.5, 0.75])
+    full = sweep(traces, labels, list(Criterion), [0.25, 0.5, 0.75])
     assert len(full.rows) == 9
+
+
+def test_sweep_rows_equal_replays_under_their_own_rule():
+    rng = np.random.default_rng(31)
+    corpus = make_set(
+        [make_episode(rng.uniform(0, 8, size=(int(rng.integers(4, 12)), 2)), unsafe=i % 3 == 0)
+         for i in range(30)]
+    )
+    model = fitted_model(corpus, d=2.0)
+    traces, labels = replay(model, corpus)
+    report = sweep(traces, labels, list(Criterion), [0.25, 0.5, 0.75])
+    assert report.horizon == max(e.length for e in corpus.episodes)
+    for row in report.rows:
+        own = replay(replace(model, criterion=row.criterion, theta=row.theta), corpus)[0]
+        assert row.metrics == metrics_over_time(own, labels, report.horizon)[-1]
+        assert row.stats == decision_time_stats(own, labels)
+    # The grid is not degenerate: the rules disagree on these episodes.
+    assert len({(r.stats.decision_step_avg, r.stats.fp_count) for r in report.rows}) > 3
 
 
 def test_sweep_matches_run_trace_under_stop_policy():
@@ -177,27 +207,27 @@ def test_sweep_matches_run_trace_under_stop_policy():
             make_episode(np.array([[safe], [safe], [alarm], [alarm]]), unsafe=True),
         ]
     )
-    labels = [e.label for e in test.episodes]
-    traces = [run_trace(model, e.qs) for e in test.episodes]
+    traces, labels = replay(model, test)
     assert [len(t.assessments) for t in traces] == [2, 3, 4, 4]
+    assert [t.stop_hit for t in traces] == [True, True, False, False]
     horizon_row = metrics_over_time(traces, labels, 4)[-1]
     stats = decision_time_stats(traces, labels)
     assert (horizon_row.confusion.tp, horizon_row.confusion.fp) == (2, 0)
 
-    computed = sweep(model, test, [model.criterion], [model.theta], horizon=4)
-    reused = sweep(model, test, [model.criterion], [model.theta], horizon=4,
-                   series=[t.series for t in traces])
-    for report in (computed, reused):
-        (row,) = report.rows
-        assert row.metrics == horizon_row
-        assert row.stats == stats
+    (row,) = sweep(traces, labels, [model.criterion], [model.theta], horizon=4).rows
+    assert row.metrics == horizon_row
+    assert row.stats == stats
 
 
 def test_sweep_rejects_empty_grid():
     corpus = two_band_corpus()
-    model = fitted_model(corpus)
+    traces, labels = replay(fitted_model(corpus), corpus)
     with pytest.raises(ValueError):
-        sweep(model, corpus, [], [0.5])
+        sweep(traces, labels, [], [0.5])
+    with pytest.raises(ValueError):
+        sweep(traces, labels[1:], [Criterion.UPPER_BOUND], [0.5])
+    with pytest.raises(ValueError):
+        sweep(traces, labels, [Criterion.UPPER_BOUND], [0.5], horizon=0)
 
 
 def test_abstraction_report_degenerate_level_hits_majority_baseline():
@@ -230,8 +260,8 @@ def test_abstraction_report_curves_and_plateau():
 
 def test_csv_emission(tmp_path):
     corpus = two_band_corpus(n_per_class=10, steps=4)
-    model = fitted_model(corpus)
-    report = sweep(model, corpus, [Criterion.UPPER_BOUND], [0.5])
+    traces, labels = replay(fitted_model(corpus), corpus)
+    report = sweep(traces, labels, [Criterion.UPPER_BOUND], [0.5])
     sweep_path = tmp_path / "sweep.csv"
     write_sweep_csv(report, sweep_path)
     with open(sweep_path, encoding="utf-8") as fh:
@@ -240,8 +270,6 @@ def test_csv_emission(tmp_path):
     assert len(rows) == 1
     assert rows[0]["criterion"] == "upper_bound"
 
-    traces = [DecisionTrace([], 0, e.length) for e in corpus.episodes]
-    labels = [e.label for e in corpus.episodes]
     metrics = metrics_over_time(traces, labels, horizon=4)
     metrics_path = tmp_path / "metrics.csv"
     write_metrics_csv(metrics, metrics_path, time_base=1)
@@ -249,6 +277,36 @@ def test_csv_emission(tmp_path):
         lines = [line for line in fh if not line.startswith("#")]
     rows = list(csv.DictReader(lines))
     assert [r["t"] for r in rows] == ["1", "2", "3", "4"]  # presentation offset
+
+
+def test_traces_csv_rows_are_the_assessments(tmp_path):
+    train = two_band_corpus(n_per_class=10, steps=4)
+    model = fitted_model(train, unseen_policy=UnseenPolicy.STOP)
+    # Mixed lengths, an episode cut by the stop policy, and one never fired.
+    test = make_set(
+        [
+            make_episode(np.array([[9.5], [9.5], [9.5]]), unsafe=True),
+            make_episode(np.array([[4.5], [20.0], [9.5], [9.5]])),
+            make_episode(np.array([[4.5], [4.5]])),
+        ]
+    )
+    traces, labels = replay(model, test)
+    path = tmp_path / "traces.csv"
+    write_traces_csv(traces, labels, path, time_base=1)
+    with open(path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    want = [
+        {
+            "episode": str(i), "label": label.value, "t": str(a.t + 1),
+            "p": f"{a.summary.mean:.6f}", "low": f"{a.summary.low:.6f}",
+            "up": f"{a.summary.up:.6f}", "fired": str(int(a.fired)),
+        }
+        for i, (trace, label) in enumerate(zip(traces, labels))
+        for a in trace.assessments
+    ]
+    assert [len(t.assessments) for t in traces] == [3, 2, 2]
+    assert {r["fired"] for r in rows} == {"0", "1"}
+    assert rows == want
 
 
 def test_decision_stats_json_shape():

@@ -17,7 +17,6 @@ from safemon.forest import (
     predict,
     predict_batch,
     train_forest,
-    tree_probability,
 )
 from safemon.seeding import derive_seed
 
@@ -335,7 +334,7 @@ def test_single_tree_forest_mean_equals_tree_output():
     y = (x[:, 1] > 0.5).astype(int)
     forest = train_forest(x, y, ForestConfig(n_trees=1), seed=21)
     for probe in rng.uniform(0, 1, size=(50, 4)):
-        assert predict(forest, probe).mean == tree_probability(forest.trees[0], probe)
+        assert predict(forest, probe).mean == forest.trees[0].probability(probe)
 
 
 def test_linearly_separable_toy_set_training_accuracy():
@@ -383,8 +382,8 @@ def test_exact_threshold_routes_left():
         value=np.array([0.5, 0.1, 0.9]),
         count=np.array([2, 1, 1], dtype=np.int64),
     )
-    assert tree_probability(tree, [0.5]) == 0.1
-    assert tree_probability(tree, [0.5000001]) == 0.9
+    assert tree.probability(np.array([0.5])) == 0.1
+    assert tree.probability(np.array([0.5000001])) == 0.9
     rows = np.array([[0.5], [0.6]])
     assert [tree.probability(row) for row in rows] == [0.1, 0.9]
     forest = Forest(trees=[tree], feature_count=1, config=ForestConfig(n_trees=1), seed=0)
@@ -394,8 +393,8 @@ def test_exact_threshold_routes_left():
 def test_leaf_only_tree_constant_output():
     tree = leaf_tree(0.25)
     for x in ([0.0, 0.0, 0.0], [9.9, -3.0, 1.0]):
-        assert tree_probability(tree, x) == 0.25
-    assert tree_probability(leaf_tree(1.0), [0.0]) == 1.0
+        assert tree.probability(np.array(x)) == 0.25
+    assert leaf_tree(1.0).probability(np.array([0.0])) == 1.0
 
 
 def test_training_input_validation():

@@ -3,10 +3,12 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_episode, make_set
+from conftest import id_table, make_episode, make_set
 from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy
-from safemon.forest import Forest, ForestConfig, ProbabilitySummary, Tree
+from safemon.forest import Forest, ForestConfig, ProbabilitySummary, Tree, train_forest
 from safemon.monitor import (
     Criterion,
     MonitorModel,
@@ -34,14 +36,6 @@ def split_tree(feature, threshold, left_value, right_value):
         value=np.array([0.5, left_value, right_value]),
         count=np.array([2, 1, 1], dtype=np.int64),
     )
-
-
-def id_table(n, width=1):
-    """Table whose key for q=[k] is id k (d=1 ceiling of integers + 0.5)."""
-    table = AbstractionTable(d=1.0)
-    for k in range(n):
-        table.index[tuple([k + 1] * width)] = k
-    return table
 
 
 def staircase_model(**overrides):
@@ -159,6 +153,53 @@ def test_stream_and_batch_agree():
                 assert a.fired == b.fired
 
 
+def _property_forest(n=6):
+    """A 15-tree forest over n abstract states, fitted on random counts."""
+    rng = np.random.default_rng(5)
+    x = rng.integers(0, 3, size=(40, n)).astype(float)
+    y = (x[:, 1] + x[:, 4] + rng.integers(0, 2, size=40) > 2).astype(int)
+    return train_forest(x, y, ForestConfig(n_trees=15), seed=4)
+
+
+PROPERTY_FOREST = _property_forest()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.integers(-1, 5), min_size=1, max_size=25),
+    mode=st.sampled_from(FeatureMode),
+    unseen=st.sampled_from(UnseenPolicy),
+    criterion=st.sampled_from(Criterion),
+    theta=st.sampled_from([0.25, 0.5, 0.75]),
+)
+def test_stream_equals_batch_property(ids, mode, unseen, criterion, theta):
+    # Id -1 is a Q-vector the table has never seen.
+    model = MonitorModel(
+        table=id_table(6), forest=PROPERTY_FOREST, mode=mode,
+        criterion=criterion, theta=theta, unseen_policy=unseen,
+    )
+    qs = np.array([q_for(i) if i >= 0 else np.array([-7.5]) for i in ids])
+    trace = run_trace(model, qs)
+    running = RunningState.fresh(model)
+    batch = trace.assessments
+    for want in batch:
+        got = observe(model, running, qs[want.t])
+        assert (got.t, got.fired, got.unseen_alert) == (want.t, want.fired, want.unseen_alert)
+        assert got.summary.per_tree.tobytes() == want.summary.per_tree.tobytes()
+        for field in ("mean", "std", "low", "up"):
+            assert np.float64(getattr(got.summary, field)).tobytes() == (
+                np.float64(getattr(want.summary, field)).tobytes()
+            )
+    assert trace.episode_length == len(ids)
+    if trace.stop_hit:
+        assert unseen is UnseenPolicy.STOP and ids[len(batch) - 1] == -1
+        if len(batch) < len(ids):
+            with pytest.raises(MonitorStopped):
+                observe(model, running, qs[len(batch)])
+    else:
+        assert len(batch) == len(ids)
+
+
 def test_run_trace_stop_policy_truncates_at_alert():
     model = staircase_model(unseen_policy=UnseenPolicy.STOP)
     qs = np.array([q_for(0), np.array([99.5]), q_for(2)])
@@ -265,4 +306,4 @@ def test_watch_stream_protocol():
     diagnostics = err.getvalue().splitlines()
     assert len(diagnostics) == 2
     assert "line 2" in diagnostics[0]
-    assert "line 4" in diagnostics[1]
+    assert "line 4: skipped malformed input: expected 1 Q-values per step" in diagnostics[1]
