@@ -8,9 +8,14 @@ predictor consumes.
 
 One function counts visits into feature rows: prefix_feature_matrix uses
 it for every prefix of one episode (batch replay), episode_feature_matrix
-for the end of each training episode. The monitor's running counts in
-observe are the same encoding, kept one step at a time. A Q-vector whose
-width differs from the table's is rejected where it is looked up.
+for the end of each training episode. A prefix matrix is compact: it has
+one column per abstract state the episode visits, plus the global ids of
+those columns, and every other state's count is 0. Features are monotone
+visit counts, so each step changes at most one column, which is what the
+forest's change-driven walk feeds on. The monitor's running counts in
+observe are the same encoding, kept one step at a time over the whole
+table. A Q-vector whose width differs from the table's is rejected where
+it is looked up.
 """
 
 from __future__ import annotations
@@ -132,10 +137,12 @@ class AbstractionTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AbstractionTable":
-        index = {
-            tuple(int(v) for v in key): int(i)
-            for key, i in zip(doc["keys"], doc["ids"])
-        }
+        keys, ids = np.asarray(doc["keys"]), np.asarray(doc["ids"])
+        if keys.ndim != 2 or keys.dtype.kind not in "iu":
+            raise ValueError("table keys must be lists of integers of one length")
+        if ids.shape != (len(keys),) or ids.dtype.kind not in "iu":
+            raise ValueError("table ids must be one integer per key")
+        index = dict(zip(map(tuple, keys.tolist()), ids.tolist()))
         return cls(d=float(doc["d"]), index=index)
 
 
@@ -148,14 +155,26 @@ def _visit_counts(n_rows: int, n: int, rows: np.ndarray, ids: np.ndarray) -> np.
     return counts
 
 
-def prefix_feature_matrix(ids: np.ndarray, n: int, mode: FeatureMode) -> np.ndarray:
-    """Feature rows of every prefix of one episode (unseen ids = -1): row t
-    encodes the abstract states visited in steps 0..t."""
-    counts = _visit_counts(len(ids), n, np.arange(len(ids)), ids)
+def prefix_feature_matrix(
+    ids: np.ndarray, n: int, mode: FeatureMode
+) -> tuple[np.ndarray, np.ndarray]:
+    """Feature rows of every prefix of one episode (unseen ids = -1), over
+    the abstract states it visits.
+
+    Returns (counts, columns): row t of the (steps, len(columns)) matrix
+    encodes the visits of steps 0..t to the states `columns` (ascending
+    global ids); every other of the n states reads 0.
+    """
+    ids = np.asarray(ids)
+    seen = np.nonzero(ids >= 0)[0]
+    columns, local = np.unique(ids[seen], return_inverse=True)
+    if columns.size and columns[-1] >= n:
+        raise IndexError(f"abstract id {columns[-1]} is past the table's {n} states")
+    counts = _visit_counts(len(ids), len(columns), seen, local)
     np.cumsum(counts, axis=0, out=counts)
     if mode is FeatureMode.BINARY:
         np.minimum(counts, 1.0, out=counts)
-    return counts
+    return counts, columns
 
 
 def episode_feature_matrix(episodes, table: AbstractionTable, mode: FeatureMode) -> np.ndarray:

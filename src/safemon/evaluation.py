@@ -106,15 +106,22 @@ def _labels_array(labels) -> np.ndarray:
     return np.array([label is Label.UNSAFE or label == Label.UNSAFE.value for label in labels])
 
 
-def _metrics_row(fire: np.ndarray, unsafe: np.ndarray, t: int) -> MetricsRow:
-    """Weighted P/R/F1 and macro F1 of the latched predictions at step t."""
-    pred = fire <= t  # latched; terminated episodes keep their last status
-    c = Confusion(
-        tp=int(np.sum(pred & unsafe)),
-        fp=int(np.sum(pred & ~unsafe)),
-        tn=int(np.sum(~pred & ~unsafe)),
-        fn=int(np.sum(~pred & unsafe)),
-    )
+def _confusions(fire: np.ndarray, unsafe: np.ndarray, steps) -> list[Confusion]:
+    """Confusion counts of the latched predictions at each of the steps: an
+    episode predicts unsafe at t when its fire step is <= t (terminated
+    episodes keep their last status)."""
+    fire_pos = np.sort(fire[unsafe])
+    fire_neg = np.sort(fire[~unsafe])
+    tp = np.searchsorted(fire_pos, steps, side="right").tolist()
+    fp = np.searchsorted(fire_neg, steps, side="right").tolist()
+    return [
+        Confusion(tp=a, fp=b, tn=len(fire_neg) - b, fn=len(fire_pos) - a)
+        for a, b in zip(tp, fp)
+    ]
+
+
+def _metrics_row(c: Confusion, t: int) -> MetricsRow:
+    """Weighted P/R/F1 and macro F1 of the confusion counts at step t."""
     (p_pos, r_pos, f1_pos), (p_neg, r_neg, f1_neg) = _prf_both_classes(c)
     n_pos = c.tp + c.fn
     n_neg = c.tn + c.fp
@@ -137,9 +144,8 @@ def metrics_over_time(
         raise ValueError("traces and labels disagree on episode count")
     if len(traces) == 0:
         raise ValueError("need at least one trace")
-    fire = _fire_array(traces)
-    unsafe = _labels_array(labels)
-    return [_metrics_row(fire, unsafe, t) for t in range(horizon)]
+    confusions = _confusions(_fire_array(traces), _labels_array(labels), np.arange(horizon))
+    return [_metrics_row(c, t) for t, c in enumerate(confusions)]
 
 
 def decision_time_stats(traces: Sequence[DecisionTrace], labels) -> DecisionTimeStats:
@@ -217,7 +223,8 @@ def sweep(
                 for t in traces
             ]
             fire = _fire_array(refired)
-            metrics = _metrics_row(fire, unsafe, horizon - 1)
+            (confusion,) = _confusions(fire, unsafe, [horizon - 1])
+            metrics = _metrics_row(confusion, horizon - 1)
             stats = decision_time_stats(refired, labels)
             fn_count = int(np.sum(unsafe & (fire == math.inf)))
             rows.append(SweepRow(criterion, theta, metrics, stats, fn_count))

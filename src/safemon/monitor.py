@@ -8,10 +8,12 @@ definitions: upper bound and output probability fire at >= theta, the
 lower bound only at > theta.
 
 A stored episode is replayed in one batch: run_trace encodes every
-prefix, scores them with one forest call, and returns a DecisionTrace
-that is that probability series plus the first fire step. Its per-step
-assessments are derived from the series on demand and equal what observe
-returns step by step, bit for bit.
+prefix over the states the episode visits, scores them with one
+change-driven forest call (a tree is walked at a step only when a feature
+it tests changed there), and returns a DecisionTrace that is that
+probability series plus the first fire step. Its per-step assessments are
+derived from the series on demand and equal what observe returns step by
+step, bit for bit. observe itself scores every step with every tree.
 """
 
 from __future__ import annotations
@@ -190,8 +192,8 @@ def probability_series(model: MonitorModel, episode_qs) -> tuple[BatchSummary, b
         if unseen_at.size:
             ids = ids[: int(unseen_at[0]) + 1]
             stop_hit = True
-    features = prefix_feature_matrix(ids, model.table.n, model.mode)
-    return predict_batch(model.forest, features), stop_hit
+    features, columns = prefix_feature_matrix(ids, model.table.n, model.mode)
+    return predict_batch(model.forest, features, columns), stop_hit
 
 
 def first_fire_step(batch: BatchSummary, criterion: Criterion, theta: float) -> Optional[int]:
@@ -231,7 +233,7 @@ def save_model(model: MonitorModel, path) -> None:
         "provenance": model.provenance,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))  # dumps runs the C encoder; dump does not
         fh.write("\n")
 
 

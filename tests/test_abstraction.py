@@ -31,6 +31,20 @@ def id_episode(ids):
     return make_episode([[i + 0.5] if i >= 0 else [-0.5] for i in ids])
 
 
+def dense_prefix(ids, n, mode):
+    """prefix_feature_matrix rescattered to (steps, n): the states outside
+    its columns read 0. Also checks the columns are the distinct visited
+    ids in ascending order."""
+    ids = np.asarray(ids, dtype=np.int64)
+    counts, columns = prefix_feature_matrix(ids, n, mode)
+    assert counts.dtype == np.float32
+    assert np.array_equal(columns, np.unique(ids[ids >= 0]))
+    assert counts.shape == (len(ids), len(columns))
+    dense = np.zeros((len(ids), n), dtype=np.float32)
+    dense[:, columns] = counts
+    return dense
+
+
 def test_bucketize_hand_evaluated():
     # 0.25/0.11 = 2.27 -> 3; 0.70/0.11 = 6.36 -> 7
     assert bucketize([0.25, 0.70], 0.11) == (3, 7)
@@ -147,18 +161,24 @@ def test_encode_by_definition():
     ]:
         episode = id_episode(ids)
         for mode, want in ((FeatureMode.BINARY, binary), (FeatureMode.FREQUENCY, frequency)):
-            assert np.array_equal(prefix_feature_matrix(np.array(ids), 6, mode)[-1], want)
+            assert np.array_equal(dense_prefix(ids, 6, mode)[-1], want)
             assert np.array_equal(episode_feature_matrix([episode], id_table(6), mode), [want])
     for mode in FeatureMode:
-        assert prefix_feature_matrix(np.zeros(0, dtype=np.int64), 4, mode).shape == (0, 4)
+        assert dense_prefix([], 4, mode).shape == (0, 4)
+        counts, columns = prefix_feature_matrix(np.zeros(0, dtype=np.int64), 4, mode)
+        assert counts.shape == (0, 0) and columns.shape == (0,)
         assert episode_feature_matrix([], id_table(4), mode).shape == (0, 4)
 
 
 def test_encode_drops_unseen_and_validates_range():
+    counts, columns = prefix_feature_matrix(np.array([1, -1, 1]), 3, FeatureMode.FREQUENCY)
+    assert np.array_equal(counts, [[1], [1], [2]]) and np.array_equal(columns, [1])
     assert np.array_equal(
-        prefix_feature_matrix(np.array([1, -1, 1]), 3, FeatureMode.FREQUENCY),
+        dense_prefix([1, -1, 1], 3, FeatureMode.FREQUENCY),
         [[0, 1, 0], [0, 1, 0], [0, 2, 0]],
     )
+    counts, columns = prefix_feature_matrix(np.array([-1, -1]), 3, FeatureMode.BINARY)
+    assert counts.shape == (2, 0) and columns.shape == (0,)
     # An id past the table is an error, never a visit counted elsewhere.
     with pytest.raises(IndexError):
         prefix_feature_matrix(np.array([0, 3]), 3, FeatureMode.BINARY)
@@ -168,8 +188,8 @@ def test_feature_monotonicity_and_mode_consistency():
     rng = np.random.default_rng(19)
     n = 12
     ids = rng.integers(-1, n, size=60)
-    b = prefix_feature_matrix(ids, n, FeatureMode.BINARY)
-    f = prefix_feature_matrix(ids, n, FeatureMode.FREQUENCY)
+    b = dense_prefix(ids, n, FeatureMode.BINARY)
+    f = dense_prefix(ids, n, FeatureMode.FREQUENCY)
     assert np.all(np.diff(b, axis=0) >= 0) and np.all(np.diff(f, axis=0) >= 0)
     assert np.array_equal(b, np.minimum(f, 1.0))
     assert set(np.unique(b)) <= {0.0, 1.0}
@@ -180,8 +200,7 @@ def test_prefix_feature_matrix_matches_encode():
     n = 9
     raw = rng.integers(-1, n, size=40)
     for mode in FeatureMode:
-        matrix = prefix_feature_matrix(raw, n, mode)
-        assert matrix.dtype == np.float32
+        matrix = dense_prefix(raw, n, mode)
         for t in range(len(raw)):
             ids = [int(i) if i >= 0 else None for i in raw[: t + 1]]
             assert np.array_equal(matrix[t], encode(ids, n, mode))
@@ -212,7 +231,7 @@ def test_encoders_match_reference_property(n, data, mode):
     )
     ends = []
     for ids in id_lists:
-        matrix = prefix_feature_matrix(np.array(ids, dtype=np.int64), n, mode)
+        matrix = dense_prefix(ids, n, mode)
         for t in range(len(ids)):
             assert np.array_equal(matrix[t], encode(ids[: t + 1], n, mode))
         ends.append(matrix[-1])

@@ -217,7 +217,8 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
 
 def damaged_copy(path, tmp_path, damage, keys):
     """A copy of a saved JSON document with a wrong or no format tag, cut
-    short, missing one key, or with a null or nonsense value."""
+    short, missing one key, with a null or nonsense value, or with a list
+    of numbers made ragged or holding a non-integer."""
     text = open(path, encoding="utf-8").read()
     doc = json.loads(text)
     if damage == "wrong-tag":
@@ -231,6 +232,9 @@ def damaged_copy(path, tmp_path, damage, keys):
     elif damage == "missing-key":
         del doc[keys[damage]]
         text = json.dumps(doc)
+    elif damage in ("ragged-list", "non-integer-list"):
+        keys[damage](doc)
+        text = json.dumps(doc)
     else:
         doc[keys[damage]] = None if damage == "null-value" else "bogus"
         text = json.dumps(doc)
@@ -240,7 +244,9 @@ def damaged_copy(path, tmp_path, damage, keys):
 
 
 @pytest.mark.parametrize(
-    "damage", ["wrong-tag", "untagged", "truncated", "missing-key", "null-value", "bogus-value"]
+    "damage",
+    ["wrong-tag", "untagged", "truncated", "missing-key", "null-value", "bogus-value",
+     "ragged-list", "non-integer-list"],
 )
 @pytest.mark.parametrize("command", ["evaluate", "watch", "collect"])
 def test_damaged_model_or_agent_is_io_error_naming_file(
@@ -248,13 +254,18 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
 ):
     if command == "collect":
         keys = {"missing-key": "weights", "null-value": "layer_sizes",
-                "bogus-value": "input_scale"}
+                "bogus-value": "input_scale",
+                "ragged-list": lambda doc: doc["weights"][0]["w"][0].append(0.0),
+                "non-integer-list": lambda doc: doc["layer_sizes"].__setitem__(1, "x")}
         bad = damaged_copy(agent_path, tmp_path, damage, keys)
         argv = ["collect", "--agent", str(bad), "--episodes", "2",
                 "--out", str(tmp_path / "c.jsonl")]
         tag = "agent/1"
     else:
-        keys = {"missing-key": "forest_config", "null-value": "theta", "bogus-value": "mode"}
+        keys = {"missing-key": "forest_config", "null-value": "theta", "bogus-value": "mode",
+                # An abstraction-table key of another length, or not of integers.
+                "ragged-list": lambda doc: doc["table"]["keys"][0].append(0),
+                "non-integer-list": lambda doc: doc["table"]["keys"][0].__setitem__(0, 0.5)}
         bad = damaged_copy(model_path, tmp_path, damage, keys)
         argv = {
             "evaluate": ["evaluate", "--model", str(bad), "--episodes", corpus_path,
@@ -275,6 +286,8 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
         "missing-key": f"{tag} document has no key '{keys['missing-key']}'",
         "null-value": f"{tag} document has a bad value",
         "bogus-value": f"{tag} document has a bad value",
+        "ragged-list": f"{tag} document has a bad value",
+        "non-integer-list": f"{tag} document has a bad value",
     }[damage]
     assert expected in err
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from safemon.abstraction import FeatureMode, prefix_feature_matrix
 from safemon.forest import (
     Forest,
     ForestConfig,
@@ -170,6 +171,11 @@ def test_trained_forest_matches_golden_hash(kind, features_per_split):
     assert digest == GOLDEN_FOREST_SHA256[(kind, features_per_split)]
 
 
+def batch_bytes(batch):
+    fields = (batch.per_tree, batch.mean, batch.std, batch.low, batch.up)
+    return b"".join(a.tobytes() for a in fields)
+
+
 # sha256 of the per_tree, mean, std, low and up bytes of predict_batch;
 # recorded with the tree-at-a-time evaluator the packed walk replaced.
 GOLDEN_BATCH_SHA256 = {
@@ -188,8 +194,7 @@ def test_predict_batch_matches_golden_hash(kind):
     else:
         extra = rng.integers(0, 7, size=(40, 60)).astype(np.float32)
     batch = predict_batch(forest, np.vstack([x, extra]))
-    fields = (batch.per_tree, batch.mean, batch.std, batch.low, batch.up)
-    digest = hashlib.sha256(b"".join(a.tobytes() for a in fields)).hexdigest()
+    digest = hashlib.sha256(batch_bytes(batch)).hexdigest()
     assert digest == GOLDEN_BATCH_SHA256[kind]
 
 
@@ -253,6 +258,45 @@ def test_predict_batch_matches_per_tree_walks(data):
         )
     empty = predict_batch(forest, x[:0])
     assert empty.per_tree.shape == (len(trees), 0) and empty.mean.shape == (0,)
+
+    # The same rows in compact form: some columns, in any order; the
+    # features left out read 0.
+    columns = data.draw(st.permutations(range(width)))[: data.draw(st.integers(0, width))]
+    zeroed = np.zeros_like(x)
+    zeroed[:, columns] = x[:, columns]
+    compact = predict_batch(forest, x[:, columns], np.array(columns, dtype=np.intp))
+    assert compact.per_tree.tobytes() == predict_batch(forest, zeroed).per_tree.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), mode=st.sampled_from(FeatureMode))
+def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
+    """Prefix rows change one feature per step at most (none at an unseen
+    id or a binary revisit); every tree at every step must still read the
+    leaf its own walk reaches."""
+    n = data.draw(st.integers(1, 6))
+    trees = data.draw(st.lists(random_trees(n), min_size=1, max_size=6))
+    trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
+    config = ForestConfig(n_trees=len(trees))
+    forest = Forest(trees=trees, feature_count=n, config=config, seed=0)
+    ids = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=30)))
+
+    counts, columns = prefix_feature_matrix(ids, n, mode)
+    batch = predict_batch(forest, counts, columns)
+    dense = np.zeros((len(ids), n), dtype=counts.dtype)
+    dense[:, columns] = counts
+    for t, row in enumerate(dense):
+        walked = np.array([tree.probability(row) for tree in trees])
+        assert batch.per_tree[:, t].tobytes() == walked.tobytes()
+    assert batch_bytes(batch) == batch_bytes(predict_batch(forest, dense))
+
+
+def test_predict_batch_rejects_bad_columns():
+    forest = leaf_forest([0.5], feature_count=3)
+    with pytest.raises(ValueError, match="expected rows of length 2"):
+        predict_batch(forest, np.zeros((4, 3)), np.array([0, 2]))
+    with pytest.raises(ValueError, match="must lie in"):
+        predict_batch(forest, np.zeros((4, 2)), np.array([0, 3]))
 
 
 def test_depth_one_tree_split_matches_brute_force_on_its_bootstrap():
