@@ -31,7 +31,6 @@ from .evaluation import (
     Confusion,
     DecisionTimeStats,
     MetricsRow,
-    abstraction_report,
     decision_time_stats,
     macro_f1,
     metrics_over_time,

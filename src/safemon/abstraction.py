@@ -241,10 +241,12 @@ def select_level(
     from winning on earliness alone. Frequency-mode candidates whose
     empty-prefix violation probability already clears the threshold are
     excluded outright: such a monitor would fire before seeing anything.
+    A corpus or inner training split without both classes raises
+    DatasetError.
     """
     from . import forest as forest_mod
     from . import monitor as monitor_mod
-    from .dataset import split
+    from .dataset import require_both_classes, split
     from .evaluation import macro_f1, metrics_over_time
 
     if len(candidate_ds) < 2:
@@ -252,7 +254,9 @@ def select_level(
     crit = criterion if criterion is not None else monitor_mod.Criterion.UPPER_BOUND
     config = forest_config if forest_config is not None else forest_mod.ForestConfig()
 
+    require_both_classes(train, "the corpus")
     inner_train, inner_test = split(train, 0.7, inner_split_seed)
+    require_both_classes(inner_train, "the 70% inner training split")
     y_train = np.array([e.label.value == "unsafe" for e in inner_train.episodes], dtype=np.int64)
     y_test = np.array([e.label.value == "unsafe" for e in inner_test.episodes], dtype=np.int64)
 

@@ -106,29 +106,16 @@ def cmd_collect(args) -> int:
     return EXIT_OK
 
 
-def _require_both_classes(episode_set, path, what) -> None:
-    from .dataset import DatasetError
-
-    counts = episode_set.label_counts()
-    if min(counts.values()) == 0:
-        raise DatasetError(
-            f"{path}: {what} must contain both classes, got "
-            f"{counts['safe']} safe and {counts['unsafe']} unsafe episodes"
-        )
-
-
 def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, theta, unseen_name):
     from .abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
-    from .dataset import Label, read_jsonl, split
+    from .dataset import Label, read_jsonl, require_both_classes
     from .evaluation import macro_f1
-    from .forest import ForestConfig, predict_batch, train_forest
+    from .forest import ForestConfig, out_of_bag_mean, train_forest
     from .monitor import Criterion, MonitorModel
     from .seeding import derive_seed
 
     corpus = read_jsonl(episodes_path)
-    _require_both_classes(corpus, episodes_path, "the corpus")
-    inner_train, inner_test = split(corpus, 0.7, derive_seed(seed, "build-split"))
-    _require_both_classes(inner_train, episodes_path, "the 70% inner training split")
+    require_both_classes(corpus, f"{episodes_path}: the corpus")
     mode = FeatureMode(mode_name)
     criterion = Criterion(criterion_name)
     unseen = UnseenPolicy(unseen_name)
@@ -138,13 +125,11 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
     y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
     forest = train_forest(x, y, ForestConfig(n_trees=trees), derive_seed(seed, "build-forest"))
 
-    # Held-out sanity figure: retrain on 70% and score the remaining 30%.
-    x70 = episode_feature_matrix(inner_train.episodes, table, mode)
-    y70 = np.array([e.label is Label.UNSAFE for e in inner_train.episodes], dtype=np.int64)
-    inner_forest = train_forest(x70, y70, ForestConfig(n_trees=trees), derive_seed(seed, "inner-forest"))
-    x30 = episode_feature_matrix(inner_test.episodes, table, mode)
-    y30 = np.array([e.label is Label.UNSAFE for e in inner_test.episodes], dtype=bool)
-    f1 = macro_f1(y30, predict_batch(inner_forest, x30).mean >= 0.5)
+    # Held-out sanity figure: each episode scored by the trees that left it
+    # out of their bootstrap; an episode every tree drew is not scored.
+    oob = out_of_bag_mean(forest, x)
+    scored = ~np.isnan(oob)
+    f1 = macro_f1(y[scored], oob[scored] >= 0.5) if scored.any() else None
 
     model = MonitorModel(
         table=table,
@@ -177,42 +162,35 @@ def cmd_build(args) -> int:
         args.criterion, args.theta if args.theta is not None else 0.5, args.unseen,
     )
     save_model(model, args.out)
-    print(f"built monitor: {n_states} abstract states, 70/30 macro F1 {f1:.3f}")
+    shown = "n/a" if f1 is None else f"{f1:.3f}"
+    print(f"built monitor: {n_states} abstract states, out-of-bag macro F1 {shown}")
     return EXIT_OK
 
 
 def cmd_select_d(args) -> int:
     from .abstraction import FeatureMode, select_level
-    from .dataset import read_jsonl
+    from .dataset import DatasetError, read_jsonl
     from .forest import ForestConfig
     from .monitor import Criterion
 
     grid = _parse_grid(args.grid)
     corpus = read_jsonl(args.episodes)
-    selection = select_level(
-        corpus,
-        grid,
-        inner_split_seed=args.seed,
-        mode=FeatureMode(args.features),
-        theta=args.theta if args.theta is not None else 0.5,
-        criterion=Criterion(args.criterion),
-        forest_config=ForestConfig(n_trees=args.trees),
-    )
+    try:
+        selection = select_level(
+            corpus,
+            grid,
+            inner_split_seed=args.seed,
+            mode=FeatureMode(args.features),
+            theta=args.theta if args.theta is not None else 0.5,
+            criterion=Criterion(args.criterion),
+            forest_config=ForestConfig(n_trees=args.trees),
+        )
+    except DatasetError as exc:  # the corpus cannot be split or fitted
+        raise DatasetError(f"{args.episodes}: {exc}") from exc
     doc = {
         "optimal_range": list(selection.optimal_range),
         "d_star": selection.d_star,
-        "rows": [
-            {
-                "d": row.d,
-                "n_states": row.n_states,
-                "f1_macro": row.f1_macro,
-                "operation_f1": row.operation_f1,
-                "mean_fire_step": row.mean_fire_step,
-                "in_optimal_range": row.in_optimal_range,
-                "excluded": row.excluded,
-            }
-            for row in selection.rows
-        ],
+        "rows": [asdict(row) for row in selection.rows],
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

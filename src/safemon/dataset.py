@@ -97,6 +97,16 @@ class EpisodeSet:
         return counts
 
 
+def require_both_classes(episode_set: EpisodeSet, what: str) -> None:
+    """Reject a set without both labels; `what` names it in the message."""
+    counts = episode_set.label_counts()
+    if min(counts.values()) == 0:
+        raise DatasetError(
+            f"{what} must contain both classes, got "
+            f"{counts['safe']} safe and {counts['unsafe']} unsafe episodes"
+        )
+
+
 def run_episode(agent: AgentModel, env_kind: str, seed: int) -> Episode:
     """Execute one greedy episode and record (state, action, q, reward)."""
     env = make_env(env_kind)

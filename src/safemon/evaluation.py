@@ -1,6 +1,5 @@
 """Evaluation harness: per-time-step classification metrics, decision-time
-statistics over true positives, criterion/threshold sweeps, and
-abstraction-level sensitivity reports.
+statistics over true positives, and criterion/threshold sweeps.
 
 Undefined 0/0 precision or recall ratios are reported as 0. An episode's
 prediction at time t is its latched fired status at min(t, length - 1):
@@ -17,15 +16,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .abstraction import (
-    AbstractionTable,
-    FeatureMode,
-    episode_feature_matrix,
-)
-from .dataset import EpisodeSet, Label
-from .forest import ForestConfig, train_forest
-from .monitor import Criterion, DecisionTrace, MonitorModel, first_fire_step, run_trace
-from .seeding import derive_seed
+from .dataset import Label
+from .monitor import Criterion, DecisionTrace, first_fire_step
 
 
 @dataclass(frozen=True)
@@ -229,66 +221,6 @@ def sweep(
             fn_count = int(np.sum(unsafe & (fire == math.inf)))
             rows.append(SweepRow(criterion, theta, metrics, stats, fn_count))
     return SweepReport(rows=rows, horizon=horizon)
-
-
-@dataclass(frozen=True)
-class AbstractionRow:
-    d: float
-    n_states: int
-    f1_macro_final: float
-    plateau_step: Optional[int]
-    f1_curve: list[float]
-
-
-@dataclass(frozen=True)
-class AbstractionReport:
-    rows: list[AbstractionRow]
-    horizon: int
-
-
-PLATEAU_BAND = 0.01
-
-
-def abstraction_report(
-    train: EpisodeSet,
-    test: EpisodeSet,
-    candidate_ds: Sequence[float],
-    mode: FeatureMode = FeatureMode.BINARY,
-    forest_config: Optional[ForestConfig] = None,
-    seed: int = 0,
-    criterion: Criterion = Criterion.UPPER_BOUND,
-    theta: float = 0.5,
-    horizon: Optional[int] = None,
-) -> AbstractionReport:
-    """How the abstraction level drives accuracy, over time and at the end.
-
-    The plateau step is the first time step whose macro F1 is within one
-    point of the horizon value.
-    """
-    if len(candidate_ds) < 2:
-        raise ValueError("need at least two candidate abstraction levels")
-    config = forest_config if forest_config is not None else ForestConfig()
-    labels = [e.label for e in test.episodes]
-    y_train = np.array([e.label is Label.UNSAFE for e in train.episodes], dtype=np.int64)
-    horizon = horizon if horizon is not None else max(e.length for e in test.episodes)
-
-    rows = []
-    for d in candidate_ds:
-        table = AbstractionTable.build(train, d)
-        x_train = episode_feature_matrix(train.episodes, table, mode)
-        forest = train_forest(
-            x_train, y_train, config, derive_seed(seed, f"abstraction-report:{d!r}")
-        )
-        model = MonitorModel(
-            table=table, forest=forest, mode=mode, criterion=criterion, theta=theta
-        )
-        traces = [run_trace(model, e.qs) for e in test.episodes]
-        metrics = metrics_over_time(traces, labels, horizon)
-        curve = [m.f1_macro for m in metrics]
-        final = curve[-1]
-        plateau = next((t for t, f1 in enumerate(curve) if f1 >= final - PLATEAU_BAND), None)
-        rows.append(AbstractionRow(d, table.n, final, plateau, curve))
-    return AbstractionReport(rows=rows, horizon=horizon)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@ a random feature subset per node. The forest exposes the individual tree
 probabilities, not just their average: the monitor's confidence interval
 is the mean per-tree unsafe probability plus or minus Z * sigma / sqrt(m)
 with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
+`out_of_bag_mean` re-draws each tree's bootstrap to score every training
+row by the trees that left it out.
 
 Batch inference runs on a packed form of the whole ensemble (`PackedTrees`,
 built once per `Forest`): the node arrays of all trees concatenated, one
@@ -263,10 +265,16 @@ def _best_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
     return int(candidates[c]), (vs[j, c] + vs[j + 1, c]) / 2.0
 
 
-def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> Tree:
-    rng = np.random.default_rng(seed)
+def _bootstrap(seed: int, tree: int, n_samples: int):
+    """Tree `tree`'s random stream and the sample indices its bootstrap
+    draws, with replacement, from n_samples rows."""
+    rng = np.random.default_rng(derive_seed(seed, f"tree:{tree}"))
+    return rng, rng.integers(0, n_samples, size=n_samples)
+
+
+def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int, tree: int) -> Tree:
     n_samples, n_features = x.shape
-    boot = rng.integers(0, n_samples, size=n_samples)
+    rng, boot = _bootstrap(seed, tree, n_samples)
     k = config.resolve_feature_count(n_features)
     local = np.arange(k)
 
@@ -349,10 +357,7 @@ def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
 
-    trees = [
-        _build_tree(x, y, config, derive_seed(seed, f"tree:{i}"))
-        for i in range(config.n_trees)
-    ]
+    trees = [_build_tree(x, y, config, seed, i) for i in range(config.n_trees)]
     return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
 
 
@@ -412,6 +417,23 @@ def predict_batch(
     per_tree = forest.packed.leaf_values(x_rows, columns)
     mean, std, low, up = _summarize(per_tree)
     return BatchSummary(per_tree, mean, std, low, up)
+
+
+def out_of_bag_mean(forest: Forest, x) -> np.ndarray:
+    """Out-of-bag mean unsafe probability of each training row (Breiman 2001).
+
+    `x` must be the feature matrix the forest was trained on, row for row.
+    Row j is scored by the mean leaf value of the trees whose bootstrap did
+    not draw it; a row that every tree drew is NaN.
+    """
+    per_tree = predict_batch(forest, x).per_tree
+    out_of_bag = np.ones(per_tree.shape, dtype=bool)
+    for i in range(forest.n_trees):
+        _, boot = _bootstrap(forest.seed, i, per_tree.shape[1])
+        out_of_bag[i, boot] = False
+    votes = out_of_bag.sum(axis=0)
+    total = np.where(out_of_bag, per_tree, 0.0).sum(axis=0)
+    return np.divide(total, votes, out=np.full(len(votes), np.nan), where=votes > 0)
 
 
 def forest_to_json_list(forest: Forest) -> list:

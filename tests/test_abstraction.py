@@ -54,6 +54,20 @@ def test_bucketize_hand_evaluated():
     assert bucketize([-0.30], 0.11) == (-2,)
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    d=st.floats(1e-6, 1e6),
+    k=st.integers(-10**9, 10**9),
+)
+def test_bucket_boundaries_snap_at_exact_multiples(d, k):
+    """k*d is the top of bucket k despite float drift in k*d/d; half a
+    level above it lies inside bucket k + 1."""
+    assert bucketize([k * d], d) == (k,)
+    assert bucketize([(k + 0.5) * d], d) == (k + 1,)
+    batch = bucketize_batch(np.array([[k * d, (k + 0.5) * d]]), d)
+    assert batch.tolist() == [[k, k + 1]]
+
+
 def test_bucketize_rejects_bad_inputs():
     with pytest.raises(ValueError):
         bucketize([1.0], 0.0)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -73,15 +74,15 @@ def test_train_agent_reports_deterministically(tmp_path, capsys):
     assert main(argv + ["--out", out1]) == EXIT_OK
     assert main(argv + ["--out", out2]) == EXIT_OK
     capsys.readouterr()
-    report1 = open(out1 + ".report.json", encoding="utf-8").read()
-    report2 = open(out2 + ".report.json", encoding="utf-8").read()
+    report1 = Path(out1 + ".report.json").read_text(encoding="utf-8")
+    report2 = Path(out2 + ".report.json").read_text(encoding="utf-8")
     assert report1 == report2
     doc = json.loads(report1)
     assert doc["selected_step"] == 300
     assert "unsafe_rate" in doc and "mean_reward" in doc
     # The sidecar is the agent file's report behind the env and seed.
     assert list(doc)[:2] == ["env", "seed"]
-    saved = json.loads(open(out1, encoding="utf-8").read())["report"]
+    saved = json.loads(Path(out1).read_text(encoding="utf-8"))["report"]
     assert {k: v for k, v in doc.items() if k not in ("env", "seed")} == saved
     assert list(saved) == list(doc)[2:]
 
@@ -103,8 +104,9 @@ def test_build_prints_states_and_f1(corpus_path, tmp_path, capsys):
                  "--trees", "10", "--seed", "3", "--out", out]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "2 abstract states" in printed
-    assert "macro F1" in printed
-    doc = json.loads(open(out, encoding="utf-8").read())
+    # Two Q levels split the classes perfectly, so every tree agrees.
+    assert "out-of-bag macro F1 1.000" in printed
+    doc = json.loads(Path(out).read_text(encoding="utf-8"))
     assert doc["mode"] == "binary"
     assert doc["theta"] == 0.5
 
@@ -120,18 +122,62 @@ def test_build_one_class_corpus_is_io_error_naming_counts(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
-def test_build_one_class_inner_split_is_io_error(tmp_path, capsys):
-    # Seed 1 puts the only unsafe episode into the 30% inner test split.
+def test_build_fits_one_forest(corpus_path, tmp_path, capsys, monkeypatch):
+    import safemon.forest
+
+    fitted = []
+    train_forest = safemon.forest.train_forest
+
+    def counting(*args, **kwargs):
+        fitted.append(args[2].n_trees)
+        return train_forest(*args, **kwargs)
+
+    monkeypatch.setattr(safemon.forest, "train_forest", counting)
+    assert main(["build", "--episodes", corpus_path, "--d", "1.0", "--trees", "7",
+                 "--seed", "3", "--out", str(tmp_path / "m.json")]) == EXIT_OK
+    capsys.readouterr()
+    assert fitted == [7]
+
+
+def test_build_prints_na_when_every_episode_is_in_bag(tmp_path, capsys):
+    # Seed 0 gives the one tree a bootstrap that draws both episodes.
+    path = tmp_path / "pair.jsonl"
+    write_jsonl(two_band_corpus(n_per_class=1, steps=4), path)
+    out = tmp_path / "m.json"
+    assert main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "1",
+                 "--seed", "0", "--out", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("out-of-bag macro F1 n/a\n")
+    assert out.exists()
+
+
+def test_select_d_one_class_inner_split_is_io_error(tmp_path, capsys):
+    # Seed 4 puts the only unsafe episode into the 30% inner test split.
     episodes = [make_episode(np.full((4, 1), 4.5)) for _ in range(9)]
     episodes.append(make_episode(np.full((4, 1), 9.5), unsafe=True))
     path = tmp_path / "one_unsafe.jsonl"
     write_jsonl(make_set(episodes), path)
-    code = main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "5",
-                 "--seed", "1", "--out", str(tmp_path / "m.json")])
+    code = main(["select-d", "--episodes", str(path), "--grid", "1.0,2.0",
+                 "--trees", "5", "--seed", "4", "--out", str(tmp_path / "sel.json")])
     assert code == EXIT_IO
     err = capsys.readouterr().err
-    assert (f"{path}: the 70% inner training split must contain both classes, "
-            "got 7 safe and 0 unsafe") in err
+    assert (f"i/o error: {path}: the 70% inner training split must contain both "
+            "classes, got 7 safe and 0 unsafe") in err
+    assert not (tmp_path / "sel.json").exists()
+    # build fits the whole corpus, so the same file builds.
+    assert main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "5",
+                 "--seed", "4", "--out", str(tmp_path / "m.json")]) == EXIT_OK
+    capsys.readouterr()
+
+
+def test_select_d_one_class_corpus_is_io_error_naming_counts(tmp_path, capsys):
+    path = tmp_path / "safe_only.jsonl"
+    write_jsonl(make_set([make_episode(np.full((4, 1), 4.5)) for _ in range(6)]), path)
+    code = main(["select-d", "--episodes", str(path), "--grid", "1.0,2.0",
+                 "--trees", "5", "--out", str(tmp_path / "sel.json")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"i/o error: {path}: the corpus must contain both classes, got 6 safe and 0 unsafe" in err
+    assert not (tmp_path / "sel.json").exists()
 
 
 def test_select_d_writes_report(corpus_path, tmp_path, capsys):
@@ -140,9 +186,11 @@ def test_select_d_writes_report(corpus_path, tmp_path, capsys):
                  "--trees", "10", "--seed", "11", "--out", out]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "d*" in printed
-    doc = json.loads(open(out, encoding="utf-8").read())
+    doc = json.loads(Path(out).read_text(encoding="utf-8"))
     assert doc["d_star"] == 2.0
     assert len(doc["rows"]) == 2
+    assert list(doc["rows"][0]) == ["d", "n_states", "f1_macro", "operation_f1",
+                                    "mean_fire_step", "in_optimal_range", "excluded"]
 
 
 def test_select_d_rejects_single_candidate(corpus_path, tmp_path, capsys):
@@ -158,14 +206,14 @@ def test_evaluate_emits_artifacts(corpus_path, model_path, tmp_path, capsys):
                  "--time-base", "1"]) == EXIT_OK
     printed = capsys.readouterr().out
     assert "macro F1" in printed
-    metrics = open(prefix + ".metrics.csv", encoding="utf-8").read()
+    metrics = Path(prefix + ".metrics.csv").read_text(encoding="utf-8")
     assert metrics.startswith("#")
-    stats = json.loads(open(prefix + ".decision_stats.json", encoding="utf-8").read())
+    stats = json.loads(Path(prefix + ".decision_stats.json").read_text(encoding="utf-8"))
     assert stats[0]["criterion"] == "upper_bound"
     assert "decision_time_step" in stats[0]
-    sweep_text = open(prefix + ".sweep.csv", encoding="utf-8").read()
+    sweep_text = Path(prefix + ".sweep.csv").read_text(encoding="utf-8")
     assert "lower_bound" in sweep_text
-    traces_text = open(prefix + ".traces.csv", encoding="utf-8").read()
+    traces_text = Path(prefix + ".traces.csv").read_text(encoding="utf-8")
     assert traces_text.splitlines()[0].startswith("episode,label,t,")
 
 
@@ -175,7 +223,7 @@ def test_evaluate_criterion_override(corpus_path, model_path, tmp_path, capsys):
                  "--criterion", "lower_bound", "--theta", "0.75",
                  "--out-prefix", prefix]) == EXIT_OK
     capsys.readouterr()
-    stats = json.loads(open(prefix + ".decision_stats.json", encoding="utf-8").read())
+    stats = json.loads(Path(prefix + ".decision_stats.json").read_text(encoding="utf-8"))
     assert stats[0]["criterion"] == "lower_bound"
     assert stats[0]["theta"] == 0.75
 
@@ -187,7 +235,7 @@ def test_config_file_defaults_with_flag_override(corpus_path, tmp_path, capsys):
     assert main(["build", "--episodes", corpus_path, "--d", "1.0",
                  "--config", str(config), "--out", out]) == EXIT_OK
     capsys.readouterr()
-    doc = json.loads(open(out, encoding="utf-8").read())
+    doc = json.loads(Path(out).read_text(encoding="utf-8"))
     assert doc["table"]["d"] == 1.0  # explicit flag beat the config value
     assert doc["forest_config"]["n_trees"] == 10  # config filled the gap
 
@@ -219,7 +267,7 @@ def damaged_copy(path, tmp_path, damage, keys):
     """A copy of a saved JSON document with a wrong or no format tag, cut
     short, missing one key, with a null or nonsense value, or with a list
     of numbers made ragged or holding a non-integer."""
-    text = open(path, encoding="utf-8").read()
+    text = Path(path).read_text(encoding="utf-8")
     doc = json.loads(text)
     if damage == "wrong-tag":
         doc["format"] = "something-else/9"

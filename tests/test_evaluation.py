@@ -9,8 +9,8 @@ from conftest import make_episode, make_set, two_band_corpus
 from safemon.abstraction import AbstractionTable, FeatureMode, episode_feature_matrix
 from safemon.dataset import Label
 from safemon.evaluation import (
+    Confusion,
     DecisionTimeStats,
-    abstraction_report,
     decision_time_stats,
     decision_stats_json,
     macro_f1,
@@ -107,6 +107,30 @@ def test_macro_f1_zero_over_zero_is_zero():
         (0.0 + 2 * 0.5 * 1.0 / 1.5) / 2.0
     )
     assert macro_f1([True], [False]) == 0.0
+
+
+def test_degenerate_level_hits_majority_baseline():
+    rng = np.random.default_rng(5)
+    episodes = [
+        make_episode(rng.uniform(1, 3, size=(5, 2)), unsafe=i < 8) for i in range(40)
+    ]
+    corpus = make_set(episodes)
+    n_unsafe, n_safe = 8, 32
+    p_neg = n_safe / (n_safe + n_unsafe)
+    # No episode fires, so the macro F1 is the majority baseline: unsafe
+    # F1 0 (a 0/0), safe precision 32/40 at recall 1.
+    baseline = (0.0 + 2 * p_neg * 1.0 / (p_neg + 1.0)) / 2.0
+    # Levels so coarse that every state collapses into one bucket.
+    for d in (1e9, 2e9):
+        model = fitted_model(corpus, d=d)
+        assert model.table.n == 1
+        traces, labels = replay(model, corpus)
+        assert all(t.first_fire_step is None for t in traces)
+        rows = metrics_over_time(traces, labels, horizon=5)
+        assert len(rows) == 5
+        for row in rows:
+            assert row.confusion == Confusion(tp=0, fp=0, tn=n_safe, fn=n_unsafe)
+            assert row.f1_macro == pytest.approx(baseline, abs=1e-12)
 
 
 def test_decision_time_stats_single_episode():
@@ -228,34 +252,6 @@ def test_sweep_rejects_empty_grid():
         sweep(traces, labels[1:], [Criterion.UPPER_BOUND], [0.5])
     with pytest.raises(ValueError):
         sweep(traces, labels, [Criterion.UPPER_BOUND], [0.5], horizon=0)
-
-
-def test_abstraction_report_degenerate_level_hits_majority_baseline():
-    rng = np.random.default_rng(5)
-    episodes = [
-        make_episode(rng.uniform(1, 3, size=(5, 2)), unsafe=i < 8) for i in range(40)
-    ]
-    corpus = make_set(episodes)
-    # Levels so coarse that every state collapses into one bucket.
-    report = abstraction_report(corpus, corpus, [1e9, 2e9], seed=0)
-    n_unsafe, n_safe = 8, 32
-    p_neg = n_safe / (n_safe + n_unsafe)
-    baseline = (0.0 + 2 * p_neg * 1.0 / (p_neg + 1.0)) / 2.0
-    for row in report.rows:
-        assert row.n_states == 1
-        assert row.f1_macro_final == pytest.approx(baseline, abs=1e-12)
-
-
-def test_abstraction_report_curves_and_plateau():
-    corpus = two_band_corpus(n_per_class=25, steps=6)
-    report = abstraction_report(corpus, corpus, [1.0, 2.0], seed=1)
-    for row in report.rows:
-        assert len(row.f1_curve) == report.horizon
-        assert row.plateau_step is not None
-        assert row.f1_curve[row.plateau_step] >= row.f1_macro_final - 0.01
-        # perfect separation, learned from the first step
-        assert row.f1_macro_final == 1.0
-        assert row.plateau_step == 0
 
 
 def test_csv_emission(tmp_path):

@@ -15,6 +15,7 @@ from safemon.forest import (
     _best_split,
     forest_from_json_list,
     forest_to_json_list,
+    out_of_bag_mean,
     predict,
     predict_batch,
     train_forest,
@@ -309,6 +310,51 @@ def test_depth_one_tree_split_matches_brute_force_on_its_bootstrap():
     assert len(np.unique(SIX_LABELS[boot])) == 2  # chosen seed keeps both classes
     oracle, _ = brute_force_gini_split(SIX_SAMPLES[boot], SIX_LABELS[boot])
     assert (int(tree.feature[0]), float(tree.threshold[0])) == oracle
+
+
+def in_bag(seed, tree, n):
+    """The rows tree `tree` of a forest seeded `seed` drew into its bootstrap."""
+    rng = np.random.default_rng(derive_seed(seed, f"tree:{tree}"))
+    return set(rng.integers(0, n, size=n).tolist())
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), high=st.sampled_from([1, 4]))
+def test_out_of_bag_mean_matches_per_row_loop(data, high):
+    """0/1 (high=1) or small-count matrices; each row's value is the mean
+    over the trees that did not draw it, NaN when every tree did."""
+    n = data.draw(st.integers(2, 10))
+    width = data.draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, high), min_size=width, max_size=width)
+    x = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float32)
+    labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    y = np.array(data.draw(labels.filter(lambda v: 0 < sum(v) < len(v))))
+    seed = data.draw(st.integers(0, 2**31))
+    forest = train_forest(x, y, ForestConfig(n_trees=data.draw(st.integers(1, 5))), seed)
+
+    got = out_of_bag_mean(forest, x)
+    assert got.shape == (n,)
+    bags = [in_bag(seed, i, n) for i in range(forest.n_trees)]
+    for j in range(n):
+        votes = [t.probability(x[j]) for t, bag in zip(forest.trees, bags) if j not in bag]
+        if votes:
+            assert got[j] == pytest.approx(sum(votes) / len(votes), rel=1e-12, abs=0.0)
+        else:
+            assert np.isnan(got[j])
+
+
+def test_out_of_bag_mean_is_nan_for_rows_every_tree_drew():
+    x, y = np.array([[0.0], [1.0]]), np.array([0, 1])
+    # Seed 5: tree 0 draws both rows, tree 1 draws row 1 twice.
+    assert (in_bag(5, 0, 2), in_bag(5, 1, 2)) == ({0, 1}, {1})
+    forest = train_forest(x, y, ForestConfig(n_trees=2), seed=5)
+    got = out_of_bag_mean(forest, x)
+    assert got[0] == 1.0  # tree 1 saw only the unsafe row: a leaf of 1.0
+    assert np.isnan(got[1])
+    # Seed 2: both trees draw both rows, so no row is scored.
+    assert in_bag(2, 0, 2) == in_bag(2, 1, 2) == {0, 1}
+    forest = train_forest(x, y, ForestConfig(n_trees=2), seed=2)
+    assert np.isnan(out_of_bag_mean(forest, x)).all()
 
 
 def test_confidence_interval_hand_computed():
