@@ -5,6 +5,16 @@ to be competent enough to produce corpora containing both safe and unsafe
 episodes. Training keeps periodic checkpoints and picks the latest one
 whose unsafe-episode rate over seeded rollouts lands in a target band,
 because a flawless agent would starve the monitor of unsafe examples.
+
+Greedy rollouts, for checkpoint evaluation and for corpus collection, step
+many seeded episodes together: one Q pass over the live episodes per step,
+then each env's own scalar step. That Q pass computes every row as its own
+row-vector product (`x[:, None, :] @ w`, a stacked matmul), which BLAS
+evaluates exactly as it evaluates one state alone. A plain `(n, d) @ (d, h)`
+product takes a matrix-matrix kernel that sums in another order and moves
+the last bits of most rows, and with them greedy actions, episodes and the
+collected corpora. Training batches keep the plain product: nothing
+compares them across batch sizes.
 """
 
 from __future__ import annotations
@@ -17,13 +27,15 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import CARTPOLE, MOUNTAINCAR, Cause, make_env
+from .envs import CARTPOLE, MOUNTAINCAR, STEP_LIMIT, Cause, make_env
 from .seeding import derive_rng, derive_seed
 
 AGENT_FORMAT = "agent/1"
 UNSAFE_RATE_BAND = (0.05, 0.20)
 BAND_EVAL_EPISODES = 200
 REPORT_EVAL_EPISODES = 100
+if REPORT_EVAL_EPISODES > BAND_EVAL_EPISODES:  # the report reuses band rollouts
+    raise ValueError("REPORT_EVAL_EPISODES must not exceed BAND_EVAL_EPISODES")
 GRAD_CLIP_NORM = 10.0
 MOMENTUM = 0.9
 
@@ -115,13 +127,20 @@ class QNetwork:
         )
 
     def forward(self, state: np.ndarray) -> np.ndarray:
+        """Q-values of one state (d,), or of each row of a stack (n, d).
+
+        Every row is a row-vector product, so a row of a stack gets the
+        same bits as that state passed alone.
+        """
         a = (np.asarray(state, dtype=np.float64) - self.input_offset) / self.input_scale
+        a = a[..., None, :]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(self.weights):
-            a = a @ w + b
+            a = a @ w
+            a += b
             if i != last:
                 np.maximum(a, 0.0, out=a)
-        return a
+        return a[..., 0, :]
 
     def _forward_cached(self, states: np.ndarray):
         activations = [(np.asarray(states, dtype=np.float64) - self.input_offset) / self.input_scale]
@@ -253,33 +272,85 @@ def greedy_action(q) -> int:
     return int(np.argmax(q))
 
 
-def rollout_greedy(network: QNetwork, env_kind: str, seed: int):
-    """One greedy episode; returns (total_reward, length, violated)."""
-    env = make_env(env_kind)
-    state = env.reset(seed=seed)
-    total = 0.0
-    while not env.done:
-        out = env.step(greedy_action(network.forward(state)))
-        total += out.reward
-        state = out.next_state
-    return total, env.steps_taken, out.cause is Cause.VIOLATION
+@dataclass
+class Rollouts:
+    """Greedy episodes, one entry per seed. When recorded, step t of
+    episode i is entry [t, i] of the per-step arrays, for t < lengths[i];
+    later entries are never written."""
+
+    totals: list[float]
+    lengths: list[int]
+    causes: list[Cause]
+    states: Optional[np.ndarray] = None  # (STEP_LIMIT, n, state_dim)
+    actions: Optional[np.ndarray] = None  # (STEP_LIMIT, n)
+    qs: Optional[np.ndarray] = None  # (STEP_LIMIT, n, action_count)
+    rewards: Optional[np.ndarray] = None  # (STEP_LIMIT, n)
+
+    def summary(self, count: int) -> tuple[float, float, float]:
+        """Mean reward, unsafe rate and mean length of the first `count` episodes."""
+        unsafe = sum(cause is Cause.VIOLATION for cause in self.causes[:count])
+        return float(np.mean(self.totals[:count])), unsafe / count, float(np.mean(self.lengths[:count]))
 
 
-def evaluate_policy(network: QNetwork, env_kind: str, episodes: int, root_seed: int):
-    rewards, lengths, violations = [], [], 0
-    for i in range(episodes):
-        total, length, violated = rollout_greedy(
-            network, env_kind, derive_seed(root_seed, f"eval:{i}")
+def greedy_rollouts(network: QNetwork, env_kind: str, seeds, record: bool = False) -> Rollouts:
+    """One greedy episode per reset seed, all stepped together.
+
+    Each step makes one Q pass over the live episodes and then steps each
+    live env on its own; every episode comes out bit for bit as if it had
+    run alone. `record` keeps each step's state, action, Q-vector and reward.
+    """
+    envs = [make_env(env_kind) for _ in seeds]
+    n = len(envs)
+    if n and network.layer_sizes[0] != envs[0].state_dim:
+        raise ValueError(
+            f"network input dim {network.layer_sizes[0]} does not match the "
+            f"{env_kind} state dim {envs[0].state_dim}"
         )
-        rewards.append(total)
-        lengths.append(length)
-        violations += violated
-    return float(np.mean(rewards)), violations / episodes, float(np.mean(lengths))
+    runs = Rollouts(totals=[0.0] * n, lengths=[0] * n, causes=[Cause.NONE] * n)
+    if record and n:
+        # Step-major and left unfilled: the steps no episode reaches are
+        # never written, so their pages are never touched.
+        runs.states = np.empty((STEP_LIMIT, n, envs[0].state_dim))
+        runs.actions = np.empty((STEP_LIMIT, n), dtype=np.int64)
+        runs.qs = np.empty((STEP_LIMIT, n, network.layer_sizes[-1]))
+        runs.rewards = np.empty((STEP_LIMIT, n))
+    live = list(range(n))
+    x = np.array([env.reset(seed=seed) for env, seed in zip(envs, seeds)])
+    t = 0
+    while live:
+        q = network.forward(x)
+        actions = np.argmax(q, axis=1)  # ties break low, as in greedy_action
+        if record:
+            runs.states[t, live] = x
+            runs.actions[t, live] = actions
+            runs.qs[t, live] = q
+        still, next_states = [], []
+        for i, action in zip(live, actions.tolist()):
+            out = envs[i].step(action)
+            runs.totals[i] += out.reward
+            if record:
+                runs.rewards[t, i] = out.reward
+            if out.terminated:
+                runs.lengths[i] = t + 1
+                runs.causes[i] = out.cause
+            else:
+                still.append(i)
+                next_states.append(out.next_state)
+        live = still
+        x = np.array(next_states)
+        t += 1
+    return runs
 
 
-def train_agent(env_kind: str, config: AgentTrainConfig) -> AgentModel:
-    """Train with experience replay plus a target network, then select the
-    latest checkpoint whose unsafe-episode rate falls inside the band."""
+def evaluate_policy(network: QNetwork, env_kind: str, episodes: int, root_seed: int) -> Rollouts:
+    """Greedy rollouts from the seeds eval:0 .. eval:<episodes - 1>."""
+    seeds = [derive_seed(root_seed, f"eval:{i}") for i in range(episodes)]
+    return greedy_rollouts(network, env_kind, seeds)
+
+
+def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[int, QNetwork]]:
+    """Train with experience replay plus a target network; returns the
+    periodic (step, network) snapshots, the final network last."""
     env = make_env(env_kind)
     offset, scale = _INPUT_NORMS[env_kind]
     layer_sizes = (env.state_dim, *config.hidden_sizes, env.action_count)
@@ -337,27 +408,33 @@ def train_agent(env_kind: str, config: AgentTrainConfig) -> AgentModel:
 
     if not checkpoints or checkpoints[-1][0] != config.total_steps:
         checkpoints.append((config.total_steps, network.copy()))
+    return checkpoints
 
+
+def train_agent(env_kind: str, config: AgentTrainConfig) -> AgentModel:
+    """Train, then select the latest checkpoint whose unsafe-episode rate
+    falls inside the band."""
+    # The replay buffer is freed on return, before the rollouts run.
+    checkpoints = _train_checkpoints(env_kind, config)
+    rollouts = [
+        evaluate_policy(snapshot, env_kind, BAND_EVAL_EPISODES, config.seed)
+        for _, snapshot in checkpoints
+    ]
     stats = []
-    for step, snapshot in checkpoints:
-        reward, rate, length = evaluate_policy(
-            snapshot, env_kind, BAND_EVAL_EPISODES, config.seed
-        )
+    for (step, _), runs in zip(checkpoints, rollouts):
+        reward, rate, length = runs.summary(BAND_EVAL_EPISODES)
         stats.append(CheckpointStat(step, rate, reward, length))
 
     # Latest checkpoint inside the band; if none qualifies, fall back to
     # the final network so degenerate budgets still return a model.
     lo, hi = UNSAFE_RATE_BAND
-    selected = None
-    for (step, snapshot), stat in zip(checkpoints, stats):
-        if lo <= stat.unsafe_rate <= hi:
-            selected = (step, snapshot)
-    band_satisfied = selected is not None
-    if selected is None:
-        selected = checkpoints[-1]
+    inside = [k for k, stat in enumerate(stats) if lo <= stat.unsafe_rate <= hi]
+    band_satisfied = bool(inside)
+    selected = inside[-1] if inside else len(checkpoints) - 1
 
-    step, snapshot = selected
-    reward, rate, length = evaluate_policy(snapshot, env_kind, REPORT_EVAL_EPISODES, config.seed)
+    step, snapshot = checkpoints[selected]
+    # The report's seeds eval:0..99 open the band rollouts of the same network.
+    reward, rate, length = rollouts[selected].summary(REPORT_EVAL_EPISODES)
     report = TrainReport(
         mean_reward=reward,
         unsafe_rate=rate,

@@ -58,7 +58,14 @@ def _parse_grid(text):
 
 
 def cmd_train_agent(args) -> int:
-    from .agent import AgentTrainConfig, EpsilonSchedule, save_agent, train_agent
+    from .agent import (
+        BAND_EVAL_EPISODES,
+        UNSAFE_RATE_BAND,
+        AgentTrainConfig,
+        EpsilonSchedule,
+        save_agent,
+        train_agent,
+    )
     from .envs import ENV_KINDS
 
     if args.env not in ENV_KINDS:
@@ -85,6 +92,15 @@ def cmd_train_agent(args) -> int:
         f"trained {args.env} agent: checkpoint {report.selected_step}, "
         f"mean reward {report.mean_reward:.1f}, unsafe rate {report.unsafe_rate:.1%}"
     )
+    if not report.band_satisfied:
+        lo, hi = UNSAFE_RATE_BAND
+        final = report.checkpoints[-1]
+        print(
+            f"warning: no checkpoint's unsafe rate lies in the band [{lo:.0%}, {hi:.0%}]; "
+            f"selected the final checkpoint, step {final.step}, with unsafe rate "
+            f"{final.unsafe_rate:.1%} over {BAND_EVAL_EPISODES} rollouts",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 
@@ -103,6 +119,13 @@ def cmd_collect(args) -> int:
         f"collected {total} episodes: {counts['safe']} safe, "
         f"{counts['unsafe']} unsafe ({counts['unsafe'] / total:.1%})"
     )
+    if min(counts.values()) == 0:
+        missing = "unsafe" if counts["unsafe"] == 0 else "safe"
+        print(
+            f"warning: {args.out} has no {missing} episodes; build and select-d "
+            f"need both classes",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -14,8 +14,8 @@ from typing import Optional
 
 import numpy as np
 
-from .agent import AgentModel, agent_fingerprint, greedy_action
-from .envs import STEP_LIMIT, Cause, make_env
+from .agent import AgentModel, agent_fingerprint, greedy_rollouts
+from .envs import STEP_LIMIT, Cause
 from .seeding import derive_rng, derive_seed
 
 
@@ -107,39 +107,25 @@ def require_both_classes(episode_set: EpisodeSet, what: str) -> None:
         )
 
 
-def run_episode(agent: AgentModel, env_kind: str, seed: int) -> Episode:
-    """Execute one greedy episode and record (state, action, q, reward)."""
-    env = make_env(env_kind)
-    state = env.reset(seed=seed)
-    states, actions, qs, rewards = [], [], [], []
-    while not env.done:
-        q = agent.q_values(state)
-        action = greedy_action(q)
-        out = env.step(action)
-        states.append(state)
-        actions.append(action)
-        qs.append(q)
-        rewards.append(out.reward)
-        state = out.next_state
-    return Episode(
-        states=np.array(states),
-        actions=np.array(actions, dtype=np.int64),
-        qs=np.array(qs),
-        rewards=np.array(rewards),
-        label=Label.UNSAFE if out.violation else Label.SAFE,
-        cause=out.cause,
-    )
-
-
 def collect(agent: AgentModel, env_kind: str, count: int, seed: int) -> EpisodeSet:
     """Collect `count` greedy episodes from seeded random initial states."""
     if count < 1:
         raise DatasetError("count must be >= 1")
     if env_kind != agent.env_kind:
         raise DatasetError(f"agent was trained on {agent.env_kind!r}, not {env_kind!r}")
+    seeds = [derive_seed(seed, f"collect:episode:{i}") for i in range(count)]
+    runs = greedy_rollouts(agent.network, env_kind, seeds, record=True)
+    # Each episode views its column of the recorded arrays, no copy.
     episodes = [
-        run_episode(agent, env_kind, derive_seed(seed, f"collect:episode:{i}"))
-        for i in range(count)
+        Episode(
+            states=runs.states[:length, i],
+            actions=runs.actions[:length, i],
+            qs=runs.qs[:length, i],
+            rewards=runs.rewards[:length, i],
+            label=Label.UNSAFE if cause is Cause.VIOLATION else Label.SAFE,
+            cause=cause,
+        )
+        for i, (length, cause) in enumerate(zip(runs.lengths, runs.causes))
     ]
     return EpisodeSet(
         episodes=episodes,

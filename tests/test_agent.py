@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from safemon import agent
 from safemon.agent import (
+    REPORT_EVAL_EPISODES,
     AgentModel,
     AgentTrainConfig,
     EpsilonSchedule,
@@ -9,11 +13,13 @@ from safemon.agent import (
     TrainingDiverged,
     agent_fingerprint,
     greedy_action,
+    greedy_rollouts,
     load_agent,
     save_agent,
     train_agent,
 )
-from safemon.envs import CARTPOLE, MOUNTAINCAR
+from safemon.envs import CARTPOLE, MOUNTAINCAR, Cause, make_env
+from safemon.seeding import derive_seed
 
 
 def tiny_model(env_kind=CARTPOLE, seed=0):
@@ -129,6 +135,106 @@ def test_divergence_aborts_with_diagnostic():
     # overflow to exercise the non-finite-loss abort path.
     with pytest.raises(TrainingDiverged, match="step"):
         train_agent(CARTPOLE, smoke_config(learning_rate=1e150, total_steps=3000))
+
+
+def reference_episode(network, env_kind, seed):
+    """One greedy episode run alone, one single-state forward per step."""
+    env = make_env(env_kind)
+    state = env.reset(seed=seed)
+    states, actions, qs, rewards, total = [], [], [], [], 0.0
+    while not env.done:
+        q = network.forward(state)
+        action = greedy_action(q)
+        out = env.step(action)
+        states.append(state)
+        actions.append(action)
+        qs.append(q)
+        rewards.append(out.reward)
+        total += out.reward
+        state = out.next_state
+    arrays = (np.array(states), np.array(actions, dtype=np.int64), np.array(qs), np.array(rewards))
+    return total, env.steps_taken, out.cause, arrays
+
+
+# Rough state magnitudes, so that random networks change their action.
+NORMS = {
+    CARTPOLE: (np.zeros(4), np.array([2.4, 3.0, 0.21, 3.0])),
+    MOUNTAINCAR: (np.array([-0.3, 0.0]), np.array([0.9, 0.07])),
+}
+
+
+@st.composite
+def networks(draw):
+    env_kind = draw(st.sampled_from([CARTPOLE, MOUNTAINCAR]))
+    env = make_env(env_kind)
+    hidden = draw(st.lists(st.integers(1, 24), max_size=2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset, scale = NORMS[env_kind]
+    network = QNetwork(
+        (env.state_dim, *hidden, env.action_count), rng=rng, input_offset=offset, input_scale=scale
+    )
+    return env_kind, network
+
+
+@settings(max_examples=40, deadline=None)
+@given(net=networks(), seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=20))
+def test_greedy_rollouts_equal_episodes_run_alone(net, seeds):
+    env_kind, network = net
+    runs = greedy_rollouts(network, env_kind, seeds, record=True)
+    plain = greedy_rollouts(network, env_kind, seeds)
+    assert (plain.totals, plain.lengths, plain.causes) == (runs.totals, runs.lengths, runs.causes)
+    assert plain.states is None
+    for i, seed in enumerate(seeds):
+        total, length, cause, arrays = reference_episode(network, env_kind, seed)
+        assert runs.totals[i] == total
+        assert runs.lengths[i] == length
+        assert runs.causes[i] is cause
+        recorded = (runs.states, runs.actions, runs.qs, runs.rewards)
+        for got, want in zip(recorded, arrays):
+            assert got[:length, i].shape == want.shape
+            assert got[:length, i].tobytes() == want.tobytes()
+
+
+def test_greedy_rollouts_reject_network_of_another_env():
+    with pytest.raises(ValueError, match="input dim 2 does not match the cartpole state dim 4"):
+        greedy_rollouts(tiny_model(MOUNTAINCAR).network, CARTPOLE, [1, 2])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    net=networks(),
+    n=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    spread=st.sampled_from([1e-3, 1.0, 1e3]),
+)
+def test_stacked_q_rows_equal_single_state_forward(net, n, seed, spread):
+    _, network = net
+    states = np.random.default_rng(seed).normal(0.0, spread, size=(n, network.layer_sizes[0]))
+    stacked = network.forward(states)
+    assert stacked.shape == (n, network.layer_sizes[-1])
+    for row, state in zip(stacked, states):
+        assert row.tobytes() == network.forward(state).tobytes()
+
+
+@pytest.mark.parametrize("band", [None, (0.005, 0.05)])
+def test_report_equals_fresh_evaluation_of_selected_checkpoint(band, monkeypatch):
+    # Checkpoints 1000 and 1500 have unsafe rates 1% and 0%: the narrow
+    # band selects the earlier one, the default band none (the final one).
+    if band is not None:
+        monkeypatch.setattr(agent, "UNSAFE_RATE_BAND", band)
+    model = train_agent(CARTPOLE, smoke_config())
+    report = model.report
+    assert [c.step for c in report.checkpoints] == [1000, 1500]
+    assert report.selected_step == (1000 if band else 1500)
+    assert report.band_satisfied == (band is not None)
+    episodes = [
+        reference_episode(model.network, CARTPOLE, derive_seed(7, f"eval:{i}"))
+        for i in range(REPORT_EVAL_EPISODES)
+    ]
+    assert report.eval_episodes == REPORT_EVAL_EPISODES
+    assert report.mean_reward == float(np.mean([e[0] for e in episodes]))
+    assert report.unsafe_rate == sum(e[2] is Cause.VIOLATION for e in episodes) / len(episodes)
+    assert report.mean_length == float(np.mean([e[1] for e in episodes]))
 
 
 def test_config_validation():

@@ -87,6 +87,41 @@ def test_train_agent_reports_deterministically(tmp_path, capsys):
     assert list(saved) == list(doc)[2:]
 
 
+def test_train_agent_warns_when_no_checkpoint_is_in_band(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "a.json"
+    argv = ["train-agent", "--env", "cartpole", "--steps", "300", "--seed", "5",
+            "--checkpoint-interval", "150", "--out", str(out)]
+    assert main(argv) == EXIT_OK  # a tiny budget: 0% unsafe everywhere
+    captured = capsys.readouterr()
+    assert captured.out.startswith("trained cartpole agent: checkpoint 300")
+    assert captured.err == (
+        "warning: no checkpoint's unsafe rate lies in the band [5%, 20%]; selected the "
+        "final checkpoint, step 300, with unsafe rate 0.0% over 200 rollouts\n"
+    )
+    assert json.loads(Path(str(out) + ".report.json").read_text())["band_satisfied"] is False
+    # A band that holds 0% is satisfied: no warning.
+    monkeypatch.setattr("safemon.agent.UNSAFE_RATE_BAND", (0.0, 0.2))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+def test_collect_warns_on_one_class_corpus(agent_path, tmp_path, capsys, monkeypatch):
+    out = tmp_path / "c.jsonl"
+    argv = ["collect", "--agent", agent_path, "--episodes", "4", "--seed", "9",
+            "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "4 safe, 0 unsafe" in captured.out
+    assert captured.err == (
+        f"warning: {out} has no unsafe episodes; build and select-d need both classes\n"
+    )
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 4
+    # A corpus with both classes passes silently.
+    monkeypatch.setattr("safemon.dataset.collect", lambda *args: two_band_corpus(2))
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_collect_prints_balance_and_is_deterministic(agent_path, tmp_path, capsys):
     out1, out2 = tmp_path / "c1.jsonl", tmp_path / "c2.jsonl"
     argv = ["collect", "--agent", agent_path, "--episodes", "6", "--seed", "9"]

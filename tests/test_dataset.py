@@ -12,7 +12,6 @@ from safemon.dataset import (
     Label,
     collect,
     read_jsonl,
-    run_episode,
     split,
     write_jsonl,
 )
@@ -65,11 +64,14 @@ def test_collect_rejects_env_mismatch(random_cartpole_agent):
         collect(random_cartpole_agent, CARTPOLE, 0, seed=0)
 
 
-def test_run_episode_records_greedy_path(random_cartpole_agent):
-    episode = run_episode(random_cartpole_agent, CARTPOLE, seed=3)
-    for state, action, q in zip(episode.states, episode.actions, episode.qs):
-        assert np.array_equal(random_cartpole_agent.q_values(state), q)
-        assert action == int(np.argmax(q))
+def test_collect_records_greedy_path(random_cartpole_agent):
+    # Episodes stepped together record what each state gives alone.
+    corpus = collect(random_cartpole_agent, CARTPOLE, 12, seed=3)
+    assert len({e.length for e in corpus.episodes}) > 1  # some end while others run
+    for episode in corpus.episodes:
+        for state, action, q in zip(episode.states, episode.actions, episode.qs):
+            assert np.array_equal(random_cartpole_agent.q_values(state), q)
+            assert action == int(np.argmax(q))
 
 
 def test_split_arithmetic():
