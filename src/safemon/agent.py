@@ -6,15 +6,22 @@ episodes. Training keeps periodic checkpoints and picks the latest one
 whose unsafe-episode rate over seeded rollouts lands in a target band,
 because a flawless agent would starve the monitor of unsafe examples.
 
-Greedy rollouts, for checkpoint evaluation and for corpus collection, step
-many seeded episodes together: one Q pass over the live episodes per step,
-then each env's own scalar step. That Q pass computes every row as its own
-row-vector product (`x[:, None, :] @ w`, a stacked matmul), which BLAS
-evaluates exactly as it evaluates one state alone. A plain `(n, d) @ (d, h)`
-product takes a matrix-matrix kernel that sums in another order and moves
-the last bits of most rows, and with them greedy actions, episodes and the
-collected corpora. Training batches keep the plain product: nothing
-compares them across batch sizes.
+Greedy rollouts, for checkpoint evaluation and for corpus collection, run
+many seeded episodes in lockstep: per step, one Q pass over the live
+episodes, then one array update of all their env states (the env's
+`transition`). Both give each episode the bits it gets when run alone
+through single-state `forward` and the env's scalar `step`:
+- The Q pass computes every row as its own row-vector product
+  (`x[:, None, :] @ w`, a stacked matmul), which BLAS evaluates exactly as
+  it evaluates one state alone. A plain `(n, d) @ (d, h)` product takes a
+  matrix-matrix kernel that sums in another order and moves the last bits
+  of most rows, and with them greedy actions, episodes and the collected
+  corpora. Training batches keep the plain product: nothing compares them
+  across batch sizes.
+- The env update shares its float expressions with `step` and takes
+  trig and squares from libm one value at a time, not from numpy's
+  vectorised `sin`, `cos` and `**2`, which may round differently (see
+  `envs`).
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import CARTPOLE, MOUNTAINCAR, STEP_LIMIT, Cause, make_env
+from .envs import CARTPOLE, CAUSES, MOUNTAINCAR, RUNNING, STEP_LIMIT, Cause, make_env
 from .seeding import derive_rng, derive_seed
 
 AGENT_FORMAT = "agent/1"
@@ -295,50 +302,58 @@ class Rollouts:
 def greedy_rollouts(network: QNetwork, env_kind: str, seeds, record: bool = False) -> Rollouts:
     """One greedy episode per reset seed, all stepped together.
 
-    Each step makes one Q pass over the live episodes and then steps each
-    live env on its own; every episode comes out bit for bit as if it had
-    run alone. `record` keeps each step's state, action, Q-vector and reward.
+    Each step makes one Q pass over the live episodes and advances them
+    with one `transition` of the env; every episode comes out bit for bit
+    as if it had run alone through `step`. `record` keeps each step's
+    state, action, Q-vector and reward.
     """
-    envs = [make_env(env_kind) for _ in seeds]
-    n = len(envs)
-    if n and network.layer_sizes[0] != envs[0].state_dim:
+    env = make_env(env_kind)
+    n = len(seeds)
+    if network.layer_sizes[0] != env.state_dim:
         raise ValueError(
             f"network input dim {network.layer_sizes[0]} does not match the "
-            f"{env_kind} state dim {envs[0].state_dim}"
+            f"{env_kind} state dim {env.state_dim}"
         )
-    runs = Rollouts(totals=[0.0] * n, lengths=[0] * n, causes=[Cause.NONE] * n)
-    if record and n:
+    if network.layer_sizes[-1] != env.action_count:
+        raise ValueError(
+            f"network output dim {network.layer_sizes[-1]} does not match the "
+            f"{env_kind} action count {env.action_count}"
+        )
+    runs = Rollouts(totals=[], lengths=[], causes=[])  # filled in at the end
+    if record:
         # Step-major and left unfilled: the steps no episode reaches are
         # never written, so their pages are never touched.
-        runs.states = np.empty((STEP_LIMIT, n, envs[0].state_dim))
+        runs.states = np.empty((STEP_LIMIT, n, env.state_dim))
         runs.actions = np.empty((STEP_LIMIT, n), dtype=np.int64)
-        runs.qs = np.empty((STEP_LIMIT, n, network.layer_sizes[-1]))
+        runs.qs = np.empty((STEP_LIMIT, n, env.action_count))
         runs.rewards = np.empty((STEP_LIMIT, n))
-    live = list(range(n))
-    x = np.array([env.reset(seed=seed) for env, seed in zip(envs, seeds)])
+    # Each episode's reward is summed in step order, as a lone run sums it.
+    totals = np.zeros(n)
+    lengths = np.zeros(n, dtype=np.int64)
+    causes = np.full(n, RUNNING)
+    live = np.arange(n)
+    x = np.array([env.reset(seed=seed) for seed in seeds])
     t = 0
-    while live:
+    while live.size:
         q = network.forward(x)
         actions = np.argmax(q, axis=1)  # ties break low, as in greedy_action
         if record:
             runs.states[t, live] = x
             runs.actions[t, live] = actions
             runs.qs[t, live] = q
-        still, next_states = [], []
-        for i, action in zip(live, actions.tolist()):
-            out = envs[i].step(action)
-            runs.totals[i] += out.reward
-            if record:
-                runs.rewards[t, i] = out.reward
-            if out.terminated:
-                runs.lengths[i] = t + 1
-                runs.causes[i] = out.cause
-            else:
-                still.append(i)
-                next_states.append(out.next_state)
-        live = still
-        x = np.array(next_states)
+        x, rewards, step_causes = env.transition(x, actions, t)
+        totals[live] += rewards
+        if record:
+            runs.rewards[t, live] = rewards
+        ended = step_causes != RUNNING
+        lengths[live[ended]] = t + 1
+        causes[live[ended]] = step_causes[ended]
+        live = live[~ended]
+        x = x[~ended]
         t += 1
+    runs.totals = totals.tolist()
+    runs.lengths = lengths.tolist()
+    runs.causes = [CAUSES[code] for code in causes.tolist()]
     return runs
 
 

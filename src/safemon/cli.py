@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -72,6 +73,18 @@ def cmd_train_agent(args) -> int:
         raise UsageError(f"unknown environment {args.env!r}")
     if args.steps < 0:
         raise UsageError("--steps must be >= 0")
+    for flag, value in (
+        ("--checkpoint-interval", args.checkpoint_interval),
+        ("--target-sync-interval", args.target_sync_interval),
+        ("--epsilon-decay-steps", args.epsilon_decay_steps),
+    ):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1")
+    if not 0.0 < args.learning_rate < math.inf:
+        raise UsageError("--learning-rate must be positive and finite")
+    for flag, value in (("--gamma", args.gamma), ("--epsilon-end", args.epsilon_end)):
+        if not 0.0 <= value <= 1.0:
+            raise UsageError(f"{flag} must lie in [0, 1]")
     config = AgentTrainConfig(
         total_steps=args.steps,
         learning_rate=args.learning_rate,
@@ -105,12 +118,21 @@ def cmd_train_agent(args) -> int:
 
 
 def cmd_collect(args) -> int:
-    from .agent import load_agent
+    from .agent import UNSAFE_RATE_BAND, load_agent
     from .dataset import collect, write_jsonl
 
     if args.episodes < 1:
         raise UsageError("--episodes must be >= 1")
     agent = load_agent(args.agent)
+    report = agent.report
+    if report is not None and not report.band_satisfied:
+        lo, hi = UNSAFE_RATE_BAND
+        print(
+            f"warning: {args.agent} missed the unsafe-rate band [{lo:.0%}, {hi:.0%}] in "
+            f"training; its checkpoint, step {report.selected_step}, had unsafe rate "
+            f"{report.unsafe_rate:.1%} over {report.eval_episodes} episodes",
+            file=sys.stderr,
+        )
     corpus = collect(agent, agent.env_kind, args.episodes, args.seed)
     write_jsonl(corpus, args.out)
     counts = corpus.label_counts()

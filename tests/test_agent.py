@@ -1,16 +1,22 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from safemon import agent
 from safemon.agent import (
     REPORT_EVAL_EPISODES,
     AgentModel,
     AgentTrainConfig,
+    CheckpointStat,
     EpsilonSchedule,
     QNetwork,
     TrainingDiverged,
+    TrainReport,
     agent_fingerprint,
     greedy_action,
     greedy_rollouts,
@@ -90,6 +96,63 @@ def test_serialization_preserves_q_values(tmp_path):
         assert np.max(np.abs(restored.q_values(state) - model.q_values(state))) <= 1e-9
     assert agent_fingerprint(restored) == agent_fingerprint(model)
     assert restored.env_kind == CARTPOLE
+
+
+MODERATE = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def agent_models(draw):
+    """Agents of random shape and weights, with or without a report."""
+    sizes = draw(st.lists(st.integers(1, 12), min_size=2, max_size=4))
+    weights = [
+        (
+            draw(hnp.arrays(np.float64, (fan_in, fan_out), elements=MODERATE)),
+            draw(hnp.arrays(np.float64, fan_out, elements=MODERATE)),
+        )
+        for fan_in, fan_out in zip(sizes, sizes[1:])
+    ]
+    network = QNetwork(
+        sizes,
+        weights=weights,
+        input_offset=draw(hnp.arrays(np.float64, sizes[0], elements=MODERATE)),
+        input_scale=draw(hnp.arrays(np.float64, sizes[0], elements=st.floats(1e-3, 1e3))),
+    )
+    rate = st.floats(0.0, 1.0)
+    report = draw(st.none() | st.builds(
+        TrainReport,
+        mean_reward=MODERATE, unsafe_rate=rate, mean_length=st.floats(1.0, 200.0),
+        eval_episodes=st.integers(1, 200), selected_step=st.integers(0, 10**6),
+        band_satisfied=st.booleans(),
+        checkpoints=st.lists(st.builds(
+            CheckpointStat, step=st.integers(0, 10**6), unsafe_rate=rate,
+            mean_reward=MODERATE, mean_length=st.floats(1.0, 200.0),
+        ), max_size=3),
+    ))
+    return AgentModel(
+        env_kind=draw(st.sampled_from([CARTPOLE, MOUNTAINCAR])),
+        network=network,
+        gamma=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        steps_trained=draw(st.integers(0, 10**6)),
+        report=report,
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=agent_models(), data=st.data())
+def test_agent_file_round_trip_keeps_fingerprint_and_q_bits(model, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "agent.json"
+        save_agent(model, path)
+        restored = load_agent(path)
+    assert agent_fingerprint(restored) == agent_fingerprint(model)
+    assert restored.report == model.report
+    dim = model.network.layer_sizes[0]
+    states = data.draw(hnp.arrays(np.float64, (data.draw(st.integers(1, 8)), dim), elements=MODERATE))
+    assert restored.network.forward(states).tobytes() == model.network.forward(states).tobytes()
+    for state in states:
+        assert restored.network.forward(state).tobytes() == model.network.forward(state).tobytes()
 
 
 def smoke_config(**overrides):
@@ -198,6 +261,9 @@ def test_greedy_rollouts_equal_episodes_run_alone(net, seeds):
 def test_greedy_rollouts_reject_network_of_another_env():
     with pytest.raises(ValueError, match="input dim 2 does not match the cartpole state dim 4"):
         greedy_rollouts(tiny_model(MOUNTAINCAR).network, CARTPOLE, [1, 2])
+    three_actions = QNetwork((4, 8, 3), rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="output dim 3 does not match the cartpole action count 2"):
+        greedy_rollouts(three_actions, CARTPOLE, [1, 2])
 
 
 @settings(max_examples=100, deadline=None)

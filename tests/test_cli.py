@@ -54,6 +54,27 @@ def test_usage_errors(capsys, tmp_path):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--checkpoint-interval", "0", "--checkpoint-interval must be >= 1"),
+        ("--target-sync-interval", "0", "--target-sync-interval must be >= 1"),
+        ("--epsilon-decay-steps", "0", "--epsilon-decay-steps must be >= 1"),
+        ("--learning-rate", "-1", "--learning-rate must be positive and finite"),
+        ("--learning-rate", "nan", "--learning-rate must be positive and finite"),
+        ("--learning-rate", "inf", "--learning-rate must be positive and finite"),
+        ("--gamma", "1.5", "--gamma must lie in [0, 1]"),
+        ("--epsilon-end", "2", "--epsilon-end must lie in [0, 1]"),
+    ],
+)
+def test_train_agent_bad_value_is_usage_error_naming_flag(flag, value, message, tmp_path, capsys):
+    out = tmp_path / "a.json"
+    argv = ["train-agent", "--env", "cartpole", "--steps", "10", "--out", str(out), flag, value]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_missing_input_is_io_error(tmp_path, capsys):
     assert main(["collect", "--agent", str(tmp_path / "nope.json"),
                  "--episodes", "2", "--seed", "1",
@@ -120,6 +141,26 @@ def test_collect_warns_on_one_class_corpus(agent_path, tmp_path, capsys, monkeyp
     monkeypatch.setattr("safemon.dataset.collect", lambda *args: two_band_corpus(2))
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().err == ""
+
+
+def test_collect_warns_when_agent_missed_the_band(tmp_path, capsys):
+    agent = tmp_path / "a.json"
+    assert main(["train-agent", "--env", "cartpole", "--steps", "300", "--seed", "5",
+                 "--checkpoint-interval", "150", "--out", str(agent)]) == EXIT_OK
+    capsys.readouterr()  # a tiny budget: 0% unsafe at both checkpoints
+    argv = ["collect", "--agent", str(agent), "--episodes", "4", "--seed", "9", "--out"]
+    assert main(argv + [str(tmp_path / "c1.jsonl")]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"warning: {agent} missed the unsafe-rate band [5%, 20%] in training; its "
+        f"checkpoint, step 300, had unsafe rate 0.0% over 100 episodes"
+    )
+    # The same agent marked as inside the band: no band warning, same corpus.
+    doc = json.loads(agent.read_text(encoding="utf-8"))
+    doc["report"]["band_satisfied"] = True
+    agent.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(argv + [str(tmp_path / "c2.jsonl")]) == EXIT_OK
+    assert "band" not in capsys.readouterr().err
+    assert (tmp_path / "c1.jsonl").read_bytes() == (tmp_path / "c2.jsonl").read_bytes()
 
 
 def test_collect_prints_balance_and_is_deterministic(agent_path, tmp_path, capsys):

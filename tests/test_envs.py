@@ -3,9 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from safemon.envs import (
     CARTPOLE,
+    CAUSES,
     MOUNTAINCAR,
     STEP_LIMIT,
     CartPoleEnv,
@@ -230,3 +233,73 @@ def test_step_outcome_consistency_enforced():
         StepOutcome(np.zeros(2), 0.0, False, True, Cause.VIOLATION)
     with pytest.raises(ValueError):
         StepOutcome(np.zeros(2), 0.0, True, True, Cause.GOAL)
+
+
+# libm's pow(v, 2.0), which `step` uses for theta_dot**2, differs from
+# v * v in the last bit for this v.
+POW_NOT_SQUARE = 0.20637125592276595
+
+
+def around(*points, spread):
+    return st.one_of(*(st.floats(p - spread, p + spread) for p in points))
+
+
+# Drawn states crowd the termination thresholds: the track edge, the 12
+# degree angle, the mountain-car border and goal, and its speed clip.
+STATES = {
+    CARTPOLE: st.tuples(
+        st.one_of(st.floats(-3.0, 3.0), around(-2.4, 2.4, spread=0.03)),
+        st.floats(-3.0, 3.0),
+        st.one_of(
+            st.floats(-0.3, 0.3),
+            around(-CartPoleEnv.theta_threshold, CartPoleEnv.theta_threshold, spread=0.01),
+        ),
+        st.one_of(st.floats(-3.0, 3.0), st.just(POW_NOT_SQUARE)),
+    ),
+    MOUNTAINCAR: st.tuples(
+        st.one_of(st.floats(-1.3, 0.6), around(-1.2, 0.5, spread=0.08)),
+        st.one_of(st.floats(-0.08, 0.08), around(-0.07, 0.07, spread=0.003)),
+    ),
+}
+STEPS_TAKEN = st.one_of(st.integers(0, STEP_LIMIT - 1), st.sampled_from([STEP_LIMIT - 2, STEP_LIMIT - 1]))
+
+
+@st.composite
+def batches(draw):
+    """(kind, rows of (state, action, steps taken), one count for all rows?)"""
+    kind = draw(st.sampled_from([CARTPOLE, MOUNTAINCAR]))
+    action = st.integers(0, make_env(kind).action_count - 1)
+    rows = draw(st.lists(st.tuples(STATES[kind], action, STEPS_TAKEN), min_size=1, max_size=20))
+    return kind, rows, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(batch=batches())
+@example(batch=(CARTPOLE, [((0.0, 0.0, -0.1660949413403334, POW_NOT_SQUARE), 1, 0)], False))
+def test_transition_equals_scalar_step_bit_for_bit(batch):
+    kind, rows, shared = batch
+    if shared:  # greedy rollouts pass one count for all live episodes
+        rows = [(state, action, rows[0][2]) for state, action, _ in rows]
+    states = np.array([state for state, _, _ in rows])
+    actions = np.array([action for _, action, _ in rows], dtype=np.int64)
+    taken = rows[0][2] if shared else np.array([steps for _, _, steps in rows])
+    env = make_env(kind)
+    next_states, rewards, causes = env.transition(states, actions, taken)
+    assert next_states.shape == states.shape
+    for i, (state, action, steps) in enumerate(rows):
+        env.state, env.steps_taken, env.done = np.array(state), steps, False
+        out = env.step(action)
+        assert next_states[i].tobytes() == out.next_state.tobytes()
+        assert rewards[i].tobytes() == np.float64(out.reward).tobytes()
+        assert CAUSES[causes[i]] is out.cause
+
+
+def test_transition_squares_through_libm_pow():
+    # In this state the last bit of POW_NOT_SQUARE**2 reaches the next
+    # theta_dot, so numpy's square would give another value here.
+    assert POW_NOT_SQUARE**2 != POW_NOT_SQUARE * POW_NOT_SQUARE
+    state = [0.0, 0.0, -0.1660949413403334, POW_NOT_SQUARE]
+    next_states, _, _ = CartPoleEnv.transition(np.array([state]), np.array([1]), 0)
+    assert next_states[0].tolist() == [
+        0.0, 0.19705941784743555, -0.16196751622187808, -0.13375764582221045
+    ]
