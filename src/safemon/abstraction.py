@@ -75,11 +75,15 @@ class AbstractionTable:
     """Dense ids for the bucket keys discovered in a training corpus.
 
     Ids are assigned in first-discovery order over the corpus, so a table
-    is fully reproducible from (corpus order, d).
+    is fully reproducible from (corpus order, d). A table made by `build`
+    also keeps the per-step ids of each corpus episode it found on the
+    way (`corpus_ids`), so that encoding that corpus needs no second
+    bucketing pass; the ids are not part of the table's value or file.
     """
 
     d: float
     index: dict[BucketKey, int] = field(default_factory=dict)
+    corpus_ids: list[np.ndarray] = field(default_factory=list, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -97,10 +101,10 @@ class AbstractionTable:
         table = cls(d=d)
         index = table.index
         for episode in episode_set.episodes:
-            for row in bucketize_batch(episode.qs, d):
-                key = tuple(row.tolist())
-                if key not in index:
-                    index[key] = len(index)
+            keys = map(tuple, bucketize_batch(episode.qs, d).tolist())
+            # setdefault reads len(index) before it inserts: a new key gets the next id.
+            ids = [index.setdefault(key, len(index)) for key in keys]
+            table.corpus_ids.append(np.array(ids, dtype=np.int64))
         return table
 
     def _require_width(self, q: np.ndarray, ndim: int) -> None:
@@ -121,11 +125,8 @@ class AbstractionTable:
         qs = np.asarray(qs)
         self._require_width(qs, 2)
         get = self.index.get
-        return np.fromiter(
-            (get(tuple(row.tolist()), -1) for row in bucketize_batch(qs, self.d)),
-            dtype=np.int64,
-            count=len(qs),
-        )
+        keys = map(tuple, bucketize_batch(qs, self.d).tolist())
+        return np.fromiter((get(key, -1) for key in keys), dtype=np.int64, count=len(qs))
 
     def to_json_dict(self) -> dict:
         keys = sorted(self.index, key=self.index.get)
@@ -177,9 +178,17 @@ def prefix_feature_matrix(
     return counts, columns
 
 
-def episode_feature_matrix(episodes, table: AbstractionTable, mode: FeatureMode) -> np.ndarray:
-    """End-of-episode feature rows for a list of episodes."""
-    ids = [table.lookup_batch(episode.qs) for episode in episodes]
+def episode_feature_matrix(
+    episodes, table: AbstractionTable, mode: FeatureMode, ids=None
+) -> np.ndarray:
+    """End-of-episode feature rows for a list of episodes.
+
+    `ids`, when given, holds each episode's per-step abstract ids, as
+    `table.corpus_ids` does for the corpus the table was built from, and
+    the episodes are not looked up again.
+    """
+    if ids is None:
+        ids = [table.lookup_batch(episode.qs) for episode in episodes]
     rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
     flat = np.concatenate(ids) if ids else rows  # no episodes, no visits
     counts = _visit_counts(len(ids), table.n, rows, flat)
@@ -263,7 +272,7 @@ def select_level(
     scored = []
     for d in candidate_ds:
         table = AbstractionTable.build(inner_train, d)
-        x_train = episode_feature_matrix(inner_train.episodes, table, mode)
+        x_train = episode_feature_matrix(inner_train.episodes, table, mode, table.corpus_ids)
         model = forest_mod.train_forest(
             x_train, y_train, config, derive_seed(inner_split_seed, f"level-forest:{d!r}")
         )

@@ -32,20 +32,50 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _apply_config_file(argv, args):
-    """Overlay config-file values; flags given on the command line win."""
+def _apply_config_file(argv, args, command: argparse.ArgumentParser):
+    """Overlay config-file values; flags given on the command line win.
+
+    `command` is the subcommand's parser. Each value goes through its
+    flag's type and choices, as the flag's text would on the command line.
+    """
     with open(args.config, encoding="utf-8") as fh:
         overrides = json.load(fh)
+    actions = {a.dest: a for a in command._actions if a.default is not argparse.SUPPRESS}
     tokens = list(argv if argv is not None else sys.argv[1:])
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions:
             raise UsageError(f"unknown config key {key!r}")
         flag = "--" + attr.replace("_", "-")
         explicit = any(tok == flag or tok.startswith(flag + "=") for tok in tokens)
         if not explicit:
-            setattr(args, attr, value)
+            setattr(args, attr, _config_value(key, value, actions[attr]))
     return args
+
+
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+
+
+def _config_value(key, value, action: argparse.Action):
+    """A config-file value converted by its flag's argparse action."""
+    if action.nargs == 0:  # a switch such as --sweep
+        if isinstance(value, bool):
+            return value
+        raise UsageError(f"config key {key!r} expects true or false, got {value!r}")
+    kind = action.type or str
+    expected = _TYPE_NAMES.get(kind, kind.__name__)
+    if kind is str and not isinstance(value, str):
+        raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
+    # A non-string value is converted from its JSON text, as a flag's text
+    # would be: 2.5 is no integer and true is no number.
+    try:
+        converted = kind(value if isinstance(value, str) else json.dumps(value))
+    except ValueError:
+        raise UsageError(f"config key {key!r} expects {expected}, got {value!r}") from None
+    if action.choices is not None and converted not in action.choices:
+        choices = ", ".join(map(repr, action.choices))
+        raise UsageError(f"config key {key!r} expects one of {choices}, got {value!r}")
+    return converted
 
 
 def _parse_grid(text):
@@ -166,7 +196,7 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
     unseen = UnseenPolicy(unseen_name)
 
     table = AbstractionTable.build(corpus, d)
-    x = episode_feature_matrix(corpus.episodes, table, mode)
+    x = episode_feature_matrix(corpus.episodes, table, mode, table.corpus_ids)
     y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
     forest = train_forest(x, y, ForestConfig(n_trees=trees), derive_seed(seed, "build-forest"))
 
@@ -318,6 +348,7 @@ def cmd_watch(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="safemon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     p = sub.add_parser("train-agent", help="train a Q-learning agent")
     p.add_argument("--env", required=True)
@@ -395,7 +426,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         if getattr(args, "config", None):
-            args = _apply_config_file(argv, args)
+            args = _apply_config_file(argv, args, parser.commands[args.command])
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

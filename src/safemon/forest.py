@@ -8,6 +8,19 @@ with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
 `out_of_bag_mean` re-draws each tree's bootstrap to score every training
 row by the trees that left it out.
 
+A node's split is the candidate boundary of lowest weighted Gini. One
+scoring body (`_lowest_gini`) scores the boundaries, masks the
+non-boundaries, breaks ties and places the midpoint threshold; two
+searches list the boundaries for it. `_best_split` sorts each candidate
+column and takes the boundaries between consecutive distinct values; it
+serves any finite features. `_best_binary_split` serves 0/1 data, which
+`train_forest` detects once per forest (binary features, or counts that
+never exceed 1): a 0/1 column has one boundary, at 0.5, with the rows
+reading 0 on its left, so two integer counts score it, the rows reading
+1 and the unsafe rows among them, and nothing needs sorting. The two
+searches pick the same boundary with the same score, bit for bit, so
+they grow the same trees.
+
 Batch inference runs on a packed form of the whole ensemble (`PackedTrees`,
 built once per `Forest`): the node arrays of all trees concatenated, one
 root offset per tree, children as global node indices, and every leaf
@@ -231,22 +244,17 @@ class BatchSummary:
     up: np.ndarray
 
 
-def _best_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
-    """Lowest weighted-Gini (feature, threshold) among candidate features.
+def _lowest_gini(n, total_pos, left_n, left_pos, tied, below, above):
+    """The scoring body of both split searches: the lowest weighted-Gini
+    boundary, as (column, threshold), or None when there is none.
 
-    All candidates are scored in one pass over the (n, k) block of their
-    columns. Thresholds are midpoints between consecutive distinct sorted
-    values; ties keep the first boundary within a candidate and then the
-    earliest candidate, so results are order-deterministic.
+    Entry (i, c) of the arrays is boundary i of candidate column c: of the
+    node's n rows (total_pos of them unsafe), left_n[i, c] go left and
+    left_pos[i, c] of those are unsafe; the left rows read at most
+    below[i, c], the others at least above[i, c], and the threshold is the
+    midpoint. An entry where `tied` is True is no boundary. Ties keep the
+    first boundary within a column and then the earliest column.
     """
-    n = len(y)
-    block = x_columns[:, candidates].astype(np.float64, copy=False)
-    order = np.argsort(block, axis=0, kind="stable")
-    vs = np.take_along_axis(block, order, axis=0)
-    cum_pos = np.cumsum(y[order], axis=0)
-    total_pos = cum_pos[-1]
-    left_n = np.arange(1.0, n)[:, None]
-    left_pos = cum_pos[:-1]
     right_n = n - left_n
     right_pos = total_pos - left_pos
     p_left = left_pos / left_n
@@ -255,14 +263,64 @@ def _best_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
         left_n * 2.0 * p_left * (1.0 - p_left)
         + right_n * 2.0 * p_right * (1.0 - p_right)
     ) / n
-    weighted[vs[:-1] == vs[1:]] = np.inf  # only boundaries between distinct values
+    weighted[tied] = np.inf
     rows = np.argmin(weighted, axis=0)
-    cols = np.arange(len(candidates))
+    cols = np.arange(weighted.shape[1])
     c = int(np.argmin(weighted[rows, cols]))
     j = rows[c]
     if weighted[j, c] == np.inf:
-        return None  # every candidate is constant on this node
-    return int(candidates[c]), (vs[j, c] + vs[j + 1, c]) / 2.0
+        return None  # every column is constant on this node
+    return c, (below[j, c] + above[j, c]) / 2.0
+
+
+def _best_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
+    """Lowest weighted-Gini (feature, threshold) among candidate features.
+
+    All candidates are scored in one pass over the (n, k) block of their
+    columns. Each column is sorted, and its boundaries lie between
+    consecutive distinct sorted values; ties keep the first boundary
+    within a candidate and then the earliest candidate, so results are
+    order-deterministic.
+    """
+    n = len(y)
+    block = x_columns[:, candidates].astype(np.float64, copy=False)
+    order = np.argsort(block, axis=0, kind="stable")
+    vs = np.take_along_axis(block, order, axis=0)
+    cum_pos = np.cumsum(y[order], axis=0)
+    left_n = np.arange(1.0, n)[:, None]
+    split = _lowest_gini(n, cum_pos[-1], left_n, cum_pos[:-1], vs[:-1] == vs[1:], vs[:-1], vs[1:])
+    if split is None:
+        return None
+    c, threshold = split
+    return int(candidates[c]), threshold
+
+
+def _best_binary_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
+    """_best_split for columns that hold only 0s and 1s, without a sort.
+
+    A 0/1 column has one boundary, at 0.5, with the rows reading 0 on its
+    left, so two counts per candidate score it: the rows reading 1 and the
+    unsafe rows among them. A column of one value has no boundary (one
+    side would be empty, its Gini 0/0) and is left out before the Gini is
+    computed. The scores, tie-breaks and thresholds are those of
+    _best_split, bit for bit.
+    """
+    n = len(y)
+    block = x_columns[:, candidates]
+    ones = np.count_nonzero(block, axis=0)
+    live = np.nonzero((ones > 0) & (ones < n))[0]
+    if live.size == 0:
+        return None
+    ones_pos = np.count_nonzero(block[y == 1][:, live], axis=0)
+    total_pos = int(np.count_nonzero(y))
+    left_n = (n - ones[live]).astype(np.float64)[None, :]
+    left_pos = (total_pos - ones_pos)[None, :]
+    split = _lowest_gini(
+        n, total_pos, left_n, left_pos, np.zeros(left_n.shape, dtype=bool),
+        np.zeros(left_n.shape), np.ones(left_n.shape),
+    )
+    c, threshold = split
+    return int(candidates[live[c]]), threshold
 
 
 def _bootstrap(seed: int, tree: int, n_samples: int):
@@ -272,7 +330,11 @@ def _bootstrap(seed: int, tree: int, n_samples: int):
     return rng, rng.integers(0, n_samples, size=n_samples)
 
 
-def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int, tree: int) -> Tree:
+def _build_tree(
+    x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int, tree: int, search
+) -> Tree:
+    """Tree `tree` of the forest seeded `seed`; `search` is the split
+    search (_best_split, or _best_binary_split when x holds only 0s and 1s)."""
     n_samples, n_features = x.shape
     rng, boot = _bootstrap(seed, tree, n_samples)
     k = config.resolve_feature_count(n_features)
@@ -302,7 +364,7 @@ def _build_tree(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int, t
         ):
             # Gather the node's k candidate columns only, not all of x[idx].
             candidates = rng.choice(n_features, size=k, replace=False)
-            split = _best_split(x[np.ix_(idx, candidates)], y_node, local)
+            split = search(x[np.ix_(idx, candidates)], y_node, local)
 
         if split is None:
             feature.append(-1)
@@ -339,7 +401,9 @@ def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
     """Grow the ensemble; deterministic given (data, config, seed).
 
     Trees are grown one after another in this process; tree i always uses
-    the random stream derived from (seed, i).
+    the random stream derived from (seed, i). When every cell of the
+    features is 0 or 1, splits are found by counting instead of sorting;
+    both searches grow the same trees.
     """
     x = np.asarray(features)
     labels = np.asarray(labels)
@@ -357,7 +421,14 @@ def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
 
-    trees = [_build_tree(x, y, config, seed, i) for i in range(config.n_trees)]
+    # 0/1 data (binary features, or counts that never exceed 1) take the
+    # counting search, on a boolean copy: one byte per cell to gather.
+    nonzero = x != 0
+    if (x[nonzero] == 1).all():
+        x, search = nonzero, _best_binary_split
+    else:
+        search = _best_split
+    trees = [_build_tree(x, y, config, seed, i, search) for i in range(config.n_trees)]
     return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
 
 

@@ -268,14 +268,21 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
 
     Malformed input lines are reported on the diagnostic stream and
     skipped; the latched fired flag persists across the whole session.
+    A `t` that does not count on from the last one read (from 0 at the
+    start) is reported there too, and the line is still assessed.
     """
     running = RunningState.fresh(model)
+    last_t = None
     for lineno, line in enumerate(in_stream, start=1):
         if not line.strip():
             continue
         try:
             msg = json.loads(line)
             t = int(msg["t"])
+            gap = _t_gap(last_t, t)
+            if gap is not None:
+                print(f"line {lineno}: {gap}", file=err_stream)
+            last_t = t
             q = np.asarray(msg["q"], dtype=np.float64)
             assessment = observe(model, running, q)
         except MonitorStopped:
@@ -299,3 +306,17 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
         out_stream.write("\n")
         out_stream.flush()
     return 0
+
+
+def _t_gap(last: Optional[int], t: int) -> Optional[str]:
+    """Why `t` does not follow `last`, the t read before it (None at the
+    start of a session, where t should be 0), or None when it does."""
+    if last is None:
+        return None if t == 0 else f"t starts at {t}, not 0"
+    if t == last + 1:
+        return None
+    if t > last:
+        return f"t jumped from {last} to {t}"
+    if t == last:
+        return f"t repeated {t}"
+    return f"t went back from {last} to {t}"

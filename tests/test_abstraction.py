@@ -231,6 +231,22 @@ def test_episode_feature_matrix_matches_encode():
         for row, episode in zip(matrix, episodes):
             ids = [table.lookup(q) for q in episode.qs]
             assert np.array_equal(row, encode(ids, table.n, mode))
+        # The ids the table found while it was built give the same rows.
+        reused = episode_feature_matrix(episodes, table, mode, table.corpus_ids)
+        assert reused.tobytes() == matrix.tobytes()
+
+
+def test_build_keeps_each_corpus_episodes_ids():
+    rng = np.random.default_rng(7)
+    episodes = [make_episode(rng.uniform(-3, 3, size=(int(rng.integers(1, 9)), 2))) for _ in range(6)]
+    table = AbstractionTable.build(make_set(episodes), 0.5)
+    assert len(table.corpus_ids) == len(episodes)
+    for ids, episode in zip(table.corpus_ids, episodes):
+        assert ids.dtype == np.int64
+        assert ids.tolist() == table.lookup_batch(episode.qs).tolist()
+    # The ids are no part of the table's value or file.
+    restored = AbstractionTable.from_json_dict(table.to_json_dict())
+    assert restored == table and restored.corpus_ids == []
 
 
 @settings(max_examples=60, deadline=None)

@@ -324,6 +324,34 @@ def test_config_file_unknown_key(corpus_path, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "command, key, value, message",
+    [
+        ("train-agent", "gamma", "high", "config key 'gamma' expects a number, got 'high'"),
+        ("train-agent", "checkpoint-interval", 2.5,
+         "config key 'checkpoint-interval' expects an integer, got 2.5"),
+        ("build", "trees", True, "config key 'trees' expects an integer, got True"),
+        ("build", "criterion", "worst",
+         "config key 'criterion' expects one of 'upper_bound', 'output_probability', "
+         "'lower_bound', got 'worst'"),
+        ("build", "features", 1, "config key 'features' expects a string, got 1"),
+    ],
+)
+def test_config_value_of_wrong_type_is_usage_error_naming_key(
+    command, key, value, message, corpus_path, tmp_path, capsys
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    out = tmp_path / "out.json"
+    flags = {
+        "train-agent": ["--env", "cartpole", "--steps", "10"],
+        "build": ["--episodes", corpus_path, "--d", "1.0"],
+    }[command]
+    assert main([command, *flags, "--config", str(config), "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
 def test_watch_protocol(model_path, capsys, monkeypatch):
     lines = [
         json.dumps({"t": 0, "q": [4.5]}),

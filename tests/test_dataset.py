@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_episode, make_set
 from safemon.agent import AgentModel, QNetwork
@@ -15,7 +19,7 @@ from safemon.dataset import (
     split,
     write_jsonl,
 )
-from safemon.envs import CARTPOLE, MOUNTAINCAR, Cause
+from safemon.envs import CARTPOLE, ENV_KINDS, MOUNTAINCAR, Cause, make_env
 
 
 @pytest.fixture(scope="module")
@@ -192,3 +196,46 @@ def test_jsonl_rejects_scalar_q(tmp_path):
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     with pytest.raises(DatasetError, match="line 1"):
         read_jsonl(path)
+
+
+@st.composite
+def episodes_of(draw, env_kind):
+    """Episodes of an env's widths, with any finite floats in them."""
+    env = make_env(env_kind)
+    length = draw(st.integers(1, 8))
+    value = st.floats(allow_nan=False, allow_infinity=False)
+
+    def matrix(width):
+        row = st.lists(value, min_size=width, max_size=width)
+        return np.array(draw(st.lists(row, min_size=length, max_size=length)), dtype=np.float64)
+
+    cause = draw(st.sampled_from(Cause))
+    return Episode(
+        states=matrix(env.state_dim),
+        actions=np.array(
+            draw(st.lists(st.sampled_from(env.actions), min_size=length, max_size=length)),
+            dtype=np.int64,
+        ),
+        qs=matrix(env.action_count),
+        rewards=np.array(draw(st.lists(value, min_size=length, max_size=length))),
+        label=Label.UNSAFE if cause is Cause.VIOLATION else Label.SAFE,
+        cause=cause,
+    )
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data(), env_kind=st.sampled_from(ENV_KINDS))
+def test_jsonl_round_trip_property(data, env_kind):
+    """read_jsonl(write_jsonl(s)) gives back every array bit for bit."""
+    episodes = data.draw(st.lists(episodes_of(env_kind), min_size=1, max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_jsonl(EpisodeSet(episodes=episodes), path)
+        restored = read_jsonl(path)
+    assert restored.env_kind == env_kind
+    assert len(restored) == len(episodes)
+    for before, after in zip(episodes, restored.episodes):
+        assert (after.label, after.cause) == (before.label, before.cause)
+        for field in ("qs", "states", "actions", "rewards"):
+            a, b = getattr(after, field), getattr(before, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())

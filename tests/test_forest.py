@@ -6,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safemon.forest as forest_module
 from safemon.abstraction import FeatureMode, prefix_feature_matrix
 from safemon.forest import (
     Forest,
     ForestConfig,
     Tree,
     Z_CRITICAL,
+    _best_binary_split,
     _best_split,
+    _build_tree,
     forest_from_json_list,
     forest_to_json_list,
     out_of_bag_mean,
@@ -139,6 +142,88 @@ def split_nodes(draw):
 def test_best_split_matches_reference_loop(node):
     x, y, candidates = node
     assert _best_split(x, y, candidates) == reference_best_split(x, y, candidates)
+
+
+@st.composite
+def binary_nodes(draw):
+    """0/1 node matrices of 2-80 rows with constant and duplicated columns,
+    now and then with every column constant or with one class only."""
+    n = draw(st.integers(2, 80))
+    width = draw(st.integers(1, 9))
+    # A column is the bits of one drawn integer: much quicker to draw than n bits.
+    masks = [draw(st.integers(0, 2**n - 1)) for _ in range(width)]
+    columns = [[(mask >> i) & 1 for i in range(n)] for mask in masks]
+    for j in range(width):
+        kind = draw(st.sampled_from(["drawn", "constant", "duplicate"]))
+        if kind == "constant":
+            columns[j] = [columns[j][0]] * n
+        elif kind == "duplicate":
+            columns[j] = list(columns[draw(st.integers(0, width - 1))])
+    if draw(st.integers(0, 5)) == 0:
+        columns = [[column[0]] * n for column in columns]
+    x = np.array(columns, dtype=np.float32).T
+    labels = draw(st.sampled_from(["drawn", "safe", "unsafe"]))
+    if labels == "drawn":
+        mask = draw(st.integers(0, 2**n - 1))
+        y = np.array([(mask >> i) & 1 for i in range(n)], dtype=np.int64)
+    else:
+        y = np.full(n, int(labels == "unsafe"), dtype=np.int64)
+    k = draw(st.integers(1, width))
+    candidates = np.array(draw(st.permutations(range(width)))[:k])
+    return x, y, candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(binary_nodes())
+def test_binary_split_matches_sort_path(node):
+    x, y, candidates = node
+    want = _best_split(x, y, candidates)
+    for columns in (x, x != 0):  # train_forest counts on a boolean copy
+        got = _best_binary_split(columns, y, candidates)
+        assert got == want
+        if got is not None:
+            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+def sort_path_forest(x, y, config, seed):
+    """The forest train_forest grows, with every split found by sorting."""
+    trees = [_build_tree(x, y, config, seed, i, _best_split) for i in range(config.n_trees)]
+    return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_binary_forest_matches_sort_path_forest(data):
+    n = data.draw(st.integers(2, 40))
+    width = data.draw(st.integers(1, 12))
+    row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    x = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float32)
+    labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    y = np.array(data.draw(labels.filter(lambda v: 0 < sum(v) < len(v))), dtype=np.int64)
+    config = ForestConfig(
+        n_trees=data.draw(st.integers(1, 4)),
+        max_depth=data.draw(st.sampled_from([None, 1, 3])),
+        features_per_split=data.draw(st.sampled_from(["sqrt", "all", 2])),
+    )
+    seed = data.draw(st.integers(0, 2**31))
+    counted = json.dumps(forest_to_json_list(train_forest(x, y, config, seed)))
+    assert counted == json.dumps(forest_to_json_list(sort_path_forest(x, y, config, seed)))
+
+
+def test_train_forest_counts_only_on_zero_one_data(monkeypatch):
+    sorted_nodes = []
+
+    def sorting(x_columns, y, candidates):
+        sorted_nodes.append(len(y))
+        return _best_split(x_columns, y, candidates)
+
+    monkeypatch.setattr(forest_module, "_best_split", sorting)
+    x, y = golden_data("binary")
+    train_forest(x, y, ForestConfig(n_trees=3), seed=1)
+    assert sorted_nodes == []
+    x[0, 0] = 2.0  # one count above 1: no longer 0/1 data
+    train_forest(x, y, ForestConfig(n_trees=3), seed=1)
+    assert sorted_nodes
 
 
 def golden_data(kind):

@@ -1,5 +1,7 @@
 import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,14 @@ from hypothesis import strategies as st
 
 from conftest import id_table, make_episode, make_set
 from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy
-from safemon.forest import Forest, ForestConfig, ProbabilitySummary, Tree, train_forest
+from safemon.forest import (
+    Forest,
+    ForestConfig,
+    ProbabilitySummary,
+    Tree,
+    predict_batch,
+    train_forest,
+)
 from safemon.monitor import (
     Criterion,
     MonitorModel,
@@ -307,3 +316,68 @@ def test_watch_stream_protocol():
     assert len(diagnostics) == 2
     assert "line 2" in diagnostics[0]
     assert "line 4: skipped malformed input: expected 1 Q-values per step" in diagnostics[1]
+
+
+def watch_replies(model, ts):
+    """The replies and diagnostics of a session sending state 0 at each t."""
+    lines = [json.dumps({"t": t, "q": [0.5]}) + "\n" for t in ts]
+    out, err = io.StringIO(), io.StringIO()
+    assert watch_stream(model, iter(lines), out, err) == 0
+    return [json.loads(line) for line in out.getvalue().splitlines()], err.getvalue().splitlines()
+
+
+def test_watch_reports_gaps_and_regressions_in_t():
+    model = staircase_model()
+    replies, diagnostics = watch_replies(model, [0, 1, 4, 4, 2, 3])
+    assert diagnostics == [
+        "line 3: t jumped from 1 to 4",
+        "line 4: t repeated 4",
+        "line 5: t went back from 4 to 2",
+    ]
+    # Every line is still assessed, and the replies echo the t sent.
+    steady, quiet = watch_replies(model, range(6))
+    assert quiet == []
+    assert [r["t"] for r in replies] == [0, 1, 4, 4, 2, 3]
+    assert [{**r, "t": 0} for r in replies] == [{**r, "t": 0} for r in steady]
+    _, diagnostics = watch_replies(model, [2, 3])
+    assert diagnostics == ["line 1: t starts at 2, not 0"]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    data=st.data(),
+    mode=st.sampled_from(FeatureMode),
+    criterion=st.sampled_from(Criterion),
+    unseen=st.sampled_from(UnseenPolicy),
+)
+def test_model_file_round_trip_property(data, mode, criterion, unseen):
+    """load_model(save_model(m)) holds the same table, in id order, and its
+    forest gives the same predict_batch bytes."""
+    width = data.draw(st.integers(1, 3))
+    q = st.floats(-50.0, 50.0, allow_subnormal=False)
+    steps = data.draw(st.lists(st.lists(q, min_size=width, max_size=width), min_size=1, max_size=30))
+    d = data.draw(st.sampled_from([0.25, 1.0, 3.0]))
+    table = AbstractionTable.build(make_set([make_episode(steps)]), d)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    high = 2 if mode is FeatureMode.BINARY else 4
+    x = rng.integers(0, high, size=(12, table.n)).astype(np.float32)
+    y = np.arange(12) % 2  # both classes
+    forest = train_forest(x, y, ForestConfig(n_trees=5), seed=int(rng.integers(1000)))
+    model = MonitorModel(
+        table=table, forest=forest, mode=mode, criterion=criterion,
+        theta=data.draw(st.floats(0.01, 0.99)), unseen_policy=unseen,
+        provenance={"agent_fingerprint": None, "d": d, "seed": 1, "episodes": 1},
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        restored = load_model(path)
+    assert list(restored.table.index.items()) == list(table.index.items())
+    assert restored.table.d == d
+    assert (restored.mode, restored.criterion, restored.unseen_policy) == (mode, criterion, unseen)
+    assert restored.theta == model.theta and restored.provenance == model.provenance
+    assert (restored.forest.config, restored.forest.seed) == (forest.config, forest.seed)
+    probes = np.vstack([x, rng.integers(0, high + 1, size=(8, table.n))])
+    before, after = predict_batch(forest, probes), predict_batch(restored.forest, probes)
+    for field in ("per_tree", "mean", "std", "low", "up"):
+        assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
