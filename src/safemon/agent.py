@@ -494,9 +494,9 @@ def save_agent(model: AgentModel, path) -> None:
     doc = _core_doc(model)
     if model.report is not None:
         doc["report"] = asdict(model.report)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    from .dataset import save_document  # dataset imports this module
+
+    save_document(path, doc)
 
 
 def load_agent(path) -> AgentModel:

@@ -97,6 +97,7 @@ def cmd_train_agent(args) -> int:
         save_agent,
         train_agent,
     )
+    from .dataset import save_document
     from .envs import ENV_KINDS
 
     if args.env not in ENV_KINDS:
@@ -128,9 +129,7 @@ def cmd_train_agent(args) -> int:
     save_agent(model, args.out)
     report = model.report
     report_doc = {"env": args.env, "seed": args.seed, **asdict(report)}
-    with open(args.report_out or args.out + ".report.json", "w", encoding="utf-8") as fh:
-        json.dump(report_doc, fh, indent=2)
-        fh.write("\n")
+    save_document(args.report_out or args.out + ".report.json", report_doc, indent=2)
     print(
         f"trained {args.env} agent: checkpoint {report.selected_step}, "
         f"mean reward {report.mean_reward:.1f}, unsafe rate {report.unsafe_rate:.1%}"
@@ -244,7 +243,7 @@ def cmd_build(args) -> int:
 
 def cmd_select_d(args) -> int:
     from .abstraction import FeatureMode, select_level
-    from .dataset import DatasetError, read_jsonl
+    from .dataset import DatasetError, read_jsonl, save_document
     from .forest import ForestConfig
     from .monitor import Criterion
 
@@ -267,9 +266,7 @@ def cmd_select_d(args) -> int:
         "d_star": selection.d_star,
         "rows": [asdict(row) for row in selection.rows],
     }
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    save_document(args.out, doc, indent=2)
     lo, hi = selection.optimal_range
     print(f"optimal range [{lo}, {hi}], selected d* = {selection.d_star}")
     return EXIT_OK

@@ -53,6 +53,13 @@ def load_document(path, tag: str, build):
         raise DatasetError(f"{path}: {tag} document has a bad value: {exc}") from exc
 
 
+def save_document(path, doc, indent=None) -> None:
+    """Write `doc` to `path` as UTF-8 JSON and a closing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc, indent=indent))  # dumps runs the C encoder; dump does not
+        fh.write("\n")
+
+
 @dataclass
 class Episode:
     states: np.ndarray  # (length, state_dim)

@@ -9,14 +9,13 @@ episodes that already terminated keep their final prediction.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Label
+from .dataset import Label, save_document
 from .monitor import Criterion, DecisionTrace, first_fire_step
 
 
@@ -316,9 +315,7 @@ def decision_stats_json(stats: DecisionTimeStats, criterion: Criterion, theta: f
 
 
 def write_decision_stats_json(entries: Sequence[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(list(entries), fh, indent=2)
-        fh.write("\n")
+    save_document(path, list(entries), indent=2)
 
 
 def write_traces_csv(traces, labels, path, time_base: int = 0) -> None:

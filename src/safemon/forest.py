@@ -40,9 +40,13 @@ bit-identical to walking each tree alone. Rows may also come in the
 compact form of `abstraction.prefix_feature_matrix`: only the columns of
 the features an episode touches, with every other feature reading 0.
 
-The single-input `predict` keeps the per-tree walk (`Tree.probability`):
-for one row, the fixed cost of the array operations at every level is
-larger than walking 100 short trees in Python.
+The single-input `predict` is the same walk over a one-row batch, with the
+same summary code, so stream and batch agree bit for bit by construction.
+It is also the quicker walk for one row. With 100 trees, one row took
+0.53 ms against 0.88 ms for walking each tree alone in Python at 25
+nodes/tree (2,822 states), and 0.96 ms against 1.93 ms at 180 nodes/tree
+(5,046 states), both on one core of an Intel Xeon with numpy 2.4.
+`Tree.probability` stays as the reference walk the tests compare against.
 """
 
 from __future__ import annotations
@@ -243,6 +247,13 @@ class BatchSummary:
     low: np.ndarray
     up: np.ndarray
 
+    def column(self, t: int) -> ProbabilitySummary:
+        """The ProbabilitySummary of input t."""
+        return ProbabilitySummary(
+            self.per_tree[:, t], float(self.mean[t]), float(self.std[t]),
+            float(self.low[t]), float(self.up[t]),
+        )
+
 
 def _lowest_gini(n, total_pos, left_n, left_pos, tied, below, above):
     """The scoring body of both split searches: the lowest weighted-Gini
@@ -273,40 +284,35 @@ def _lowest_gini(n, total_pos, left_n, left_pos, tied, below, above):
     return c, (below[j, c] + above[j, c]) / 2.0
 
 
-def _best_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
-    """Lowest weighted-Gini (feature, threshold) among candidate features.
+def _best_split(block: np.ndarray, y: np.ndarray):
+    """Lowest weighted-Gini (column, threshold) over the columns of an
+    (n, k) block, or None when every column is constant.
 
-    All candidates are scored in one pass over the (n, k) block of their
-    columns. Each column is sorted, and its boundaries lie between
-    consecutive distinct sorted values; ties keep the first boundary
-    within a candidate and then the earliest candidate, so results are
-    order-deterministic.
+    All columns are scored in one pass. Each column is sorted, and its
+    boundaries lie between consecutive distinct sorted values; ties keep
+    the first boundary within a column and then the earliest column, so
+    results are order-deterministic.
     """
     n = len(y)
-    block = x_columns[:, candidates].astype(np.float64, copy=False)
+    block = block.astype(np.float64, copy=False)
     order = np.argsort(block, axis=0, kind="stable")
     vs = np.take_along_axis(block, order, axis=0)
     cum_pos = np.cumsum(y[order], axis=0)
     left_n = np.arange(1.0, n)[:, None]
-    split = _lowest_gini(n, cum_pos[-1], left_n, cum_pos[:-1], vs[:-1] == vs[1:], vs[:-1], vs[1:])
-    if split is None:
-        return None
-    c, threshold = split
-    return int(candidates[c]), threshold
+    return _lowest_gini(n, cum_pos[-1], left_n, cum_pos[:-1], vs[:-1] == vs[1:], vs[:-1], vs[1:])
 
 
-def _best_binary_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndarray):
+def _best_binary_split(block: np.ndarray, y: np.ndarray):
     """_best_split for columns that hold only 0s and 1s, without a sort.
 
     A 0/1 column has one boundary, at 0.5, with the rows reading 0 on its
-    left, so two counts per candidate score it: the rows reading 1 and the
+    left, so two counts per column score it: the rows reading 1 and the
     unsafe rows among them. A column of one value has no boundary (one
     side would be empty, its Gini 0/0) and is left out before the Gini is
     computed. The scores, tie-breaks and thresholds are those of
     _best_split, bit for bit.
     """
     n = len(y)
-    block = x_columns[:, candidates]
     ones = np.count_nonzero(block, axis=0)
     live = np.nonzero((ones > 0) & (ones < n))[0]
     if live.size == 0:
@@ -320,7 +326,7 @@ def _best_binary_split(x_columns: np.ndarray, y: np.ndarray, candidates: np.ndar
         np.zeros(left_n.shape), np.ones(left_n.shape),
     )
     c, threshold = split
-    return int(candidates[live[c]]), threshold
+    return int(live[c]), threshold
 
 
 def _bootstrap(seed: int, tree: int, n_samples: int):
@@ -338,7 +344,6 @@ def _build_tree(
     n_samples, n_features = x.shape
     rng, boot = _bootstrap(seed, tree, n_samples)
     k = config.resolve_feature_count(n_features)
-    local = np.arange(k)
 
     feature, threshold, left, right = [], [], [], []
     value, count = [], []
@@ -364,7 +369,7 @@ def _build_tree(
         ):
             # Gather the node's k candidate columns only, not all of x[idx].
             candidates = rng.choice(n_features, size=k, replace=False)
-            split = search(x[np.ix_(idx, candidates)], y_node, local)
+            split = search(x[np.ix_(idx, candidates)], y_node)
 
         if split is None:
             feature.append(-1)
@@ -433,20 +438,16 @@ def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
 
 
 def _summarize(per_tree: np.ndarray):
-    """Mean, population sigma, and clamped CI bounds per input column.
+    """Mean, population sigma, and clamped CI bounds of each input column
+    of a (trees, inputs) matrix.
 
-    2-D (trees, inputs) matrices are reduced via a contiguous transpose so
-    each column goes through the exact reduction path a 1-D array would:
-    streaming one step at a time must match batch evaluation bit for bit.
+    The columns are reduced via a contiguous transpose, so each one goes
+    through the same reduction however many inputs share the batch.
     """
     m = per_tree.shape[0]
-    if per_tree.ndim == 2:
-        rows = np.ascontiguousarray(per_tree.T)
-        mean = rows.mean(axis=1)
-        std = rows.std(axis=1)
-    else:
-        mean = per_tree.mean()
-        std = per_tree.std()  # population sigma: the m trees ARE the ensemble
+    rows = np.ascontiguousarray(per_tree.T)
+    mean = rows.mean(axis=1)
+    std = rows.std(axis=1)  # population sigma: the m trees ARE the ensemble
     half = Z_CRITICAL * std / math.sqrt(m)
     low = np.clip(mean - half, 0.0, 1.0)
     up = np.clip(mean + half, 0.0, 1.0)
@@ -460,9 +461,8 @@ def predict(forest: Forest, x) -> ProbabilitySummary:
         raise ValueError(
             f"expected a feature vector of length {forest.feature_count}, got shape {x.shape}"
         )
-    per_tree = np.array([t.probability(x) for t in forest.trees])
-    mean, std, low, up = _summarize(per_tree)
-    return ProbabilitySummary(per_tree, float(mean), float(std), float(low), float(up))
+    per_tree = forest.packed.leaf_values(x[None, :])
+    return BatchSummary(per_tree, *_summarize(per_tree)).column(0)
 
 
 def predict_batch(

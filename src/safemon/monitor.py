@@ -13,7 +13,8 @@ change-driven forest call (a tree is walked at a step only when a feature
 it tests changed there), and returns a DecisionTrace that is that
 probability series plus the first fire step. Its per-step assessments are
 derived from the series on demand and equal what observe returns step by
-step, bit for bit. observe itself scores every step with every tree.
+step, bit for bit. observe scores each step as a one-row batch: every
+tree is walked, on the same packed arrays and with the same summary code.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .abstraction import (
     UnseenPolicy,
     prefix_feature_matrix,
 )
-from .dataset import load_document
+from .dataset import load_document, save_document
 from .forest import (
     BatchSummary,
     Forest,
@@ -120,13 +121,7 @@ class DecisionTrace:
         return [
             StepAssessment(
                 t=t,
-                summary=ProbabilitySummary(
-                    per_tree=batch.per_tree[:, t],
-                    mean=float(batch.mean[t]),
-                    std=float(batch.std[t]),
-                    low=float(batch.low[t]),
-                    up=float(batch.up[t]),
-                ),
+                summary=batch.column(t),
                 fired=fire is not None and t >= fire,
                 unseen_alert=self.stop_hit and t == cutoff - 1,
             )
@@ -232,9 +227,7 @@ def save_model(model: MonitorModel, path) -> None:
         "unseen_policy": model.unseen_policy.value,
         "provenance": model.provenance,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))  # dumps runs the C encoder; dump does not
-        fh.write("\n")
+    save_document(path, doc)
 
 
 def load_model(path) -> MonitorModel:
@@ -266,10 +259,11 @@ def _model_from_doc(doc: dict) -> MonitorModel:
 def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
     """NDJSON session: {"t", "q"} lines in, assessment lines out.
 
-    Malformed input lines are reported on the diagnostic stream and
-    skipped; the latched fired flag persists across the whole session.
-    A `t` that does not count on from the last one read (from 0 at the
-    start) is reported there too, and the line is still assessed.
+    Malformed input lines, a `t` that is not a JSON integer among them,
+    are reported on the diagnostic stream and skipped; the latched fired
+    flag persists across the whole session. A `t` that does not count on
+    from the last one read (from 0 at the start) is reported there too,
+    and the line is still assessed.
     """
     running = RunningState.fresh(model)
     last_t = None
@@ -278,7 +272,9 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
             continue
         try:
             msg = json.loads(line)
-            t = int(msg["t"])
+            t = msg["t"]
+            if type(t) is not int:  # a bool is no t, nor is 1.9 or "2"
+                raise ValueError(f"t must be a JSON integer, got {json.dumps(t)}")
             gap = _t_gap(last_t, t)
             if gap is not None:
                 print(f"line {lineno}: {gap}", file=err_stream)

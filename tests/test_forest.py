@@ -79,7 +79,7 @@ SIX_LABELS = np.array([0, 0, 0, 1, 1, 1])
 
 def test_best_split_matches_brute_force_on_six_samples():
     oracle, oracle_gini = brute_force_gini_split(SIX_SAMPLES, SIX_LABELS)
-    got = _best_split(SIX_SAMPLES, SIX_LABELS, np.array([0, 1]))
+    got = _best_split(SIX_SAMPLES, SIX_LABELS)
     assert got == oracle
     assert oracle == (0, 3.5)
     assert oracle_gini == 0.0
@@ -116,6 +116,13 @@ def reference_best_split(x_columns, y, candidates):
     return best
 
 
+def split_among(search, x, y, candidates):
+    """search over the candidate columns of x, with the column it picks
+    mapped back to its index in x."""
+    split = search(x[:, candidates], y)
+    return None if split is None else (int(candidates[split[0]]), split[1])
+
+
 @st.composite
 def split_nodes(draw):
     """Small-integer node matrices with ties, constant and duplicated columns."""
@@ -141,7 +148,7 @@ def split_nodes(draw):
 @given(split_nodes())
 def test_best_split_matches_reference_loop(node):
     x, y, candidates = node
-    assert _best_split(x, y, candidates) == reference_best_split(x, y, candidates)
+    assert split_among(_best_split, x, y, candidates) == reference_best_split(x, y, candidates)
 
 
 @st.composite
@@ -177,9 +184,9 @@ def binary_nodes(draw):
 @given(binary_nodes())
 def test_binary_split_matches_sort_path(node):
     x, y, candidates = node
-    want = _best_split(x, y, candidates)
+    want = split_among(_best_split, x, y, candidates)
     for columns in (x, x != 0):  # train_forest counts on a boolean copy
-        got = _best_binary_split(columns, y, candidates)
+        got = split_among(_best_binary_split, columns, y, candidates)
         assert got == want
         if got is not None:
             assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
@@ -213,9 +220,9 @@ def test_binary_forest_matches_sort_path_forest(data):
 def test_train_forest_counts_only_on_zero_one_data(monkeypatch):
     sorted_nodes = []
 
-    def sorting(x_columns, y, candidates):
+    def sorting(block, y):
         sorted_nodes.append(len(y))
-        return _best_split(x_columns, y, candidates)
+        return _best_split(block, y)
 
     monkeypatch.setattr(forest_module, "_best_split", sorting)
     x, y = golden_data("binary")
@@ -339,9 +346,10 @@ def test_predict_batch_matches_per_tree_walks(data):
         walked = np.array([t.probability(row) for t in trees])
         assert batch.per_tree[:, i].tobytes() == walked.tobytes()
         single = predict(forest, row)
-        assert (single.mean, single.std, single.low, single.up) == (
-            batch.mean[i], batch.std[i], batch.low[i], batch.up[i]
-        )
+        assert single.per_tree.tobytes() == walked.tobytes()
+        fields = (single.mean, single.std, single.low, single.up)
+        columns = (batch.mean[i], batch.std[i], batch.low[i], batch.up[i])
+        assert np.array(fields).tobytes() == np.array(columns).tobytes()
     empty = predict_batch(forest, x[:0])
     assert empty.per_tree.shape == (len(trees), 0) and empty.mean.shape == (0,)
 

@@ -341,6 +341,15 @@ def test_watch_reports_gaps_and_regressions_in_t():
     assert [{**r, "t": 0} for r in replies] == [{**r, "t": 0} for r in steady]
     _, diagnostics = watch_replies(model, [2, 3])
     assert diagnostics == ["line 1: t starts at 2, not 0"]
+    # Only a JSON integer is a t: any other is a malformed line, skipped
+    # without a reply, and the t after it still counts on from 0.
+    replies, diagnostics = watch_replies(model, [0, 1.9, True, "2", 1, 2])
+    assert [r["t"] for r in replies] == [0, 1, 2]
+    assert diagnostics == [
+        "line 2: skipped malformed input: t must be a JSON integer, got 1.9",
+        "line 3: skipped malformed input: t must be a JSON integer, got true",
+        'line 4: skipped malformed input: t must be a JSON integer, got "2"',
+    ]
 
 
 @settings(max_examples=30, deadline=None)
