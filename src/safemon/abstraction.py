@@ -49,8 +49,8 @@ class UnseenPolicy(str, enum.Enum):
 
 
 def _bucket_array(q: np.ndarray, d: float) -> np.ndarray:
-    if d <= 0:
-        raise ValueError(f"abstraction level must be positive, got {d}")
+    if not 0 < d < math.inf:
+        raise ValueError(f"abstraction level must be positive and finite, got {d}")
     q = np.asarray(q, dtype=np.float64)
     if not np.all(np.isfinite(q)):
         raise ValueError("Q-values must be finite")
@@ -256,7 +256,7 @@ def select_level(
     from . import forest as forest_mod
     from . import monitor as monitor_mod
     from .dataset import require_both_classes, split
-    from .evaluation import macro_f1, metrics_over_time
+    from .evaluation import macro_f1, sweep
 
     if len(candidate_ds) < 2:
         raise ValueError("need at least two candidate abstraction levels")
@@ -287,8 +287,6 @@ def select_level(
     range_hi = max(item[0] for item in in_range)
 
     labels = [e.label for e in inner_test.episodes]
-    unsafe_mask = y_test.astype(bool)
-    horizon = max(e.length for e in inner_test.episodes)
     rows = []
     candidates = []
     for d, table, model, f1 in scored:
@@ -305,14 +303,8 @@ def select_level(
                     table=table, forest=model, mode=mode, criterion=crit, theta=theta
                 )
                 traces = [monitor_mod.run_trace(monitor, e.qs) for e in inner_test.episodes]
-                operation_f1 = metrics_over_time(traces, labels, horizon)[-1].f1_macro
-                fires = [
-                    t.first_fire_step
-                    for t, unsafe in zip(traces, unsafe_mask)
-                    if unsafe and t.first_fire_step is not None
-                ]
-                if fires:
-                    mean_fire = float(np.mean(fires))
+                (row,) = sweep(traces, labels, [crit], [theta]).rows
+                operation_f1, mean_fire = row.metrics.f1_macro, row.stats.decision_step_avg
                 candidates.append((d, operation_f1, mean_fire))
         rows.append(LevelRow(d, table.n, f1, operation_f1, mean_fire, selected, excluded))
 

@@ -53,7 +53,7 @@ def _apply_config_file(argv, args, command: argparse.ArgumentParser):
     return args
 
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string"}
+_TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string"}
 
 
 def _config_value(key, value, action: argparse.Action):
@@ -63,7 +63,7 @@ def _config_value(key, value, action: argparse.Action):
             return value
         raise UsageError(f"config key {key!r} expects true or false, got {value!r}")
     kind = action.type or str
-    expected = _TYPE_NAMES.get(kind, kind.__name__)
+    expected = _TYPE_NAMES.get(kind.__name__, kind.__name__)
     if kind is str and not isinstance(value, str):
         raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
     # A non-string value is converted from its JSON text, as a flag's text
@@ -72,20 +72,45 @@ def _config_value(key, value, action: argparse.Action):
         converted = kind(value if isinstance(value, str) else json.dumps(value))
     except ValueError:
         raise UsageError(f"config key {key!r} expects {expected}, got {value!r}") from None
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config key {key!r} {exc}") from None
     if action.choices is not None and converted not in action.choices:
         choices = ", ".join(map(repr, action.choices))
         raise UsageError(f"config key {key!r} expects one of {choices}, got {value!r}")
     return converted
 
 
-def _parse_grid(text):
+def _checked(kind, holds, requirement):
+    """An argparse type: `kind` of the text, refused with `requirement`
+    unless `holds` for it. Flags and config keys share it."""
+
+    def convert(text):
+        value = kind(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse and config messages name the kind
+    return convert
+
+
+_theta = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
+_trees = _checked(int, lambda v: v >= 1, "must be >= 1")
+_level = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+
+
+def _grid(text):
+    """Comma-separated abstraction levels, at least two, each a valid --d."""
     try:
-        grid = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad grid {text!r}: {exc}") from exc
+        grid = [_level(tok) for tok in text.split(",") if tok.strip()]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise argparse.ArgumentTypeError(f"bad level in {text!r}: {exc}") from None
     if len(grid) < 2:
-        raise UsageError("grid needs at least two comma-separated levels")
+        raise argparse.ArgumentTypeError("needs at least two comma-separated levels")
     return grid
+
+
+_CRITERIA = ("upper_bound", "output_probability", "lower_bound")
 
 
 def cmd_train_agent(args) -> int:
@@ -225,15 +250,9 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
 def cmd_build(args) -> int:
     from .monitor import save_model
 
-    if args.theta is not None and not 0.0 < args.theta < 1.0:
-        raise UsageError("--theta must lie strictly between 0 and 1")
-    if args.trees < 1:
-        raise UsageError("--trees must be >= 1")
-    if args.d <= 0:
-        raise UsageError("--d must be positive")
     model, n_states, f1 = _build_monitor(
         args.episodes, args.d, args.features, args.trees, args.seed,
-        args.criterion, args.theta if args.theta is not None else 0.5, args.unseen,
+        args.criterion, args.theta, args.unseen,
     )
     save_model(model, args.out)
     shown = "n/a" if f1 is None else f"{f1:.3f}"
@@ -247,15 +266,14 @@ def cmd_select_d(args) -> int:
     from .forest import ForestConfig
     from .monitor import Criterion
 
-    grid = _parse_grid(args.grid)
     corpus = read_jsonl(args.episodes)
     try:
         selection = select_level(
             corpus,
-            grid,
+            args.grid,
             inner_split_seed=args.seed,
             mode=FeatureMode(args.features),
-            theta=args.theta if args.theta is not None else 0.5,
+            theta=args.theta,
             criterion=Criterion(args.criterion),
             forest_config=ForestConfig(n_trees=args.trees),
         )
@@ -288,8 +306,6 @@ def cmd_evaluate(args) -> int:
     )
     from .monitor import Criterion, load_model, run_trace
 
-    if args.theta is not None and not 0.0 < args.theta < 1.0:
-        raise UsageError("--theta must lie strictly between 0 and 1")
     model = load_model(args.model)
     overrides = {}
     if args.criterion:
@@ -313,24 +329,18 @@ def cmd_evaluate(args) -> int:
     rows = metrics_over_time(traces, labels, horizon)
     write_metrics_csv(rows, args.out_prefix + ".metrics.csv", time_base=args.time_base)
     stats = decision_time_stats(traces, labels)
-    write_decision_stats_json(
-        [decision_stats_json(stats, model.criterion, model.theta)],
-        args.out_prefix + ".decision_stats.json",
-    )
+    summary = decision_stats_json(stats, model.criterion, model.theta, args.time_base)
+    write_decision_stats_json([summary], args.out_prefix + ".decision_stats.json")
     if args.sweep:
         report = sweep(traces, labels, list(Criterion), [0.25, 0.5, 0.75], horizon=horizon)
         write_sweep_csv(report, args.out_prefix + ".sweep.csv", time_base=args.time_base)
     if args.traces:
         write_traces_csv(traces, labels, args.out_prefix + ".traces.csv", time_base=args.time_base)
-    final = rows[-1]
+    mean_step = summary["decision_time_step"]["avg"]
     print(
-        f"evaluated {len(corpus)} episodes: horizon macro F1 {final.f1_macro:.3f}, "
+        f"evaluated {len(corpus)} episodes: horizon macro F1 {rows[-1].f1_macro:.3f}, "
         f"fp {stats.fp_count}"
-        + (
-            f", mean decision step {stats.decision_step_avg:.1f}"
-            if stats.decision_step_avg is not None
-            else ""
-        )
+        + ("" if mean_step is None else f", mean decision step {mean_step:.1f}")
     )
     return EXIT_OK
 
@@ -372,13 +382,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build", help="build a monitor model")
     p.add_argument("--episodes", required=True)
-    p.add_argument("--d", type=float, required=True)
+    p.add_argument("--d", type=_level, required=True)
     p.add_argument("--features", choices=["binary", "frequency"], default="binary")
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=_trees, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criterion", default="upper_bound",
-                   choices=["upper_bound", "output_probability", "lower_bound"])
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--criterion", default="upper_bound", choices=_CRITERIA)
+    p.add_argument("--theta", type=_theta, default=0.5)
     p.add_argument("--unseen", choices=["ignore", "stop"], default="ignore")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
@@ -386,13 +395,12 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("select-d", help="pick an abstraction level from a grid")
     p.add_argument("--episodes", required=True)
-    p.add_argument("--grid", required=True, help="comma-separated candidate levels")
+    p.add_argument("--grid", type=_grid, required=True, help="comma-separated candidate levels")
     p.add_argument("--features", choices=["binary", "frequency"], default="binary")
-    p.add_argument("--trees", type=int, default=100)
+    p.add_argument("--trees", type=_trees, default=100)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--criterion", default="upper_bound",
-                   choices=["upper_bound", "output_probability", "lower_bound"])
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--criterion", default="upper_bound", choices=_CRITERIA)
+    p.add_argument("--theta", type=_theta, default=0.5)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_select_d)
@@ -400,9 +408,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="run the evaluation harness")
     p.add_argument("--model", required=True)
     p.add_argument("--episodes", required=True)
-    p.add_argument("--criterion", default=None,
-                   choices=["upper_bound", "output_probability", "lower_bound"])
-    p.add_argument("--theta", type=float, default=None)
+    p.add_argument("--criterion", default=None, choices=_CRITERIA)
+    p.add_argument("--theta", type=_theta, default=None)
     p.add_argument("--out-prefix", required=True)
     p.add_argument("--sweep", action="store_true", help="emit the criterion x theta sweep")
     p.add_argument("--traces", action="store_true", help="emit per-step probability traces")

@@ -1,16 +1,19 @@
 """Evaluation harness: per-time-step classification metrics, decision-time
 statistics over true positives, and criterion/threshold sweeps.
 
-Undefined 0/0 precision or recall ratios are reported as 0. An episode's
-prediction at time t is its latched fired status at min(t, length - 1):
-episodes that already terminated keep their final prediction.
+Every figure comes from one set of per-episode arrays: the fire step
+(inf for an episode that never fired), the length and the label. An
+episode's prediction at time t is its latched fired status at
+min(t, length - 1): episodes that already terminated keep their final
+prediction. Undefined 0/0 precision or recall ratios are reported as 0.
+The three CSV reports go through one writer and one cell formatter.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -87,14 +90,22 @@ def macro_f1(labels_unsafe, predictions_unsafe) -> float:
     return (f1_pos + f1_neg) / 2.0
 
 
-def _fire_array(traces: Sequence[DecisionTrace]) -> np.ndarray:
-    return np.array(
-        [math.inf if t.first_fire_step is None else t.first_fire_step for t in traces]
-    )
+def _fire_array(steps) -> np.ndarray:
+    return np.array([math.inf if step is None else step for step in steps], dtype=np.float64)
 
 
-def _labels_array(labels) -> np.ndarray:
-    return np.array([label is Label.UNSAFE or label == Label.UNSAFE.value for label in labels])
+def _episode_arrays(traces: Sequence[DecisionTrace], labels, horizon: Optional[int] = None):
+    """Checked inputs as (fire, lengths, unsafe) arrays, one entry per episode."""
+    if len(traces) != len(labels):
+        raise ValueError("traces and labels disagree on episode count")
+    if len(traces) == 0:
+        raise ValueError("need at least one trace")
+    if horizon is not None and horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    fire = _fire_array(t.first_fire_step for t in traces)
+    lengths = np.array([t.episode_length for t in traces], dtype=np.int64)
+    unsafe = np.array([label is Label.UNSAFE or label == Label.UNSAFE.value for label in labels])
+    return fire, lengths, unsafe
 
 
 def _confusions(fire: np.ndarray, unsafe: np.ndarray, steps) -> list[Confusion]:
@@ -131,44 +142,33 @@ def metrics_over_time(
     traces: Sequence[DecisionTrace], labels, horizon: int
 ) -> list[MetricsRow]:
     """Weighted P/R/F1 and macro F1 at every time step up to the horizon."""
-    if len(traces) != len(labels):
-        raise ValueError("traces and labels disagree on episode count")
-    if len(traces) == 0:
-        raise ValueError("need at least one trace")
-    confusions = _confusions(_fire_array(traces), _labels_array(labels), np.arange(horizon))
+    fire, _, unsafe = _episode_arrays(traces, labels, horizon)
+    confusions = _confusions(fire, unsafe, np.arange(horizon))
     return [_metrics_row(c, t) for t, c in enumerate(confusions)]
+
+
+def _spread(values: np.ndarray):
+    if values.size == 0:
+        return None, None, None
+    return float(values.min()), float(np.mean(values)), float(values.max())
+
+
+def _decision_stats(fire: np.ndarray, lengths: np.ndarray, unsafe: np.ndarray):
+    fired = fire < math.inf
+    hit = fired & unsafe
+    steps = fire[hit].astype(np.int64)
+    remaining = lengths[hit] - 1 - steps
+    return DecisionTimeStats(
+        *_spread(steps),
+        *_spread(remaining),
+        *_spread(remaining / lengths[hit]),
+        fp_count=int(np.sum(fired & ~unsafe)),
+    )
 
 
 def decision_time_stats(traces: Sequence[DecisionTrace], labels) -> DecisionTimeStats:
     """Fire-step statistics over true positives plus the false-positive count."""
-    if len(traces) != len(labels):
-        raise ValueError("traces and labels disagree on episode count")
-    unsafe = _labels_array(labels)
-    fp_count = 0
-    steps, remaining, fractions = [], [], []
-    for trace, is_unsafe in zip(traces, unsafe):
-        if trace.first_fire_step is None:
-            continue
-        if not is_unsafe:
-            fp_count += 1
-            continue
-        fire = trace.first_fire_step
-        length = trace.episode_length
-        steps.append(fire)
-        remaining.append(length - 1 - fire)
-        fractions.append((length - 1 - fire) / length)
-
-    def stats(values):
-        if not values:
-            return None, None, None
-        return float(min(values)), float(np.mean(values)), float(max(values))
-
-    s_min, s_avg, s_max = stats(steps)
-    r_min, r_avg, r_max = stats(remaining)
-    f_min, f_avg, f_max = stats(fractions)
-    return DecisionTimeStats(
-        s_min, s_avg, s_max, r_min, r_avg, r_max, f_min, f_avg, f_max, fp_count
-    )
+    return _decision_stats(*_episode_arrays(traces, labels))
 
 
 @dataclass(frozen=True)
@@ -200,23 +200,15 @@ def sweep(
     """
     if not criteria or not thetas:
         raise ValueError("criteria and thetas must be non-empty")
-    if len(traces) != len(labels):
-        raise ValueError("traces and labels disagree on episode count")
-    horizon = horizon if horizon is not None else max(t.episode_length for t in traces)
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    unsafe = _labels_array(labels)
+    _, lengths, unsafe = _episode_arrays(traces, labels, horizon)
+    horizon = horizon if horizon is not None else int(lengths.max())
     rows = []
     for criterion in criteria:
         for theta in thetas:
-            refired = [
-                replace(t, first_fire_step=first_fire_step(t.series, criterion, theta))
-                for t in traces
-            ]
-            fire = _fire_array(refired)
+            fire = _fire_array(first_fire_step(t.series, criterion, theta) for t in traces)
             (confusion,) = _confusions(fire, unsafe, [horizon - 1])
             metrics = _metrics_row(confusion, horizon - 1)
-            stats = decision_time_stats(refired, labels)
+            stats = _decision_stats(fire, lengths, unsafe)
             fn_count = int(np.sum(unsafe & (fire == math.inf)))
             rows.append(SweepRow(criterion, theta, metrics, stats, fn_count))
     return SweepReport(rows=rows, horizon=horizon)
@@ -226,90 +218,89 @@ def sweep(
 # File emission. All outputs are deterministic: no timestamps anywhere.
 
 _METRICS_NOTE = "# undefined 0/0 ratios reported as 0; unsafe is the positive class\n"
+_SCORES = ("precision_weighted", "recall_weighted", "f1_weighted", "f1_macro")
+_COUNTS = ("tp", "fp", "tn", "fn")
+_SPREADS = ("decision_step", "remaining", "fraction")  # the (min, avg, max) triples
+
+
+def _shifted(values, time_base: int):
+    """Step indices moved to the time base; None stays None."""
+    if not time_base:
+        return values
+    return [None if v is None else v + time_base for v in values]
+
+
+def _spread_of(stats: DecisionTimeStats, name: str, time_base: int) -> list:
+    """One (min, avg, max) triple; the decision step counts from the time base."""
+    values = [getattr(stats, f"{name}_{part}") for part in ("min", "avg", "max")]
+    return _shifted(values, time_base if name == "decision_step" else 0)
+
+
+def _cells(values, time_base: int = 0) -> list:
+    """One CSV column: None as a blank, floats as %.6f, other values as
+    they are. Pass the time base for a column of step indices."""
+    return [
+        f"{v:.6f}" if isinstance(v, float) else "" if v is None else v
+        for v in _shifted(values, time_base)
+    ]
+
+
+def _write_csv(path, header, columns, note: str = "") -> None:
+    """One CSV file: the note, the header, then one row across the columns
+    per entry."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(note)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
 
 
 def write_metrics_csv(rows: Sequence[MetricsRow], path, time_base: int = 0) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_METRICS_NOTE)
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["t", "precision_weighted", "recall_weighted", "f1_weighted", "f1_macro",
-             "tp", "fp", "tn", "fn"]
-        )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.t + time_base,
-                    f"{r.precision_weighted:.6f}",
-                    f"{r.recall_weighted:.6f}",
-                    f"{r.f1_weighted:.6f}",
-                    f"{r.f1_macro:.6f}",
-                    r.confusion.tp,
-                    r.confusion.fp,
-                    r.confusion.tn,
-                    r.confusion.fn,
-                ]
-            )
-
-
-def _fmt(value, time_base: int = 0, shift: bool = False):
-    if value is None:
-        return ""
-    if shift:
-        value = value + time_base
-    return f"{value:.6f}" if isinstance(value, float) else value
+    _write_csv(
+        path,
+        ["t", *_SCORES, *_COUNTS],
+        [_cells([r.t for r in rows], time_base)]
+        + [_cells([getattr(r, name) for r in rows]) for name in _SCORES]
+        + [[getattr(r.confusion, name) for r in rows] for name in _COUNTS],
+        _METRICS_NOTE,
+    )
 
 
 def write_sweep_csv(report: SweepReport, path, time_base: int = 0) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_METRICS_NOTE)
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "criterion", "theta", "f1_macro", "f1_weighted",
-                "precision_weighted", "recall_weighted",
-                "tp", "fp", "tn", "fn", "fn_count", "fp_count",
-                "decision_step_min", "decision_step_avg", "decision_step_max",
-                "remaining_min", "remaining_avg", "remaining_max",
-                "fraction_min", "fraction_avg", "fraction_max",
-            ]
-        )
-        for row in report.rows:
-            m, s = row.metrics, row.stats
-            writer.writerow(
-                [
-                    row.criterion.value, row.theta,
-                    f"{m.f1_macro:.6f}", f"{m.f1_weighted:.6f}",
-                    f"{m.precision_weighted:.6f}", f"{m.recall_weighted:.6f}",
-                    m.confusion.tp, m.confusion.fp, m.confusion.tn, m.confusion.fn,
-                    row.fn_count, s.fp_count,
-                    _fmt(s.decision_step_min, time_base, True),
-                    _fmt(s.decision_step_avg, time_base, True),
-                    _fmt(s.decision_step_max, time_base, True),
-                    _fmt(s.remaining_min), _fmt(s.remaining_avg), _fmt(s.remaining_max),
-                    _fmt(s.fraction_min), _fmt(s.fraction_avg), _fmt(s.fraction_max),
-                ]
-            )
+    rows = report.rows
+    scores = ("f1_macro", "f1_weighted", "precision_weighted", "recall_weighted")
+    spreads = [
+        [v for name in _SPREADS for v in _spread_of(r.stats, name, time_base)] for r in rows
+    ]
+    _write_csv(
+        path,
+        ["criterion", "theta", *scores, *_COUNTS, "fn_count", "fp_count",
+         *(f"{name}_{part}" for name in _SPREADS for part in ("min", "avg", "max"))],
+        [[r.criterion.value for r in rows], [r.theta for r in rows]]
+        + [_cells([getattr(r.metrics, name) for r in rows]) for name in scores]
+        + [[getattr(r.metrics.confusion, name) for r in rows] for name in _COUNTS]
+        + [[r.fn_count for r in rows], [r.stats.fp_count for r in rows]]
+        + [_cells(column) for column in zip(*spreads)],
+        _METRICS_NOTE,
+    )
 
 
-def decision_stats_json(stats: DecisionTimeStats, criterion: Criterion, theta: float) -> dict:
-    """Machine-comparable summary in the shape of a decision-times table row."""
+def decision_stats_json(
+    stats: DecisionTimeStats, criterion: Criterion, theta: float, time_base: int = 0
+) -> dict:
+    """Machine-comparable summary in the shape of a decision-times table row;
+    the decision step counts from the time base."""
 
-    def triple(lo, avg, hi):
+    def triple(name):
+        lo, avg, hi = _spread_of(stats, name, time_base)
         return {"min": lo, "avg": avg, "max": hi}
 
     return {
         "criterion": criterion.value,
         "theta": theta,
-        "decision_time_step": triple(
-            stats.decision_step_min, stats.decision_step_avg, stats.decision_step_max
-        ),
-        "remaining_time_steps": triple(
-            stats.remaining_min, stats.remaining_avg, stats.remaining_max
-        ),
-        "remaining_fraction": triple(
-            stats.fraction_min, stats.fraction_avg, stats.fraction_max
-        ),
+        "decision_time_step": triple("decision_step"),
+        "remaining_time_steps": triple("remaining"),
+        "remaining_fraction": triple("fraction"),
         "fp": stats.fp_count,
     }
 
@@ -320,17 +311,21 @@ def write_decision_stats_json(entries: Sequence[dict], path) -> None:
 
 def write_traces_csv(traces, labels, path, time_base: int = 0) -> None:
     """Per-step probability traces for qualitative inspection."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["episode", "label", "t", "p", "low", "up", "fired"])
-        for i, (trace, label) in enumerate(zip(traces, labels)):
-            name = label.value if isinstance(label, Label) else label
-            s, fire = trace.series, trace.first_fire_step
-            for t, (p, low, up) in enumerate(zip(s.mean.tolist(), s.low.tolist(), s.up.tolist())):
-                writer.writerow(
-                    [
-                        i, name, t + time_base,
-                        f"{p:.6f}", f"{low:.6f}", f"{up:.6f}",
-                        int(fire is not None and t >= fire),
-                    ]
-                )
+    episode, name, step, fired, series = [], [], [], [], []
+    for i, (trace, label) in enumerate(zip(traces, labels)):
+        n = len(trace.series.mean)
+        fire = n if trace.first_fire_step is None else trace.first_fire_step
+        episode += [i] * n
+        name += [label.value if isinstance(label, Label) else label] * n
+        step += range(n)
+        fired += [0] * fire + [1] * (n - fire)
+        series.append(trace.series)
+    probabilities = [
+        _cells([v for s in series for v in getattr(s, column).tolist()])
+        for column in ("mean", "low", "up")
+    ]
+    _write_csv(
+        path,
+        ["episode", "label", "t", "p", "low", "up", "fired"],
+        [episode, name, _cells(step, time_base), *probabilities, fired],
+    )

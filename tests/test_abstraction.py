@@ -77,6 +77,11 @@ def test_bucketize_rejects_bad_inputs():
         bucketize([math.nan], 0.5)
     with pytest.raises(ValueError):
         bucketize([math.inf], 0.5)
+    # Neither gives a usable table: q / inf is 0 for every Q-value and
+    # q / nan is nan.
+    for d in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="abstraction level must be positive and finite"):
+            AbstractionTable.build(two_band_corpus(), d)
 
 
 def test_bucketize_matches_ceiling_oracle():

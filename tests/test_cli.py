@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import sys
@@ -52,6 +53,35 @@ def test_usage_errors(capsys, tmp_path):
     assert main(["no-such-command"]) == EXIT_USAGE
     assert main(["train-agent"]) == EXIT_USAGE  # missing required flags
     capsys.readouterr()
+    # --theta, --trees, --d and each --grid level are checked as they are
+    # parsed, before any file is read.
+    out = str(tmp_path / "out.json")
+    select_d = ["select-d", "--episodes", "unread.jsonl", "--out", out]
+    build = ["build", "--episodes", "unread.jsonl", "--out", out]
+    evaluate = ["evaluate", "--model", "unread.json", "--episodes", "unread.jsonl",
+                "--out-prefix", str(tmp_path / "eval")]
+    for argv, message in [
+        (select_d + ["--grid", "1,2", "--theta", "1.5"],
+         "argument --theta: must lie strictly between 0 and 1, got 1.5"),
+        (select_d + ["--grid", "1,2", "--features", "frequency", "--theta", "0"],
+         "argument --theta: must lie strictly between 0 and 1, got 0"),
+        (evaluate + ["--theta", "1"],
+         "argument --theta: must lie strictly between 0 and 1, got 1"),
+        (select_d + ["--grid", "1,2", "--trees", "0"], "argument --trees: must be >= 1, got 0"),
+        (build + ["--d", "1", "--trees", "-3"], "argument --trees: must be >= 1, got -3"),
+        (build + ["--d", "nan"], "argument --d: must be positive and finite, got nan"),
+        (build + ["--d", "inf"], "argument --d: must be positive and finite, got inf"),
+        (build + ["--d", "0"], "argument --d: must be positive and finite, got 0"),
+        (select_d + ["--grid", "1,-2"],
+         "argument --grid: bad level in '1,-2': must be positive and finite, got -2"),
+        (select_d + ["--grid", "1,nan"],
+         "argument --grid: bad level in '1,nan': must be positive and finite, got nan"),
+        (select_d + ["--grid", "1,"],
+         "argument --grid: needs at least two comma-separated levels"),
+    ]:
+        assert main(argv) == EXIT_USAGE, argv
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not Path(out).exists()
 
 
 @pytest.mark.parametrize(
@@ -335,6 +365,9 @@ def test_config_file_unknown_key(corpus_path, tmp_path, capsys):
          "config key 'criterion' expects one of 'upper_bound', 'output_probability', "
          "'lower_bound', got 'worst'"),
         ("build", "features", 1, "config key 'features' expects a string, got 1"),
+        ("build", "theta", 1.5, "config key 'theta' must lie strictly between 0 and 1, got 1.5"),
+        ("build", "trees", 0, "config key 'trees' must be >= 1, got 0"),
+        ("build", "trees", "many", "config key 'trees' expects an integer, got 'many'"),
     ],
 )
 def test_config_value_of_wrong_type_is_usage_error_naming_key(
@@ -455,3 +488,111 @@ def test_evaluate_rejects_corpus_of_another_width(model_path, tmp_path, capsys):
     assert f"i/o error: {path}: " in err
     assert "3 Q-values per step" in err and "built over 1" in err
     assert not (tmp_path / "eval.metrics.csv").exists()
+
+
+def noisy_corpus(seed, n):
+    """Two-action episodes of 4-12 steps; every third is unsafe and its
+    second half drifts upward, so fire steps, misses and false alarms vary."""
+    rng = np.random.default_rng(seed)
+    episodes = []
+    for i in range(n):
+        length = int(rng.integers(4, 13))
+        qs = rng.uniform(0, 6, size=(length, 2))
+        if i % 3 == 0:
+            qs[length // 2:] += rng.uniform(0, 3)
+        episodes.append(make_episode(qs, unsafe=i % 3 == 0))
+    return make_set(episodes)
+
+
+@pytest.fixture(scope="module")
+def noisy_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("noisy")
+    train, test, model = root / "train.jsonl", root / "test.jsonl", root / "monitor.json"
+    write_jsonl(noisy_corpus(7, 60), train)
+    write_jsonl(noisy_corpus(8, 30), test)
+    assert main(["build", "--episodes", str(train), "--d", "2.0", "--features", "frequency",
+                 "--unseen", "stop", "--trees", "10", "--seed", "3",
+                 "--out", str(model)]) == EXIT_OK
+    return str(train), str(test), str(model)
+
+
+# sha256 of each report artifact, recorded before the report code was
+# rewritten as one array path with one CSV writer. The decision-stats JSON
+# is pinned at time base 0 only: at time base 1 it must be the same
+# document with its decision steps shifted by one.
+GOLDEN_REPORTS = {
+    "fixture": {
+        "metrics.csv@0": "10b5bb6eb57fcc475e2433481e5bda65e5eb85950978127882ebee251ab99323",
+        "sweep.csv@0": "85102e00548da03460bf669c5a0d30459ad6e3d3a79fce70e2a6f9ce3a62655d",
+        "traces.csv@0": "22d6227bdce9434c33156c28c935aeddd11ddf7fc98c42ad43e56ddcaba72a64",
+        "decision_stats.json@0": "b774f30d7ef351eb8a1033f1cfde58f8b2d7e441d9c646045a0920f86e78a776",
+        "metrics.csv@1": "a8ddc361d0d994c963734d3c002731ce155db6fd1bfcbc24d5fd2c81a5fdd7c2",
+        "sweep.csv@1": "70c9cc0b79799c2919a02725f268e650ac909e8d0483793db0d4d819f6f26458",
+        "traces.csv@1": "5d2665585cdafda6c35624cd0396dd3184251e3273d0d8f4b8ff68ba86ed0c97",
+        "levels.json": "488ef102363ce63713bb29e9da43336b0b224ad6ee6f47f906615695b998bb80",
+    },
+    "noisy": {
+        "metrics.csv@0": "c0162838e0e03b80287dba582f7dc61790ec5dde569d88049d8b69922c1cdf10",
+        "sweep.csv@0": "752cbb79200f9708e12fe029109b784372c4c31b30d6b8a74f154a7cc3f5c136",
+        "traces.csv@0": "212e57e434f201a5d0033593621cab2d862fcc6f69ee319fd95d3f6928ff1373",
+        "decision_stats.json@0": "1b51b8bd2b50dc8b6ee1a54b3b7c28e56244b5eca7585ca6192e5f38c1364d8c",
+        "metrics.csv@1": "780dd6eb1e966515ab7eae5cc710f986ea5ce0f2a56fac63bfaf0f3578bcb37c",
+        "sweep.csv@1": "d25233e53997e09c9263c748fe2cd5bc2a0a3d22d7051e7d2586b1ad4d519371",
+        "traces.csv@1": "b5b80ddc24b1dcd622e69b2b19934f99357eccd3b304988dd03140107d258d47",
+        "levels.json": "483d6f4afb8e69f963d5bd9599e052dc7c0e165cdc43a1b8b998dd3704d509ca",
+    },
+}
+
+
+def report_hashes(tmp_path, model, episodes, evaluate_flags, select_d_argv):
+    """sha256 of evaluate's artifacts at both time bases and of select-d's
+    levels file; also the two decision-stats texts."""
+
+    def digest(path):
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+    hashes, texts = {}, {}
+    for time_base in (0, 1):
+        prefix = str(tmp_path / f"eval{time_base}")
+        assert main(["evaluate", "--model", model, "--episodes", episodes,
+                     "--out-prefix", prefix, "--sweep", "--traces",
+                     "--time-base", str(time_base), *evaluate_flags]) == EXIT_OK
+        for suffix in ("metrics.csv", "sweep.csv", "traces.csv", "decision_stats.json"):
+            hashes[f"{suffix}@{time_base}"] = digest(f"{prefix}.{suffix}")
+        texts[time_base] = Path(f"{prefix}.decision_stats.json").read_text(encoding="utf-8")
+    levels = tmp_path / "levels.json"
+    assert main([*select_d_argv, "--out", str(levels)]) == EXIT_OK
+    hashes["levels.json"] = digest(levels)
+    return hashes, texts
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_report_artifacts_match_golden_bytes(
+    case, corpus_path, model_path, noisy_paths, tmp_path, capsys
+):
+    if case == "fixture":
+        model, episodes, flags = model_path, corpus_path, []
+        select_d = ["select-d", "--episodes", corpus_path, "--grid", "1.0,2.0",
+                    "--trees", "10", "--seed", "11"]
+    else:
+        train, episodes, model = noisy_paths
+        flags = ["--criterion", "lower_bound", "--theta", "0.75"]
+        select_d = ["select-d", "--episodes", train, "--grid", "1,2,3", "--trees", "10",
+                    "--seed", "11", "--criterion", "lower_bound", "--theta", "0.6"]
+    hashes, texts = report_hashes(tmp_path, model, episodes, flags, select_d)
+    printed = capsys.readouterr().out.splitlines()
+    shifted = hashes.pop("decision_stats.json@1")
+    assert hashes == GOLDEN_REPORTS[case]
+
+    # Time base 1 moves the decision step of the JSON and of stdout, and
+    # nothing else of either.
+    doc = json.loads(texts[0])
+    for entry in doc:
+        step = entry["decision_time_step"]
+        for key, value in step.items():
+            step[key] = None if value is None else value + 1
+    assert texts[1] == json.dumps(doc, indent=2) + "\n"
+    assert shifted != hashes["decision_stats.json@0"]
+    mean_steps = [float(line.rsplit(" ", 1)[1]) for line in printed[:2]]
+    assert mean_steps[1] == mean_steps[0] + 1
+    assert printed[0].rsplit(",", 1)[0] == printed[1].rsplit(",", 1)[0]

@@ -1,9 +1,11 @@
 import csv
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_episode, make_set, two_band_corpus
 from safemon.abstraction import AbstractionTable, FeatureMode, episode_feature_matrix
@@ -161,6 +163,76 @@ def test_decision_time_stats_no_true_positives():
     assert stats.remaining_avg is None
     assert stats.fraction_avg is None
     assert stats.fp_count == 1
+
+
+def reference_decision_time_stats(traces, labels) -> DecisionTimeStats:
+    """Reference: one trace at a time, in Python numbers."""
+    fp_count = 0
+    steps, remaining, fractions = [], [], []
+    for trace, label in zip(traces, labels):
+        if trace.first_fire_step is None:
+            continue
+        if label is not U:
+            fp_count += 1
+            continue
+        fire = trace.first_fire_step
+        length = trace.episode_length
+        steps.append(fire)
+        remaining.append(length - 1 - fire)
+        fractions.append((length - 1 - fire) / length)
+
+    def stats(values):
+        if not values:
+            return None, None, None
+        return float(min(values)), float(np.mean(values)), float(max(values))
+
+    return DecisionTimeStats(*stats(steps), *stats(remaining), *stats(fractions), fp_count)
+
+
+@st.composite
+def fired_episodes(draw):
+    """(traces, labels): lengths 1-400 and a fire step inside the episode
+    or none; some draws have no unsafe episode or no fire at all."""
+    n = draw(st.integers(1, 40))
+    never, only_safe = draw(st.booleans()), draw(st.booleans())
+    traces, labels = [], []
+    for _ in range(n):
+        length = draw(st.integers(1, 400))
+        fire = None if never else draw(st.none() | st.integers(0, length - 1))
+        traces.append(trace(fire, length))
+        labels.append(S if only_safe else draw(st.sampled_from([U, S])))
+    return traces, labels
+
+
+@settings(max_examples=300, deadline=None)
+@given(fired_episodes())
+def test_decision_time_stats_match_reference_loop(episodes):
+    traces, labels = episodes
+    got = decision_time_stats(traces, labels)
+    want = reference_decision_time_stats(traces, labels)
+    for field in fields(DecisionTimeStats):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert type(a) is type(b), field.name
+        assert (a.hex() == b.hex()) if isinstance(a, float) else a == b, field.name
+
+
+def test_evaluation_rejects_bad_input_with_one_message():
+    calls = {
+        "metrics_over_time": lambda tr, lb, horizon=4: metrics_over_time(tr, lb, horizon),
+        "sweep": lambda tr, lb, horizon=None: sweep(
+            tr, lb, [Criterion.UPPER_BOUND], [0.5], horizon
+        ),
+        "decision_time_stats": decision_time_stats,
+    }
+    for call in calls.values():
+        with pytest.raises(ValueError, match="^need at least one trace$"):
+            call([], [])
+        with pytest.raises(ValueError, match="^traces and labels disagree on episode count$"):
+            call([trace(1, 4), trace(None, 4)], [U])
+    for name in ("metrics_over_time", "sweep"):
+        for horizon in (0, -1):
+            with pytest.raises(ValueError, match="^horizon must be >= 1$"):
+                calls[name]([trace(1, 4)], [U], horizon)
 
 
 def fitted_model(corpus, d=1.0, mode=FeatureMode.BINARY, **kwargs):
