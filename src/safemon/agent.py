@@ -105,8 +105,25 @@ class AgentTrainConfig:
             raise ValueError("gamma must lie in [0, 1]")
 
 
+def _layer_views(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(w, b) views into a flat buffer, each layer's weight matrix (row
+    major) followed by its bias."""
+    views = []
+    start = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        end = start + fan_in * fan_out
+        views.append((flat[start:end].reshape(fan_in, fan_out), flat[end : end + fan_out]))
+        start = end + fan_out
+    return views
+
+
 class QNetwork:
-    """Feed-forward ReLU MLP mapping a state to one Q-value per action."""
+    """Feed-forward ReLU MLP mapping a state to one Q-value per action.
+
+    Every parameter lives in one flat float64 array, `params`; `weights`
+    lists each layer's (w, b) as views into it, so writing a view writes
+    the network.
+    """
 
     def __init__(self, layer_sizes, rng=None, weights=None, input_offset=None, input_scale=None):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
@@ -117,21 +134,37 @@ class QNetwork:
         self.input_scale = (
             np.ones(dim) if input_scale is None else np.asarray(input_scale, dtype=np.float64)
         )
+        shapes = list(zip(self.layer_sizes, self.layer_sizes[1:]))
+        self.params = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+        self.weights = _layer_views(self.params, self.layer_sizes)
         if weights is not None:
-            self.weights = [(np.array(w, dtype=np.float64), np.array(b, dtype=np.float64)) for w, b in weights]
+            if len(weights) != len(shapes):
+                raise ValueError(f"{len(weights)} weight layers for layer sizes {self.layer_sizes}")
+            for (w, b), (w_in, b_in) in zip(self.weights, weights):
+                for view, given in ((w, w_in), (b, b_in)):
+                    given = np.asarray(given, dtype=np.float64)
+                    if given.shape != view.shape:
+                        raise ValueError(
+                            f"weight of shape {given.shape} where layer sizes "
+                            f"{self.layer_sizes} need {view.shape}"
+                        )
+                    view[...] = given
         else:
-            self.weights = []
-            for fan_in, fan_out in zip(self.layer_sizes, self.layer_sizes[1:]):
-                w = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-                self.weights.append((w, np.zeros(fan_out)))
+            for w, _ in self.weights:
+                w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     def copy(self) -> "QNetwork":
-        return QNetwork(
-            self.layer_sizes,
-            weights=[(w.copy(), b.copy()) for w, b in self.weights],
-            input_offset=self.input_offset,
-            input_scale=self.input_scale,
-        )
+        twin = object.__new__(QNetwork)
+        twin.layer_sizes = self.layer_sizes
+        twin.input_offset = self.input_offset.copy()
+        twin.input_scale = self.input_scale.copy()
+        twin.params = self.params.copy()
+        twin.weights = _layer_views(twin.params, twin.layer_sizes)
+        return twin
+
+    def _normalize(self, states) -> np.ndarray:
+        """States mapped through the network's fixed input normalisation."""
+        return (np.asarray(states, dtype=np.float64) - self.input_offset) / self.input_scale
 
     def forward(self, state: np.ndarray) -> np.ndarray:
         """Q-values of one state (d,), or of each row of a stack (n, d).
@@ -139,8 +172,7 @@ class QNetwork:
         Every row is a row-vector product, so a row of a stack gets the
         same bits as that state passed alone.
         """
-        a = (np.asarray(state, dtype=np.float64) - self.input_offset) / self.input_scale
-        a = a[..., None, :]
+        a = self._normalize(state)[..., None, :]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(self.weights):
             a = a @ w
@@ -149,83 +181,110 @@ class QNetwork:
                 np.maximum(a, 0.0, out=a)
         return a[..., 0, :]
 
-    def _forward_cached(self, states: np.ndarray):
-        activations = [(np.asarray(states, dtype=np.float64) - self.input_offset) / self.input_scale]
+    def _activations(self, x: np.ndarray) -> list[np.ndarray]:
+        """Every layer's output for a batch of normalised inputs (n, d),
+        the input first: one plain matrix product per layer."""
+        acts = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(self.weights):
-            z = activations[-1] @ w + b
-            activations.append(np.maximum(z, 0.0) if i != last else z)
-        return activations
+            z = acts[-1] @ w
+            z += b
+            if i != last:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
+        return acts
 
-    def td_loss_and_grads(self, states, actions, targets):
-        """Mean squared TD error and its gradient w.r.t. every parameter."""
-        activations = self._forward_cached(states)
-        q = activations[-1]
-        batch = len(states)
+    def td_loss_and_grads(self, states, actions, targets, grads=None):
+        """Mean squared TD error and its gradient w.r.t. every parameter.
+
+        The gradient is a list of (gw, gb) pairs shaped like `weights`;
+        `grads`, such a list, receives it in place of fresh arrays.
+        """
+        if grads is None:
+            grads = _layer_views(np.empty_like(self.params), self.layer_sizes)
+        acts = self._activations(self._normalize(states))
+        q = acts[-1]
+        batch = len(q)
         rows = np.arange(batch)
         diff = q[rows, actions] - targets
-        loss = float(np.mean(diff**2))
+        loss = float(np.add.reduce(diff**2) / batch)
 
         delta = np.zeros_like(q)
         delta[rows, actions] = 2.0 * diff / batch
-        grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):
-            a_in = activations[i]
-            grads[i] = (a_in.T @ delta, delta.sum(axis=0))
+            a_in = acts[i]
+            gw, gb = grads[i]
+            np.matmul(a_in.T, delta, out=gw)
+            np.add.reduce(delta, axis=0, out=gb)
             if i > 0:
-                delta = (delta @ self.weights[i][0].T) * (a_in > 0.0)
+                delta = delta @ self.weights[i][0].T
+                np.multiply(delta, a_in > 0.0, out=delta)
         return loss, grads
 
 
 class _SgdMomentum:
+    """SGD with momentum and global-norm gradient clipping on flat buffers
+    laid out as the network's `params`.
+
+    `grad_layers` are views into `grads` for `td_loss_and_grads` to fill.
+    The clip norm sums each array's squares apart and adds the per-layer
+    totals in layer order, as separate arrays would.
+    """
+
     def __init__(self, network, lr):
         self.lr = lr
-        self.velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in network.weights]
+        self.velocity = np.zeros_like(network.params)
+        self.grads = np.zeros_like(network.params)
+        self.grad_layers = _layer_views(self.grads, network.layer_sizes)
+        self._squares = np.empty_like(network.params)
+        self._square_layers = [
+            (w.reshape(-1), b) for w, b in _layer_views(self._squares, network.layer_sizes)
+        ]
 
-    def step(self, network, grads):
-        norm = math.sqrt(sum(float((g**2).sum() + (gb**2).sum()) for g, gb in grads))
+    def step(self, params):
+        """Apply `grads` to the flat `params` in place."""
+        np.square(self.grads, out=self._squares)
+        norm = math.sqrt(
+            sum(float(np.add.reduce(w) + np.add.reduce(b)) for w, b in self._square_layers)
+        )
         scale = GRAD_CLIP_NORM / norm if norm > GRAD_CLIP_NORM else 1.0
-        for i, ((w, b), (gw, gb), (vw, vb)) in enumerate(
-            zip(network.weights, grads, self.velocity)
-        ):
-            vw *= MOMENTUM
-            vw -= self.lr * scale * gw
-            vb *= MOMENTUM
-            vb -= self.lr * scale * gb
-            w += vw
-            b += vb
+        self.velocity *= MOMENTUM
+        self.velocity -= np.multiply(self.grads, self.lr * scale, out=self._squares)
+        params += self.velocity
 
 
 class _ReplayBuffer:
+    """Transitions packed one per float row: state, next state, reward and
+    a keep flag (0.0 for an absorbing transition, else 1.0); actions sit
+    beside them."""
+
     def __init__(self, capacity, state_dim):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
+        self.state_dim = state_dim
+        self.rows = np.zeros((capacity, 2 * state_dim + 2))
         self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
-        self.absorbing = np.zeros(capacity, dtype=bool)
         self.size = 0
         self.cursor = 0
 
     def add(self, state, action, reward, next_state, absorbing):
         i = self.cursor
-        self.states[i] = state
+        d = self.state_dim
+        row = self.rows[i]
+        row[:d] = state
+        row[d : 2 * d] = next_state
+        row[2 * d] = reward
+        row[2 * d + 1] = 0.0 if absorbing else 1.0
         self.actions[i] = action
-        self.rewards[i] = reward
-        self.next_states[i] = next_state
-        self.absorbing[i] = absorbing
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size, rng):
+        """(states, actions, rewards, next states, keep flags) of a draw."""
         idx = rng.integers(0, self.size, size=batch_size)
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx],
-            self.absorbing[idx],
-        )
+        rows = self.rows.take(idx, axis=0)
+        d = self.state_dim
+        actions = self.actions.take(idx)
+        return rows[:, :d], actions, rows[:, 2 * d], rows[:, d : 2 * d], rows[:, 2 * d + 1]
 
 
 @dataclass
@@ -363,6 +422,30 @@ def evaluate_policy(network: QNetwork, env_kind: str, episodes: int, root_seed: 
     return greedy_rollouts(network, env_kind, seeds)
 
 
+def _dqn_update(network, target, optimizer, batch, gamma, double_dqn) -> float:
+    """One SGD step of `network` on a replay batch towards the (double)
+    DQN targets of `target`; returns the TD loss, and takes no step when
+    the loss is not finite."""
+    s, a, r, ns, keep = batch
+    # The target is a copy of the network, with the same input
+    # normalisation. Its pass and the online one stay two products: one
+    # stacked product would change the bits of rows.
+    x = network._normalize(ns)
+    next_target = target._activations(x)[-1]
+    if double_dqn:
+        best = np.argmax(network._activations(x)[-1], axis=1)
+        next_q = next_target[np.arange(len(best)), best]
+    else:
+        next_q = next_target.max(axis=1)
+    targets = r + gamma * next_q * keep
+    # Overflow here is reported as the non-finite loss.
+    with np.errstate(over="ignore", invalid="ignore"):
+        loss, _ = network.td_loss_and_grads(s, a, targets, optimizer.grad_layers)
+    if math.isfinite(loss):
+        optimizer.step(network.params)
+    return loss
+
+
 def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[int, QNetwork]]:
     """Train with experience replay plus a target network; returns the
     periodic (step, network) snapshots, the final network last."""
@@ -373,7 +456,8 @@ def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[in
     network = QNetwork(layer_sizes, rng=init_rng, input_offset=offset, input_scale=scale)
     target = network.copy()
     optimizer = _SgdMomentum(network, config.learning_rate)
-    buffer = _ReplayBuffer(config.replay_capacity, env.state_dim)
+    # A run never holds more transitions than it takes steps.
+    buffer = _ReplayBuffer(min(config.replay_capacity, config.total_steps), env.state_dim)
     explore_rng = derive_rng(config.seed, "explore")
     replay_rng = derive_rng(config.seed, "replay")
 
@@ -398,23 +482,12 @@ def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[in
             state = out.next_state
 
         if step >= config.train_start and buffer.size >= config.batch_size:
-            s, a, r, ns, done = buffer.sample(config.batch_size, replay_rng)
-            next_target = target._forward_cached(ns)[-1]
-            if config.double_dqn:
-                next_online = network._forward_cached(ns)[-1]
-                best = np.argmax(next_online, axis=1)
-                next_q = next_target[np.arange(len(ns)), best]
-            else:
-                next_q = next_target.max(axis=1)
-            targets = r + config.gamma * next_q * ~done
-            # Overflow here is handled by the divergence check below.
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss, grads = network.td_loss_and_grads(s, a, targets)
+            batch = buffer.sample(config.batch_size, replay_rng)
+            loss = _dqn_update(network, target, optimizer, batch, config.gamma, config.double_dqn)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite TD loss at step {step} (lr={config.learning_rate})"
                 )
-            optimizer.step(network, grads)
 
         if step % config.target_sync_interval == 0:
             target = network.copy()

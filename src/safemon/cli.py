@@ -2,7 +2,8 @@
 
 Subcommands: train-agent, collect, build, select-d, evaluate, watch.
 Every command is reproducible from its flags plus one root seed; a JSON
-config file may stand in for flags, with explicit flags winning.
+config file may stand in for any flag, required ones too, with explicit
+flags winning.
 
 Exit codes: 0 success, 1 I/O failure, 2 numeric failure, 64 usage error.
 """
@@ -16,6 +17,8 @@ import sys
 from dataclasses import asdict
 
 import numpy as np
+
+from .envs import ENV_KINDS
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -95,14 +98,16 @@ def _checked(kind, holds, requirement):
 
 
 _theta = _checked(float, lambda v: 0.0 < v < 1.0, "must lie strictly between 0 and 1")
-_trees = _checked(int, lambda v: v >= 1, "must be >= 1")
-_level = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_unit = _checked(float, lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]")
+_positive = _checked(float, lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_count = _checked(int, lambda v: v >= 0, "must be >= 0")
+_at_least_one = _checked(int, lambda v: v >= 1, "must be >= 1")
 
 
 def _grid(text):
     """Comma-separated abstraction levels, at least two, each a valid --d."""
     try:
-        grid = [_level(tok) for tok in text.split(",") if tok.strip()]
+        grid = [_positive(tok) for tok in text.split(",") if tok.strip()]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"bad level in {text!r}: {exc}") from None
     if len(grid) < 2:
@@ -123,24 +128,7 @@ def cmd_train_agent(args) -> int:
         train_agent,
     )
     from .dataset import save_document
-    from .envs import ENV_KINDS
 
-    if args.env not in ENV_KINDS:
-        raise UsageError(f"unknown environment {args.env!r}")
-    if args.steps < 0:
-        raise UsageError("--steps must be >= 0")
-    for flag, value in (
-        ("--checkpoint-interval", args.checkpoint_interval),
-        ("--target-sync-interval", args.target_sync_interval),
-        ("--epsilon-decay-steps", args.epsilon_decay_steps),
-    ):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1")
-    if not 0.0 < args.learning_rate < math.inf:
-        raise UsageError("--learning-rate must be positive and finite")
-    for flag, value in (("--gamma", args.gamma), ("--epsilon-end", args.epsilon_end)):
-        if not 0.0 <= value <= 1.0:
-            raise UsageError(f"{flag} must lie in [0, 1]")
     config = AgentTrainConfig(
         total_steps=args.steps,
         learning_rate=args.learning_rate,
@@ -175,8 +163,6 @@ def cmd_collect(args) -> int:
     from .agent import UNSAFE_RATE_BAND, load_agent
     from .dataset import collect, write_jsonl
 
-    if args.episodes < 1:
-        raise UsageError("--episodes must be >= 1")
     agent = load_agent(args.agent)
     report = agent.report
     if report is not None and not report.band_satisfied:
@@ -358,23 +344,23 @@ def build_parser() -> _Parser:
     parser.commands = sub.choices  # subcommand name -> its parser
 
     p = sub.add_parser("train-agent", help="train a Q-learning agent")
-    p.add_argument("--env", required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--env", choices=ENV_KINDS, required=True)
+    p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report-out", default=None)
     p.add_argument("--config", default=None, help="JSON file of flag defaults")
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--gamma", type=float, default=0.99)
-    p.add_argument("--epsilon-end", type=float, default=0.05)
-    p.add_argument("--epsilon-decay-steps", type=int, default=50_000)
-    p.add_argument("--checkpoint-interval", type=int, default=5_000)
-    p.add_argument("--target-sync-interval", type=int, default=500)
+    p.add_argument("--learning-rate", type=_positive, default=1e-3)
+    p.add_argument("--gamma", type=_unit, default=0.99)
+    p.add_argument("--epsilon-end", type=_unit, default=0.05)
+    p.add_argument("--epsilon-decay-steps", type=_at_least_one, default=50_000)
+    p.add_argument("--checkpoint-interval", type=_at_least_one, default=5_000)
+    p.add_argument("--target-sync-interval", type=_at_least_one, default=500)
     p.set_defaults(func=cmd_train_agent)
 
     p = sub.add_parser("collect", help="collect labeled episodes")
     p.add_argument("--agent", required=True)
-    p.add_argument("--episodes", type=int, required=True)
+    p.add_argument("--episodes", type=_at_least_one, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None)
@@ -382,9 +368,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("build", help="build a monitor model")
     p.add_argument("--episodes", required=True)
-    p.add_argument("--d", type=_level, required=True)
+    p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--features", choices=["binary", "frequency"], default="binary")
-    p.add_argument("--trees", type=_trees, default=100)
+    p.add_argument("--trees", type=_at_least_one, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--criterion", default="upper_bound", choices=_CRITERIA)
     p.add_argument("--theta", type=_theta, default=0.5)
@@ -397,7 +383,7 @@ def build_parser() -> _Parser:
     p.add_argument("--episodes", required=True)
     p.add_argument("--grid", type=_grid, required=True, help="comma-separated candidate levels")
     p.add_argument("--features", choices=["binary", "frequency"], default="binary")
-    p.add_argument("--trees", type=_trees, default=100)
+    p.add_argument("--trees", type=_at_least_one, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--criterion", default="upper_bound", choices=_CRITERIA)
     p.add_argument("--theta", type=_theta, default=0.5)
@@ -422,15 +408,34 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_watch)
 
+    # A --config file may supply a required flag, so `main` checks for
+    # missing flags after the overlay, not argparse while parsing.
+    for command in sub.choices.values():
+        command.required_flags = [a for a in command._actions if a.required]
+        configurable = any(a.dest == "config" for a in command._actions)
+        note = "required, here or in --config" if configurable else "required"
+        for action in command.required_flags:
+            action.required = False
+            action.help = f"{action.help}; {note}" if action.help else note
     return parser
+
+
+def _require_flags(args, command: argparse.ArgumentParser):
+    """Refuse, in argparse's words, required flags that neither the
+    command line nor the config file gave."""
+    missing = ["/".join(a.option_strings) for a in command.required_flags if getattr(args, a.dest) is None]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        command = parser.commands[args.command]
         if getattr(args, "config", None):
-            args = _apply_config_file(argv, args, parser.commands[args.command])
+            args = _apply_config_file(argv, args, command)
+        _require_flags(args, command)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

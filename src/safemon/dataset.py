@@ -167,18 +167,18 @@ def split(episode_set: EpisodeSet, train_fraction: float, seed: int):
 
 
 def _episode_to_obj(episode: Episode) -> dict:
+    # One .tolist() per column, which makes the same Python ints and
+    # floats as converting step by step, in far fewer calls.
+    columns = (
+        episode.states.tolist(),
+        episode.actions.astype(np.int64, copy=False).tolist(),
+        episode.qs.tolist(),
+        episode.rewards.astype(np.float64, copy=False).tolist(),
+    )
     return {
         "label": episode.label.value,
         "cause": episode.cause.value,
-        "steps": [
-            {
-                "s": episode.states[i].tolist(),
-                "a": int(episode.actions[i]),
-                "q": episode.qs[i].tolist(),
-                "r": float(episode.rewards[i]),
-            }
-            for i in range(episode.length)
-        ],
+        "steps": [{"s": s, "a": a, "q": q, "r": r} for s, a, q, r in zip(*columns)],
     }
 
 

@@ -1,14 +1,17 @@
+import math
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from safemon import agent
 from safemon.agent import (
+    GRAD_CLIP_NORM,
+    MOMENTUM,
     REPORT_EVAL_EPISODES,
     AgentModel,
     AgentTrainConfig,
@@ -280,6 +283,127 @@ def test_stacked_q_rows_equal_single_state_forward(net, n, seed, spread):
     assert stacked.shape == (n, network.layer_sizes[-1])
     for row, state in zip(stacked, states):
         assert row.tobytes() == network.forward(state).tobytes()
+
+
+def reference_update(weights, velocity, target_weights, network, batch, gamma, double, lr):
+    """One DQN update on separate per-array parameters, written as the
+    update was before the flat buffers; returns the loss and whether the
+    gradient was clipped."""
+    s, a, r, ns, done = batch
+
+    def forward_cached(layers, states):
+        acts = [(states - network.input_offset) / network.input_scale]
+        for i, (w, b) in enumerate(layers):
+            z = acts[-1] @ w + b
+            acts.append(np.maximum(z, 0.0) if i != len(layers) - 1 else z)
+        return acts
+
+    next_target = forward_cached(target_weights, ns)[-1]
+    if double:
+        best = np.argmax(forward_cached(weights, ns)[-1], axis=1)
+        next_q = next_target[np.arange(len(ns)), best]
+    else:
+        next_q = next_target.max(axis=1)
+    targets = r + gamma * next_q * ~done
+    acts = forward_cached(weights, s)
+    rows = np.arange(len(s))
+    diff = acts[-1][rows, a] - targets
+    loss = float(np.mean(diff**2))
+    delta = np.zeros_like(acts[-1])
+    delta[rows, a] = 2.0 * diff / len(s)
+    grads = [None] * len(weights)
+    for i in range(len(weights) - 1, -1, -1):
+        grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
+        if i > 0:
+            delta = (delta @ weights[i][0].T) * (acts[i] > 0.0)
+    norm = math.sqrt(sum(float((g**2).sum() + (gb**2).sum()) for g, gb in grads))
+    scale = GRAD_CLIP_NORM / norm if norm > GRAD_CLIP_NORM else 1.0
+    for (w, b), (gw, gb), (vw, vb) in zip(weights, grads, velocity):
+        vw *= MOMENTUM
+        vw -= lr * scale * gw
+        vb *= MOMENTUM
+        vb -= lr * scale * gb
+        w += vw
+        b += vb
+    return loss, scale != 1.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    net=networks(),
+    seed=st.integers(0, 2**32 - 1),
+    lr=st.sampled_from([1e-3, 0.1, 10.0]) | st.floats(1e-5, 10.0),
+    reward_scale=st.sampled_from([1.0, 1e3]),
+    gamma=st.floats(0.0, 1.0),
+    double=st.booleans(),
+    batch_size=st.integers(1, 32),
+    updates=st.integers(1, 5),
+)
+def test_flat_update_equals_per_array_reference(
+    net, seed, lr, reward_scale, gamma, double, batch_size, updates
+):
+    env_kind, network = net
+    dim = network.layer_sizes[0]
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 50))
+    offset, scale = NORMS[env_kind]
+    states = offset + scale * rng.normal(size=(n, dim))
+    next_states = offset + scale * rng.normal(size=(n, dim))
+    actions = rng.integers(0, network.layer_sizes[-1], size=n)
+    rewards = reward_scale * rng.normal(size=n)
+    done = rng.random(n) < 0.3
+    buffer = agent._ReplayBuffer(64, dim)
+    for row in zip(states, actions, rewards, next_states, done):
+        buffer.add(*row)
+
+    target = network.copy()
+    optimizer = agent._SgdMomentum(network, lr)
+    weights = [(w.copy(), b.copy()) for w, b in network.weights]
+    target_weights = [(w.copy(), b.copy()) for w, b in network.weights]
+    velocity = [(np.zeros_like(w), np.zeros_like(b)) for w, b in weights]
+    draws, reference_draws = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(updates):
+        loss = agent._dqn_update(
+            network, target, optimizer, buffer.sample(batch_size, draws), gamma, double
+        )
+        idx = reference_draws.integers(0, n, size=batch_size)
+        batch = (states[idx], actions[idx], rewards[idx], next_states[idx], done[idx])
+        want, clipped = reference_update(
+            weights, velocity, target_weights, network, batch, gamma, double, lr
+        )
+        event("clipped" if clipped else "not clipped")
+        assert loss == want
+        reference = np.concatenate([a.ravel() for layer in weights for a in layer])
+        assert network.params.tobytes() == reference.tobytes()
+
+
+def test_weights_are_views_of_params_and_copies_share_nothing():
+    network = QNetwork((4, 8, 8, 2), rng=np.random.default_rng(1))
+    assert network.params.shape == (4 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2,)
+    for w, b in network.weights:
+        assert np.shares_memory(w, network.params)
+        assert np.shares_memory(b, network.params)
+    network.params[:] = np.arange(network.params.size)
+    assert network.weights[0][0][0, 1] == 1.0
+    assert network.weights[0][1][0] == 32.0  # the first bias follows its (4, 8) weight
+    twin = network.copy()
+    assert twin.params.tobytes() == network.params.tobytes()
+    for mine, theirs in [
+        (twin.params, network.params),
+        (twin.input_offset, network.input_offset),
+        (twin.input_scale, network.input_scale),
+    ]:
+        assert not np.shares_memory(mine, theirs)
+    for (w, b), (tw, tb) in zip(network.weights, twin.weights):
+        assert np.shares_memory(tw, twin.params) and not np.shares_memory(tw, w)
+        assert np.shares_memory(tb, twin.params) and not np.shares_memory(tb, b)
+
+
+def test_network_rejects_weights_of_another_shape():
+    with pytest.raises(ValueError, match=r"weight of shape \(3, 2\) where layer sizes"):
+        QNetwork((4, 2), weights=[(np.zeros((3, 2)), np.zeros(2))])
+    with pytest.raises(ValueError, match="1 weight layers for layer sizes"):
+        QNetwork((4, 8, 2), weights=[(np.zeros((4, 8)), np.zeros(8))])
 
 
 @pytest.mark.parametrize("band", [None, (0.005, 0.05)])

@@ -46,12 +46,7 @@ def model_path(corpus_path, tmp_path_factory):
 
 
 def test_usage_errors(capsys, tmp_path):
-    assert main(["train-agent", "--env", "bogus", "--steps", "10",
-                 "--out", str(tmp_path / "x.json")]) == EXIT_USAGE
-    assert main(["collect", "--agent", "whatever.json", "--episodes", "0",
-                 "--seed", "1", "--out", str(tmp_path / "c.jsonl")]) == EXIT_USAGE
     assert main(["no-such-command"]) == EXIT_USAGE
-    assert main(["train-agent"]) == EXIT_USAGE  # missing required flags
     capsys.readouterr()
     # --theta, --trees, --d and each --grid level are checked as they are
     # parsed, before any file is read.
@@ -60,7 +55,14 @@ def test_usage_errors(capsys, tmp_path):
     build = ["build", "--episodes", "unread.jsonl", "--out", out]
     evaluate = ["evaluate", "--model", "unread.json", "--episodes", "unread.jsonl",
                 "--out-prefix", str(tmp_path / "eval")]
+    assert main(["train-agent", "--env", "bogus", "--steps", "10", "--out", out]) == EXIT_USAGE
+    assert "argument --env: invalid choice: 'bogus'" in capsys.readouterr().err
     for argv, message in [
+        (["train-agent", "--env", "cartpole", "--steps", "-1", "--out", out],
+         "argument --steps: must be >= 0, got -1"),
+        (["collect", "--agent", "unread.json", "--episodes", "0", "--out", out],
+         "argument --episodes: must be >= 1, got 0"),
+        (["train-agent"], "the following arguments are required: --env, --steps, --out"),
         (select_d + ["--grid", "1,2", "--theta", "1.5"],
          "argument --theta: must lie strictly between 0 and 1, got 1.5"),
         (select_d + ["--grid", "1,2", "--features", "frequency", "--theta", "0"],
@@ -84,24 +86,29 @@ def test_usage_errors(capsys, tmp_path):
     assert not Path(out).exists()
 
 
+TRAIN_AGENT_RULES = [
+    ("--checkpoint-interval", "0", "must be >= 1"),
+    ("--target-sync-interval", "0", "must be >= 1"),
+    ("--epsilon-decay-steps", "0", "must be >= 1"),
+    ("--learning-rate", "-1", "must be positive and finite"),
+    ("--learning-rate", "nan", "must be positive and finite"),
+    ("--learning-rate", "inf", "must be positive and finite"),
+    ("--gamma", "1.5", "must lie in [0, 1]"),
+    ("--epsilon-end", "2", "must lie in [0, 1]"),
+]
+
+
 @pytest.mark.parametrize(
-    "flag, value, message",
-    [
-        ("--checkpoint-interval", "0", "--checkpoint-interval must be >= 1"),
-        ("--target-sync-interval", "0", "--target-sync-interval must be >= 1"),
-        ("--epsilon-decay-steps", "0", "--epsilon-decay-steps must be >= 1"),
-        ("--learning-rate", "-1", "--learning-rate must be positive and finite"),
-        ("--learning-rate", "nan", "--learning-rate must be positive and finite"),
-        ("--learning-rate", "inf", "--learning-rate must be positive and finite"),
-        ("--gamma", "1.5", "--gamma must lie in [0, 1]"),
-        ("--epsilon-end", "2", "--epsilon-end must lie in [0, 1]"),
-    ],
+    "flag, value, requirement",
+    TRAIN_AGENT_RULES,
+    ids=[f"{flag}-{value}-{flag} {rule}" for flag, value, rule in TRAIN_AGENT_RULES],
 )
-def test_train_agent_bad_value_is_usage_error_naming_flag(flag, value, message, tmp_path, capsys):
+def test_train_agent_bad_value_is_usage_error_naming_flag(flag, value, requirement, tmp_path,
+                                                          capsys):
     out = tmp_path / "a.json"
     argv = ["train-agent", "--env", "cartpole", "--steps", "10", "--out", str(out), flag, value]
     assert main(argv) == EXIT_USAGE
-    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert capsys.readouterr().err == f"usage error: argument {flag}: {requirement}, got {value}\n"
     assert not out.exists()
 
 
@@ -346,6 +353,34 @@ def test_config_file_defaults_with_flag_override(corpus_path, tmp_path, capsys):
     assert doc["forest_config"]["n_trees"] == 10  # config filled the gap
 
 
+@pytest.mark.parametrize(
+    "command, flags, key, value",
+    [
+        ("select-d", ["--trees", "5"], "grid", "1,2"),
+        ("build", ["--trees", "5"], "d", 2.0),
+        ("train-agent", ["--env", "cartpole", "--checkpoint-interval", "5"], "steps", 10),
+    ],
+)
+def test_config_file_supplies_required_flag(command, flags, key, value, corpus_path, tmp_path,
+                                            capsys):
+    if command != "train-agent":
+        flags = ["--episodes", corpus_path, *flags]
+    config = tmp_path / "cfg.json"
+    out = tmp_path / "out.json"
+    argv = [command, *flags, "--config", str(config), "--out", str(out)]
+    config.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert main(argv) == EXIT_OK
+    assert out.exists()
+    capsys.readouterr()
+    out.unlink()
+    # Missing from both the command line and the config file.
+    config.write_text(json.dumps({}), encoding="utf-8")
+    assert main(argv) == EXIT_USAGE
+    flag = "--" + key
+    assert capsys.readouterr().err == f"usage error: the following arguments are required: {flag}\n"
+    assert not out.exists()
+
+
 def test_config_file_unknown_key(corpus_path, tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"bogus_key": 1}), encoding="utf-8")
@@ -360,6 +395,7 @@ def test_config_file_unknown_key(corpus_path, tmp_path, capsys):
         ("train-agent", "gamma", "high", "config key 'gamma' expects a number, got 'high'"),
         ("train-agent", "checkpoint-interval", 2.5,
          "config key 'checkpoint-interval' expects an integer, got 2.5"),
+        ("train-agent", "gamma", 1.5, "config key 'gamma' must lie in [0, 1], got 1.5"),
         ("build", "trees", True, "config key 'trees' expects an integer, got True"),
         ("build", "criterion", "worst",
          "config key 'criterion' expects one of 'upper_bound', 'output_probability', "
