@@ -8,18 +8,18 @@ with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
 `out_of_bag_mean` re-draws each tree's bootstrap to score every training
 row by the trees that left it out.
 
-A node's split is the candidate boundary of lowest weighted Gini. One
-scoring body (`_lowest_gini`) scores the boundaries, masks the
-non-boundaries, breaks ties and places the midpoint threshold; two
-searches list the boundaries for it. `_best_split` sorts each candidate
-column and takes the boundaries between consecutive distinct values; it
-serves any finite features. `_best_binary_split` serves 0/1 data, which
-`train_forest` detects once per forest (binary features, or counts that
-never exceed 1): a 0/1 column has one boundary, at 0.5, with the rows
-reading 0 on its left, so two integer counts score it, the rows reading
-1 and the unsafe rows among them, and nothing needs sorting. The two
-searches pick the same boundary with the same score, bit for bit, so
-they grow the same trees.
+A node's split is the candidate boundary of lowest weighted Gini. All
+trees grow in lockstep (`_grow_forest`): each keeps its own depth-first
+walk and random stream, and each round one batched search
+(`_best_splits`) scores the boundaries of every tree's next node at once.
+The search is sparse. A column store built once per forest
+(`_ColumnStore`) lists each feature's non-zero cells in ascending order
+of value, with one entry standing for all of its zeros; a node is its
+bag, the distinct rows it holds and how often the bootstrap drew each, so
+a candidate's boundaries come from running totals of those
+multiplicities over the column's entries, with no per-node sort or dense
+copy. 0/1 and count features take the same path, and the trees are those
+of a per-node sorting search, bit for bit.
 
 Batch inference runs on a packed form of the whole ensemble (`PackedTrees`,
 built once per `Forest`): the node arrays of all trees concatenated, one
@@ -52,6 +52,7 @@ nodes/tree (2,822 states), and 0.96 ms against 1.93 ms at 180 nodes/tree
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -72,20 +73,27 @@ class ForestConfig:
     features_per_split: Union[int, str] = "sqrt"  # "sqrt", "all", or a count
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.min_split < 2:
-            raise ValueError("min_split must be >= 2")
+        _require_count("n_trees", self.n_trees, 1)
+        _require_count("min_split", self.min_split, 2)
+        _require_count("max_depth", self.max_depth, 1, None)
+        _require_count("features_per_split", self.features_per_split, 1, "sqrt", "all")
 
     def resolve_feature_count(self, n_features: int) -> int:
         if self.features_per_split == "sqrt":
             return min(n_features, math.ceil(math.sqrt(n_features)))
         if self.features_per_split == "all":
             return n_features
-        k = int(self.features_per_split)
-        if k < 1:
-            raise ValueError("features_per_split must be >= 1")
-        return min(n_features, k)
+        return min(n_features, self.features_per_split)
+
+
+def _require_count(name: str, value, low: int, *named) -> None:
+    """Raise ValueError naming `name` unless `value` is one of `named` or
+    an integer >= low (a bool or a float is no integer here)."""
+    if (value is None or isinstance(value, str)) and value in named:
+        return
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        choices = "".join(f"{v!r} or " for v in named)
+        raise ValueError(f"{name} must be {choices}an integer >= {low}, got {value!r}")
 
 
 @dataclass
@@ -255,17 +263,130 @@ class BatchSummary:
         )
 
 
-def _lowest_gini(n, total_pos, left_n, left_pos, tied, below, above):
-    """The scoring body of both split searches: the lowest weighted-Gini
-    boundary, as (column, threshold), or None when there is none.
+# The split search takes the nodes of a round in chunks of at most about
+# this many entries (gathered non-zeros, zero entries and multiplicity
+# cells), which bounds its memory whatever the number of trees and rows.
+CHUNK_ENTRIES = 1 << 13
 
-    Entry (i, c) of the arrays is boundary i of candidate column c: of the
-    node's n rows (total_pos of them unsafe), left_n[i, c] go left and
-    left_pos[i, c] of those are unsafe; the left rows read at most
-    below[i, c], the others at least above[i, c], and the threshold is the
-    midpoint. An entry where `tied` is True is no boundary. Ties keep the
-    first boundary within a column and then the earliest column.
+
+@dataclass(frozen=True)
+class _ColumnStore:
+    """The non-zeros of a feature matrix, column by column.
+
+    Column f holds entries start[f] .. start[f] + length[f] - 1: its
+    non-zero cells in ascending order of value, plus one entry standing
+    for all of its zero cells, placed after its zero[f] negative values.
+    `rows` holds each entry's row, n_rows for a zero entry, and `values`
+    its value as float64.
     """
+
+    rows: np.ndarray
+    values: np.ndarray
+    start: np.ndarray
+    length: np.ndarray
+    zero: np.ndarray
+    n_rows: int
+
+    @classmethod
+    def from_matrix(cls, x: np.ndarray) -> "_ColumnStore":
+        n_rows, n_features = x.shape
+        columns, rows = np.nonzero(x.T)  # -0.0 counts as a zero cell
+        values = x[rows, columns].astype(np.float64)
+        order = np.lexsort((values, columns))
+        length = np.bincount(columns, minlength=n_features) + 1
+        start = np.cumsum(length) - length
+        zero = np.bincount(columns[values < 0], minlength=n_features)
+        cells = np.ones(int(length.sum()), dtype=bool)
+        cells[start + zero] = False
+        store_rows = np.full(len(cells), n_rows, dtype=np.intp)
+        store_values = np.zeros(len(cells))
+        store_rows[cells] = rows[order]
+        store_values[cells] = values[order]
+        return cls(store_rows, store_values, start, length, zero, n_rows)
+
+
+def _best_splits(store: _ColumnStore, y: np.ndarray, bags: list, candidates: np.ndarray) -> list:
+    """The lowest weighted-Gini split of each node, as (feature, threshold),
+    or None where every candidate feature is constant on the node.
+
+    Node j is its bag, a (2, m) array: distinct rows bags[j][0], row
+    bags[j][0][i] drawn bags[j][1][i] times. Its candidate features are
+    candidates[j]. A boundary lies between two consecutive distinct values
+    of a candidate among the node's rows; its score is the weighted Gini of
+    the two sides, rows counted with their multiplicities, and its
+    threshold the float64 midpoint of the two values. Ties keep the first
+    boundary in (candidate, ascending value) order. The nodes are searched
+    in chunks of about CHUNK_ENTRIES entries.
+    """
+    entries = store.n_rows + 1 + store.length[candidates].sum(axis=1)
+    splits, chunk, size = [], [], 0
+    for j, e in enumerate(entries.tolist()):
+        if chunk and size + e > CHUNK_ENTRIES:
+            splits += _search_chunk(store, y, [bags[i] for i in chunk], candidates[chunk])
+            chunk, size = [], 0
+        chunk.append(j)
+        size += e
+    return splits + _search_chunk(store, y, [bags[i] for i in chunk], candidates[chunk])
+
+
+def _search_chunk(store: _ColumnStore, y: np.ndarray, bags: list, candidates: np.ndarray) -> list:
+    """_best_splits over one chunk, every (node, candidate) pair at once."""
+    n_nodes, k = candidates.shape
+    width = store.n_rows + 1
+    sizes = np.array([bag.shape[1] for bag in bags])
+    rows, mult = np.concatenate(bags, axis=1)
+    starts = np.cumsum(sizes) - sizes
+    mult_unsafe = mult * y[rows]
+    n = np.add.reduceat(mult, starts)
+    pos = np.add.reduceat(mult_unsafe, starts)
+    # Cell j * width + r: how often node j drew row r, and how often if the
+    # row is unsafe; column n_rows, that of the zero entries, reads 0.
+    offset = np.arange(0, n_nodes * width, width)
+    cell = np.repeat(offset, sizes) + rows
+    held = np.zeros(n_nodes * width, dtype=np.int64)
+    held_unsafe = np.zeros(n_nodes * width, dtype=np.int64)
+    held[cell] = mult
+    held_unsafe[cell] = mult_unsafe
+
+    # Pair p tests feature features[p] on node p // k. It gathers that
+    # column's entries, in ascending order of value, and their cells.
+    features = candidates.ravel()
+    length = store.length[features]
+    first = np.cumsum(length) - length
+    entry = np.repeat(store.start[features] - first, length)
+    entry += np.arange(len(entry))
+    cell = np.repeat(np.repeat(offset, k), length)
+    cell += store.rows[entry]
+    weight = held[cell]
+    weight_unsafe = held_unsafe[cell]
+    del cell
+    # A zero entry weighs the node's rows not counted at a non-zero.
+    n_pair, pos_pair = np.repeat(n, k), np.repeat(pos, k)
+    zero = first + store.zero[features]
+    weight[zero] = n_pair - np.add.reduceat(weight, first)
+    weight_unsafe[zero] = pos_pair - np.add.reduceat(weight_unsafe, first)
+
+    # A boundary lies between two consecutive entries of a pair that the
+    # node holds and that differ in value. Running totals, less those of
+    # the earlier pairs, count the rows (and the unsafe rows) up to it.
+    held_entry = np.flatnonzero(weight)
+    values = store.values[entry[held_entry]]
+    del entry
+    pair = np.searchsorted(first, held_entry, side="right") - 1
+    boundary = np.flatnonzero((pair[:-1] == pair[1:]) & (values[:-1] != values[1:]))
+    splits = [None] * n_nodes
+    if boundary.size == 0:
+        return splits
+    pair = pair[boundary]
+    node = pair // k
+    last = held_entry[boundary]  # the last held entry left of the boundary
+    earlier_n = (np.cumsum(n_pair) - n_pair)[pair]
+    earlier_pos = (np.cumsum(pos_pair) - pos_pair)[pair]
+    left_n = np.cumsum(weight, out=weight)[last] - earlier_n
+    left_pos = np.cumsum(weight_unsafe, out=weight_unsafe)[last] - earlier_pos
+    del weight, weight_unsafe, held_entry, last  # scoring needs only the boundaries
+    n, total_pos = n[node], pos[node]
+    left_n = left_n.astype(np.float64)
     right_n = n - left_n
     right_pos = total_pos - left_pos
     p_left = left_pos / left_n
@@ -274,59 +395,19 @@ def _lowest_gini(n, total_pos, left_n, left_pos, tied, below, above):
         left_n * 2.0 * p_left * (1.0 - p_left)
         + right_n * 2.0 * p_right * (1.0 - p_right)
     ) / n
-    weighted[tied] = np.inf
-    rows = np.argmin(weighted, axis=0)
-    cols = np.arange(weighted.shape[1])
-    c = int(np.argmin(weighted[rows, cols]))
-    j = rows[c]
-    if weighted[j, c] == np.inf:
-        return None  # every column is constant on this node
-    return c, (below[j, c] + above[j, c]) / 2.0
 
-
-def _best_split(block: np.ndarray, y: np.ndarray):
-    """Lowest weighted-Gini (column, threshold) over the columns of an
-    (n, k) block, or None when every column is constant.
-
-    All columns are scored in one pass. Each column is sorted, and its
-    boundaries lie between consecutive distinct sorted values; ties keep
-    the first boundary within a column and then the earliest column, so
-    results are order-deterministic.
-    """
-    n = len(y)
-    block = block.astype(np.float64, copy=False)
-    order = np.argsort(block, axis=0, kind="stable")
-    vs = np.take_along_axis(block, order, axis=0)
-    cum_pos = np.cumsum(y[order], axis=0)
-    left_n = np.arange(1.0, n)[:, None]
-    return _lowest_gini(n, cum_pos[-1], left_n, cum_pos[:-1], vs[:-1] == vs[1:], vs[:-1], vs[1:])
-
-
-def _best_binary_split(block: np.ndarray, y: np.ndarray):
-    """_best_split for columns that hold only 0s and 1s, without a sort.
-
-    A 0/1 column has one boundary, at 0.5, with the rows reading 0 on its
-    left, so two counts per column score it: the rows reading 1 and the
-    unsafe rows among them. A column of one value has no boundary (one
-    side would be empty, its Gini 0/0) and is left out before the Gini is
-    computed. The scores, tie-breaks and thresholds are those of
-    _best_split, bit for bit.
-    """
-    n = len(y)
-    ones = np.count_nonzero(block, axis=0)
-    live = np.nonzero((ones > 0) & (ones < n))[0]
-    if live.size == 0:
-        return None
-    ones_pos = np.count_nonzero(block[y == 1][:, live], axis=0)
-    total_pos = int(np.count_nonzero(y))
-    left_n = (n - ones[live]).astype(np.float64)[None, :]
-    left_pos = (total_pos - ones_pos)[None, :]
-    split = _lowest_gini(
-        n, total_pos, left_n, left_pos, np.zeros(left_n.shape, dtype=bool),
-        np.zeros(left_n.shape), np.ones(left_n.shape),
-    )
-    c, threshold = split
-    return int(live[c]), threshold
+    # Each node's first boundary that reaches the node's lowest score.
+    new_node = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    lowest = np.zeros(n_nodes)
+    lowest[node[new_node]] = np.minimum.reduceat(weighted, new_node)
+    hits = np.flatnonzero(weighted == lowest[node])
+    best = hits[np.concatenate(([True], node[hits[1:]] != node[hits[:-1]]))]
+    below = values[boundary[best]]
+    above = values[boundary[best] + 1]
+    thresholds = ((below + above) / 2.0).tolist()
+    for j, f, threshold in zip(node[best].tolist(), features[pair[best]].tolist(), thresholds):
+        splits[j] = (f, threshold)
+    return splits
 
 
 def _bootstrap(seed: int, tree: int, n_samples: int):
@@ -336,79 +417,104 @@ def _bootstrap(seed: int, tree: int, n_samples: int):
     return rng, rng.integers(0, n_samples, size=n_samples)
 
 
-def _build_tree(
-    x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int, tree: int, search
-) -> Tree:
-    """Tree `tree` of the forest seeded `seed`; `search` is the split
-    search (_best_split, or _best_binary_split when x holds only 0s and 1s)."""
+def _grow_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> list[Tree]:
+    """The trees of the forest seeded `seed`, grown in lockstep.
+
+    Tree i is grown depth-first, left child before right, from the random
+    stream derived from (seed, i). In each round every tree pops nodes
+    until it reaches one that may split, where it draws the candidate
+    features, and one _best_splits call searches the nodes of all trees.
+    A pending node is its bag (distinct rows and their multiplicities), so
+    a tree holds at most n_samples rows across its pending nodes.
+    """
     n_samples, n_features = x.shape
-    rng, boot = _bootstrap(seed, tree, n_samples)
     k = config.resolve_feature_count(n_features)
+    max_depth = math.inf if config.max_depth is None else config.max_depth
+    store = _ColumnStore.from_matrix(x)
 
-    feature, threshold, left, right = [], [], [], []
-    value, count = [], []
+    rngs, stacks, trees = [], [], []
+    for i in range(config.n_trees):
+        rng, boot = _bootstrap(seed, i, n_samples)
+        mult = np.bincount(boot, minlength=n_samples)
+        rows = np.flatnonzero(mult)
+        rngs.append(rng)
+        # A pending node: (bag, n, pos, depth, parent, is_left). Bags hold
+        # row ids and counts below n_samples: int32 halves what waits.
+        bag = np.stack([rows, mult[rows]]).astype(np.int32)
+        root = (bag, n_samples, int(y[boot].sum()), 0, None, True)
+        stacks.append([root])
+        trees.append([])  # one [feature, threshold, left, right, value, count] per node
 
-    # Depth-first, left child before right, via an explicit stack so deep
-    # trees cannot hit the recursion limit. parent_slot = (node, is_left).
-    stack = [(boot, 0, None)]
-    while stack:
-        idx, depth, parent_slot = stack.pop()
-        node_id = len(feature)
-        if parent_slot is not None:
-            parent, is_left = parent_slot
-            (left if is_left else right)[parent] = node_id
+    live = list(range(config.n_trees))
+    while live:
+        searched, drawn = [], []
+        for t in live:
+            stack, nodes = stacks[t], trees[t]
+            while stack:
+                bag, n_node, pos, depth, parent, is_left = stack.pop()
+                if parent is not None:
+                    nodes[parent][2 if is_left else 3] = len(nodes)
+                nodes.append([-1, 0.0, -1, -1, pos / n_node, n_node])
+                if 0 < pos < n_node and n_node >= config.min_split and depth < max_depth:
+                    drawn.append(rngs[t].choice(n_features, size=k, replace=False))
+                    searched.append((t, len(nodes) - 1, bag, pos, depth))
+                    break
+        if searched:
+            found = _best_splits(store, y, [s[2] for s in searched], np.array(drawn))
+            _split_nodes(x, y, searched, found, trees, stacks)
+        live = [t for t in live if stacks[t]]
 
-        y_node = y[idx]
-        pos = int(y_node.sum())
-        n_node = len(idx)
-        split = None
-        if (
-            0 < pos < n_node
-            and n_node >= config.min_split
-            and (config.max_depth is None or depth < config.max_depth)
-        ):
-            # Gather the node's k candidate columns only, not all of x[idx].
-            candidates = rng.choice(n_features, size=k, replace=False)
-            split = search(x[np.ix_(idx, candidates)], y_node)
+    return [
+        Tree(
+            feature=np.array(feature, dtype=np.int32),
+            threshold=np.array(threshold, dtype=np.float64),
+            left=np.array(left, dtype=np.int32),
+            right=np.array(right, dtype=np.int32),
+            value=np.array(value, dtype=np.float64),
+            count=np.array(count, dtype=np.int64),
+        )
+        for feature, threshold, left, right, value, count in (zip(*nodes) for nodes in trees)
+    ]
 
-        if split is None:
-            feature.append(-1)
-            threshold.append(0.0)
-            left.append(-1)
-            right.append(-1)
-            value.append(pos / n_node)
-            count.append(n_node)
-            continue
 
-        f, thr = int(candidates[split[0]]), split[1]
-        go_left = x[idx, f] <= thr
-        feature.append(f)
-        threshold.append(thr)
-        left.append(-1)
-        right.append(-1)
-        value.append(pos / n_node)
-        count.append(n_node)
-        # Push right first so the left child is processed (and numbered) first.
-        stack.append((idx[~go_left], depth + 1, (node_id, False)))
-        stack.append((idx[go_left], depth + 1, (node_id, True)))
-
-    return Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value, dtype=np.float64),
-        count=np.array(count, dtype=np.int64),
-    )
+def _split_nodes(x, y, searched, found, trees, stacks) -> None:
+    """Turn each searched node with a split into a split node and push its
+    two children, right first, so that the left one is popped first."""
+    split = [(s, f) for s, f in zip(searched, found) if f is not None]
+    if not split:
+        return
+    sizes = [s[2].shape[1] for s, _ in split]
+    bag = np.concatenate([s[2] for s, _ in split], axis=1)
+    rows, mult = bag
+    feature, threshold = (np.array(column) for column in zip(*(f for _, f in split)))
+    goes_left = x[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+    starts = np.cumsum(sizes) - sizes
+    drawn_left = mult * goes_left
+    n_left = np.add.reduceat(drawn_left, starts).tolist()
+    pos_left = np.add.reduceat(drawn_left * y[rows], starts).tolist()
+    left_size = np.add.reduceat(goes_left.astype(np.intp), starts).tolist()
+    lefts, rights = bag[:, goes_left], bag[:, ~goes_left]
+    l0 = r0 = 0
+    for ((t, node, _, pos, depth), f), n_l, p_l, size, l_size in zip(
+        split, n_left, pos_left, sizes, left_size
+    ):
+        parent = trees[t][node]
+        parent[0:2] = f
+        r_size = size - l_size
+        # Copies, so that a child waiting on the stack holds only its own rows.
+        right = rights[:, r0:r0 + r_size].copy()
+        left = lefts[:, l0:l0 + l_size].copy()
+        stacks[t].append((right, parent[5] - n_l, pos - p_l, depth + 1, node, False))
+        stacks[t].append((left, n_l, p_l, depth + 1, node, True))
+        l0 += l_size
+        r0 += r_size
 
 
 def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
     """Grow the ensemble; deterministic given (data, config, seed).
 
-    Trees are grown one after another in this process; tree i always uses
-    the random stream derived from (seed, i). When every cell of the
-    features is 0 or 1, splits are found by counting instead of sorting;
-    both searches grow the same trees.
+    All trees are grown at once, in this process (see _grow_forest); tree
+    i always uses the random stream derived from (seed, i).
     """
     x = np.asarray(features)
     labels = np.asarray(labels)
@@ -425,15 +531,7 @@ def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
     y = labels.astype(np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
-
-    # 0/1 data (binary features, or counts that never exceed 1) take the
-    # counting search, on a boolean copy: one byte per cell to gather.
-    nonzero = x != 0
-    if (x[nonzero] == 1).all():
-        x, search = nonzero, _best_binary_split
-    else:
-        search = _best_split
-    trees = [_build_tree(x, y, config, seed, i, search) for i in range(config.n_trees)]
+    trees = _grow_forest(x, y, config, seed)
     return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
 
 
@@ -511,22 +609,13 @@ def forest_to_json_list(forest: Forest) -> list:
     """Nested-list form of the ensemble: one flat node array per tree."""
     trees = []
     for t in forest.trees:
-        nodes = []
-        for i in range(len(t.feature)):
-            if t.feature[i] < 0:
-                nodes.append({"leaf": [float(t.value[i]), int(t.count[i])]})
-            else:
-                nodes.append(
-                    {
-                        "split": [
-                            int(t.feature[i]),
-                            float(t.threshold[i]),
-                            int(t.left[i]),
-                            int(t.right[i]),
-                        ]
-                    }
-                )
-        trees.append(nodes)
+        columns = (t.feature, t.threshold, t.left, t.right, t.value, t.count)
+        nodes = zip(*(column.tolist() for column in columns))
+        trees.append([
+            {"leaf": [value, count]} if feature < 0
+            else {"split": [feature, threshold, left, right]}
+            for feature, threshold, left, right, value, count in nodes
+        ])
     return trees
 
 

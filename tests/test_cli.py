@@ -513,6 +513,28 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
     assert expected in err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("features_per_split", "log2"), ("features_per_split", 0),
+     ("features_per_split", 2.7), ("max_depth", 0), ("max_depth", -1)],
+)
+def test_model_with_bad_forest_config_is_io_error_naming_field(
+    field, value, corpus_path, model_path, tmp_path, capsys
+):
+    doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
+    doc["forest_config"][field] = value
+    bad = tmp_path / "bad-config.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["evaluate", "--model", str(bad), "--episodes", corpus_path,
+                 "--out-prefix", str(tmp_path / "eval")])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    cause = f"i/o error: {bad}: monitor-model/1 document has a bad value: {field} must be"
+    assert cause in captured.err
+    assert f"got {value!r}" in captured.err
+
+
 def test_evaluate_rejects_corpus_of_another_width(model_path, tmp_path, capsys):
     # The model was built over 1-action Q-vectors; this corpus has 3.
     path = tmp_path / "wide.jsonl"

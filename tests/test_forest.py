@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,8 @@ from safemon.forest import (
     ForestConfig,
     Tree,
     Z_CRITICAL,
-    _best_binary_split,
-    _best_split,
-    _build_tree,
+    _best_splits,
+    _ColumnStore,
     forest_from_json_list,
     forest_to_json_list,
     out_of_bag_mean,
@@ -77,9 +78,18 @@ SIX_SAMPLES = np.array(
 SIX_LABELS = np.array([0, 0, 0, 1, 1, 1])
 
 
+def best_split(x, y, candidates, mult=None):
+    """_best_splits on one node: the rows of x, row i drawn mult[i] times
+    (once each by default), searching the candidate columns."""
+    mult = np.ones(len(x), dtype=np.int64) if mult is None else np.asarray(mult)
+    rows = np.flatnonzero(mult)
+    bag = np.stack([rows, mult[rows]])
+    return _best_splits(_ColumnStore.from_matrix(x), y, [bag], np.array([candidates]))[0]
+
+
 def test_best_split_matches_brute_force_on_six_samples():
     oracle, oracle_gini = brute_force_gini_split(SIX_SAMPLES, SIX_LABELS)
-    got = _best_split(SIX_SAMPLES, SIX_LABELS)
+    got = best_split(SIX_SAMPLES, SIX_LABELS, [0, 1])
     assert got == oracle
     assert oracle == (0, 3.5)
     assert oracle_gini == 0.0
@@ -116,20 +126,37 @@ def reference_best_split(x_columns, y, candidates):
     return best
 
 
-def split_among(search, x, y, candidates):
-    """search over the candidate columns of x, with the column it picks
-    mapped back to its index in x."""
-    split = search(x[:, candidates], y)
-    return None if split is None else (int(candidates[split[0]]), split[1])
+def assert_same_split(got, want):
+    assert got == want
+    if got is not None:
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+
+
+def reference_split_of_bag(x, y, candidates, mult):
+    """reference_best_split on the node's rows, each repeated mult times."""
+    drawn = np.repeat(np.arange(len(x)), mult)
+    return reference_best_split(x[drawn], y[drawn], candidates)
+
+
+def multiplicities(draw, n):
+    """How often a node drew each of n rows: 0 (absent) to 4 times, with at
+    least one row drawn."""
+    mult = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    mult[draw(st.integers(0, n - 1))] += 1
+    return np.array(mult, dtype=np.int64)
+
+
+# Cells of the general nodes: negative, fractional, and both zeros.
+CELLS = [-2.5, -1.0, -0.5, -0.0, 0.0, 0.25, 1.0, 2.0, 3.75]
 
 
 @st.composite
 def split_nodes(draw):
-    """Small-integer node matrices with ties, constant and duplicated columns."""
-    n = draw(st.integers(2, 12))
+    """Node matrices with ties, constant and duplicated columns, negative,
+    fractional and signed-zero cells, and rows drawn 0 to 4 times."""
+    n = draw(st.integers(1, 12))
     width = draw(st.integers(1, 8))
-    top = draw(st.integers(1, 4))
-    cells = st.integers(0, top)
+    cells = st.sampled_from(CELLS[: draw(st.integers(2, len(CELLS)))])
     columns = [draw(st.lists(cells, min_size=n, max_size=n)) for _ in range(width)]
     for j in range(width):
         kind = draw(st.sampled_from(["drawn", "constant", "duplicate"]))
@@ -137,24 +164,26 @@ def split_nodes(draw):
             columns[j] = [columns[j][0]] * n
         elif kind == "duplicate":
             columns[j] = list(columns[draw(st.integers(0, width - 1))])
-    x = np.array(columns, dtype=np.float32).T
+    x = np.array(columns, dtype=draw(st.sampled_from([np.float32, np.float64]))).T
     y = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.int64)
     k = draw(st.integers(1, width))
     candidates = np.array(draw(st.permutations(range(width)))[:k])
-    return x, y, candidates
+    return x, y, candidates, multiplicities(draw, n)
 
 
 @settings(max_examples=300, deadline=None)
 @given(split_nodes())
 def test_best_split_matches_reference_loop(node):
-    x, y, candidates = node
-    assert split_among(_best_split, x, y, candidates) == reference_best_split(x, y, candidates)
+    x, y, candidates, mult = node
+    want = reference_split_of_bag(x, y, candidates, mult)
+    assert_same_split(best_split(x, y, candidates, mult), want)
 
 
 @st.composite
 def binary_nodes(draw):
     """0/1 node matrices of 2-80 rows with constant and duplicated columns,
-    now and then with every column constant or with one class only."""
+    now and then with every column constant or with one class only; rows
+    are drawn 0 to 4 times."""
     n = draw(st.integers(2, 80))
     width = draw(st.integers(1, 9))
     # A column is the bits of one drawn integer: much quicker to draw than n bits.
@@ -177,60 +206,101 @@ def binary_nodes(draw):
         y = np.full(n, int(labels == "unsafe"), dtype=np.int64)
     k = draw(st.integers(1, width))
     candidates = np.array(draw(st.permutations(range(width)))[:k])
-    return x, y, candidates
+    mult = np.ones(n, dtype=np.int64) if draw(st.booleans()) else multiplicities(draw, n)
+    return x, y, candidates, mult
 
 
 @settings(max_examples=300, deadline=None)
 @given(binary_nodes())
-def test_binary_split_matches_sort_path(node):
-    x, y, candidates = node
-    want = split_among(_best_split, x, y, candidates)
-    for columns in (x, x != 0):  # train_forest counts on a boolean copy
-        got = split_among(_best_binary_split, columns, y, candidates)
-        assert got == want
-        if got is not None:
-            assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+def test_binary_split_matches_reference_loop(node):
+    x, y, candidates, mult = node
+    want = reference_split_of_bag(x, y, candidates, mult)
+    assert_same_split(best_split(x, y, candidates, mult), want)
 
 
-def sort_path_forest(x, y, config, seed):
-    """The forest train_forest grows, with every split found by sorting."""
-    trees = [_build_tree(x, y, config, seed, i, _best_split) for i in range(config.n_trees)]
-    return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), chunk=st.sampled_from([1, 40, forest_module.CHUNK_ENTRIES]))
+def test_best_splits_searches_many_nodes_in_any_chunks(data, chunk):
+    """One call over several nodes of one matrix, split into chunks of any
+    size, finds each node's split as if it were searched alone."""
+    x, y, _, _ = data.draw(split_nodes())
+    n, width = x.shape
+    k = data.draw(st.integers(1, width))
+    nodes = data.draw(st.integers(1, 6))
+    mults = [multiplicities(data.draw, n) for _ in range(nodes)]
+    candidates = np.array(
+        [data.draw(st.permutations(range(width)))[:k] for _ in range(nodes)]
+    ).reshape(nodes, k)
+    bags = [np.stack([np.flatnonzero(m), m[m > 0]]) for m in mults]
+    with mock.patch.object(forest_module, "CHUNK_ENTRIES", chunk):
+        got = _best_splits(_ColumnStore.from_matrix(x), y, bags, candidates)
+    for split, m, c in zip(got, mults, candidates):
+        assert_same_split(split, reference_split_of_bag(x, y, c, m))
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_binary_forest_matches_sort_path_forest(data):
+def reference_forest(x, y, config, seed):
+    """The forest train_forest must grow: each tree grown alone,
+    depth-first with the left child first, its candidates drawn from its
+    own stream at every node that may split, and every split found by
+    reference_best_split on the node's rows."""
+    n_samples, n_features = x.shape
+    k = config.resolve_feature_count(n_features)
+    trees = []
+    for i in range(config.n_trees):
+        rng = np.random.default_rng(derive_seed(seed, f"tree:{i}"))
+        idx = rng.integers(0, n_samples, size=n_samples)
+        nodes = []  # [feature, threshold, left, right, value, count]
+        stack = [(idx, 0, None, True)]
+        while stack:
+            idx, depth, parent, is_left = stack.pop()
+            if parent is not None:
+                nodes[parent][2 if is_left else 3] = len(nodes)
+            pos, n_node = int(y[idx].sum()), len(idx)
+            nodes.append([-1, 0.0, -1, -1, pos / n_node, n_node])
+            if not (
+                0 < pos < n_node
+                and n_node >= config.min_split
+                and (config.max_depth is None or depth < config.max_depth)
+            ):
+                continue
+            candidates = rng.choice(n_features, size=k, replace=False)
+            split = reference_best_split(x[idx], y[idx], candidates)
+            if split is None:
+                continue
+            nodes[-1][0:2] = split
+            go_left = x[idx, split[0]] <= split[1]
+            node = len(nodes) - 1
+            stack.append((idx[~go_left], depth + 1, node, False))
+            stack.append((idx[go_left], depth + 1, node, True))
+        columns = list(zip(*nodes))
+        dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64, np.int64)
+        trees.append(Tree(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes))))
+    return Forest(trees=trees, feature_count=n_features, config=config, seed=seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    data=st.data(),
+    cells=st.sampled_from([[0.0, 1.0], [0.0, 1.0, 2.0, 3.0], CELLS]),
+    chunk=st.sampled_from([1, 300, forest_module.CHUNK_ENTRIES]),
+)
+def test_train_forest_matches_reference_forest(data, cells, chunk):
     n = data.draw(st.integers(2, 40))
     width = data.draw(st.integers(1, 12))
-    row = st.lists(st.integers(0, 1), min_size=width, max_size=width)
+    row = st.lists(st.sampled_from(cells), min_size=width, max_size=width)
     x = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float32)
     labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     y = np.array(data.draw(labels.filter(lambda v: 0 < sum(v) < len(v))), dtype=np.int64)
     config = ForestConfig(
         n_trees=data.draw(st.integers(1, 4)),
-        max_depth=data.draw(st.sampled_from([None, 1, 3])),
-        features_per_split=data.draw(st.sampled_from(["sqrt", "all", 2])),
+        max_depth=data.draw(st.sampled_from([None, 1, 2, 3])),
+        min_split=data.draw(st.integers(2, 5)),
+        features_per_split=data.draw(st.sampled_from(["sqrt", "all", 1, 2, 3])),
     )
     seed = data.draw(st.integers(0, 2**31))
-    counted = json.dumps(forest_to_json_list(train_forest(x, y, config, seed)))
-    assert counted == json.dumps(forest_to_json_list(sort_path_forest(x, y, config, seed)))
-
-
-def test_train_forest_counts_only_on_zero_one_data(monkeypatch):
-    sorted_nodes = []
-
-    def sorting(block, y):
-        sorted_nodes.append(len(y))
-        return _best_split(block, y)
-
-    monkeypatch.setattr(forest_module, "_best_split", sorting)
-    x, y = golden_data("binary")
-    train_forest(x, y, ForestConfig(n_trees=3), seed=1)
-    assert sorted_nodes == []
-    x[0, 0] = 2.0  # one count above 1: no longer 0/1 data
-    train_forest(x, y, ForestConfig(n_trees=3), seed=1)
-    assert sorted_nodes
+    with mock.patch.object(forest_module, "CHUNK_ENTRIES", chunk):
+        grown = json.dumps(forest_to_json_list(train_forest(x, y, config, seed)))
+    assert grown == json.dumps(forest_to_json_list(reference_forest(x, y, config, seed)))
 
 
 def golden_data(kind):
@@ -599,6 +669,25 @@ def test_training_rejects_bad_labels_and_features():
         x_bad = np.array([[0.0, 1.0], [bad, 0.0], [1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="features must be finite"):
             train_forest(x_bad, np.array([0, 1, 1, 0]), ForestConfig(), seed=0)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("features_per_split", "log2"), ("features_per_split", 0), ("features_per_split", 2.7),
+     ("features_per_split", True), ("features_per_split", None), ("max_depth", 0),
+     ("max_depth", -1), ("max_depth", 1.5), ("max_depth", "3"), ("n_trees", 0),
+     ("n_trees", 2.5), ("min_split", 1)],
+)
+def test_forest_config_rejects_bad_values_naming_the_field(field, value):
+    with pytest.raises(ValueError, match=rf"^{field} must be .* got {re.escape(repr(value))}$"):
+        ForestConfig(**{field: value})
+
+
+def test_forest_config_accepts_named_choices_and_counts():
+    for features_per_split, k in (("sqrt", 4), ("all", 10), (3, 3), (30, 10)):
+        config = ForestConfig(max_depth=1, features_per_split=features_per_split)
+        assert config.resolve_feature_count(10) == k
+    assert ForestConfig(max_depth=None, min_split=2, n_trees=1).max_depth is None
 
 
 def test_predict_dimension_mismatch():
