@@ -47,6 +47,7 @@ from .monitor import (
     load_model,
     observe,
     run_trace,
+    run_traces,
     save_model,
 )
 

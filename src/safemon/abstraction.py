@@ -8,14 +8,18 @@ predictor consumes.
 
 One function counts visits into feature rows: prefix_feature_matrix uses
 it for every prefix of one episode (batch replay), episode_feature_matrix
-for the end of each training episode. A prefix matrix is compact: it has
-one column per abstract state the episode visits, plus the global ids of
-those columns, and every other state's count is 0. Features are monotone
-visit counts, so each step changes at most one column, which is what the
-forest's change-driven walk feeds on. The monitor's running counts in
-observe are the same encoding, kept one step at a time over the whole
-table. A Q-vector whose width differs from the table's is rejected where
-it is looked up.
+for the end of each training episode in frequency mode; binary
+end-of-episode rows are presence bits, one byte each. A prefix matrix is
+compact: it has one column per abstract state the episode visits, plus
+the global ids of those columns, and every other state's count is 0.
+Features are monotone visit counts, so each step changes at most one
+column. monitor.run_traces stacks the prefix matrices of a chunk of
+episodes and hands them to the forest's change-driven walk, which walks
+a tree at a step only when that column is one the tree tests. The
+monitor's running counts in observe are the same encoding, kept one step
+at a time over the whole table, and each step walks every tree. A
+Q-vector whose width differs from the table's is rejected where it is
+looked up.
 """
 
 from __future__ import annotations
@@ -181,7 +185,8 @@ def prefix_feature_matrix(
 def episode_feature_matrix(
     episodes, table: AbstractionTable, mode: FeatureMode, ids=None
 ) -> np.ndarray:
-    """End-of-episode feature rows for a list of episodes.
+    """End-of-episode feature rows for a list of episodes: uint8 presence
+    bits in binary mode, float32 visit counts in frequency mode.
 
     `ids`, when given, holds each episode's per-step abstract ids, as
     `table.corpus_ids` does for the corpus the table was built from, and
@@ -191,10 +196,14 @@ def episode_feature_matrix(
         ids = [table.lookup_batch(episode.qs) for episode in episodes]
     rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
     flat = np.concatenate(ids) if ids else rows  # no episodes, no visits
-    counts = _visit_counts(len(ids), table.n, rows, flat)
     if mode is FeatureMode.BINARY:
-        np.minimum(counts, 1.0, out=counts)
-    return counts
+        # Presence bits in bytes: a quarter of the memory of float32 counts,
+        # for the matrix that build and select-d hold while they fit.
+        present = np.zeros((len(ids), table.n), dtype=np.uint8)
+        seen = flat >= 0
+        present[rows[seen], flat[seen]] = 1
+        return present
+    return _visit_counts(len(ids), table.n, rows, flat)
 
 
 def distinct_q_count(episode_set) -> int:
@@ -302,7 +311,7 @@ def select_level(
                 monitor = monitor_mod.MonitorModel(
                     table=table, forest=model, mode=mode, criterion=crit, theta=theta
                 )
-                traces = [monitor_mod.run_trace(monitor, e.qs) for e in inner_test.episodes]
+                traces = monitor_mod.run_traces(monitor, [e.qs for e in inner_test.episodes])
                 (row,) = sweep(traces, labels, [crit], [theta]).rows
                 operation_f1, mean_fire = row.metrics.f1_macro, row.stats.decision_step_avg
                 candidates.append((d, operation_f1, mean_fire))

@@ -290,7 +290,7 @@ def cmd_evaluate(args) -> int:
         write_sweep_csv,
         write_traces_csv,
     )
-    from .monitor import Criterion, load_model, run_trace
+    from .monitor import Criterion, load_model, run_traces
 
     model = load_model(args.model)
     overrides = {}
@@ -310,7 +310,7 @@ def cmd_evaluate(args) -> int:
         )
     labels = [e.label for e in corpus.episodes]
     horizon = max(e.length for e in corpus.episodes)
-    traces = [run_trace(model, e.qs) for e in corpus.episodes]
+    traces = run_traces(model, [e.qs for e in corpus.episodes])
 
     rows = metrics_over_time(traces, labels, horizon)
     write_metrics_csv(rows, args.out_prefix + ".metrics.csv", time_base=args.time_base)

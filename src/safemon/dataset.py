@@ -189,6 +189,9 @@ def _episode_from_obj(obj: dict) -> Episode:
     qs = np.array([s["q"] for s in steps], dtype=np.float64)
     if qs.ndim != 2:
         raise DatasetError("every step's q must be a list of numbers")
+    if not np.isfinite(qs).all():
+        step = int(np.flatnonzero(~np.isfinite(qs).all(axis=1))[0])
+        raise DatasetError(f"step {step} has a non-finite q: {steps[step]['q']}")
     return Episode(
         states=np.array([s["s"] for s in steps], dtype=np.float64),
         actions=np.array([s["a"] for s in steps], dtype=np.int64),
@@ -208,8 +211,9 @@ def write_jsonl(episode_set: EpisodeSet, path) -> None:
 
 
 def read_jsonl(path) -> EpisodeSet:
-    """Parse an episode corpus; malformed lines, and lines whose Q-vector
-    width differs from the first episode's, fail with their number.
+    """Parse an episode corpus; malformed lines, among them a Q-value that
+    is NaN or infinite, and lines whose Q-vector width differs from the
+    first episode's, fail with their number.
 
     Set-level metadata is not part of the line schema: the environment
     kind is inferred from the Q-vector width, fingerprint and seed stay

@@ -21,32 +21,34 @@ multiplicities over the column's entries, with no per-node sort or dense
 copy. 0/1 and count features take the same path, and the trees are those
 of a per-node sorting search, bit for bit.
 
-Batch inference runs on a packed form of the whole ensemble (`PackedTrees`,
+Inference runs on a packed form of the whole ensemble (`PackedTrees`,
 built once per `Forest`): the node arrays of all trees concatenated, one
 root offset per tree, children as global node indices, and every leaf
 turned into a node that branches to itself on feature 0 with threshold
 +inf. It also indexes the split nodes by the feature they test, with the
 tree each belongs to.
 
-`predict_batch` is change-driven. Tree k is walked at row t only when
-t = 0 or row t differs from row t-1 in a feature tree k tests; every
-other (tree, row) pair reaches the same leaf as at row t-1, so its value
-is carried forward. The pairs that are walked go down their trees one
-level per step, all at once, until no pair moves. Over the prefixes of
-one episode, where each step changes at most one feature, few pairs are
-walked (about 1% on the replay benchmark's corpus); over independent rows
-nearly all are. The output is
-bit-identical to walking each tree alone. Rows may also come in the
-compact form of `abstraction.prefix_feature_matrix`: only the columns of
-the features an episode touches, with every other feature reading 0.
+One descent loop serves every walk: the (tree, row) pairs it is given go
+down their trees one level per step, all at once, until no pair moves.
+Which pairs go down it depends on the traffic.
+- Independent rows (`predict`, `predict_batch`, `out_of_bag_mean`):
+  every pair is walked from its root, with no change detection. On the
+  `stream` benchmark's monitor (100 trees, 27 nodes per tree) the median
+  `predict` took 164 us in a traced run, against 355 us when its one row
+  went through the change-driven walk (2-vCPU Intel Xeon VM, numpy 2.4).
+- The prefixes of episodes (`predict_prefixes`, which
+  `monitor.run_traces` calls): tree k is walked at row t of an episode
+  only when t = 0 or row t differs from row t-1 in a feature tree k
+  tests, and every other pair keeps the leaf of (k, t-1). That is the
+  feature-driven traversal of QuickScorer (Lucchese et al., SIGIR 2015).
+  Each step changes at most one feature, so few pairs are walked, and
+  `_summarize` runs only on the rows where some leaf value changed: 1%
+  of the pairs and 2% of the rows on the replay benchmark's corpus.
 
-The single-input `predict` is the same walk over a one-row batch, with the
-same summary code, so stream and batch agree bit for bit by construction.
-It is also the quicker walk for one row. With 100 trees, one row took
-0.53 ms against 0.88 ms for walking each tree alone in Python at 25
-nodes/tree (2,822 states), and 0.96 ms against 1.93 ms at 180 nodes/tree
-(5,046 states), both on one core of an Intel Xeon with numpy 2.4.
-`Tree.probability` stays as the reference walk the tests compare against.
+Both give the bits of walking each tree alone, and the single-input
+`predict` shares the summary code, so stream and batch agree bit for bit
+by construction. `Tree.probability` stays as the reference walk the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -158,64 +160,107 @@ class PackedTrees:
         value = np.concatenate([t.value for t in trees])
         return cls(feature, threshold, branch, value, roots, feature[splits], tree[splits])
 
-    def leaf_values(self, x_rows: np.ndarray, columns: Optional[np.ndarray] = None) -> np.ndarray:
-        """(n_trees, n_rows) values of the leaves the rows reach; ties at a
-        split go left.
+    def _descend(self, nodes: np.ndarray, read) -> np.ndarray:
+        """The leaf values that (tree, row) pairs reach from `nodes`.
 
-        Column j of x_rows holds feature columns[j], and a feature not in
-        `columns` reads 0; with columns=None column j is feature j. Tree k
-        is walked at row t only when t = 0 or row t differs from row t-1
-        in a feature tree k tests; every other pair keeps the leaf value of
-        (k, t-1).
+        read(nodes) gives each pair's value of the feature its node tests.
+        All pairs go down one level per step, until none moves.
         """
-        n_rows, width = x_rows.shape
-        n_trees = len(self.roots)
-        if n_rows == 0:
-            return np.empty((n_trees, 0))
-        features = np.arange(width) if columns is None else columns
-        # The split nodes testing column j are lo[j] .. lo[j] + n_testing[j]
-        # in feature order; only the columns some tree tests can cause an event.
-        lo = np.searchsorted(self.split_feature, features, side="left")
-        n_testing = np.searchsorted(self.split_feature, features, side="right") - lo
-        tested = np.nonzero(n_testing)[0]
-        steps, which = np.nonzero(x_rows[1:, tested] != x_rows[:-1, tested])
-        changed = tested[which]
-
-        # Events: row 0 of every tree, and (tree, t) for each tree testing a
-        # feature that changed between rows t-1 and t.
-        count = n_testing[changed]
-        first = np.cumsum(count) - count  # the split-node ranges, concatenated
-        splits = np.arange(count.sum()) + np.repeat(lo[changed] - first, count)
-        event = np.zeros((n_trees, n_rows), dtype=bool)
-        event[:, 0] = True
-        event[self.split_tree[splits], np.repeat(steps + 1, count)] = True
-
-        if columns is None:
-            node_column = self.feature
-        else:
-            size = max(int(self.feature.max()), int(columns.max(initial=0))) + 1
-            lookup = np.full(size, width, dtype=np.intp)
-            lookup[columns] = np.arange(width)
-            node_column = lookup[self.feature]
-            # Column `width`, all zeros, is read by every feature not in columns.
-            x_rows = np.hstack([x_rows, np.zeros((n_rows, 1), dtype=x_rows.dtype)])
-
-        trees, rows = np.nonzero(event)
-        flat = x_rows.ravel()
-        row_start = rows * x_rows.shape[1]
-        nodes = self.roots.take(trees)
         while True:
-            x = flat.take(row_start + node_column.take(nodes))
-            goes_left = x <= self.threshold.take(nodes)
+            goes_left = read(nodes) <= self.threshold.take(nodes)
             moved = self.branch.take(2 * nodes + goes_left)  # branch[nodes, goes_left]
             if np.array_equal(moved, nodes):
-                break
+                return self.value.take(nodes)
             nodes = moved
 
-        leaf = np.empty((n_trees, n_rows))
-        leaf[event] = self.value.take(nodes)
-        last_event = np.maximum.accumulate(np.where(event, np.arange(n_rows), 0), axis=1)
-        return np.take_along_axis(leaf, last_event, axis=1)
+    def leaf_values(self, x_rows: np.ndarray) -> np.ndarray:
+        """(n_trees, n_rows) values of the leaves the rows reach; ties at a
+        split go left. Every (tree, row) pair is walked from its root."""
+        n_rows, width = x_rows.shape
+        flat = x_rows.ravel()
+        if n_rows == 1:  # a pair reads its node's feature straight from the row
+            values = self._descend(self.roots, lambda nodes: flat.take(self.feature.take(nodes)))
+            return values[:, None]
+        row_start = np.tile(np.arange(0, n_rows * width, width), len(self.roots))
+        values = self._descend(
+            np.repeat(self.roots, n_rows),
+            lambda nodes: flat.take(row_start + self.feature.take(nodes)),
+        )
+        return values.reshape(len(self.roots), n_rows)
+
+    def prefix_leaf_values(self, blocks: list) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf values of the stacked rows of `blocks`, and the rows at
+        which some leaf value changed.
+
+        Block i is (rows, columns), as abstraction.prefix_feature_matrix
+        returns it, with at least one row: column j of a row holds feature
+        columns[j] (ids in [0, n_features), each once), and every other
+        feature reads 0. Tree k is walked at row t of a block only when
+        t = 0 or row t differs from row t-1 in a feature tree k tests;
+        every other pair keeps the leaf of (k, t-1). Returns the
+        (n_trees, n_rows) values over the blocks' rows in order, and a
+        bool per row that is True at row 0 and wherever some tree's value
+        differs from the row before, within a block or across two.
+        """
+        n_trees = len(self.roots)
+        sizes = np.array([len(rows) for rows, _ in blocks])
+        widths = np.array([len(columns) + 1 for _, columns in blocks])
+        n_rows = int(sizes.sum())
+        first_row = np.cumsum(sizes) - sizes
+
+        # The blocks, each with a zero column appended, one after the other
+        # in `flat`; row r of block e starts at row_base[r].
+        cells = sizes * widths
+        block_start = np.cumsum(cells) - cells
+        flat = np.zeros(int(cells.sum()), dtype=np.result_type(*{rows.dtype for rows, _ in blocks}))
+        change_rows, change_features = [], []  # (row, feature) of every change
+        for (rows, columns), start, width, first in zip(
+            blocks, block_start.tolist(), widths.tolist(), first_row.tolist()
+        ):
+            flat[start:start + len(rows) * width].reshape(len(rows), width)[:, :-1] = rows
+            t, j = np.nonzero(rows[1:] != rows[:-1])
+            change_rows.append(t + first + 1)
+            change_features.append(columns[j])
+        block = np.repeat(np.arange(len(blocks)), sizes)
+        row_base = (block_start - first_row * widths)[block] + np.arange(n_rows) * widths[block]
+
+        # The (block, feature) table: the column of each feature in its
+        # block's rows, the zero column for a feature the block lacks.
+        n_columns = widths - 1
+        visited = np.concatenate([columns for _, columns in blocks])
+        n_features = max(int(self.feature.max()), int(visited.max(initial=0))) + 1
+        table = np.repeat(n_columns, n_features)
+        local = np.arange(len(visited)) - np.repeat(np.cumsum(n_columns) - n_columns, n_columns)
+        table[np.repeat(np.arange(len(blocks)) * n_features, n_columns) + visited] = local
+
+        # Events, as pair ids k * n_rows + r: every tree at a block's first
+        # row, and each tree testing a feature that changed at row r.
+        event = np.zeros(n_trees * n_rows, dtype=bool)
+        event.reshape(n_trees, n_rows)[:, first_row] = True
+        features = np.concatenate(change_features)
+        lo = np.searchsorted(self.split_feature, features, side="left")
+        count = np.searchsorted(self.split_feature, features, side="right") - lo
+        first = np.cumsum(count) - count  # the split-node ranges, concatenated
+        splits = np.arange(count.sum()) + np.repeat(lo - first, count)
+        event[self.split_tree[splits] * n_rows + np.repeat(np.concatenate(change_rows), count)] = True
+
+        pairs = np.flatnonzero(event)
+        del event
+        rows = pairs % n_rows
+        read_at = row_base.take(rows)
+        table_at = block.take(rows) * n_features
+        values = self._descend(
+            self.roots.take(pairs // n_rows),
+            lambda nodes: flat.take(read_at + table.take(table_at + self.feature.take(nodes))),
+        )
+        # Pair ids are sorted and every tree has an event at row 0, so each
+        # event's value holds until its tree's next event, and the event
+        # before one at row r > 0 holds its tree's value at row r - 1.
+        per_tree = np.repeat(values, np.diff(pairs, append=n_trees * n_rows))
+        moved = np.zeros(n_rows, dtype=bool)
+        moved[0] = True
+        moved[rows[1:][values[1:] != values[:-1]]] = True
+        return per_tree.reshape(n_trees, n_rows), moved
 
 
 @dataclass
@@ -563,29 +608,27 @@ def predict(forest: Forest, x) -> ProbabilitySummary:
     return BatchSummary(per_tree, *_summarize(per_tree)).column(0)
 
 
-def predict_batch(
-    forest: Forest, x_rows: np.ndarray, columns: Optional[np.ndarray] = None
-) -> BatchSummary:
-    """predict() over the rows of a feature matrix, all trees at once.
-
-    With `columns` (global feature ids), column j of x_rows holds feature
-    columns[j] and every other feature is 0: the compact rows that
-    abstraction.prefix_feature_matrix returns.
-    """
+def predict_batch(forest: Forest, x_rows: np.ndarray) -> BatchSummary:
+    """predict() over the rows of a feature matrix, all trees at once."""
     x_rows = np.asarray(x_rows)
-    if columns is not None:
-        columns = np.asarray(columns, dtype=np.intp)
-        if columns.size and not 0 <= columns.min() <= columns.max() < forest.feature_count:
-            raise ValueError(
-                f"feature columns must lie in [0, {forest.feature_count}), "
-                f"got {columns.min()}..{columns.max()}"
-            )
-    width = forest.feature_count if columns is None else len(columns)
-    if x_rows.ndim != 2 or x_rows.shape[1] != width:
-        raise ValueError(f"expected rows of length {width}, got shape {x_rows.shape}")
-    per_tree = forest.packed.leaf_values(x_rows, columns)
-    mean, std, low, up = _summarize(per_tree)
-    return BatchSummary(per_tree, mean, std, low, up)
+    if x_rows.ndim != 2 or x_rows.shape[1] != forest.feature_count:
+        raise ValueError(f"expected rows of length {forest.feature_count}, got shape {x_rows.shape}")
+    per_tree = forest.packed.leaf_values(x_rows)
+    return BatchSummary(per_tree, *_summarize(per_tree))
+
+
+def predict_prefixes(forest: Forest, blocks: list) -> BatchSummary:
+    """predict() over the stacked rows of compact prefix blocks.
+
+    `blocks` are as PackedTrees.prefix_leaf_values takes them, one per
+    episode. The summary is computed only at the rows where some leaf value
+    changed and copied to the rows after them, which hold the same
+    per-tree values and so the same summary, bit for bit.
+    """
+    per_tree, moved = forest.packed.prefix_leaf_values(blocks)
+    fields = _summarize(per_tree[:, np.flatnonzero(moved)])
+    last_moved = np.cumsum(moved) - 1
+    return BatchSummary(per_tree, *(field.take(last_moved) for field in fields))
 
 
 def out_of_bag_mean(forest: Forest, x) -> np.ndarray:
@@ -629,9 +672,11 @@ def forest_from_json_list(trees_doc: list, feature_count: int, config: ForestCon
         right = np.full(n, -1, dtype=np.int32)
         value = np.zeros(n, dtype=np.float64)
         count = np.zeros(n, dtype=np.int64)
+        # Scalar writes into numpy arrays: building lists and converting
+        # each column once measured no faster (numpy 2.4).
         for i, node in enumerate(nodes):
             if "leaf" in node:
-                value[i], count[i] = node["leaf"][0], node["leaf"][1]
+                value[i], count[i] = node["leaf"]
             else:
                 feature[i], threshold[i], left[i], right[i] = node["split"]
         trees.append(Tree(feature, threshold, left, right, value, count))

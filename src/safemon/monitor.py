@@ -7,14 +7,18 @@ the rest of the episode. Comparison strictness follows the criteria
 definitions: upper bound and output probability fire at >= theta, the
 lower bound only at > theta.
 
-A stored episode is replayed in one batch: run_trace encodes every
-prefix over the states the episode visits, scores them with one
-change-driven forest call (a tree is walked at a step only when a feature
-it tests changed there), and returns a DecisionTrace that is that
-probability series plus the first fire step. Its per-step assessments are
-derived from the series on demand and equal what observe returns step by
-step, bit for bit. observe scores each step as a one-row batch: every
-tree is walked, on the same packed arrays and with the same summary code.
+observe scores each step with forest.predict: every tree is walked from
+its root, with no change detection, which is the cheaper walk for one
+row. Stored episodes are replayed together: run_traces looks up the
+whole corpus at once, cuts each episode at the stop policy, encodes
+every prefix over the states the episode visits, and scores the
+episodes in chunks under a row budget, one change-driven forest call
+per chunk (a tree is walked at a step only when a feature it tests
+changed there). Each episode becomes a DecisionTrace: its probability
+series plus the first fire step. Its per-step assessments are derived
+from the series on demand and equal what observe returns step by step,
+bit for bit, since both walks reach the same leaves and share the
+summary code.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ from .forest import (
     forest_from_json_list,
     forest_to_json_list,
     predict,
-    predict_batch,
+    predict_prefixes,
 )
 
 
@@ -170,46 +174,75 @@ def observe(model: MonitorModel, running: RunningState, q) -> StepAssessment:
     )
 
 
-def probability_series(model: MonitorModel, episode_qs) -> tuple[BatchSummary, bool]:
-    """Forest summaries for each monitored step of a stored episode, and
-    whether the stop policy cut the episode short.
-
-    Under the stop policy the series ends at the first unseen abstract
-    state, since the stream would refuse further observations there.
-    """
-    episode_qs = np.asarray(episode_qs, dtype=np.float64)
-    if len(episode_qs) == 0:
-        raise ValueError("empty Q-value stream")
-    ids = model.table.lookup_batch(episode_qs)
-    stop_hit = False
-    if model.unseen_policy is UnseenPolicy.STOP:
-        unseen_at = np.nonzero(ids < 0)[0]
-        if unseen_at.size:
-            ids = ids[: int(unseen_at[0]) + 1]
-            stop_hit = True
-    features, columns = prefix_feature_matrix(ids, model.table.n, model.mode)
-    return predict_batch(model.forest, features, columns), stop_hit
-
-
 def first_fire_step(batch: BatchSummary, criterion: Criterion, theta: float) -> Optional[int]:
     """First step of a probability series at which the criterion holds."""
     fired = np.nonzero(criterion_holds(batch, criterion, theta))[0]
     return int(fired[0]) if fired.size else None
 
 
-def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:
-    """Monitor a stored episode end to end (it keeps running after firing).
+# run_traces scores whole episodes in chunks of at most about this many
+# rows. Each episode also counts table.n / n_trees rows for its row of the
+# (episode, feature) table, so that neither the chunk's (tree, row) pairs
+# nor its table outgrow ROW_BUDGET * n_trees entries. An episode longer
+# than the budget makes a chunk of its own.
+ROW_BUDGET = 1 << 12
 
-    The trace covers the steps of probability_series: under the stop
-    policy it ends at the first unseen abstract state.
+
+def run_traces(model: MonitorModel, episodes_qs) -> list[DecisionTrace]:
+    """Monitor stored episodes end to end (each keeps running after firing).
+
+    Under the stop policy a trace ends at its episode's first unseen
+    abstract state, since the stream would refuse further observations
+    there. Every episode must hold at least one step.
     """
-    batch, stop_hit = probability_series(model, episode_qs)
-    return DecisionTrace(
-        series=batch,
-        first_fire_step=first_fire_step(batch, model.criterion, model.theta),
-        episode_length=len(episode_qs),
-        stop_hit=stop_hit,
-    )
+    qs = [np.asarray(q, dtype=np.float64) for q in episodes_qs]
+    if not qs:
+        return []
+    lengths = [len(q) for q in qs]
+    if min(lengths) == 0:
+        raise ValueError("empty Q-value stream")
+    ids = np.split(model.table.lookup_batch(np.concatenate(qs)), np.cumsum(lengths[:-1]))
+    stop_hit = [False] * len(ids)
+    if model.unseen_policy is UnseenPolicy.STOP:
+        for i, episode_ids in enumerate(ids):
+            unseen_at = np.flatnonzero(episode_ids < 0)
+            if unseen_at.size:
+                ids[i] = episode_ids[: int(unseen_at[0]) + 1]
+                stop_hit[i] = True
+
+    table_rows = model.table.n / model.forest.n_trees
+    series, chunk, rows = [], [], 0.0
+    for episode_ids in ids:
+        cost = len(episode_ids) + table_rows
+        if chunk and rows + cost > ROW_BUDGET:
+            series += _replay_chunk(model, chunk)
+            chunk, rows = [], 0.0
+        chunk.append(episode_ids)
+        rows += cost
+    series += _replay_chunk(model, chunk)
+    return [
+        DecisionTrace(
+            series=batch,
+            first_fire_step=first_fire_step(batch, model.criterion, model.theta),
+            episode_length=length,
+            stop_hit=hit,
+        )
+        for batch, length, hit in zip(series, lengths, stop_hit)
+    ]
+
+
+def _replay_chunk(model: MonitorModel, ids: list) -> list[BatchSummary]:
+    """The probability series of each episode of a chunk, from its ids."""
+    blocks = [prefix_feature_matrix(episode_ids, model.table.n, model.mode) for episode_ids in ids]
+    batch = predict_prefixes(model.forest, blocks)
+    fields = (batch.per_tree, batch.mean, batch.std, batch.low, batch.up)
+    bounds = np.cumsum([0] + [len(episode_ids) for episode_ids in ids]).tolist()
+    return [BatchSummary(*(f[..., a:b] for f in fields)) for a, b in zip(bounds, bounds[1:])]
+
+
+def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:
+    """run_traces of one episode."""
+    return run_traces(model, [episode_qs])[0]
 
 
 def save_model(model: MonitorModel, path) -> None:

@@ -232,7 +232,7 @@ def test_episode_feature_matrix_matches_encode():
     table = AbstractionTable.build(corpus, 0.5)
     for mode in FeatureMode:
         matrix = episode_feature_matrix(episodes, table, mode)
-        assert matrix.dtype == np.float32
+        assert matrix.dtype == (np.uint8 if mode is FeatureMode.BINARY else np.float32)
         for row, episode in zip(matrix, episodes):
             ids = [table.lookup(q) for q in episode.qs]
             assert np.array_equal(row, encode(ids, table.n, mode))

@@ -548,6 +548,20 @@ def test_evaluate_rejects_corpus_of_another_width(model_path, tmp_path, capsys):
     assert not (tmp_path / "eval.metrics.csv").exists()
 
 
+def test_evaluate_rejects_non_finite_q_naming_the_line(model_path, tmp_path, capsys):
+    path = tmp_path / "nan.jsonl"
+    write_jsonl(two_band_corpus(n_per_class=2, steps=3), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"q": [4.5]', '"q": [NaN]', 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["evaluate", "--model", model_path, "--episodes", str(path),
+                 "--out-prefix", str(tmp_path / "eval")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"i/o error: {path}: malformed episode at line 3: step 0 has a non-finite q: [nan]" in err
+    assert not (tmp_path / "eval.metrics.csv").exists()
+
+
 def noisy_corpus(seed, n):
     """Two-action episodes of 4-12 steps; every third is unsafe and its
     second half drifts upward, so fire steps, misses and false alarms vary."""

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -131,6 +132,18 @@ def test_jsonl_truncated_line_reports_number(tmp_path):
     text = path.read_text(encoding="utf-8")
     path.write_text(text[:-20], encoding="utf-8")  # truncate the final line
     with pytest.raises(DatasetError, match="line 2"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("literal, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")])
+def test_jsonl_rejects_non_finite_q_naming_line_and_step(tmp_path, literal, shown):
+    # json.loads reads these literals as floats; the corpus reader must not.
+    path = tmp_path / "nan.jsonl"
+    write_jsonl(make_set([make_episode([[1.0], [2.0]]), make_episode([[1.0], [2.0], [3.0]])]), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = lines[1].replace('"q": [3.0]', f'"q": [{literal}]')
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=re.escape(f"line 2: step 2 has a non-finite q: [{shown}]")):
         read_jsonl(path)
 
 

@@ -9,7 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safemon.forest as forest_module
-from safemon.abstraction import FeatureMode, prefix_feature_matrix
+import safemon.monitor as monitor_module
+from conftest import id_table
+from safemon.abstraction import FeatureMode
 from safemon.forest import (
     Forest,
     ForestConfig,
@@ -24,6 +26,7 @@ from safemon.forest import (
     predict_batch,
     train_forest,
 )
+from safemon.monitor import MonitorModel, run_traces
 from safemon.seeding import derive_seed
 
 
@@ -361,6 +364,18 @@ def test_predict_batch_matches_golden_hash(kind):
     assert digest == GOLDEN_BATCH_SHA256[kind]
 
 
+def test_binary_rows_as_bytes_grow_and_score_like_floats():
+    """build and select-d hand the forest binary rows as uint8 presence
+    bits: the same trees, walks and out-of-bag scores as float32 rows."""
+    x, y = golden_data("binary")
+    packed = x.astype(np.uint8)
+    config = ForestConfig(n_trees=12)
+    as_float, as_bytes = train_forest(x, y, config, seed=77), train_forest(packed, y, config, seed=77)
+    assert json.dumps(forest_to_json_list(as_bytes)) == json.dumps(forest_to_json_list(as_float))
+    assert batch_bytes(predict_batch(as_bytes, packed)) == batch_bytes(predict_batch(as_float, x))
+    assert out_of_bag_mean(as_bytes, packed).tobytes() == out_of_bag_mean(as_float, x).tobytes()
+
+
 # Split thresholds and input values share a grid, so inputs often sit
 # exactly on a threshold (ties go left).
 GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
@@ -423,44 +438,59 @@ def test_predict_batch_matches_per_tree_walks(data):
     empty = predict_batch(forest, x[:0])
     assert empty.per_tree.shape == (len(trees), 0) and empty.mean.shape == (0,)
 
-    # The same rows in compact form: some columns, in any order; the
-    # features left out read 0.
-    columns = data.draw(st.permutations(range(width)))[: data.draw(st.integers(0, width))]
-    zeroed = np.zeros_like(x)
-    zeroed[:, columns] = x[:, columns]
-    compact = predict_batch(forest, x[:, columns], np.array(columns, dtype=np.intp))
-    assert compact.per_tree.tobytes() == predict_batch(forest, zeroed).per_tree.tobytes()
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN_BATCH_SHA256))
+def test_one_row_predict_matches_tree_walks(kind):
+    """predict walks every tree from its root for one row: the golden
+    forest's trees, alone, must reach the same leaves."""
+    x, y = golden_data(kind)
+    forest = train_forest(x, y, ForestConfig(n_trees=30), seed=77)
+    rows = np.vstack([x[:20], np.zeros((1, 60)), np.full((1, 60), 7.0)])
+    for row in rows:
+        walked = np.array([tree.probability(row) for tree in forest.trees])
+        single = predict(forest, row)
+        assert single.per_tree.tobytes() == walked.tobytes()
+        assert single.mean == walked.mean() and single.std == walked.std()
+
+
+def dense_prefixes(ids, n, mode):
+    """Every prefix of an episode's ids (-1 unseen) as visit counts over
+    all n states, built without abstraction.prefix_feature_matrix."""
+    visits = np.zeros((len(ids), n), dtype=np.float32)
+    for t, i in enumerate(ids):
+        if i >= 0:
+            visits[t, i] = 1.0
+    counts = np.cumsum(visits, axis=0)
+    return np.minimum(counts, 1.0) if mode is FeatureMode.BINARY else counts
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), mode=st.sampled_from(FeatureMode))
 def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
-    """Prefix rows change one feature per step at most (none at an unseen
-    id or a binary revisit); every tree at every step must still read the
-    leaf its own walk reaches."""
+    """run_traces scores each episode's prefixes in compact form (only the
+    states it visits, every other feature reads 0), walking a tree at a
+    step only when a feature it tests changed: none at an unseen id or a
+    binary revisit. Every tree at every step must still read the leaf its
+    own walk reaches, and every summary must equal the plain walk's, over
+    episodes stacked into chunks of any size."""
     n = data.draw(st.integers(1, 6))
     trees = data.draw(st.lists(random_trees(n), min_size=1, max_size=6))
     trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
     config = ForestConfig(n_trees=len(trees))
     forest = Forest(trees=trees, feature_count=n, config=config, seed=0)
-    ids = np.array(data.draw(st.lists(st.integers(-1, n - 1), min_size=1, max_size=30)))
+    model = MonitorModel(table=id_table(n), forest=forest, mode=mode)
+    ids = st.lists(st.integers(-1, n - 1), min_size=1, max_size=30)
+    episodes = data.draw(st.lists(ids, min_size=1, max_size=4))
+    budget = data.draw(st.sampled_from([1, 8, 40, monitor_module.ROW_BUDGET]))
 
-    counts, columns = prefix_feature_matrix(ids, n, mode)
-    batch = predict_batch(forest, counts, columns)
-    dense = np.zeros((len(ids), n), dtype=counts.dtype)
-    dense[:, columns] = counts
-    for t, row in enumerate(dense):
-        walked = np.array([tree.probability(row) for tree in trees])
-        assert batch.per_tree[:, t].tobytes() == walked.tobytes()
-    assert batch_bytes(batch) == batch_bytes(predict_batch(forest, dense))
-
-
-def test_predict_batch_rejects_bad_columns():
-    forest = leaf_forest([0.5], feature_count=3)
-    with pytest.raises(ValueError, match="expected rows of length 2"):
-        predict_batch(forest, np.zeros((4, 3)), np.array([0, 2]))
-    with pytest.raises(ValueError, match="must lie in"):
-        predict_batch(forest, np.zeros((4, 2)), np.array([0, 3]))
+    with mock.patch.object(monitor_module, "ROW_BUDGET", budget):
+        traces = run_traces(model, [[[i + 0.5] if i >= 0 else [-0.5] for i in e] for e in episodes])
+    for episode, trace in zip(episodes, traces):
+        dense = dense_prefixes(episode, n, mode)
+        for t, row in enumerate(dense):
+            walked = np.array([tree.probability(row) for tree in trees])
+            assert trace.series.per_tree[:, t].tobytes() == walked.tobytes()
+        assert batch_bytes(trace.series) == batch_bytes(predict_batch(forest, dense))
 
 
 def test_depth_one_tree_split_matches_brute_force_on_its_bootstrap():
@@ -624,6 +654,16 @@ def test_serialization_round_trip_preserves_predictions():
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.low, b.low)
     assert np.array_equal(a.up, b.up)
+    # The packed arrays every walk reads come back byte for byte. The file
+    # keeps a value for leaves only, and a walk reads no other node's.
+    packed, back = forest.packed, restored.packed
+    leaf = np.isinf(packed.threshold)
+    for before, after in (
+        *((getattr(packed, name), getattr(back, name)) for name in
+          ("feature", "threshold", "branch", "roots", "split_feature", "split_tree")),
+        (packed.value[leaf], back.value[leaf]),
+    ):
+        assert (after.dtype, after.shape, after.tobytes()) == (before.dtype, before.shape, before.tobytes())
 
 
 def test_exact_threshold_routes_left():

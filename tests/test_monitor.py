@@ -2,12 +2,14 @@ import io
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import safemon.monitor as monitor_module
 from conftest import id_table, make_episode, make_set
 from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy
 from safemon.forest import (
@@ -27,6 +29,7 @@ from safemon.monitor import (
     load_model,
     observe,
     run_trace,
+    run_traces,
     save_model,
     watch_stream,
 )
@@ -207,6 +210,55 @@ def test_stream_equals_batch_property(ids, mode, unseen, criterion, theta):
                 observe(model, running, qs[len(batch)])
     else:
         assert len(batch) == len(ids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    episodes=st.lists(st.lists(st.integers(-1, 5), min_size=1, max_size=25), min_size=1, max_size=6),
+    mode=st.sampled_from(FeatureMode),
+    unseen=st.sampled_from(UnseenPolicy),
+    criterion=st.sampled_from(Criterion),
+    theta=st.sampled_from([0.25, 0.5, 0.75]),
+    budget=st.integers(1, 60),
+)
+def test_run_traces_equal_observe_property(episodes, mode, unseen, criterion, theta, budget):
+    """A corpus replayed in chunks of at most `budget` rows gives, episode
+    by episode, what observe returns step by step, bit for bit."""
+    model = MonitorModel(
+        table=id_table(6), forest=PROPERTY_FOREST, mode=mode,
+        criterion=criterion, theta=theta, unseen_policy=unseen,
+    )
+    corpus = [np.array([q_for(i) if i >= 0 else np.array([-7.5]) for i in ids]) for ids in episodes]
+    with mock.patch.object(monitor_module, "ROW_BUDGET", budget):
+        traces = run_traces(model, corpus)
+    assert len(traces) == len(corpus)
+    for ids, qs, trace in zip(episodes, corpus, traces):
+        running = RunningState.fresh(model)
+        observed = []
+        for q in qs:
+            try:
+                observed.append(observe(model, running, q))
+            except MonitorStopped:
+                break
+        assert len(trace.assessments) == len(observed)
+        for want, got in zip(trace.assessments, observed):
+            assert (got.t, got.fired, got.unseen_alert) == (want.t, want.fired, want.unseen_alert)
+            assert got.summary.per_tree.tobytes() == want.summary.per_tree.tobytes()
+            for field in ("mean", "std", "low", "up"):
+                assert np.float64(getattr(got.summary, field)).tobytes() == (
+                    np.float64(getattr(want.summary, field)).tobytes()
+                )
+        fired = [a.t for a in observed if a.fired]
+        assert trace.first_fire_step == (fired[0] if fired else None)
+        assert trace.episode_length == len(ids)
+        assert trace.stop_hit == (unseen is UnseenPolicy.STOP and -1 in ids)
+
+
+def test_run_traces_of_no_episodes_and_of_an_empty_one():
+    model = staircase_model()
+    assert run_traces(model, []) == []
+    with pytest.raises(ValueError, match="empty Q-value stream"):
+        run_traces(model, [np.array([q_for(0)]), np.zeros((0, 1))])
 
 
 def test_run_trace_stop_policy_truncates_at_alert():
