@@ -8,7 +8,7 @@ order their firing thresholds from eager to conservative.
 
 import numpy as np
 
-from safemon import Criterion, ForestConfig, criterion_holds, predict, train_forest
+from safemon import Criterion, criterion_holds, predict, train_forest
 
 rng = np.random.default_rng(3)
 n = 400
@@ -16,7 +16,7 @@ x = rng.uniform(0, 1, size=(n, 6))
 y = ((x[:, 0] > 0.6) & (x[:, 1] > 0.4)).astype(int)
 flip = rng.random(n) < 0.08  # label noise makes trees disagree near the edge
 y = np.where(flip, 1 - y, y)
-forest = train_forest(x, y, ForestConfig(n_trees=100), seed=11)
+forest = train_forest(x, y, n_trees=100, seed=11)
 
 print("input                     per-tree spread          interval")
 for probe in (
@@ -39,6 +39,6 @@ print("the upper bound is the eager criterion, the lower bound the conservative 
 
 print("\ninterval width vs ensemble size (same data, more trees):")
 for m in (25, 100, 400):
-    f = train_forest(x, y, ForestConfig(n_trees=m), seed=11)
+    f = train_forest(x, y, n_trees=m, seed=11)
     s = predict(f, probe)
     print(f"  m={m:<4} width={s.up - s.low:.4f}")

@@ -13,7 +13,6 @@ from safemon import (
     AbstractionTable,
     Criterion,
     FeatureMode,
-    ForestConfig,
     MonitorModel,
     RunningState,
     observe,
@@ -48,7 +47,7 @@ corpus = EpisodeSet(episodes=[synthetic_episode(i % 4 == 0) for i in range(120)]
 table = AbstractionTable.build(corpus, d=1.0)
 x = episode_feature_matrix(corpus.episodes, table, FeatureMode.BINARY)
 y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
-forest = train_forest(x, y, ForestConfig(n_trees=60), seed=5)
+forest = train_forest(x, y, n_trees=60, seed=5)
 model = MonitorModel(table=table, forest=forest, criterion=Criterion.UPPER_BOUND, theta=0.5)
 print(f"monitor: {table.n} abstract states, {forest.n_trees} trees, "
       f"criterion {model.criterion.value} at theta={model.theta}")

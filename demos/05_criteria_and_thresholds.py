@@ -13,7 +13,6 @@ from safemon import (
     AbstractionTable,
     Criterion,
     FeatureMode,
-    ForestConfig,
     MonitorModel,
     run_trace,
     sweep,
@@ -49,7 +48,7 @@ test_set = EpisodeSet(episodes=episodes[200:])
 table = AbstractionTable.build(train_set, d=2.0)
 x = episode_feature_matrix(train_set.episodes, table, FeatureMode.BINARY)
 y = np.array([e.label is Label.UNSAFE for e in train_set.episodes], dtype=np.int64)
-forest = train_forest(x, y, ForestConfig(n_trees=80), seed=1)
+forest = train_forest(x, y, n_trees=80, seed=1)
 model = MonitorModel(table=table, forest=forest)
 
 # Replay each test episode once; the sweep re-reads the same probability series.

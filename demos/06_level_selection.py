@@ -9,7 +9,7 @@ per-level report that `safemon select-d` writes as JSON.
 
 import numpy as np
 
-from safemon import FeatureMode, ForestConfig, select_level
+from safemon import FeatureMode, select_level
 from safemon.dataset import Episode, EpisodeSet, Label
 from safemon.envs import Cause
 
@@ -38,7 +38,7 @@ selection = select_level(
     candidate_ds=[0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0],
     inner_split_seed=99,
     mode=FeatureMode.BINARY,
-    forest_config=ForestConfig(n_trees=40),
+    n_trees=40,
 )
 
 print(f"{'d':>6} {'states':>7} {'trainF1':>8} {'opF1':>6} {'fire':>6}  flags")

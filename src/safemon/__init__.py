@@ -36,7 +36,7 @@ from .evaluation import (
     metrics_over_time,
     sweep,
 )
-from .forest import Forest, ForestConfig, ProbabilitySummary, predict, train_forest
+from .forest import Forest, ProbabilitySummary, predict, train_forest
 from .monitor import (
     Criterion,
     DecisionTrace,

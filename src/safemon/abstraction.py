@@ -244,7 +244,7 @@ def select_level(
     mode: FeatureMode = FeatureMode.BINARY,
     theta: float = 0.5,
     criterion=None,
-    forest_config=None,
+    n_trees: int = 100,
 ) -> LevelSelection:
     """Two-phase, coarse-to-fine style pick of the abstraction level.
 
@@ -257,8 +257,8 @@ def select_level(
     (coarser) level. Judging phase 2 on operation F1 as well as earliness
     is what keeps trigger-happy levels (fire at step 0 on everything)
     from winning on earliness alone. Frequency-mode candidates whose
-    empty-prefix violation probability already clears the threshold are
-    excluded outright: such a monitor would fire before seeing anything.
+    empty-prefix summary already meets the criterion are excluded
+    outright: such a monitor would fire before seeing anything.
     A corpus or inner training split without both classes raises
     DatasetError.
     """
@@ -270,7 +270,6 @@ def select_level(
     if len(candidate_ds) < 2:
         raise ValueError("need at least two candidate abstraction levels")
     crit = criterion if criterion is not None else monitor_mod.Criterion.UPPER_BOUND
-    config = forest_config if forest_config is not None else forest_mod.ForestConfig()
 
     require_both_classes(train, "the corpus")
     inner_train, inner_test = split(train, 0.7, inner_split_seed)
@@ -283,7 +282,7 @@ def select_level(
         table = AbstractionTable.build(inner_train, d)
         x_train = episode_feature_matrix(inner_train.episodes, table, mode, table.corpus_ids)
         model = forest_mod.train_forest(
-            x_train, y_train, config, derive_seed(inner_split_seed, f"level-forest:{d!r}")
+            x_train, y_train, n_trees, derive_seed(inner_split_seed, f"level-forest:{d!r}")
         )
         x_test = episode_feature_matrix(inner_test.episodes, table, mode)
         means = forest_mod.predict_batch(model, x_test).mean
@@ -306,7 +305,7 @@ def select_level(
         if selected:
             if mode is FeatureMode.FREQUENCY:
                 empty = forest_mod.predict(model, np.zeros(table.n))
-                excluded = empty.mean >= theta
+                excluded = monitor_mod.criterion_holds(empty, crit, theta)
             if not excluded:
                 monitor = monitor_mod.MonitorModel(
                     table=table, forest=model, mode=mode, criterion=crit, theta=theta

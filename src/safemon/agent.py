@@ -86,7 +86,6 @@ class AgentTrainConfig:
     gamma: float = 0.99
     hidden_sizes: tuple[int, ...] = (64, 64)
     seed: int = 0
-    double_dqn: bool = True
     checkpoint_interval: int = 5_000
     train_start: int = 1_000
 
@@ -422,8 +421,8 @@ def evaluate_policy(network: QNetwork, env_kind: str, episodes: int, root_seed: 
     return greedy_rollouts(network, env_kind, seeds)
 
 
-def _dqn_update(network, target, optimizer, batch, gamma, double_dqn) -> float:
-    """One SGD step of `network` on a replay batch towards the (double)
+def _dqn_update(network, target, optimizer, batch, gamma) -> float:
+    """One SGD step of `network` on a replay batch towards the double
     DQN targets of `target`; returns the TD loss, and takes no step when
     the loss is not finite."""
     s, a, r, ns, keep = batch
@@ -432,11 +431,8 @@ def _dqn_update(network, target, optimizer, batch, gamma, double_dqn) -> float:
     # stacked product would change the bits of rows.
     x = network._normalize(ns)
     next_target = target._activations(x)[-1]
-    if double_dqn:
-        best = np.argmax(network._activations(x)[-1], axis=1)
-        next_q = next_target[np.arange(len(best)), best]
-    else:
-        next_q = next_target.max(axis=1)
+    best = np.argmax(network._activations(x)[-1], axis=1)
+    next_q = next_target[np.arange(len(best)), best]
     targets = r + gamma * next_q * keep
     # Overflow here is reported as the non-finite loss.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -483,7 +479,7 @@ def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[in
 
         if step >= config.train_start and buffer.size >= config.batch_size:
             batch = buffer.sample(config.batch_size, replay_rng)
-            loss = _dqn_update(network, target, optimizer, batch, config.gamma, config.double_dqn)
+            loss = _dqn_update(network, target, optimizer, batch, config.gamma)
             if not math.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite TD loss at step {step} (lr={config.learning_rate})"

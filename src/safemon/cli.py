@@ -195,7 +195,7 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
     from .abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
     from .dataset import Label, read_jsonl, require_both_classes
     from .evaluation import macro_f1
-    from .forest import ForestConfig, out_of_bag_mean, train_forest
+    from .forest import out_of_bag_mean, train_forest
     from .monitor import Criterion, MonitorModel
     from .seeding import derive_seed
 
@@ -208,7 +208,7 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
     table = AbstractionTable.build(corpus, d)
     x = episode_feature_matrix(corpus.episodes, table, mode, table.corpus_ids)
     y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
-    forest = train_forest(x, y, ForestConfig(n_trees=trees), derive_seed(seed, "build-forest"))
+    forest = train_forest(x, y, trees, derive_seed(seed, "build-forest"))
 
     # Held-out sanity figure: each episode scored by the trees that left it
     # out of their bootstrap; an episode every tree drew is not scored.
@@ -249,7 +249,6 @@ def cmd_build(args) -> int:
 def cmd_select_d(args) -> int:
     from .abstraction import FeatureMode, select_level
     from .dataset import DatasetError, read_jsonl, save_document
-    from .forest import ForestConfig
     from .monitor import Criterion
 
     corpus = read_jsonl(args.episodes)
@@ -261,7 +260,7 @@ def cmd_select_d(args) -> int:
             mode=FeatureMode(args.features),
             theta=args.theta,
             criterion=Criterion(args.criterion),
-            forest_config=ForestConfig(n_trees=args.trees),
+            n_trees=args.trees,
         )
     except DatasetError as exc:  # the corpus cannot be split or fitted
         raise DatasetError(f"{args.episodes}: {exc}") from exc

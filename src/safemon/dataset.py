@@ -49,7 +49,7 @@ def load_document(path, tag: str, build):
         return build(doc)
     except KeyError as exc:
         raise DatasetError(f"{path}: {tag} document has no key {exc.args[0]!r}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: {tag} document has a bad value: {exc}") from exc
 
 

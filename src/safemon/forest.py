@@ -1,12 +1,13 @@
 """Random forest classifier built from scratch on numpy.
 
 Each tree is grown on a bootstrap resample with Gini-impurity splits over
-a random feature subset per node. The forest exposes the individual tree
+a random feature subset per node, by one fixed rule (`GROWTH`): the
+number of trees is the only setting. The forest exposes the individual tree
 probabilities, not just their average: the monitor's confidence interval
 is the mean per-tree unsafe probability plus or minus Z * sigma / sqrt(m)
 with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
 `out_of_bag_mean` re-draws each tree's bootstrap to score every training
-row by the trees that left it out.
+row by the trees that left it out. The loader checks every tree it reads.
 
 A node's split is the candidate boundary of lowest weighted Gini. All
 trees grow in lockstep (`_grow_forest`): each keeps its own depth-first
@@ -56,7 +57,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Optional, Union
 
 import numpy as np
 
@@ -65,37 +65,9 @@ from .seeding import derive_seed
 Z_CRITICAL = 1.96
 
 
-@dataclass(frozen=True)
-class ForestConfig:
-    """Training knobs; defaults follow common random-forest practice."""
-
-    n_trees: int = 100
-    max_depth: Optional[int] = None
-    min_split: int = 2
-    features_per_split: Union[int, str] = "sqrt"  # "sqrt", "all", or a count
-
-    def __post_init__(self):
-        _require_count("n_trees", self.n_trees, 1)
-        _require_count("min_split", self.min_split, 2)
-        _require_count("max_depth", self.max_depth, 1, None)
-        _require_count("features_per_split", self.features_per_split, 1, "sqrt", "all")
-
-    def resolve_feature_count(self, n_features: int) -> int:
-        if self.features_per_split == "sqrt":
-            return min(n_features, math.ceil(math.sqrt(n_features)))
-        if self.features_per_split == "all":
-            return n_features
-        return min(n_features, self.features_per_split)
-
-
-def _require_count(name: str, value, low: int, *named) -> None:
-    """Raise ValueError naming `name` unless `value` is one of `named` or
-    an integer >= low (a bool or a float is no integer here)."""
-    if (value is None or isinstance(value, str)) and value in named:
-        return
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
-        choices = "".join(f"{v!r} or " for v in named)
-        raise ValueError(f"{name} must be {choices}an integer >= {low}, got {value!r}")
+# Breiman's (2001) growth, that of every forest here: a node splits iff it
+# is impure, drawing min(n, ceil(sqrt(n))) of the n features as candidates.
+GROWTH = {"max_depth": None, "min_split": 2, "features_per_split": "sqrt"}
 
 
 @dataclass
@@ -267,7 +239,6 @@ class PackedTrees:
 class Forest:
     trees: list[Tree]
     feature_count: int
-    config: ForestConfig
     seed: int
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
@@ -462,47 +433,46 @@ def _bootstrap(seed: int, tree: int, n_samples: int):
     return rng, rng.integers(0, n_samples, size=n_samples)
 
 
-def _grow_forest(x: np.ndarray, y: np.ndarray, config: ForestConfig, seed: int) -> list[Tree]:
-    """The trees of the forest seeded `seed`, grown in lockstep.
+def _grow_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[Tree]:
+    """The n_trees trees of the forest seeded `seed`, grown in lockstep.
 
     Tree i is grown depth-first, left child before right, from the random
     stream derived from (seed, i). In each round every tree pops nodes
-    until it reaches one that may split, where it draws the candidate
-    features, and one _best_splits call searches the nodes of all trees.
+    until it reaches an impure one, where it draws the candidate features
+    (GROWTH), and one _best_splits call searches the nodes of all trees.
     A pending node is its bag (distinct rows and their multiplicities), so
     a tree holds at most n_samples rows across its pending nodes.
     """
     n_samples, n_features = x.shape
-    k = config.resolve_feature_count(n_features)
-    max_depth = math.inf if config.max_depth is None else config.max_depth
+    k = min(n_features, math.ceil(math.sqrt(n_features)))
     store = _ColumnStore.from_matrix(x)
 
     rngs, stacks, trees = [], [], []
-    for i in range(config.n_trees):
+    for i in range(n_trees):
         rng, boot = _bootstrap(seed, i, n_samples)
         mult = np.bincount(boot, minlength=n_samples)
         rows = np.flatnonzero(mult)
         rngs.append(rng)
-        # A pending node: (bag, n, pos, depth, parent, is_left). Bags hold
-        # row ids and counts below n_samples: int32 halves what waits.
+        # A pending node: (bag, n, pos, parent, is_left). Bags hold row ids
+        # and counts below n_samples: int32 halves what waits.
         bag = np.stack([rows, mult[rows]]).astype(np.int32)
-        root = (bag, n_samples, int(y[boot].sum()), 0, None, True)
+        root = (bag, n_samples, int(y[boot].sum()), None, True)
         stacks.append([root])
         trees.append([])  # one [feature, threshold, left, right, value, count] per node
 
-    live = list(range(config.n_trees))
+    live = list(range(n_trees))
     while live:
         searched, drawn = [], []
         for t in live:
             stack, nodes = stacks[t], trees[t]
             while stack:
-                bag, n_node, pos, depth, parent, is_left = stack.pop()
+                bag, n_node, pos, parent, is_left = stack.pop()
                 if parent is not None:
                     nodes[parent][2 if is_left else 3] = len(nodes)
                 nodes.append([-1, 0.0, -1, -1, pos / n_node, n_node])
-                if 0 < pos < n_node and n_node >= config.min_split and depth < max_depth:
+                if 0 < pos < n_node:
                     drawn.append(rngs[t].choice(n_features, size=k, replace=False))
-                    searched.append((t, len(nodes) - 1, bag, pos, depth))
+                    searched.append((t, len(nodes) - 1, bag, pos))
                     break
         if searched:
             found = _best_splits(store, y, [s[2] for s in searched], np.array(drawn))
@@ -540,7 +510,7 @@ def _split_nodes(x, y, searched, found, trees, stacks) -> None:
     left_size = np.add.reduceat(goes_left.astype(np.intp), starts).tolist()
     lefts, rights = bag[:, goes_left], bag[:, ~goes_left]
     l0 = r0 = 0
-    for ((t, node, _, pos, depth), f), n_l, p_l, size, l_size in zip(
+    for ((t, node, _, pos), f), n_l, p_l, size, l_size in zip(
         split, n_left, pos_left, sizes, left_size
     ):
         parent = trees[t][node]
@@ -549,18 +519,20 @@ def _split_nodes(x, y, searched, found, trees, stacks) -> None:
         # Copies, so that a child waiting on the stack holds only its own rows.
         right = rights[:, r0:r0 + r_size].copy()
         left = lefts[:, l0:l0 + l_size].copy()
-        stacks[t].append((right, parent[5] - n_l, pos - p_l, depth + 1, node, False))
-        stacks[t].append((left, n_l, p_l, depth + 1, node, True))
+        stacks[t].append((right, parent[5] - n_l, pos - p_l, node, False))
+        stacks[t].append((left, n_l, p_l, node, True))
         l0 += l_size
         r0 += r_size
 
 
-def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
-    """Grow the ensemble; deterministic given (data, config, seed).
+def train_forest(features, labels, n_trees: int, seed: int) -> Forest:
+    """Grow n_trees trees by GROWTH; deterministic given (data, n_trees, seed).
 
     All trees are grown at once, in this process (see _grow_forest); tree
     i always uses the random stream derived from (seed, i).
     """
+    if isinstance(n_trees, bool) or not isinstance(n_trees, numbers.Integral) or n_trees < 1:
+        raise ValueError(f"n_trees must be an integer >= 1, got {n_trees!r}")
     x = np.asarray(features)
     labels = np.asarray(labels)
     if x.ndim != 2 or len(x) == 0:
@@ -576,8 +548,7 @@ def train_forest(features, labels, config: ForestConfig, seed: int) -> Forest:
     y = labels.astype(np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
-    trees = _grow_forest(x, y, config, seed)
-    return Forest(trees=trees, feature_count=x.shape[1], config=config, seed=seed)
+    return Forest(trees=_grow_forest(x, y, n_trees, seed), feature_count=x.shape[1], seed=seed)
 
 
 def _summarize(per_tree: np.ndarray):
@@ -662,8 +633,8 @@ def forest_to_json_list(forest: Forest) -> list:
     return trees
 
 
-def forest_from_json_list(trees_doc: list, feature_count: int, config: ForestConfig, seed: int) -> Forest:
-    trees = []
+def forest_from_json_list(trees_doc: list, feature_count: int, seed: int) -> Forest:
+    trees, splits = [], []
     for nodes in trees_doc:
         n = len(nodes)
         feature = np.full(n, -1, dtype=np.int32)
@@ -680,4 +651,37 @@ def forest_from_json_list(trees_doc: list, feature_count: int, config: ForestCon
             else:
                 feature[i], threshold[i], left[i], right[i] = node["split"]
         trees.append(Tree(feature, threshold, left, right, value, count))
-    return Forest(trees=trees, feature_count=feature_count, config=config, seed=seed)
+        splits.append(np.array(["leaf" not in node for node in nodes], dtype=bool))
+    _check_trees(trees, splits, feature_count)
+    return Forest(trees=trees, feature_count=feature_count, seed=seed)
+
+
+def _check_trees(trees: list[Tree], splits: list, feature_count: int) -> None:
+    """Raise ValueError naming a tree and node that breaks the form
+    _grow_forest writes (splits[t] marks tree t's split nodes): a split
+    tests a feature in [0, feature_count) against a finite threshold, and
+    its children come after it in its own tree, so every walk ends at a
+    leaf; a leaf value lies in [0, 1]. All nodes are checked at once."""
+    sizes = np.array([len(t.feature) for t in trees], dtype=np.intp)
+    if not sizes.size or not sizes.all():
+        raise ValueError("a forest needs one tree or more, each of one node or more")
+    feature, threshold, left, right, value = (
+        np.concatenate([getattr(t, name) for t in trees])
+        for name in ("feature", "threshold", "left", "right", "value")
+    )
+    split = np.concatenate(splits)
+    ends = np.cumsum(sizes)
+    node = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+    size = np.repeat(sizes, sizes)
+    for bad, cause in (
+        (split & ((feature < 0) | (feature >= feature_count)),
+         lambda i: f"split feature {feature[i]} outside [0, {feature_count})"),
+        (split & ~np.isfinite(threshold), lambda i: f"threshold {threshold[i]} is not finite"),
+        (split & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= size)),
+         lambda i: f"children {left[i]} and {right[i]} are not both after it in its tree"),
+        (~split & ~((value >= 0.0) & (value <= 1.0)),
+         lambda i: f"leaf value {value[i]} outside [0, 1]"),
+    ):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"tree {np.searchsorted(ends, i, side='right')} node {node[i]}: {cause(i)}")

@@ -18,14 +18,16 @@ changed there). Each episode becomes a DecisionTrace: its probability
 series plus the first fire step. Its per-step assessments are derived
 from the series on demand and equal what observe returns step by step,
 bit for bit, since both walks reach the same leaves and share the
-summary code.
+summary code. A model file's `forest_config` is its number of trees and
+forest.GROWTH; load_model refuses any other, naming the key, and any
+tree a walk could not finish, naming the tree and node.
 """
 
 from __future__ import annotations
 
 import enum
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -38,9 +40,9 @@ from .abstraction import (
 )
 from .dataset import load_document, save_document
 from .forest import (
+    GROWTH,
     BatchSummary,
     Forest,
-    ForestConfig,
     ProbabilitySummary,
     forest_from_json_list,
     forest_to_json_list,
@@ -251,7 +253,7 @@ def save_model(model: MonitorModel, path) -> None:
         "format": MODEL_FORMAT,
         "table": model.table.to_json_dict(),
         "forest": forest_to_json_list(model.forest),
-        "forest_config": asdict(model.forest.config),
+        "forest_config": {"n_trees": model.forest.n_trees, **GROWTH},
         "forest_seed": model.forest.seed,
         "feature_count": model.forest.feature_count,
         "mode": model.mode.value,
@@ -268,16 +270,13 @@ def load_model(path) -> MonitorModel:
 
 
 def _model_from_doc(doc: dict) -> MonitorModel:
-    cfg = doc["forest_config"]
-    config = ForestConfig(
-        n_trees=cfg["n_trees"],
-        max_depth=cfg["max_depth"],
-        min_split=cfg["min_split"],
-        features_per_split=cfg["features_per_split"],
-    )
-    forest = forest_from_json_list(
-        doc["forest"], doc["feature_count"], config, doc["forest_seed"]
-    )
+    config, want = doc["forest_config"], {"n_trees": len(doc["forest"]), **GROWTH}
+    for key, value in want.items():
+        if type(config[key]) is not type(value) or config[key] != value:
+            raise ValueError(f"{key} must be {value!r}, got {config[key]!r}")
+    if set(config) != set(want):
+        raise ValueError(f"forest_config has unknown keys {sorted(set(config) - set(want))}")
+    forest = forest_from_json_list(doc["forest"], doc["feature_count"], doc["forest_seed"])
     return MonitorModel(
         table=AbstractionTable.from_json_dict(doc["table"]),
         forest=forest,

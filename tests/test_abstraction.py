@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import id_table, make_episode, make_set, two_band_corpus
+from safemon import forest
 from safemon.abstraction import (
     AbstractionTable,
     FeatureMode,
@@ -16,6 +17,8 @@ from safemon.abstraction import (
     prefix_feature_matrix,
     select_level,
 )
+from safemon.forest import ProbabilitySummary
+from safemon.monitor import Criterion
 
 
 def encode(ids, n, mode):
@@ -303,6 +306,38 @@ def test_select_level_tie_breaks_toward_larger_d():
     by_d = {row.d: row for row in selection.rows}
     assert by_d[1.0].f1_macro == by_d[2.0].f1_macro == 1.0
     assert by_d[1.0].mean_fire_step == by_d[2.0].mean_fire_step == 0.0
+
+
+@pytest.mark.parametrize(
+    "criterion, empty, excluded",
+    [
+        # up >= theta > mean: the monitor fires before seeing anything.
+        (Criterion.UPPER_BOUND, (0.4, 0.2, 0.6), True),
+        # mean >= theta >= low: the lower bound does not fire on it.
+        (Criterion.LOWER_BOUND, (0.6, 0.45, 0.75), False),
+    ],
+    ids=["upper-bound-fires-at-once", "lower-bound-stays-quiet"],
+)
+def test_select_level_excludes_by_the_criterion_on_the_empty_prefix(
+    criterion, empty, excluded, monkeypatch
+):
+    """A frequency-mode candidate is excluded when its empty prefix's
+    summary meets the monitor's own criterion, not when its mean reaches
+    theta."""
+    mean, low, up = empty
+    summaries = iter([ProbabilitySummary(np.array([mean]), mean, 0.0, low, up)])
+    quiet = ProbabilitySummary(np.zeros(1), 0.0, 0.0, 0.0, 0.0)
+    # predict scores only the empty prefixes: the first d's gets `empty`.
+    monkeypatch.setattr(forest, "predict", lambda model, x: next(summaries, quiet))
+    corpus = two_band_corpus(n_per_class=20, steps=3)
+    selection = select_level(
+        corpus, [1.0, 2.0], inner_split_seed=123, mode=FeatureMode.FREQUENCY,
+        theta=0.5, criterion=criterion, n_trees=10,
+    )
+    first, second = selection.rows
+    assert first.in_optimal_range and second.in_optimal_range and not second.excluded
+    assert first.excluded is excluded
+    assert (first.operation_f1 is None) is excluded
 
 
 def test_select_level_requires_two_candidates():

@@ -285,7 +285,7 @@ def test_stacked_q_rows_equal_single_state_forward(net, n, seed, spread):
         assert row.tobytes() == network.forward(state).tobytes()
 
 
-def reference_update(weights, velocity, target_weights, network, batch, gamma, double, lr):
+def reference_update(weights, velocity, target_weights, network, batch, gamma, lr):
     """One DQN update on separate per-array parameters, written as the
     update was before the flat buffers; returns the loss and whether the
     gradient was clipped."""
@@ -299,11 +299,8 @@ def reference_update(weights, velocity, target_weights, network, batch, gamma, d
         return acts
 
     next_target = forward_cached(target_weights, ns)[-1]
-    if double:
-        best = np.argmax(forward_cached(weights, ns)[-1], axis=1)
-        next_q = next_target[np.arange(len(ns)), best]
-    else:
-        next_q = next_target.max(axis=1)
+    best = np.argmax(forward_cached(weights, ns)[-1], axis=1)
+    next_q = next_target[np.arange(len(ns)), best]
     targets = r + gamma * next_q * ~done
     acts = forward_cached(weights, s)
     rows = np.arange(len(s))
@@ -335,12 +332,11 @@ def reference_update(weights, velocity, target_weights, network, batch, gamma, d
     lr=st.sampled_from([1e-3, 0.1, 10.0]) | st.floats(1e-5, 10.0),
     reward_scale=st.sampled_from([1.0, 1e3]),
     gamma=st.floats(0.0, 1.0),
-    double=st.booleans(),
     batch_size=st.integers(1, 32),
     updates=st.integers(1, 5),
 )
 def test_flat_update_equals_per_array_reference(
-    net, seed, lr, reward_scale, gamma, double, batch_size, updates
+    net, seed, lr, reward_scale, gamma, batch_size, updates
 ):
     env_kind, network = net
     dim = network.layer_sizes[0]
@@ -364,12 +360,12 @@ def test_flat_update_equals_per_array_reference(
     draws, reference_draws = np.random.default_rng(seed), np.random.default_rng(seed)
     for _ in range(updates):
         loss = agent._dqn_update(
-            network, target, optimizer, buffer.sample(batch_size, draws), gamma, double
+            network, target, optimizer, buffer.sample(batch_size, draws), gamma
         )
         idx = reference_draws.integers(0, n, size=batch_size)
         batch = (states[idx], actions[idx], rewards[idx], next_states[idx], done[idx])
         want, clipped = reference_update(
-            weights, velocity, target_weights, network, batch, gamma, double, lr
+            weights, velocity, target_weights, network, batch, gamma, lr
         )
         event("clipped" if clipped else "not clipped")
         assert loss == want

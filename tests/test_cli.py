@@ -242,7 +242,7 @@ def test_build_fits_one_forest(corpus_path, tmp_path, capsys, monkeypatch):
     train_forest = safemon.forest.train_forest
 
     def counting(*args, **kwargs):
-        fitted.append(args[2].n_trees)
+        fitted.append(args[2])
         return train_forest(*args, **kwargs)
 
     monkeypatch.setattr(safemon.forest, "train_forest", counting)
@@ -438,8 +438,9 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
 
 def damaged_copy(path, tmp_path, damage, keys):
     """A copy of a saved JSON document with a wrong or no format tag, cut
-    short, missing one key, with a null or nonsense value, or with a list
-    of numbers made ragged or holding a non-integer."""
+    short, missing one key, with a null or nonsense value, with a list of
+    numbers made ragged or holding a non-integer, or with a tree that a
+    walk could not finish."""
     text = Path(path).read_text(encoding="utf-8")
     doc = json.loads(text)
     if damage == "wrong-tag":
@@ -453,7 +454,7 @@ def damaged_copy(path, tmp_path, damage, keys):
     elif damage == "missing-key":
         del doc[keys[damage]]
         text = json.dumps(doc)
-    elif damage in ("ragged-list", "non-integer-list"):
+    elif damage in ("ragged-list", "non-integer-list", *TREE_DAMAGE):
         keys[damage](doc)
         text = json.dumps(doc)
     else:
@@ -464,12 +465,28 @@ def damaged_copy(path, tmp_path, damage, keys):
     return out
 
 
+def split_root(doc):
+    """The nodes of the first tree of a model document whose root splits."""
+    return next(nodes for nodes in doc["forest"] if "split" in nodes[0])
+
+
+# Damage to the first tree whose root splits, and the node the loader names.
+# Let through, a cycle hangs `evaluate` and `watch`, and a feature or child
+# out of range ends them in a traceback or gives wrong traces.
+TREE_DAMAGE = {
+    "cyclic-tree": (lambda doc: split_root(doc).__setitem__(1, {"split": [0, 0.5, 0, 0]}), 1),
+    "feature-out-of-range": (lambda doc: split_root(doc)[0]["split"].__setitem__(0, 10**6), 0),
+    "child-out-of-range": (lambda doc: split_root(doc)[0]["split"].__setitem__(3, 10**6), 0),
+}
+DAMAGE = ["wrong-tag", "untagged", "truncated", "missing-key", "null-value", "bogus-value",
+          "ragged-list", "non-integer-list"]
+
+
 @pytest.mark.parametrize(
-    "damage",
-    ["wrong-tag", "untagged", "truncated", "missing-key", "null-value", "bogus-value",
-     "ragged-list", "non-integer-list"],
+    "command, damage",
+    [(command, damage) for damage in DAMAGE for command in ("evaluate", "watch", "collect")]
+    + [(command, damage) for damage in TREE_DAMAGE for command in ("evaluate", "watch")],
 )
-@pytest.mark.parametrize("command", ["evaluate", "watch", "collect"])
 def test_damaged_model_or_agent_is_io_error_naming_file(
     command, damage, corpus_path, model_path, agent_path, tmp_path, capsys, monkeypatch
 ):
@@ -486,7 +503,8 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
         keys = {"missing-key": "forest_config", "null-value": "theta", "bogus-value": "mode",
                 # An abstraction-table key of another length, or not of integers.
                 "ragged-list": lambda doc: doc["table"]["keys"][0].append(0),
-                "non-integer-list": lambda doc: doc["table"]["keys"][0].__setitem__(0, 0.5)}
+                "non-integer-list": lambda doc: doc["table"]["keys"][0].__setitem__(0, 0.5),
+                **{name: corrupt for name, (corrupt, _) in TREE_DAMAGE.items()}}
         bad = damaged_copy(model_path, tmp_path, damage, keys)
         argv = {
             "evaluate": ["evaluate", "--model", str(bad), "--episodes", corpus_path,
@@ -500,6 +518,13 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
     assert captured.out == ""
     err = captured.err
     assert f"i/o error: {bad}: " in err
+    assert "Traceback" not in err
+    if damage in TREE_DAMAGE:
+        doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
+        tree = doc["forest"].index(split_root(doc))
+        node = TREE_DAMAGE[damage][1]
+        assert f"{tag} document has a bad value: tree {tree} node {node}: " in err
+        return
     expected = {
         "wrong-tag": f"format tag 'something-else/9', expected '{tag}'",
         "untagged": f"no format tag, expected '{tag}'",
@@ -516,7 +541,10 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
 @pytest.mark.parametrize(
     "field, value",
     [("features_per_split", "log2"), ("features_per_split", 0),
-     ("features_per_split", 2.7), ("max_depth", 0), ("max_depth", -1)],
+     ("features_per_split", 2.7), ("max_depth", 0), ("max_depth", -1),
+     ("features_per_split", "all"), ("min_split", 3), ("min_split", 2.0),
+     # The model holds 10 trees.
+     ("n_trees", 7), ("n_trees", 10.0)],
 )
 def test_model_with_bad_forest_config_is_io_error_naming_field(
     field, value, corpus_path, model_path, tmp_path, capsys
@@ -533,6 +561,25 @@ def test_model_with_bad_forest_config_is_io_error_naming_field(
     cause = f"i/o error: {bad}: monitor-model/1 document has a bad value: {field} must be"
     assert cause in captured.err
     assert f"got {value!r}" in captured.err
+
+
+@pytest.mark.parametrize("features", ["binary", "frequency"])
+@pytest.mark.parametrize("unseen", ["ignore", "stop"])
+def test_saving_a_loaded_model_rewrites_its_bytes(features, unseen, corpus_path, tmp_path):
+    """save_model writes forest_config from the number of trees and the
+    fixed growth rule, so a model read back is written out byte for byte."""
+    from safemon.monitor import load_model, save_model
+
+    path, again = tmp_path / "monitor.json", tmp_path / "again.json"
+    assert main(["build", "--episodes", corpus_path, "--d", "1.0", "--trees", "7",
+                 "--features", features, "--unseen", unseen, "--seed", "5",
+                 "--out", str(path)]) == EXIT_OK
+    save_model(load_model(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    config = json.loads(path.read_text(encoding="utf-8"))["forest_config"]
+    assert list(config.items()) == [
+        ("n_trees", 7), ("max_depth", None), ("min_split", 2), ("features_per_split", "sqrt"),
+    ]
 
 
 def test_evaluate_rejects_corpus_of_another_width(model_path, tmp_path, capsys):

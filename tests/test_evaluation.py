@@ -22,7 +22,7 @@ from safemon.evaluation import (
     write_sweep_csv,
     write_traces_csv,
 )
-from safemon.forest import ForestConfig, train_forest
+from safemon.forest import train_forest
 from safemon.abstraction import UnseenPolicy
 from safemon.monitor import Criterion, DecisionTrace, MonitorModel, run_trace
 
@@ -239,7 +239,7 @@ def fitted_model(corpus, d=1.0, mode=FeatureMode.BINARY, **kwargs):
     table = AbstractionTable.build(corpus, d)
     x = episode_feature_matrix(corpus.episodes, table, mode)
     y = np.array([e.label is U for e in corpus.episodes], dtype=int)
-    forest = train_forest(x, y, ForestConfig(n_trees=25), seed=3)
+    forest = train_forest(x, y, 25, seed=3)
     return MonitorModel(table=table, forest=forest, mode=mode, **kwargs)
 
 

@@ -14,7 +14,6 @@ from conftest import id_table
 from safemon.abstraction import FeatureMode
 from safemon.forest import (
     Forest,
-    ForestConfig,
     Tree,
     Z_CRITICAL,
     _best_splits,
@@ -45,7 +44,6 @@ def leaf_forest(fractions, feature_count=3):
     return Forest(
         trees=[leaf_tree(f) for f in fractions],
         feature_count=feature_count,
-        config=ForestConfig(n_trees=len(fractions)),
         seed=0,
     )
 
@@ -241,30 +239,27 @@ def test_best_splits_searches_many_nodes_in_any_chunks(data, chunk):
         assert_same_split(split, reference_split_of_bag(x, y, c, m))
 
 
-def reference_forest(x, y, config, seed):
+def reference_forest(x, y, n_trees, seed):
     """The forest train_forest must grow: each tree grown alone,
-    depth-first with the left child first, its candidates drawn from its
-    own stream at every node that may split, and every split found by
-    reference_best_split on the node's rows."""
+    depth-first with the left child first, ceil(sqrt(n)) of its n features
+    (at most n) drawn as candidates from its own stream at every impure
+    node, and every split found by reference_best_split on the node's
+    rows."""
     n_samples, n_features = x.shape
-    k = config.resolve_feature_count(n_features)
+    k = min(n_features, int(np.ceil(np.sqrt(n_features))))
     trees = []
-    for i in range(config.n_trees):
+    for i in range(n_trees):
         rng = np.random.default_rng(derive_seed(seed, f"tree:{i}"))
         idx = rng.integers(0, n_samples, size=n_samples)
         nodes = []  # [feature, threshold, left, right, value, count]
-        stack = [(idx, 0, None, True)]
+        stack = [(idx, None, True)]
         while stack:
-            idx, depth, parent, is_left = stack.pop()
+            idx, parent, is_left = stack.pop()
             if parent is not None:
                 nodes[parent][2 if is_left else 3] = len(nodes)
             pos, n_node = int(y[idx].sum()), len(idx)
             nodes.append([-1, 0.0, -1, -1, pos / n_node, n_node])
-            if not (
-                0 < pos < n_node
-                and n_node >= config.min_split
-                and (config.max_depth is None or depth < config.max_depth)
-            ):
+            if not 0 < pos < n_node:
                 continue
             candidates = rng.choice(n_features, size=k, replace=False)
             split = reference_best_split(x[idx], y[idx], candidates)
@@ -273,12 +268,12 @@ def reference_forest(x, y, config, seed):
             nodes[-1][0:2] = split
             go_left = x[idx, split[0]] <= split[1]
             node = len(nodes) - 1
-            stack.append((idx[~go_left], depth + 1, node, False))
-            stack.append((idx[go_left], depth + 1, node, True))
+            stack.append((idx[~go_left], node, False))
+            stack.append((idx[go_left], node, True))
         columns = list(zip(*nodes))
         dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64, np.int64)
         trees.append(Tree(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes))))
-    return Forest(trees=trees, feature_count=n_features, config=config, seed=seed)
+    return Forest(trees=trees, feature_count=n_features, seed=seed)
 
 
 @settings(max_examples=80, deadline=None)
@@ -294,16 +289,11 @@ def test_train_forest_matches_reference_forest(data, cells, chunk):
     x = np.array(data.draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float32)
     labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     y = np.array(data.draw(labels.filter(lambda v: 0 < sum(v) < len(v))), dtype=np.int64)
-    config = ForestConfig(
-        n_trees=data.draw(st.integers(1, 4)),
-        max_depth=data.draw(st.sampled_from([None, 1, 2, 3])),
-        min_split=data.draw(st.integers(2, 5)),
-        features_per_split=data.draw(st.sampled_from(["sqrt", "all", 1, 2, 3])),
-    )
+    n_trees = data.draw(st.integers(1, 4))
     seed = data.draw(st.integers(0, 2**31))
     with mock.patch.object(forest_module, "CHUNK_ENTRIES", chunk):
-        grown = json.dumps(forest_to_json_list(train_forest(x, y, config, seed)))
-    assert grown == json.dumps(forest_to_json_list(reference_forest(x, y, config, seed)))
+        grown = json.dumps(forest_to_json_list(train_forest(x, y, n_trees, seed)))
+    assert grown == json.dumps(forest_to_json_list(reference_forest(x, y, n_trees, seed)))
 
 
 def golden_data(kind):
@@ -320,21 +310,19 @@ def golden_data(kind):
 
 # sha256 of json.dumps(forest_to_json_list(...)); recorded with the original
 # per-candidate split search, so any change to the trees grown shows here.
+# The ids name the candidate count the hashes were recorded with.
 GOLDEN_FOREST_SHA256 = {
-    ("binary", "sqrt"): "db9fc8068c6b6de3ddc9eb6bd58bf69dc18a4412a7ff87cf529a9046035d9b0a",
-    ("binary", "all"): "0bd2701d703549a17d362fbd45654cd8cd976cfc78867e6cd75935043ca634d5",
-    ("frequency", "sqrt"): "e5cdcf66473e4340f9c716e76fef994fedd6380e58120305eaa14441f48d1e6c",
-    ("frequency", "all"): "a3e725b4d7dcf5e4e7fb671e9280f717ff0e30579b149dacc3a70cb32eb16070",
+    "binary": "db9fc8068c6b6de3ddc9eb6bd58bf69dc18a4412a7ff87cf529a9046035d9b0a",
+    "frequency": "e5cdcf66473e4340f9c716e76fef994fedd6380e58120305eaa14441f48d1e6c",
 }
 
 
-@pytest.mark.parametrize("kind, features_per_split", sorted(GOLDEN_FOREST_SHA256))
-def test_trained_forest_matches_golden_hash(kind, features_per_split):
+@pytest.mark.parametrize("kind", sorted(GOLDEN_FOREST_SHA256), ids=lambda kind: f"{kind}-sqrt")
+def test_trained_forest_matches_golden_hash(kind):
     x, y = golden_data(kind)
-    config = ForestConfig(n_trees=12, features_per_split=features_per_split)
-    doc = json.dumps(forest_to_json_list(train_forest(x, y, config, seed=77)))
+    doc = json.dumps(forest_to_json_list(train_forest(x, y, 12, seed=77)))
     digest = hashlib.sha256(doc.encode("utf-8")).hexdigest()
-    assert digest == GOLDEN_FOREST_SHA256[(kind, features_per_split)]
+    assert digest == GOLDEN_FOREST_SHA256[kind]
 
 
 def batch_bytes(batch):
@@ -353,7 +341,7 @@ GOLDEN_BATCH_SHA256 = {
 @pytest.mark.parametrize("kind", sorted(GOLDEN_BATCH_SHA256))
 def test_predict_batch_matches_golden_hash(kind):
     x, y = golden_data(kind)
-    forest = train_forest(x, y, ForestConfig(n_trees=30), seed=77)
+    forest = train_forest(x, y, 30, seed=77)
     rng = np.random.default_rng(5)
     if kind == "binary":
         extra = (rng.random((40, 60)) < 0.5).astype(np.float32)
@@ -369,8 +357,7 @@ def test_binary_rows_as_bytes_grow_and_score_like_floats():
     bits: the same trees, walks and out-of-bag scores as float32 rows."""
     x, y = golden_data("binary")
     packed = x.astype(np.uint8)
-    config = ForestConfig(n_trees=12)
-    as_float, as_bytes = train_forest(x, y, config, seed=77), train_forest(packed, y, config, seed=77)
+    as_float, as_bytes = train_forest(x, y, 12, seed=77), train_forest(packed, y, 12, seed=77)
     assert json.dumps(forest_to_json_list(as_bytes)) == json.dumps(forest_to_json_list(as_float))
     assert batch_bytes(predict_batch(as_bytes, packed)) == batch_bytes(predict_batch(as_float, x))
     assert out_of_bag_mean(as_bytes, packed).tobytes() == out_of_bag_mean(as_float, x).tobytes()
@@ -422,8 +409,7 @@ def test_predict_batch_matches_per_tree_walks(data):
     rows = data.draw(st.lists(row, max_size=8))
     rows += rows[: data.draw(st.integers(0, len(rows)))]  # duplicated rows
     x = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    config = ForestConfig(n_trees=len(trees))
-    forest = Forest(trees=trees, feature_count=width, config=config, seed=0)
+    forest = Forest(trees=trees, feature_count=width, seed=0)
 
     batch = predict_batch(forest, x)
     assert batch.per_tree.shape == (len(trees), len(x))
@@ -444,7 +430,7 @@ def test_one_row_predict_matches_tree_walks(kind):
     """predict walks every tree from its root for one row: the golden
     forest's trees, alone, must reach the same leaves."""
     x, y = golden_data(kind)
-    forest = train_forest(x, y, ForestConfig(n_trees=30), seed=77)
+    forest = train_forest(x, y, 30, seed=77)
     rows = np.vstack([x[:20], np.zeros((1, 60)), np.full((1, 60), 7.0)])
     for row in rows:
         walked = np.array([tree.probability(row) for tree in forest.trees])
@@ -476,8 +462,7 @@ def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
     n = data.draw(st.integers(1, 6))
     trees = data.draw(st.lists(random_trees(n), min_size=1, max_size=6))
     trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
-    config = ForestConfig(n_trees=len(trees))
-    forest = Forest(trees=trees, feature_count=n, config=config, seed=0)
+    forest = Forest(trees=trees, feature_count=n, seed=0)
     model = MonitorModel(table=id_table(n), forest=forest, mode=mode)
     ids = st.lists(st.integers(-1, n - 1), min_size=1, max_size=30)
     episodes = data.draw(st.lists(ids, min_size=1, max_size=4))
@@ -491,18 +476,6 @@ def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
             walked = np.array([tree.probability(row) for tree in trees])
             assert trace.series.per_tree[:, t].tobytes() == walked.tobytes()
         assert batch_bytes(trace.series) == batch_bytes(predict_batch(forest, dense))
-
-
-def test_depth_one_tree_split_matches_brute_force_on_its_bootstrap():
-    config = ForestConfig(n_trees=1, max_depth=1, features_per_split="all")
-    seed = 99
-    forest = train_forest(SIX_SAMPLES, SIX_LABELS, config, seed)
-    tree = forest.trees[0]
-    rng = np.random.default_rng(derive_seed(seed, "tree:0"))
-    boot = rng.integers(0, len(SIX_SAMPLES), size=len(SIX_SAMPLES))
-    assert len(np.unique(SIX_LABELS[boot])) == 2  # chosen seed keeps both classes
-    oracle, _ = brute_force_gini_split(SIX_SAMPLES[boot], SIX_LABELS[boot])
-    assert (int(tree.feature[0]), float(tree.threshold[0])) == oracle
 
 
 def in_bag(seed, tree, n):
@@ -523,7 +496,7 @@ def test_out_of_bag_mean_matches_per_row_loop(data, high):
     labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
     y = np.array(data.draw(labels.filter(lambda v: 0 < sum(v) < len(v))))
     seed = data.draw(st.integers(0, 2**31))
-    forest = train_forest(x, y, ForestConfig(n_trees=data.draw(st.integers(1, 5))), seed)
+    forest = train_forest(x, y, data.draw(st.integers(1, 5)), seed)
 
     got = out_of_bag_mean(forest, x)
     assert got.shape == (n,)
@@ -540,13 +513,13 @@ def test_out_of_bag_mean_is_nan_for_rows_every_tree_drew():
     x, y = np.array([[0.0], [1.0]]), np.array([0, 1])
     # Seed 5: tree 0 draws both rows, tree 1 draws row 1 twice.
     assert (in_bag(5, 0, 2), in_bag(5, 1, 2)) == ({0, 1}, {1})
-    forest = train_forest(x, y, ForestConfig(n_trees=2), seed=5)
+    forest = train_forest(x, y, 2, seed=5)
     got = out_of_bag_mean(forest, x)
     assert got[0] == 1.0  # tree 1 saw only the unsafe row: a leaf of 1.0
     assert np.isnan(got[1])
     # Seed 2: both trees draw both rows, so no row is scored.
     assert in_bag(2, 0, 2) == in_bag(2, 1, 2) == {0, 1}
-    forest = train_forest(x, y, ForestConfig(n_trees=2), seed=2)
+    forest = train_forest(x, y, 2, seed=2)
     assert np.isnan(out_of_bag_mean(forest, x)).all()
 
 
@@ -590,7 +563,7 @@ def test_ensemble_identity_on_random_inputs():
     rng = np.random.default_rng(31)
     x = rng.uniform(0, 1, size=(60, 5))
     y = (x[:, 0] + 0.3 * rng.standard_normal(60) > 0.5).astype(int)
-    forest = train_forest(x, y, ForestConfig(n_trees=15), seed=4)
+    forest = train_forest(x, y, 15, seed=4)
     probes = rng.uniform(-0.5, 1.5, size=(1000, 5))
     batch = predict_batch(forest, probes)
     manual = np.array([[t.probability(p) for p in probes] for t in forest.trees]).mean(axis=0)
@@ -615,7 +588,7 @@ def test_single_tree_forest_mean_equals_tree_output():
     rng = np.random.default_rng(13)
     x = rng.uniform(0, 1, size=(30, 4))
     y = (x[:, 1] > 0.5).astype(int)
-    forest = train_forest(x, y, ForestConfig(n_trees=1), seed=21)
+    forest = train_forest(x, y, 1, seed=21)
     for probe in rng.uniform(0, 1, size=(50, 4)):
         assert predict(forest, probe).mean == forest.trees[0].probability(probe)
 
@@ -625,7 +598,7 @@ def test_linearly_separable_toy_set_training_accuracy():
     rng = np.random.default_rng(17)
     y = np.array([0] * 10 + [1] * 10)
     x = np.column_stack([y.astype(float), rng.uniform(0, 1, size=20)])
-    forest = train_forest(x, y, ForestConfig(n_trees=50), seed=3)
+    forest = train_forest(x, y, 50, seed=3)
     predictions = predict_batch(forest, x).mean >= 0.5
     assert np.array_equal(predictions, y.astype(bool))
 
@@ -634,10 +607,10 @@ def test_training_determinism():
     rng = np.random.default_rng(41)
     x = rng.uniform(0, 1, size=(40, 6))
     y = (x[:, 2] > 0.4).astype(int)
-    f1 = train_forest(x, y, ForestConfig(n_trees=12), seed=7)
-    f2 = train_forest(x, y, ForestConfig(n_trees=12), seed=7)
+    f1 = train_forest(x, y, 12, seed=7)
+    f2 = train_forest(x, y, 12, seed=7)
     assert json.dumps(forest_to_json_list(f1)) == json.dumps(forest_to_json_list(f2))
-    f3 = train_forest(x, y, ForestConfig(n_trees=12), seed=8)
+    f3 = train_forest(x, y, 12, seed=8)
     assert json.dumps(forest_to_json_list(f1)) != json.dumps(forest_to_json_list(f3))
 
 
@@ -645,9 +618,9 @@ def test_serialization_round_trip_preserves_predictions():
     rng = np.random.default_rng(43)
     x = rng.uniform(0, 1, size=(50, 4))
     y = (x[:, 0] * x[:, 1] > 0.25).astype(int)
-    forest = train_forest(x, y, ForestConfig(n_trees=10), seed=5)
+    forest = train_forest(x, y, 10, seed=5)
     doc = json.loads(json.dumps(forest_to_json_list(forest)))
-    restored = forest_from_json_list(doc, forest.feature_count, forest.config, forest.seed)
+    restored = forest_from_json_list(doc, forest.feature_count, forest.seed)
     probes = rng.uniform(0, 1, size=(100, 4))
     a = predict_batch(forest, probes)
     b = predict_batch(restored, probes)
@@ -666,8 +639,9 @@ def test_serialization_round_trip_preserves_predictions():
         assert (after.dtype, after.shape, after.tobytes()) == (before.dtype, before.shape, before.tobytes())
 
 
-def test_exact_threshold_routes_left():
-    tree = Tree(
+def split_tree():
+    """A root that tests feature 0 at 0.5, over leaves of 0.1 (left) and 0.9."""
+    return Tree(
         feature=np.array([0, -1, -1], dtype=np.int32),
         threshold=np.array([0.5, 0.0, 0.0]),
         left=np.array([1, -1, -1], dtype=np.int32),
@@ -675,11 +649,15 @@ def test_exact_threshold_routes_left():
         value=np.array([0.5, 0.1, 0.9]),
         count=np.array([2, 1, 1], dtype=np.int64),
     )
+
+
+def test_exact_threshold_routes_left():
+    tree = split_tree()
     assert tree.probability(np.array([0.5])) == 0.1
     assert tree.probability(np.array([0.5000001])) == 0.9
     rows = np.array([[0.5], [0.6]])
     assert [tree.probability(row) for row in rows] == [0.1, 0.9]
-    forest = Forest(trees=[tree], feature_count=1, config=ForestConfig(n_trees=1), seed=0)
+    forest = Forest(trees=[tree], feature_count=1, seed=0)
     assert predict_batch(forest, rows).per_tree[0].tolist() == [0.1, 0.9]
 
 
@@ -692,42 +670,68 @@ def test_leaf_only_tree_constant_output():
 
 def test_training_input_validation():
     with pytest.raises(ValueError):
-        train_forest(np.zeros((0, 2)), np.zeros(0), ForestConfig(), seed=0)
+        train_forest(np.zeros((0, 2)), np.zeros(0), 100, seed=0)
     with pytest.raises(ValueError):
-        train_forest(np.zeros((4, 2)), np.zeros(4, dtype=int), ForestConfig(), seed=0)
+        train_forest(np.zeros((4, 2)), np.zeros(4, dtype=int), 100, seed=0)
     with pytest.raises(ValueError):
-        train_forest(np.zeros((4, 2)), np.array([0, 1, 0]), ForestConfig(), seed=0)
+        train_forest(np.zeros((4, 2)), np.array([0, 1, 0]), 100, seed=0)
 
 
 def test_training_rejects_bad_labels_and_features():
     x = np.zeros((4, 2))
     with pytest.raises(ValueError, match=r"labels must be 0 or 1, got values \[0, 1, 2\]"):
-        train_forest(x, np.array([0, 2, 1, 0]), ForestConfig(), seed=0)
+        train_forest(x, np.array([0, 2, 1, 0]), 100, seed=0)
     with pytest.raises(ValueError, match="labels must be 0 or 1"):
-        train_forest(x, np.array([0.0, 0.5, 1.0, 0.0]), ForestConfig(), seed=0)
+        train_forest(x, np.array([0.0, 0.5, 1.0, 0.0]), 100, seed=0)
     for bad in (np.nan, np.inf):
         x_bad = np.array([[0.0, 1.0], [bad, 0.0], [1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="features must be finite"):
-            train_forest(x_bad, np.array([0, 1, 1, 0]), ForestConfig(), seed=0)
+            train_forest(x_bad, np.array([0, 1, 1, 0]), 100, seed=0)
 
 
 @pytest.mark.parametrize(
     "field, value",
-    [("features_per_split", "log2"), ("features_per_split", 0), ("features_per_split", 2.7),
-     ("features_per_split", True), ("features_per_split", None), ("max_depth", 0),
-     ("max_depth", -1), ("max_depth", 1.5), ("max_depth", "3"), ("n_trees", 0),
-     ("n_trees", 2.5), ("min_split", 1)],
+    [("n_trees", 0), ("n_trees", 2.5), ("n_trees", -1), ("n_trees", True), ("n_trees", None),
+     ("n_trees", "3")],
 )
 def test_forest_config_rejects_bad_values_naming_the_field(field, value):
-    with pytest.raises(ValueError, match=rf"^{field} must be .* got {re.escape(repr(value))}$"):
-        ForestConfig(**{field: value})
+    """The number of trees, the one setting of a forest, is checked where
+    the forest is trained."""
+    x, y = np.array([[0.0], [1.0]]), np.array([0, 1])
+    with pytest.raises(ValueError, match=rf"^{field} must be an integer >= 1, got {re.escape(repr(value))}$"):
+        train_forest(x, y, **{field: value}, seed=0)
 
 
-def test_forest_config_accepts_named_choices_and_counts():
-    for features_per_split, k in (("sqrt", 4), ("all", 10), (3, 3), (30, 10)):
-        config = ForestConfig(max_depth=1, features_per_split=features_per_split)
-        assert config.resolve_feature_count(10) == k
-    assert ForestConfig(max_depth=None, min_split=2, n_trees=1).max_depth is None
+# Damage to the second tree of a saved two-tree forest over 3 features,
+# and the cause the loader names (tree 1 holds a root split and two leaves).
+DAMAGED_TREES = {
+    "cycle": (lambda t: t[0]["split"].__setitem__(2, 0), "node 0: children 0 and 2 are not both after it"),
+    "feature-too-large": (lambda t: t[0]["split"].__setitem__(0, 10**6), "split feature 1000000 outside [0, 3)"),
+    "negative-feature": (lambda t: t[0]["split"].__setitem__(0, -1), "split feature -1 outside [0, 3)"),
+    "child-outside-tree": (lambda t: t[0]["split"].__setitem__(3, 10**6), "children 1 and 1000000"),
+    "nan-threshold": (lambda t: t[0]["split"].__setitem__(1, float("nan")), "threshold nan is not finite"),
+    "infinite-threshold": (lambda t: t[0]["split"].__setitem__(1, float("inf")), "threshold inf is not finite"),
+    "leaf-above-one": (lambda t: t[2]["leaf"].__setitem__(0, 1.5), "node 2: leaf value 1.5 outside [0, 1]"),
+    "nan-leaf": (lambda t: t[1]["leaf"].__setitem__(0, float("nan")), "node 1: leaf value nan outside"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGED_TREES))
+def test_loader_refuses_a_tree_a_walk_could_not_finish(damage):
+    forest = Forest(trees=[leaf_tree(0.5), split_tree()], feature_count=3, seed=0)
+    doc = forest_to_json_list(forest)
+    assert forest_from_json_list(doc, 3, 0).packed.roots.tolist() == [0, 1]
+    corrupt, cause = DAMAGED_TREES[damage]
+    corrupt(doc[1])
+    with pytest.raises(ValueError, match=r"^tree 1 node \d+: ") as raised:
+        forest_from_json_list(doc, 3, 0)
+    assert cause in str(raised.value)
+
+
+def test_loader_refuses_an_empty_forest_or_tree():
+    for doc in ([], [[{"leaf": [0.5, 1]}], []]):
+        with pytest.raises(ValueError, match="^a forest needs one tree or more, each of one node or more$"):
+            forest_from_json_list(doc, 3, 0)
 
 
 def test_predict_dimension_mismatch():
@@ -736,15 +740,3 @@ def test_predict_dimension_mismatch():
         predict(forest, np.zeros(2))
     with pytest.raises(ValueError):
         predict_batch(forest, np.zeros((5, 4)))
-
-
-def test_min_split_and_depth_limits():
-    rng = np.random.default_rng(51)
-    x = rng.uniform(0, 1, size=(64, 3))
-    y = (x[:, 0] > 0.5).astype(int)
-    stump = train_forest(x, y, ForestConfig(n_trees=5, max_depth=1), seed=1)
-    for tree in stump.trees:
-        assert len(tree.feature) <= 3
-    blocky = train_forest(x, y, ForestConfig(n_trees=5, min_split=65), seed=1)
-    for tree in blocky.trees:
-        assert len(tree.feature) == 1  # root below the split size stays a leaf

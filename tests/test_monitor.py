@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 import safemon.monitor as monitor_module
 from conftest import id_table, make_episode, make_set
 from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy
+from safemon.dataset import DatasetError
 from safemon.forest import (
+    GROWTH,
     Forest,
-    ForestConfig,
     ProbabilitySummary,
     Tree,
     predict_batch,
@@ -56,7 +57,6 @@ def staircase_model(**overrides):
     forest = Forest(
         trees=[split_tree(2, 0.5, 0.2, 0.9)],
         feature_count=4,
-        config=ForestConfig(n_trees=1),
         seed=0,
     )
     defaults = dict(table=table, forest=forest)
@@ -149,7 +149,7 @@ def test_stream_and_batch_agree():
 
     x = episode_feature_matrix(corpus.episodes, table, FeatureMode.BINARY)
     y = np.array([e.label.value == "unsafe" for e in corpus.episodes], dtype=int)
-    forest = train_forest(x, y, ForestConfig(n_trees=20), seed=1)
+    forest = train_forest(x, y, 20, seed=1)
     for mode in FeatureMode:
         model = MonitorModel(table=table, forest=forest, mode=mode)
         for episode in corpus.episodes[:4]:
@@ -170,7 +170,7 @@ def _property_forest(n=6):
     rng = np.random.default_rng(5)
     x = rng.integers(0, 3, size=(40, n)).astype(float)
     y = (x[:, 1] + x[:, 4] + rng.integers(0, 2, size=40) > 2).astype(int)
-    return train_forest(x, y, ForestConfig(n_trees=15), seed=4)
+    return train_forest(x, y, 15, seed=4)
 
 
 PROPERTY_FOREST = _property_forest()
@@ -283,7 +283,7 @@ def test_criterion_ordering_within_traces():
 
     x = episode_feature_matrix(corpus.episodes, table, FeatureMode.BINARY)
     y = np.array([e.label.value == "unsafe" for e in corpus.episodes], dtype=int)
-    forest = train_forest(x, y, ForestConfig(n_trees=30), seed=2)
+    forest = train_forest(x, y, 30, seed=2)
 
     def fire(criterion, episode, theta=0.5):
         model = MonitorModel(table=table, forest=forest, criterion=criterion, theta=theta)
@@ -306,7 +306,6 @@ def test_model_validation():
     forest = Forest(
         trees=[split_tree(0, 0.5, 0.1, 0.9)],
         feature_count=3,
-        config=ForestConfig(n_trees=1),
         seed=0,
     )
     with pytest.raises(ValueError):
@@ -314,7 +313,6 @@ def test_model_validation():
     good = Forest(
         trees=[split_tree(0, 0.5, 0.1, 0.9)],
         feature_count=4,
-        config=ForestConfig(n_trees=1),
         seed=0,
     )
     with pytest.raises(ValueError):
@@ -344,6 +342,28 @@ def test_model_document_round_trip(tmp_path):
     a = run_trace(MonitorModel(table=restored.table, forest=restored.forest), qs)
     b = run_trace(MonitorModel(table=model.table, forest=model.forest), qs)
     assert [x.summary.mean for x in a.assessments] == [x.summary.mean for x in b.assessments]
+
+
+@pytest.mark.parametrize(
+    "damage, cause",
+    [
+        (lambda doc: doc["forest_config"].update(max_leaf_nodes=8),
+         r"forest_config has unknown keys \['max_leaf_nodes'\]"),
+        # Beyond the int32 node columns: refused, not a traceback.
+        (lambda doc: doc["forest"][0][0]["split"].__setitem__(0, 10**10),
+         "Python integer 10000000000 out of bounds for int32"),
+    ],
+    ids=["unknown-config-key", "feature-beyond-int32"],
+)
+def test_load_model_refuses_a_bad_value(damage, cause, tmp_path):
+    path = tmp_path / "model.json"
+    save_model(staircase_model(), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    assert doc["forest_config"] == {"n_trees": 1, **GROWTH}
+    damage(doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(DatasetError, match=f"monitor-model/1 document has a bad value: {cause}"):
+        load_model(path)
 
 
 def test_watch_stream_protocol():
@@ -423,7 +443,7 @@ def test_model_file_round_trip_property(data, mode, criterion, unseen):
     high = 2 if mode is FeatureMode.BINARY else 4
     x = rng.integers(0, high, size=(12, table.n)).astype(np.float32)
     y = np.arange(12) % 2  # both classes
-    forest = train_forest(x, y, ForestConfig(n_trees=5), seed=int(rng.integers(1000)))
+    forest = train_forest(x, y, 5, seed=int(rng.integers(1000)))
     model = MonitorModel(
         table=table, forest=forest, mode=mode, criterion=criterion,
         theta=data.draw(st.floats(0.01, 0.99)), unseen_policy=unseen,
@@ -437,7 +457,7 @@ def test_model_file_round_trip_property(data, mode, criterion, unseen):
     assert restored.table.d == d
     assert (restored.mode, restored.criterion, restored.unseen_policy) == (mode, criterion, unseen)
     assert restored.theta == model.theta and restored.provenance == model.provenance
-    assert (restored.forest.config, restored.forest.seed) == (forest.config, forest.seed)
+    assert (restored.forest.n_trees, restored.forest.seed) == (forest.n_trees, forest.seed)
     probes = np.vstack([x, rng.integers(0, high + 1, size=(8, table.n))])
     before, after = predict_batch(forest, probes), predict_batch(restored.forest, probes)
     for field in ("per_tree", "mean", "std", "low", "up"):

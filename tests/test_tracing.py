@@ -7,7 +7,7 @@ import numpy as np
 
 from conftest import id_table
 from safemon import abstraction, envs, forest, monitor
-from safemon.forest import Forest, ForestConfig, Tree
+from safemon.forest import Forest, Tree
 from safemon.monitor import MonitorModel, RunningState
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -22,7 +22,7 @@ def split_forest():
         value=np.array([0.5, 0.2, 0.9]),
         count=np.ones(3, dtype=np.int64),
     )
-    return Forest(trees=[tree], feature_count=2, config=ForestConfig(n_trees=1), seed=0)
+    return Forest(trees=[tree], feature_count=2, seed=0)
 
 
 def test_layers_install_traces_observe_and_uninstall_restores(monkeypatch):
@@ -32,6 +32,7 @@ def test_layers_install_traces_observe_and_uninstall_restores(monkeypatch):
 
     def targets():
         return (
+            forest.train_forest,
             forest.predict,
             forest.predict_batch,
             monitor.observe,
@@ -48,6 +49,9 @@ def test_layers_install_traces_observe_and_uninstall_restores(monkeypatch):
         model = MonitorModel(table=id_table(2), forest=split_forest())
         running = RunningState.fresh(model)
         means = [monitor.observe(model, running, np.array([k + 0.5])).summary.mean for k in (0, 1)]
+        # The fit hook reads the forest's n_trees and trees.
+        x = np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [0.0, 0.0]])
+        fitted = forest.train_forest(x, np.array([0, 1, 1, 0]), 3, seed=0)
     finally:
         uninstall()
     assert targets() == before
@@ -58,3 +62,6 @@ def test_layers_install_traces_observe_and_uninstall_restores(monkeypatch):
     assert len(traced["forest.predict"]["total"]) == 2
     assert "forest.predict_batch" not in traced
     assert tracer.counters.get("forest.tree_walks", 0) == 0
+    assert len(traced["forest.fit"]["total"]) == 1
+    assert tracer.counters["forest.fit.trees"] == fitted.n_trees == 3
+    assert tracer.counters["forest.fit.node_total"] == sum(len(t.feature) for t in fitted.trees)
