@@ -18,7 +18,7 @@ flip = rng.random(n) < 0.08  # label noise makes trees disagree near the edge
 y = np.where(flip, 1 - y, y)
 forest = train_forest(x, y, n_trees=100, seed=11)
 
-print("input                     per-tree spread          interval")
+print("input                     mean and sigma           interval")
 for probe in (
     np.array([0.9, 0.9, 0.5, 0.5, 0.5, 0.5]),  # deep in the unsafe region
     np.array([0.1, 0.1, 0.5, 0.5, 0.5, 0.5]),  # deep in the safe region

@@ -2,9 +2,9 @@
 
 Each tree is grown on a bootstrap resample with Gini-impurity splits over
 a random feature subset per node, by one fixed rule (`GROWTH`): the
-number of trees is the only setting. The forest exposes the individual tree
-probabilities, not just their average: the monitor's confidence interval
-is the mean per-tree unsafe probability plus or minus Z * sigma / sqrt(m)
+number of trees is the only setting. A prediction summarises the tree
+probabilities (`PackedTrees.leaf_values`) by their mean, sigma and the
+monitor's confidence interval: the mean plus or minus Z * sigma / sqrt(m)
 with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
 `out_of_bag_mean` re-draws each tree's bootstrap to score every training
 row by the trees that left it out. The loader checks every tree it reads.
@@ -43,8 +43,8 @@ Which pairs go down it depends on the traffic.
   tests, and every other pair keeps the leaf of (k, t-1). That is the
   feature-driven traversal of QuickScorer (Lucchese et al., SIGIR 2015).
   Each step changes at most one feature, so few pairs are walked, and
-  `_summarize` runs only on the rows where some leaf value changed: 1%
-  of the pairs and 2% of the rows on the replay benchmark's corpus.
+  leaf values are gathered and summarised only at the rows where some
+  changed: 1% of the pairs and 2% of the rows on the replay benchmark.
 
 Both give the bits of walking each tree alone, and the single-input
 `predict` shares the summary code, so stream and batch agree bit for bit
@@ -161,18 +161,18 @@ class PackedTrees:
         return values.reshape(len(self.roots), n_rows)
 
     def prefix_leaf_values(self, blocks: list) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf values of the stacked rows of `blocks`, and the rows at
-        which some leaf value changed.
+        """Leaf values of the stacked rows of `blocks` at the rows where
+        some leaf value changed.
 
         Block i is (rows, columns), as abstraction.prefix_feature_matrix
         returns it, with at least one row: column j of a row holds feature
         columns[j] (ids in [0, n_features), each once), and every other
         feature reads 0. Tree k is walked at row t of a block only when
         t = 0 or row t differs from row t-1 in a feature tree k tests;
-        every other pair keeps the leaf of (k, t-1). Returns the
-        (n_trees, n_rows) values over the blocks' rows in order, and a
-        bool per row that is True at row 0 and wherever some tree's value
-        differs from the row before, within a block or across two.
+        every other pair keeps the leaf of (k, t-1). Returns the (n_trees,
+        n_changed) values at row 0 and every row where some tree's value
+        differs from the row before (in a block or across two), and the
+        index of each row's last such row: row r has changed[:, last[r]].
         """
         n_trees = len(self.roots)
         sizes = np.array([len(rows) for rows, _ in blocks])
@@ -225,14 +225,13 @@ class PackedTrees:
             self.roots.take(pairs // n_rows),
             lambda nodes: flat.take(read_at + table.take(table_at + self.feature.take(nodes))),
         )
-        # Pair ids are sorted and every tree has an event at row 0, so each
-        # event's value holds until its tree's next event, and the event
-        # before one at row r > 0 holds its tree's value at row r - 1.
-        per_tree = np.repeat(values, np.diff(pairs, append=n_trees * n_rows))
         moved = np.zeros(n_rows, dtype=bool)
         moved[0] = True
         moved[rows[1:][values[1:] != values[:-1]]] = True
-        return per_tree.reshape(n_trees, n_rows), moved
+        # Pair ids are sorted and every tree has an event at row 0, so pair
+        # k * n_rows + r holds the value of the last event at or before it.
+        at = np.arange(0, n_trees * n_rows, n_rows)[:, None] + np.flatnonzero(moved)
+        return values.take(np.searchsorted(pairs, at, side="right") - 1), np.cumsum(moved) - 1
 
 
 @dataclass
@@ -252,9 +251,8 @@ class Forest:
 
 @dataclass(frozen=True)
 class ProbabilitySummary:
-    """Per-tree unsafe probabilities and their 95% confidence interval."""
+    """Mean and sigma of the tree probabilities, and the 95% interval."""
 
-    per_tree: np.ndarray
     mean: float
     std: float
     low: float
@@ -265,7 +263,6 @@ class ProbabilitySummary:
 class BatchSummary:
     """Column-wise ProbabilitySummary fields for a batch of inputs."""
 
-    per_tree: np.ndarray  # (n_trees, n_inputs)
     mean: np.ndarray
     std: np.ndarray
     low: np.ndarray
@@ -274,8 +271,7 @@ class BatchSummary:
     def column(self, t: int) -> ProbabilitySummary:
         """The ProbabilitySummary of input t."""
         return ProbabilitySummary(
-            self.per_tree[:, t], float(self.mean[t]), float(self.std[t]),
-            float(self.low[t]), float(self.up[t]),
+            float(self.mean[t]), float(self.std[t]), float(self.low[t]), float(self.up[t])
         )
 
 
@@ -575,17 +571,20 @@ def predict(forest: Forest, x) -> ProbabilitySummary:
         raise ValueError(
             f"expected a feature vector of length {forest.feature_count}, got shape {x.shape}"
         )
-    per_tree = forest.packed.leaf_values(x[None, :])
-    return BatchSummary(per_tree, *_summarize(per_tree)).column(0)
+    return BatchSummary(*_summarize(forest.packed.leaf_values(x[None, :]))).column(0)
+
+
+def _rows(forest: Forest, x_rows) -> np.ndarray:
+    """x_rows as an array, checked to hold rows of the forest's width."""
+    x_rows = np.asarray(x_rows)
+    if x_rows.ndim != 2 or x_rows.shape[1] != forest.feature_count:
+        raise ValueError(f"expected rows of length {forest.feature_count}, got shape {x_rows.shape}")
+    return x_rows
 
 
 def predict_batch(forest: Forest, x_rows: np.ndarray) -> BatchSummary:
     """predict() over the rows of a feature matrix, all trees at once."""
-    x_rows = np.asarray(x_rows)
-    if x_rows.ndim != 2 or x_rows.shape[1] != forest.feature_count:
-        raise ValueError(f"expected rows of length {forest.feature_count}, got shape {x_rows.shape}")
-    per_tree = forest.packed.leaf_values(x_rows)
-    return BatchSummary(per_tree, *_summarize(per_tree))
+    return BatchSummary(*_summarize(forest.packed.leaf_values(_rows(forest, x_rows))))
 
 
 def predict_prefixes(forest: Forest, blocks: list) -> BatchSummary:
@@ -596,10 +595,8 @@ def predict_prefixes(forest: Forest, blocks: list) -> BatchSummary:
     changed and copied to the rows after them, which hold the same
     per-tree values and so the same summary, bit for bit.
     """
-    per_tree, moved = forest.packed.prefix_leaf_values(blocks)
-    fields = _summarize(per_tree[:, np.flatnonzero(moved)])
-    last_moved = np.cumsum(moved) - 1
-    return BatchSummary(per_tree, *(field.take(last_moved) for field in fields))
+    changed, last = forest.packed.prefix_leaf_values(blocks)
+    return BatchSummary(*(field.take(last) for field in _summarize(changed)))
 
 
 def out_of_bag_mean(forest: Forest, x) -> np.ndarray:
@@ -609,7 +606,7 @@ def out_of_bag_mean(forest: Forest, x) -> np.ndarray:
     Row j is scored by the mean leaf value of the trees whose bootstrap did
     not draw it; a row that every tree drew is NaN.
     """
-    per_tree = predict_batch(forest, x).per_tree
+    per_tree = forest.packed.leaf_values(_rows(forest, x))
     out_of_bag = np.ones(per_tree.shape, dtype=bool)
     for i in range(forest.n_trees):
         _, boot = _bootstrap(forest.seed, i, per_tree.shape[1])
@@ -635,7 +632,7 @@ def forest_to_json_list(forest: Forest) -> list:
 
 def forest_from_json_list(trees_doc: list, feature_count: int, seed: int) -> Forest:
     trees, splits = [], []
-    for nodes in trees_doc:
+    for t, nodes in enumerate(trees_doc):
         n = len(nodes)
         feature = np.full(n, -1, dtype=np.int32)
         threshold = np.zeros(n, dtype=np.float64)
@@ -649,7 +646,9 @@ def forest_from_json_list(trees_doc: list, feature_count: int, seed: int) -> For
             if "leaf" in node:
                 value[i], count[i] = node["leaf"]
             else:
-                feature[i], threshold[i], left[i], right[i] = node["split"]
+                feature[i], threshold[i], left[i], right[i] = split = node["split"]
+                if type(split[0]) is not int or type(split[2]) is not int or type(split[3]) is not int:
+                    raise ValueError(f"tree {t} node {i}: split {split} has a non-integer feature or child")
         trees.append(Tree(feature, threshold, left, right, value, count))
         splits.append(np.array(["leaf" not in node for node in nodes], dtype=bool))
     _check_trees(trees, splits, feature_count)

@@ -14,13 +14,13 @@ whole corpus at once, cuts each episode at the stop policy, encodes
 every prefix over the states the episode visits, and scores the
 episodes in chunks under a row budget, one change-driven forest call
 per chunk (a tree is walked at a step only when a feature it tests
-changed there). Each episode becomes a DecisionTrace: its probability
-series plus the first fire step. Its per-step assessments are derived
-from the series on demand and equal what observe returns step by step,
-bit for bit, since both walks reach the same leaves and share the
-summary code. A model file's `forest_config` is its number of trees and
-forest.GROWTH; load_model refuses any other, naming the key, and any
-tree a walk could not finish, naming the tree and node.
+changed there). Each episode becomes a DecisionTrace: its summary series
+plus the first fire step. Its per-step assessments are derived from the
+series on demand and equal what observe returns step by step, bit for
+bit, since both walks reach the same leaves and share the summary code.
+A model file's `forest_config` is its number of trees and forest.GROWTH;
+load_model refuses any other, naming the key, and any tree a walk could
+not finish or with a non-integer split feature or child, naming the node.
 """
 
 from __future__ import annotations
@@ -110,8 +110,8 @@ class StepAssessment:
 class DecisionTrace:
     """A stored episode replayed through the monitor.
 
-    `series` holds the forest summaries of each monitored step, up to any
-    stop-policy cutoff (`stop_hit`); `episode_length` counts every step.
+    `series` holds the mean, std, low and up of each monitored step, up to
+    any stop-policy cutoff (`stop_hit`); `episode_length` counts every step.
     """
 
     series: BatchSummary
@@ -237,9 +237,9 @@ def _replay_chunk(model: MonitorModel, ids: list) -> list[BatchSummary]:
     """The probability series of each episode of a chunk, from its ids."""
     blocks = [prefix_feature_matrix(episode_ids, model.table.n, model.mode) for episode_ids in ids]
     batch = predict_prefixes(model.forest, blocks)
-    fields = (batch.per_tree, batch.mean, batch.std, batch.low, batch.up)
+    fields = (batch.mean, batch.std, batch.low, batch.up)
     bounds = np.cumsum([0] + [len(episode_ids) for episode_ids in ids]).tolist()
-    return [BatchSummary(*(f[..., a:b] for f in fields)) for a, b in zip(bounds, bounds[1:])]
+    return [BatchSummary(*(f[a:b] for f in fields)) for a, b in zip(bounds, bounds[1:])]
 
 
 def run_trace(model: MonitorModel, episode_qs: np.ndarray) -> DecisionTrace:

@@ -1,8 +1,12 @@
+from unittest import mock
+
 import numpy as np
 
 from safemon.abstraction import AbstractionTable
 from safemon.dataset import Episode, EpisodeSet, Label
 from safemon.envs import Cause
+from safemon.forest import PackedTrees
+from safemon.monitor import run_traces
 
 
 def make_episode(qs, unsafe=False):
@@ -36,3 +40,22 @@ def two_band_corpus(n_per_class=20, steps=3, safe_q=4.5, unsafe_q=9.5, actions=1
 def id_table(n):
     """Table whose key for q=[k + 0.5] is id k (d=1 ceiling); q=[-0.5] is unseen."""
     return AbstractionTable(d=1.0, index={(k + 1,): k for k in range(n)})
+
+
+def replay_with_leaf_values(model, corpus):
+    """run_traces(model, corpus), and each trace's (n_trees, steps) leaf
+    values as the replay's prefix_leaf_values calls gave them: the values
+    at the changed rows, taken at each row's index."""
+    chunks = []
+    prefix_leaf_values = PackedTrees.prefix_leaf_values
+
+    def spy(packed, blocks):
+        changed, last = prefix_leaf_values(packed, blocks)
+        chunks.append(changed[:, last])
+        return changed, last
+
+    with mock.patch.object(PackedTrees, "prefix_leaf_values", spy):
+        traces = run_traces(model, corpus)
+    per_tree = np.concatenate(chunks, axis=1)
+    bounds = np.cumsum([len(trace.series.mean) for trace in traces])[:-1]
+    return traces, np.split(per_tree, bounds, axis=1)

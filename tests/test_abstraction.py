@@ -325,8 +325,8 @@ def test_select_level_excludes_by_the_criterion_on_the_empty_prefix(
     summary meets the monitor's own criterion, not when its mean reaches
     theta."""
     mean, low, up = empty
-    summaries = iter([ProbabilitySummary(np.array([mean]), mean, 0.0, low, up)])
-    quiet = ProbabilitySummary(np.zeros(1), 0.0, 0.0, 0.0, 0.0)
+    summaries = iter([ProbabilitySummary(mean, 0.0, low, up)])
+    quiet = ProbabilitySummary(0.0, 0.0, 0.0, 0.0)
     # predict scores only the empty prefixes: the first d's gets `empty`.
     monkeypatch.setattr(forest, "predict", lambda model, x: next(summaries, quiet))
     corpus = two_band_corpus(n_per_class=20, steps=3)

@@ -470,13 +470,21 @@ def split_root(doc):
     return next(nodes for nodes in doc["forest"] if "split" in nodes[0])
 
 
-# Damage to the first tree whose root splits, and the node the loader names.
-# Let through, a cycle hangs `evaluate` and `watch`, and a feature or child
-# out of range ends them in a traceback or gives wrong traces.
+# Damage to the first tree whose root splits, the node the loader names and
+# its cause. Let through, a cycle hangs `evaluate` and `watch`, a feature or
+# child out of range ends them in a traceback or gives wrong traces, and a
+# non-integer one is truncated into range without a word.
 TREE_DAMAGE = {
-    "cyclic-tree": (lambda doc: split_root(doc).__setitem__(1, {"split": [0, 0.5, 0, 0]}), 1),
-    "feature-out-of-range": (lambda doc: split_root(doc)[0]["split"].__setitem__(0, 10**6), 0),
-    "child-out-of-range": (lambda doc: split_root(doc)[0]["split"].__setitem__(3, 10**6), 0),
+    "cyclic-tree": (lambda doc: split_root(doc).__setitem__(1, {"split": [0, 0.5, 0, 0]}), 1,
+                    "children 0 and 0 are not both after it"),
+    "feature-out-of-range": (lambda doc: split_root(doc)[0]["split"].__setitem__(0, 10**6), 0,
+                             "split feature 1000000 outside"),
+    "child-out-of-range": (lambda doc: split_root(doc)[0]["split"].__setitem__(3, 10**6), 0,
+                           "children 1 and 1000000 are not both after it"),
+    "non-integer-feature": (lambda doc: split_root(doc)[0]["split"].__setitem__(0, 2.7), 0,
+                            "split [2.7, "),
+    "non-integer-child": (lambda doc: split_root(doc)[0]["split"].__setitem__(2, 2.7), 0,
+                          "has a non-integer feature or child"),
 }
 DAMAGE = ["wrong-tag", "untagged", "truncated", "missing-key", "null-value", "bogus-value",
           "ragged-list", "non-integer-list"]
@@ -504,7 +512,7 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
                 # An abstraction-table key of another length, or not of integers.
                 "ragged-list": lambda doc: doc["table"]["keys"][0].append(0),
                 "non-integer-list": lambda doc: doc["table"]["keys"][0].__setitem__(0, 0.5),
-                **{name: corrupt for name, (corrupt, _) in TREE_DAMAGE.items()}}
+                **{name: corrupt for name, (corrupt, _, _) in TREE_DAMAGE.items()}}
         bad = damaged_copy(model_path, tmp_path, damage, keys)
         argv = {
             "evaluate": ["evaluate", "--model", str(bad), "--episodes", corpus_path,
@@ -522,8 +530,9 @@ def test_damaged_model_or_agent_is_io_error_naming_file(
     if damage in TREE_DAMAGE:
         doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
         tree = doc["forest"].index(split_root(doc))
-        node = TREE_DAMAGE[damage][1]
+        _, node, cause = TREE_DAMAGE[damage]
         assert f"{tag} document has a bad value: tree {tree} node {node}: " in err
+        assert cause in err
         return
     expected = {
         "wrong-tag": f"format tag 'something-else/9', expected '{tag}'",

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import safemon.forest as forest_module
 import safemon.monitor as monitor_module
-from conftest import id_table
+from conftest import id_table, replay_with_leaf_values
 from safemon.abstraction import FeatureMode
 from safemon.forest import (
     Forest,
@@ -25,7 +25,7 @@ from safemon.forest import (
     predict_batch,
     train_forest,
 )
-from safemon.monitor import MonitorModel, run_traces
+from safemon.monitor import MonitorModel
 from safemon.seeding import derive_seed
 
 
@@ -325,12 +325,17 @@ def test_trained_forest_matches_golden_hash(kind):
     assert digest == GOLDEN_FOREST_SHA256[kind]
 
 
-def batch_bytes(batch):
-    fields = (batch.per_tree, batch.mean, batch.std, batch.low, batch.up)
-    return b"".join(a.tobytes() for a in fields)
+def summary_bytes(batch):
+    return b"".join(a.tobytes() for a in (batch.mean, batch.std, batch.low, batch.up))
 
 
-# sha256 of the per_tree, mean, std, low and up bytes of predict_batch;
+def batch_bytes(forest, x):
+    """The per-tree leaf value bytes of the rows of x, then the mean, std,
+    low and up bytes of predict_batch."""
+    return forest.packed.leaf_values(x).tobytes() + summary_bytes(predict_batch(forest, x))
+
+
+# sha256 of batch_bytes: the per-tree values, mean, std, low and up bytes;
 # recorded with the tree-at-a-time evaluator the packed walk replaced.
 GOLDEN_BATCH_SHA256 = {
     "binary": "0c402f5e1d29cd91e53042d292054cf893ca1986ba13f872c5d324bac772083c",
@@ -347,8 +352,7 @@ def test_predict_batch_matches_golden_hash(kind):
         extra = (rng.random((40, 60)) < 0.5).astype(np.float32)
     else:
         extra = rng.integers(0, 7, size=(40, 60)).astype(np.float32)
-    batch = predict_batch(forest, np.vstack([x, extra]))
-    digest = hashlib.sha256(batch_bytes(batch)).hexdigest()
+    digest = hashlib.sha256(batch_bytes(forest, np.vstack([x, extra]))).hexdigest()
     assert digest == GOLDEN_BATCH_SHA256[kind]
 
 
@@ -359,7 +363,7 @@ def test_binary_rows_as_bytes_grow_and_score_like_floats():
     packed = x.astype(np.uint8)
     as_float, as_bytes = train_forest(x, y, 12, seed=77), train_forest(packed, y, 12, seed=77)
     assert json.dumps(forest_to_json_list(as_bytes)) == json.dumps(forest_to_json_list(as_float))
-    assert batch_bytes(predict_batch(as_bytes, packed)) == batch_bytes(predict_batch(as_float, x))
+    assert batch_bytes(as_bytes, packed) == batch_bytes(as_float, x)
     assert out_of_bag_mean(as_bytes, packed).tobytes() == out_of_bag_mean(as_float, x).tobytes()
 
 
@@ -412,17 +416,18 @@ def test_predict_batch_matches_per_tree_walks(data):
     forest = Forest(trees=trees, feature_count=width, seed=0)
 
     batch = predict_batch(forest, x)
-    assert batch.per_tree.shape == (len(trees), len(x))
+    per_tree = forest.packed.leaf_values(x)
+    assert per_tree.shape == (len(trees), len(x))
     for i, row in enumerate(x):
         walked = np.array([t.probability(row) for t in trees])
-        assert batch.per_tree[:, i].tobytes() == walked.tobytes()
+        assert per_tree[:, i].tobytes() == walked.tobytes()
+        assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
         single = predict(forest, row)
-        assert single.per_tree.tobytes() == walked.tobytes()
         fields = (single.mean, single.std, single.low, single.up)
         columns = (batch.mean[i], batch.std[i], batch.low[i], batch.up[i])
         assert np.array(fields).tobytes() == np.array(columns).tobytes()
-    empty = predict_batch(forest, x[:0])
-    assert empty.per_tree.shape == (len(trees), 0) and empty.mean.shape == (0,)
+    assert forest.packed.leaf_values(x[:0]).shape == (len(trees), 0)
+    assert predict_batch(forest, x[:0]).mean.shape == (0,)
 
 
 @pytest.mark.parametrize("kind", sorted(GOLDEN_BATCH_SHA256))
@@ -434,8 +439,8 @@ def test_one_row_predict_matches_tree_walks(kind):
     rows = np.vstack([x[:20], np.zeros((1, 60)), np.full((1, 60), 7.0)])
     for row in rows:
         walked = np.array([tree.probability(row) for tree in forest.trees])
+        assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
         single = predict(forest, row)
-        assert single.per_tree.tobytes() == walked.tobytes()
         assert single.mean == walked.mean() and single.std == walked.std()
 
 
@@ -469,13 +474,14 @@ def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
     budget = data.draw(st.sampled_from([1, 8, 40, monitor_module.ROW_BUDGET]))
 
     with mock.patch.object(monitor_module, "ROW_BUDGET", budget):
-        traces = run_traces(model, [[[i + 0.5] if i >= 0 else [-0.5] for i in e] for e in episodes])
-    for episode, trace in zip(episodes, traces):
+        corpus = [[[i + 0.5] if i >= 0 else [-0.5] for i in e] for e in episodes]
+        traces, replayed = replay_with_leaf_values(model, corpus)
+    for episode, trace, per_tree in zip(episodes, traces, replayed):
         dense = dense_prefixes(episode, n, mode)
         for t, row in enumerate(dense):
             walked = np.array([tree.probability(row) for tree in trees])
-            assert trace.series.per_tree[:, t].tobytes() == walked.tobytes()
-        assert batch_bytes(trace.series) == batch_bytes(predict_batch(forest, dense))
+            assert per_tree[:, t].tobytes() == walked.tobytes()
+        assert summary_bytes(trace.series) == summary_bytes(predict_batch(forest, dense))
 
 
 def in_bag(seed, tree, n):
@@ -569,7 +575,7 @@ def test_ensemble_identity_on_random_inputs():
     manual = np.array([[t.probability(p) for p in probes] for t in forest.trees]).mean(axis=0)
     assert np.max(np.abs(batch.mean - manual)) <= 1e-12
     s = predict(forest, probes[0])
-    assert abs(s.mean - np.mean(s.per_tree)) <= 1e-12
+    assert abs(s.mean - np.mean(forest.packed.leaf_values(probes[:1]))) <= 1e-12
 
 
 def test_permutation_invariance():
@@ -658,7 +664,8 @@ def test_exact_threshold_routes_left():
     rows = np.array([[0.5], [0.6]])
     assert [tree.probability(row) for row in rows] == [0.1, 0.9]
     forest = Forest(trees=[tree], feature_count=1, seed=0)
-    assert predict_batch(forest, rows).per_tree[0].tolist() == [0.1, 0.9]
+    assert forest.packed.leaf_values(rows)[0].tolist() == [0.1, 0.9]
+    assert predict_batch(forest, rows).mean.tolist() == [0.1, 0.9]
 
 
 def test_leaf_only_tree_constant_output():
@@ -713,6 +720,10 @@ DAMAGED_TREES = {
     "infinite-threshold": (lambda t: t[0]["split"].__setitem__(1, float("inf")), "threshold inf is not finite"),
     "leaf-above-one": (lambda t: t[2]["leaf"].__setitem__(0, 1.5), "node 2: leaf value 1.5 outside [0, 1]"),
     "nan-leaf": (lambda t: t[1]["leaf"].__setitem__(0, float("nan")), "node 1: leaf value nan outside"),
+    # int32 node arrays would truncate these to a feature or child in range.
+    "float-feature": (lambda t: t[0]["split"].__setitem__(0, 2.7), "split [2.7, 0.5, 1, 2] has a non-integer"),
+    "integral-float-child": (lambda t: t[0]["split"].__setitem__(3, 2.0), "split [0, 0.5, 1, 2.0] has a non"),
+    "bool-child": (lambda t: t[0]["split"].__setitem__(2, True), "split [0, 0.5, True, 2] has a non-integer"),
 }
 
 

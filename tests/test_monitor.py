@@ -1,6 +1,7 @@
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -10,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safemon.monitor as monitor_module
-from conftest import id_table, make_episode, make_set
-from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy
-from safemon.dataset import DatasetError
+from conftest import id_table, make_episode, make_set, replay_with_leaf_values
+from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
+from safemon.dataset import DatasetError, Label
 from safemon.forest import (
     GROWTH,
     Forest,
+    PackedTrees,
     ProbabilitySummary,
     Tree,
     predict_batch,
@@ -37,7 +39,7 @@ from safemon.monitor import (
 
 
 def summary(low, mean, up):
-    return ProbabilitySummary(per_tree=np.array([mean]), mean=mean, std=0.0, low=low, up=up)
+    return ProbabilitySummary(mean=mean, std=0.0, low=low, up=up)
 
 
 def split_tree(feature, threshold, left_value, right_value):
@@ -176,6 +178,29 @@ def _property_forest(n=6):
 PROPERTY_FOREST = _property_forest()
 
 
+def assert_observed_equals_replayed(model, running, q, want, replayed):
+    """observe(model, running, q) gives the replayed assessment `want` bit
+    for bit, and the row it scores reaches the replayed leaf values; the
+    observed assessment is returned."""
+    scored = []
+    leaf_values = PackedTrees.leaf_values
+
+    def spy(packed, x_rows):
+        scored.append(leaf_values(packed, x_rows))
+        return scored[-1]
+
+    with mock.patch.object(PackedTrees, "leaf_values", spy):
+        got = observe(model, running, q)
+    assert (got.t, got.fired, got.unseen_alert) == (want.t, want.fired, want.unseen_alert)
+    for field in ("mean", "std", "low", "up"):
+        assert np.float64(getattr(got.summary, field)).tobytes() == (
+            np.float64(getattr(want.summary, field)).tobytes()
+        )
+    (values,) = scored
+    assert values[:, 0].tobytes() == replayed.tobytes()
+    return got
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     ids=st.lists(st.integers(-1, 5), min_size=1, max_size=25),
@@ -191,17 +216,11 @@ def test_stream_equals_batch_property(ids, mode, unseen, criterion, theta):
         criterion=criterion, theta=theta, unseen_policy=unseen,
     )
     qs = np.array([q_for(i) if i >= 0 else np.array([-7.5]) for i in ids])
-    trace = run_trace(model, qs)
+    (trace,), (per_tree,) = replay_with_leaf_values(model, [qs])
     running = RunningState.fresh(model)
     batch = trace.assessments
     for want in batch:
-        got = observe(model, running, qs[want.t])
-        assert (got.t, got.fired, got.unseen_alert) == (want.t, want.fired, want.unseen_alert)
-        assert got.summary.per_tree.tobytes() == want.summary.per_tree.tobytes()
-        for field in ("mean", "std", "low", "up"):
-            assert np.float64(getattr(got.summary, field)).tobytes() == (
-                np.float64(getattr(want.summary, field)).tobytes()
-            )
+        assert_observed_equals_replayed(model, running, qs[want.t], want, per_tree[:, want.t])
     assert trace.episode_length == len(ids)
     if trace.stop_hit:
         assert unseen is UnseenPolicy.STOP and ids[len(batch) - 1] == -1
@@ -230,28 +249,57 @@ def test_run_traces_equal_observe_property(episodes, mode, unseen, criterion, th
     )
     corpus = [np.array([q_for(i) if i >= 0 else np.array([-7.5]) for i in ids]) for ids in episodes]
     with mock.patch.object(monitor_module, "ROW_BUDGET", budget):
-        traces = run_traces(model, corpus)
+        traces, replayed = replay_with_leaf_values(model, corpus)
     assert len(traces) == len(corpus)
-    for ids, qs, trace in zip(episodes, corpus, traces):
+    for ids, qs, trace, per_tree in zip(episodes, corpus, traces, replayed):
         running = RunningState.fresh(model)
-        observed = []
-        for q in qs:
-            try:
-                observed.append(observe(model, running, q))
-            except MonitorStopped:
-                break
-        assert len(trace.assessments) == len(observed)
-        for want, got in zip(trace.assessments, observed):
-            assert (got.t, got.fired, got.unseen_alert) == (want.t, want.fired, want.unseen_alert)
-            assert got.summary.per_tree.tobytes() == want.summary.per_tree.tobytes()
-            for field in ("mean", "std", "low", "up"):
-                assert np.float64(getattr(got.summary, field)).tobytes() == (
-                    np.float64(getattr(want.summary, field)).tobytes()
-                )
+        observed = [
+            assert_observed_equals_replayed(model, running, qs[want.t], want, per_tree[:, want.t])
+            for want in trace.assessments
+        ]
+        if len(observed) < len(qs):
+            with pytest.raises(MonitorStopped):
+                observe(model, running, qs[len(observed)])
         fired = [a.t for a in observed if a.fired]
         assert trace.first_fire_step == (fired[0] if fired else None)
         assert trace.episode_length == len(ids)
         assert trace.stop_hit == (unseen is UnseenPolicy.STOP and -1 in ids)
+
+
+def random_walk_episodes(rng, count):
+    """Episodes of two Q-values that walk about one d = 1 bucket per step
+    from a random level; every third drifts down and is unsafe."""
+    episodes = []
+    for i in range(count):
+        unsafe = i % 3 == 0
+        n = int(rng.integers(160, 201)) if unsafe else 200
+        level = rng.normal(90.0, 20.0) + np.cumsum(rng.normal(0.0, 1.1, n))
+        level += np.linspace(0.0, -30.0 if unsafe else 0.0, n)
+        gap = np.cumsum(rng.normal(0.0, 0.85, n))
+        episodes.append(make_episode(np.stack([level, level + gap], axis=1), unsafe=unsafe))
+    return episodes
+
+
+def test_run_traces_memory_stays_below_the_per_tree_matrix():
+    """Replaying about 58k steps through a 100-tree monitor allocates far
+    less than a float64 (trees x steps) matrix of every tree's value at
+    every step would take: a trace holds only its summary series."""
+    rng = np.random.default_rng(7)
+    corpus = make_set(random_walk_episodes(rng, 300))
+    table = AbstractionTable.build(corpus, 1.0)
+    x = episode_feature_matrix(corpus.episodes, table, FeatureMode.BINARY, table.corpus_ids)
+    y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
+    model = MonitorModel(table=table, forest=train_forest(x, y, 100, seed=3))
+    episodes = [e.qs for e in random_walk_episodes(rng, 300)]
+    matrix_bytes = 8 * model.forest.n_trees * sum(len(qs) for qs in episodes)
+    tracemalloc.start()
+    try:
+        traces = run_traces(model, episodes)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(traces) == len(episodes)
+    assert peak < matrix_bytes / 4, f"peak {peak} bytes, {peak / matrix_bytes:.2f} of the matrix"
 
 
 def test_run_traces_of_no_episodes_and_of_an_empty_one():
@@ -459,6 +507,7 @@ def test_model_file_round_trip_property(data, mode, criterion, unseen):
     assert restored.theta == model.theta and restored.provenance == model.provenance
     assert (restored.forest.n_trees, restored.forest.seed) == (forest.n_trees, forest.seed)
     probes = np.vstack([x, rng.integers(0, high + 1, size=(8, table.n))])
+    assert restored.forest.packed.leaf_values(probes).tobytes() == forest.packed.leaf_values(probes).tobytes()
     before, after = predict_batch(forest, probes), predict_batch(restored.forest, probes)
-    for field in ("per_tree", "mean", "std", "low", "up"):
+    for field in ("mean", "std", "low", "up"):
         assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
