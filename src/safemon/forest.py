@@ -644,7 +644,9 @@ def forest_from_json_list(trees_doc: list, feature_count: int, seed: int) -> For
         # each column once measured no faster (numpy 2.4).
         for i, node in enumerate(nodes):
             if "leaf" in node:
-                value[i], count[i] = node["leaf"]
+                value[i], count[i] = leaf = node["leaf"]
+                if type(leaf[1]) is not int or leaf[1] < 1:
+                    raise ValueError(f"tree {t} node {i}: leaf {leaf} has a count that is not an integer >= 1")
             else:
                 feature[i], threshold[i], left[i], right[i] = split = node["split"]
                 if type(split[0]) is not int or type(split[2]) is not int or type(split[3]) is not int:

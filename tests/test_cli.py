@@ -235,6 +235,24 @@ def test_build_one_class_corpus_is_io_error_naming_counts(tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("action", [1.7, True, 10**30])
+def test_build_refuses_an_action_that_is_not_an_index_of_q(action, tmp_path, capsys):
+    path = tmp_path / "actions.jsonl"
+    write_jsonl(two_band_corpus(n_per_class=3, steps=4), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    episode = json.loads(lines[2])
+    episode["steps"][1]["a"] = action
+    lines[2] = json.dumps(episode)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "5",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"i/o error: {path}: malformed episode at line 3: step 1 has action " in err
+    assert "not an integer in [0, 1)" in err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_build_fits_one_forest(corpus_path, tmp_path, capsys, monkeypatch):
     import safemon.forest
 

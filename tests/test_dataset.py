@@ -1,9 +1,13 @@
 import json
+import math
 import re
+import struct
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
+import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -252,3 +256,148 @@ def test_jsonl_round_trip_property(data, env_kind):
         for field in ("qs", "states", "actions", "rewards"):
             a, b = getattr(after, field), getattr(before, field)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+def corpus_with_line_2_edited(tmp_path, edit):
+    """A two-episode corpus whose second line, parsed, goes through
+    edit(obj) before it is written back."""
+    path = tmp_path / "edited.jsonl"
+    write_jsonl(make_set([make_episode([[1.0, 2.0]]), make_episode([[1.0, 2.0], [3.0, 4.0]])]), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[1])
+    edit(obj)
+    lines[1] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "action, shown",
+    # 10**30 is beyond 64 bits, which orjson decodes as the nearest float.
+    [(1.7, "1.7"), (1.0, "1.0"), (True, "True"), ("1", "'1'"), (None, "None"),
+     (-1, "-1"), (2, "2"), (10**30, "1e+30")],
+)
+def test_jsonl_rejects_an_action_that_is_not_an_index_of_q(tmp_path, action, shown):
+    path = corpus_with_line_2_edited(tmp_path, lambda obj: obj["steps"][1].__setitem__("a", action))
+    message = f"line 2: step 1 has action {shown}, not an integer in [0, 2)"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ["s", "q", "r"])
+def test_jsonl_rejects_an_integer_beyond_float64(tmp_path, field):
+    def edit(obj):
+        step = obj["steps"][0]
+        step[field] = 10**400 if field == "r" else [10**400, *step[field][1:]]
+
+    path = corpus_with_line_2_edited(tmp_path, edit)
+    with pytest.raises(DatasetError, match="line 2: int too large to convert to float"):
+        read_jsonl(path)
+
+
+def decoded_by_json(path):
+    """read_jsonl(path) with every line decoded by json.loads, as before
+    orjson: orjson refuses each line, so each goes to the json fallback."""
+    refuse = orjson.JSONDecodeError("refused", "", 0)
+    with mock.patch.object(orjson, "loads", side_effect=refuse):
+        return read_jsonl(path)
+
+
+def outcome(read, path):
+    """The arrays of every episode, or the message of the DatasetError
+    that refused the corpus."""
+    try:
+        episode_set = read(path)
+    except DatasetError as exc:
+        return str(exc)
+    return [(e.label, e.cause, as_bytes(e.states, e.actions, e.qs, e.rewards)) for e in episode_set.episodes]
+
+
+def as_bytes(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+# Any finite bit pattern (subnormals, both zeros, 17-digit values) and the
+# values next to float64's limits.
+edge_floats = st.one_of(
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+    .filter(math.isfinite),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308, 1e-308, 1e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# Integers beyond 64 bits: orjson decodes them as floats, json as ints.
+big_ints = st.integers(2**63, 10**308) | st.integers(-(10**308), -(2**63) - 1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), env_kind=st.sampled_from(ENV_KINDS))
+def test_orjson_decodes_corpus_arrays_as_json_does(data, env_kind):
+    """Corpus lines with any finite floats, and integers beyond 64 bits
+    put into s, q and r, read to arrays with json's bytes."""
+    env = make_env(env_kind)
+    length = data.draw(st.integers(1, 6))
+
+    def matrix(width):
+        return np.array(data.draw(st.lists(st.lists(edge_floats, min_size=width, max_size=width),
+                                           min_size=length, max_size=length)))
+
+    episode = Episode(
+        states=matrix(env.state_dim),
+        actions=np.array(data.draw(st.lists(st.sampled_from(env.actions), min_size=length,
+                                            max_size=length)), dtype=np.int64),
+        qs=matrix(env.action_count),
+        rewards=matrix(1)[:, 0],
+        label=Label.SAFE,
+        cause=Cause.STEP_LIMIT,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_jsonl(EpisodeSet(episodes=[episode]), path)
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        for _ in range(data.draw(st.integers(0, 4))):
+            step = obj["steps"][data.draw(st.integers(0, length - 1))]
+            field = data.draw(st.sampled_from(["s", "q", "r"]))
+            if field == "r":
+                step["r"] = data.draw(big_ints)
+            else:
+                step[field][data.draw(st.integers(0, len(step[field]) - 1))] = data.draw(big_ints)
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        (restored,) = read_jsonl(path).episodes
+    steps = obj["steps"]
+    column = lambda key: np.array([step[key] for step in steps], dtype=np.float64)
+    assert as_bytes(restored.states, restored.actions, restored.qs, restored.rewards) == as_bytes(
+        column("s"), episode.actions, column("q"), column("r")
+    )
+
+
+# Edits to the text of a corpus line that orjson or json refuses.
+REFUSED_EDITS = {
+    "nan-q": lambda line: line.replace('"q": [', '"q": [NaN, ', 1),
+    "infinite-s": lambda line: line.replace('"s": [', '"s": [Infinity, ', 1),
+    "negative-infinite-q": lambda line: line.replace('"q": [', '"q": [-Infinity, ', 1),
+    "1e400-r": lambda line: line.replace('"r": ', '"r": 1e400, "x": ', 1),
+    "1e400-q": lambda line: line.replace('"q": [', '"q": [-1e400, ', 1),
+    "400-digit-s": lambda line: line.replace('"s": [', f'"s": [{10**400}, ', 1),
+    "lone-surrogate-label": lambda line: line.replace('"label": "', '"label": "\\ud800', 1),
+    "lone-surrogate-key": lambda line: line.replace('"cause": ', '"\\udfff": 0, "cause": ', 1),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), edit=st.sampled_from(sorted(REFUSED_EDITS) + ["truncated"]))
+def test_lines_a_decoder_refuses_read_as_json_reads_them(data, edit):
+    """Where orjson or json refuses a line, read_jsonl gives json's result
+    or json's message."""
+    q = data.draw(st.lists(st.lists(edge_floats, min_size=2, max_size=2), min_size=1, max_size=3))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        write_jsonl(make_set([make_episode([[1.0, 2.0]]), make_episode(q)]), path)
+        first, second = path.read_text(encoding="utf-8").splitlines()
+        if edit == "truncated":
+            second = second[: data.draw(st.integers(0, len(second) - 1))]
+        else:
+            second = REFUSED_EDITS[edit](second)
+        path.write_text(f"{first}\n{second}\n", encoding="utf-8")
+        assert outcome(read_jsonl, path) == outcome(decoded_by_json, path)

@@ -724,6 +724,10 @@ DAMAGED_TREES = {
     "float-feature": (lambda t: t[0]["split"].__setitem__(0, 2.7), "split [2.7, 0.5, 1, 2] has a non-integer"),
     "integral-float-child": (lambda t: t[0]["split"].__setitem__(3, 2.0), "split [0, 0.5, 1, 2.0] has a non"),
     "bool-child": (lambda t: t[0]["split"].__setitem__(2, True), "split [0, 0.5, True, 2] has a non-integer"),
+    # The int64 count array would truncate these, and save_model rewrite them.
+    "float-count": (lambda t: t[1]["leaf"].__setitem__(1, 164.7), "node 1: leaf [0.1, 164.7] has a count that"),
+    "bool-count": (lambda t: t[2]["leaf"].__setitem__(1, True), "node 2: leaf [0.9, True] has a count that"),
+    "zero-count": (lambda t: t[2]["leaf"].__setitem__(1, 0), "node 2: leaf [0.9, 0] has a count that is not"),
 }
 
 

@@ -1,0 +1,36 @@
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def imported_top_level_modules(package: Path) -> set[str]:
+    """The top-level module of every absolute import in the package's sources."""
+    names = set()
+    for source in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), filename=str(source))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    """An undeclared import fails here, not in a fresh install."""
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", requirement).group().lower().replace("-", "_")
+        for requirement in project["dependencies"]
+    }
+    imported = imported_top_level_modules(ROOT / "src" / "safemon")
+    third_party = imported - set(sys.stdlib_module_names) - {"safemon"}
+    missing = sorted(third_party - declared)
+    assert not missing, f"imported under src/safemon but not in dependencies: {missing}"
+    assert {"numpy", "orjson"} <= third_party  # the walk sees imports inside functions too
