@@ -39,6 +39,9 @@ BucketKey = tuple[int, ...]
 # visually equal to, so float drift cannot split a boundary bucket.
 _SNAP_RTOL = 1e-12
 
+# |q / d| must stay below 2**63 for its bucket index to fit an int64.
+_INDEX_LIMIT = 2.0**63
+
 
 class FeatureMode(str, enum.Enum):
     BINARY = "binary"
@@ -56,17 +59,22 @@ def _bucket_array(q: np.ndarray, d: float) -> np.ndarray:
     if not 0 < d < math.inf:
         raise ValueError(f"abstraction level must be positive and finite, got {d}")
     q = np.asarray(q, dtype=np.float64)
-    if not np.all(np.isfinite(q)):
-        raise ValueError("Q-values must be finite")
     ratio = q / d
+    size = np.abs(ratio)
+    # One test refuses NaN, infinities and quotients no int64 holds.
+    if not (size < _INDEX_LIMIT).all():
+        if not np.isfinite(q).all():
+            raise ValueError("Q-values must be finite")
+        value = q.flat[int(np.argmin(size < _INDEX_LIMIT))].item()
+        raise ValueError(f"Q-value {value!r} at abstraction level {d!r} has a bucket index beyond int64")
     nearest = np.rint(ratio)
-    snap = np.abs(ratio - nearest) <= _SNAP_RTOL * np.maximum(1.0, np.abs(ratio))
+    snap = np.abs(ratio - nearest) <= _SNAP_RTOL * np.maximum(1.0, size)
     return np.where(snap, nearest, np.ceil(ratio)).astype(np.int64)
 
 
 def bucketize(q: Sequence[float], d: float) -> BucketKey:
     """Per-action ceiling bucket of q/d, with boundary values snapped."""
-    return tuple(int(b) for b in _bucket_array(np.asarray(q), d))
+    return tuple(_bucket_array(q, d).tolist())
 
 
 def bucketize_batch(qs: np.ndarray, d: float) -> np.ndarray:

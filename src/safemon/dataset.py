@@ -201,19 +201,23 @@ def _episode_from_obj(obj: dict) -> Episode:
     qs = np.array([s["q"] for s in steps], dtype=np.float64)
     if qs.ndim != 2:
         raise DatasetError("every step's q must be a list of numbers")
-    if not np.isfinite(qs).all():
-        step = int(np.flatnonzero(~np.isfinite(qs).all(axis=1))[0])
-        raise DatasetError(f"step {step} has a non-finite q: {steps[step]['q']}")
+    states = np.array([s["s"] for s in steps], dtype=np.float64)
+    rewards = np.array([s["r"] for s in steps], dtype=np.float64)
+    for key, values in (("q", qs), ("s", states), ("r", rewards)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            step = int(np.argmin(finite.reshape(len(steps), -1).all(axis=1)))
+            raise DatasetError(f"step {step} has a non-finite {key}: {steps[step][key]}")
     # An int64 cast would read 1.7 or true as 1 and overflow on 10**30.
     actions, width = [s["a"] for s in steps], qs.shape[1]
     if set(map(type, actions)) != {int} or min(actions) < 0 or max(actions) >= width:
         step = next(i for i, a in enumerate(actions) if type(a) is not int or not 0 <= a < width)
         raise DatasetError(f"step {step} has action {actions[step]!r}, not an integer in [0, {width})")
     return Episode(
-        states=np.array([s["s"] for s in steps], dtype=np.float64),
+        states=states,
         actions=np.array(actions, dtype=np.int64),
         qs=qs,
-        rewards=np.array([s["r"] for s in steps], dtype=np.float64),
+        rewards=rewards,
         label=Label(obj["label"]),
         cause=Cause(obj["cause"]),
     )
@@ -228,10 +232,11 @@ def write_jsonl(episode_set: EpisodeSet, path) -> None:
 
 
 def read_jsonl(path) -> EpisodeSet:
-    """Parse an episode corpus; malformed lines, among them a Q-value that
-    is NaN or infinite and an action that is not an integer index into the
-    step's Q-vector, and lines whose Q-vector width differs from the first
-    episode's, fail with their number.
+    """Parse an episode corpus; malformed lines, among them bytes that are
+    not UTF-8, a state, Q-value or reward that is NaN or infinite and an
+    action that is not an integer index into the step's Q-vector, and
+    lines whose Q-vector width differs from the first episode's, fail with
+    their number.
 
     Set-level metadata is not part of the line schema: the environment
     kind is inferred from the Q-vector width, fingerprint and seed stay
@@ -240,11 +245,12 @@ def read_jsonl(path) -> EpisodeSet:
     import orjson
 
     episodes = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
+                line = raw.decode("utf-8")
+                if not line.strip():
+                    continue
                 try:
                     obj = orjson.loads(line)
                 except orjson.JSONDecodeError:

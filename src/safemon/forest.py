@@ -6,8 +6,10 @@ number of trees is the only setting. A prediction summarises the tree
 probabilities (`PackedTrees.leaf_values`) by their mean, sigma and the
 monitor's confidence interval: the mean plus or minus Z * sigma / sqrt(m)
 with Z = 1.96 (the 95% normal critical value), clamped to [0, 1].
-`out_of_bag_mean` re-draws each tree's bootstrap to score every training
-row by the trees that left it out. The loader checks every tree it reads.
+A forest from `train_forest` keeps how often each tree's bootstrap drew
+each training row (`Forest.in_bag`), which `out_of_bag_mean` reads to
+score every training row by the trees that left it out; a loaded forest
+has no such counts. The loader checks every tree it reads.
 
 A node's split is the candidate boundary of lowest weighted Gini. All
 trees grow in lockstep (`_grow_forest`): each keeps its own depth-first
@@ -35,8 +37,9 @@ Which pairs go down it depends on the traffic.
 - Independent rows (`predict`, `predict_batch`, `out_of_bag_mean`):
   every pair is walked from its root, with no change detection. On the
   `stream` benchmark's monitor (100 trees, 27 nodes per tree) the median
-  `predict` took 164 us in a traced run, against 355 us when its one row
-  went through the change-driven walk (2-vCPU Intel Xeon VM, numpy 2.4).
+  `predict` took 148-167 us in three traced runs, against 355 us when its
+  one row went through the change-driven walk (2-vCPU Intel Xeon VM,
+  numpy 2.4).
 - The prefixes of episodes (`predict_prefixes`, which
   `monitor.run_traces` calls): tree k is walked at row t of an episode
   only when t = 0 or row t differs from row t-1 in a feature tree k
@@ -57,6 +60,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -141,7 +145,7 @@ class PackedTrees:
         while True:
             goes_left = read(nodes) <= self.threshold.take(nodes)
             moved = self.branch.take(2 * nodes + goes_left)  # branch[nodes, goes_left]
-            if np.array_equal(moved, nodes):
+            if (moved == nodes).all():
                 return self.value.take(nodes)
             nodes = moved
 
@@ -239,6 +243,9 @@ class Forest:
     trees: list[Tree]
     feature_count: int
     seed: int
+    # (n_trees, n_samples): how often tree i's bootstrap drew training row j.
+    # Kept by train_forest for out_of_bag_mean; not part of the model file.
+    in_bag: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     packed: PackedTrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -422,18 +429,13 @@ def _search_chunk(store: _ColumnStore, y: np.ndarray, bags: list, candidates: np
     return splits
 
 
-def _bootstrap(seed: int, tree: int, n_samples: int):
-    """Tree `tree`'s random stream and the sample indices its bootstrap
-    draws, with replacement, from n_samples rows."""
-    rng = np.random.default_rng(derive_seed(seed, f"tree:{tree}"))
-    return rng, rng.integers(0, n_samples, size=n_samples)
-
-
-def _grow_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[Tree]:
-    """The n_trees trees of the forest seeded `seed`, grown in lockstep.
+def _grow_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int):
+    """The n_trees trees of the forest seeded `seed`, grown in lockstep, and
+    the (n_trees, n_samples) counts of each tree's bootstrap draws.
 
     Tree i is grown depth-first, left child before right, from the random
-    stream derived from (seed, i). In each round every tree pops nodes
+    stream derived from (seed, i), whose first draw is its bootstrap:
+    n_samples row indices, with replacement. In each round every tree pops nodes
     until it reaches an impure one, where it draws the candidate features
     (GROWTH), and one _best_splits call searches the nodes of all trees.
     A pending node is its bag (distinct rows and their multiplicities), so
@@ -444,9 +446,11 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
     store = _ColumnStore.from_matrix(x)
 
     rngs, stacks, trees = [], [], []
+    in_bag = np.empty((n_trees, n_samples), dtype=np.intp)
     for i in range(n_trees):
-        rng, boot = _bootstrap(seed, i, n_samples)
-        mult = np.bincount(boot, minlength=n_samples)
+        rng = np.random.default_rng(derive_seed(seed, f"tree:{i}"))
+        boot = rng.integers(0, n_samples, size=n_samples)
+        mult = in_bag[i] = np.bincount(boot, minlength=n_samples)
         rows = np.flatnonzero(mult)
         rngs.append(rng)
         # A pending node: (bag, n, pos, parent, is_left). Bags hold row ids
@@ -485,7 +489,7 @@ def _grow_forest(x: np.ndarray, y: np.ndarray, n_trees: int, seed: int) -> list[
             count=np.array(count, dtype=np.int64),
         )
         for feature, threshold, left, right, value, count in (zip(*nodes) for nodes in trees)
-    ]
+    ], in_bag
 
 
 def _split_nodes(x, y, searched, found, trees, stacks) -> None:
@@ -544,7 +548,8 @@ def train_forest(features, labels, n_trees: int, seed: int) -> Forest:
     y = labels.astype(np.int64)
     if len(np.unique(y)) < 2:
         raise ValueError("training data must contain both classes")
-    return Forest(trees=_grow_forest(x, y, n_trees, seed), feature_count=x.shape[1], seed=seed)
+    trees, in_bag = _grow_forest(x, y, n_trees, seed)
+    return Forest(trees=trees, feature_count=x.shape[1], seed=seed, in_bag=in_bag)
 
 
 def _summarize(per_tree: np.ndarray):
@@ -552,15 +557,21 @@ def _summarize(per_tree: np.ndarray):
     of a (trees, inputs) matrix.
 
     The columns are reduced via a contiguous transpose, so each one goes
-    through the same reduction however many inputs share the batch.
+    through the same reduction however many inputs share the batch. The
+    ufunc calls are those `ndarray.mean`, `ndarray.std` and `np.clip` make,
+    without their Python wrappers, so the bits are theirs; only a bound of
+    -0.0, which takes leaves of -0.0, is clamped to 0.0 where np.clip
+    would keep it.
     """
     m = per_tree.shape[0]
     rows = np.ascontiguousarray(per_tree.T)
-    mean = rows.mean(axis=1)
-    std = rows.std(axis=1)  # population sigma: the m trees ARE the ensemble
+    mean = np.add.reduce(rows, axis=1) / m
+    dev = rows - mean[:, None]
+    np.multiply(dev, dev, out=dev)
+    std = np.sqrt(np.add.reduce(dev, axis=1) / m)  # population sigma: the m trees ARE the ensemble
     half = Z_CRITICAL * std / math.sqrt(m)
-    low = np.clip(mean - half, 0.0, 1.0)
-    up = np.clip(mean + half, 0.0, 1.0)
+    low = np.minimum(np.maximum(mean - half, 0.0), 1.0)
+    up = np.minimum(np.maximum(mean + half, 0.0), 1.0)
     return mean, std, low, up
 
 
@@ -602,15 +613,18 @@ def predict_prefixes(forest: Forest, blocks: list) -> BatchSummary:
 def out_of_bag_mean(forest: Forest, x) -> np.ndarray:
     """Out-of-bag mean unsafe probability of each training row (Breiman 2001).
 
-    `x` must be the feature matrix the forest was trained on, row for row.
-    Row j is scored by the mean leaf value of the trees whose bootstrap did
-    not draw it; a row that every tree drew is NaN.
+    `x` must be the feature matrix the forest was trained on, row for row,
+    and the forest one that train_forest returned, which keeps its in-bag
+    counts. Row j is scored by the mean leaf value of the trees whose
+    bootstrap did not draw it; a row that every tree drew is NaN.
     """
-    per_tree = forest.packed.leaf_values(_rows(forest, x))
-    out_of_bag = np.ones(per_tree.shape, dtype=bool)
-    for i in range(forest.n_trees):
-        _, boot = _bootstrap(forest.seed, i, per_tree.shape[1])
-        out_of_bag[i, boot] = False
+    x = _rows(forest, x)
+    if forest.in_bag is None:
+        raise ValueError("out-of-bag scores need the in-bag counts of train_forest; this forest has none")
+    if forest.in_bag.shape[1] != len(x):
+        raise ValueError(f"the forest was trained on {forest.in_bag.shape[1]} rows, got {len(x)}")
+    per_tree = forest.packed.leaf_values(x)
+    out_of_bag = forest.in_bag == 0
     votes = out_of_bag.sum(axis=0)
     total = np.where(out_of_bag, per_tree, 0.0).sum(axis=0)
     return np.divide(total, votes, out=np.full(len(votes), np.nan), where=votes > 0)

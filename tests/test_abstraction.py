@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,11 +81,69 @@ def test_bucketize_rejects_bad_inputs():
         bucketize([math.nan], 0.5)
     with pytest.raises(ValueError):
         bucketize([math.inf], 0.5)
+    # Non-finite is named before a quotient too large for a bucket index.
+    with pytest.raises(ValueError, match="^Q-values must be finite$"):
+        bucketize([1e300, math.nan], 1.0)
     # Neither gives a usable table: q / inf is 0 for every Q-value and
     # q / nan is nan.
     for d in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="abstraction level must be positive and finite"):
             AbstractionTable.build(two_band_corpus(), d)
+
+
+@pytest.mark.parametrize("q, d", [([1e300, 0.0], 1.0), ([-1e300, 0.0], 1.0), ([0.0, 5.0], 1e-300),
+                                  ([2.0**63, 0.0], 1.0), ([0.0, -(2.0**63)], 1.0)])
+def test_bucketize_refuses_an_index_beyond_int64(q, d):
+    # Each used to wrap to the same key, (-2**63, 0), under a RuntimeWarning.
+    value = next(v for v in q if v != 0.0)
+    message = f"Q-value {value!r} at abstraction level {d!r} has a bucket index beyond int64"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bucketize(q, d)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bucketize_batch(np.array([q, [0.0] * len(q)]), d)
+
+
+def test_bucketize_refuses_a_quotient_that_overflows():
+    # A finite q over a tiny d overflows to inf, which numpy warns of.
+    message = "Q-value 1e+300 at abstraction level 1e-300 has a bucket index beyond int64"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.warns(RuntimeWarning, match="overflow encountered in divide"):
+            bucketize([1e300], 1e-300)
+
+
+# The largest float below 2**63: a Q-value of TOP * d has the last bucket
+# index an int64 holds, or near it.
+TOP = 2.0**63 - 1024
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.floats(1e-6, 1e6),
+    k=st.one_of(st.integers(-10**9, 10**9), st.sampled_from([-(2**63), 2**63])),
+    shift=st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    ulps=st.integers(-3, 3),
+    width=st.integers(1, 3),
+)
+def test_bucketize_is_the_batch_rule_on_one_row(d, k, shift, ulps, width):
+    """At bucket boundaries, and near +-2**63 d where refusal begins, one
+    Q-vector gets the key its row gets in a batch, or the same refusal."""
+    value = (k + shift) * d
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    q = np.array([value, TOP * d, -TOP * d][:width])
+
+    def outcome(bucket):
+        try:
+            return bucket()
+        except ValueError as exc:
+            return str(exc)
+
+    one = outcome(lambda: bucketize(q, d))
+    batch = outcome(lambda: tuple(bucketize_batch(q[None], d)[0].tolist()))
+    assert one == batch
+    if isinstance(one, tuple):
+        assert all(type(b) is int for b in one)
+        assert all(abs(b) < 2**63 for b in one)
 
 
 def test_bucketize_matches_ceiling_oracle():

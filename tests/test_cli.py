@@ -636,6 +636,39 @@ def test_evaluate_rejects_non_finite_q_naming_the_line(model_path, tmp_path, cap
     assert not (tmp_path / "eval.metrics.csv").exists()
 
 
+def test_build_rejects_bytes_that_are_not_utf8_naming_the_line(tmp_path, capsys):
+    path = tmp_path / "latin1.jsonl"
+    write_jsonl(two_band_corpus(n_per_class=2, steps=3), path)
+    lines = path.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b'"safe"', b'"saf\xff"')
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    code = main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "3",
+                 "--seed", "1", "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"i/o error: {path}: malformed episode at line 3: 'utf-8' codec can't decode byte 0xff" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_build_and_evaluate_refuse_a_bucket_index_beyond_int64(model_path, tmp_path, capsys):
+    path = tmp_path / "huge.jsonl"
+    write_jsonl(two_band_corpus(n_per_class=2, steps=3), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[2] = lines[2].replace('"q": [4.5]', '"q": [1e+300]', 1)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    message = "numeric failure: Q-value 1e+300 at abstraction level 1.0 has a bucket index beyond int64"
+    code = main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "3",
+                 "--seed", "1", "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_NUMERIC
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+    code = main(["evaluate", "--model", model_path, "--episodes", str(path),
+                 "--out-prefix", str(tmp_path / "eval")])
+    assert code == EXIT_NUMERIC
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "eval.metrics.csv").exists()
+
+
 def noisy_corpus(seed, n):
     """Two-action episodes of 4-12 steps; every third is unsafe and its
     second half drifts upward, so fire steps, misses and false alarms vary."""

@@ -151,6 +151,16 @@ def test_jsonl_rejects_non_finite_q_naming_line_and_step(tmp_path, literal, show
         read_jsonl(path)
 
 
+def test_jsonl_rejects_bytes_that_are_not_utf8_naming_the_line(tmp_path):
+    path = tmp_path / "latin1.jsonl"
+    write_jsonl(make_set([make_episode([[1.0]]), make_episode([[2.0]])]), path)
+    first, second = path.read_bytes().splitlines()
+    path.write_bytes(first + b"\n" + second.replace(b'"safe"', b'"saf\xff"') + b"\n")
+    message = f"{path}: malformed episode at line 2: 'utf-8' codec can't decode byte 0xff"
+    with pytest.raises(DatasetError, match=re.escape(message)):
+        read_jsonl(path)
+
+
 def test_jsonl_empty_file_errors(tmp_path):
     path = tmp_path / "empty.jsonl"
     path.write_text("", encoding="utf-8")
@@ -281,6 +291,18 @@ def test_jsonl_rejects_an_action_that_is_not_an_index_of_q(tmp_path, action, sho
     path = corpus_with_line_2_edited(tmp_path, lambda obj: obj["steps"][1].__setitem__("a", action))
     message = f"line 2: step 1 has action {shown}, not an integer in [0, 2)"
     with pytest.raises(DatasetError, match=re.escape(message)):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("field", ["s", "r"])
+@pytest.mark.parametrize("value, shown", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf")])
+def test_jsonl_rejects_non_finite_states_and_rewards_naming_line_and_step(tmp_path, field, value, shown):
+    def edit(obj):
+        obj["steps"][1][field] = value if field == "r" else [0.0, value]
+
+    path = corpus_with_line_2_edited(tmp_path, edit)
+    shown = shown if field == "r" else f"[0.0, {shown}]"
+    with pytest.raises(DatasetError, match=re.escape(f"line 2: step 1 has a non-finite {field}: {shown}")):
         read_jsonl(path)
 
 

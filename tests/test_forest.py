@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 from unittest import mock
 
@@ -18,6 +19,7 @@ from safemon.forest import (
     Z_CRITICAL,
     _best_splits,
     _ColumnStore,
+    _summarize,
     forest_from_json_list,
     forest_to_json_list,
     out_of_bag_mean,
@@ -507,6 +509,7 @@ def test_out_of_bag_mean_matches_per_row_loop(data, high):
     got = out_of_bag_mean(forest, x)
     assert got.shape == (n,)
     bags = [in_bag(seed, i, n) for i in range(forest.n_trees)]
+    assert [set(np.flatnonzero(counts).tolist()) for counts in forest.in_bag] == bags
     for j in range(n):
         votes = [t.probability(x[j]) for t, bag in zip(forest.trees, bags) if j not in bag]
         if votes:
@@ -527,6 +530,55 @@ def test_out_of_bag_mean_is_nan_for_rows_every_tree_drew():
     assert in_bag(2, 0, 2) == in_bag(2, 1, 2) == {0, 1}
     forest = train_forest(x, y, 2, seed=2)
     assert np.isnan(out_of_bag_mean(forest, x)).all()
+
+
+def test_out_of_bag_mean_needs_the_in_bag_counts_of_its_training():
+    x, y = golden_data("binary")
+    trained = train_forest(x, y, 3, seed=4)
+    assert trained.in_bag.shape == (3, len(x))
+    loaded = forest_from_json_list(forest_to_json_list(trained), trained.feature_count, trained.seed)
+    assert loaded.in_bag is None
+    with pytest.raises(ValueError, match="need the in-bag counts of train_forest; this forest has none"):
+        out_of_bag_mean(loaded, x)
+    with pytest.raises(ValueError, match=f"the forest was trained on {len(x)} rows, got {len(x) - 1}"):
+        out_of_bag_mean(trained, x[1:])
+
+
+def old_summarize(per_tree):
+    """The summary as ndarray.mean, ndarray.std and np.clip give it."""
+    m = per_tree.shape[0]
+    rows = np.ascontiguousarray(per_tree.T)
+    mean = rows.mean(axis=1)
+    std = rows.std(axis=1)
+    half = Z_CRITICAL * std / math.sqrt(m)
+    return mean, std, np.clip(mean - half, 0.0, 1.0), np.clip(mean + half, 0.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    trees=st.integers(1, 300),
+    columns=st.integers(1, 50),
+    kinds=st.sets(st.sampled_from(["zero", "one", "uniform", "ratio"]), min_size=1),
+    constant=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summarize_is_mean_std_and_clip_bit_for_bit(trees, columns, kinds, constant, seed):
+    """Leaf values as trees hold them (pure leaves, any fraction, a count
+    ratio pos / n), some columns constant: the same bytes as the numpy
+    wrappers give."""
+    rng = np.random.default_rng(seed)
+    n = rng.integers(1, 10**6, size=(trees, columns))
+    choices = {
+        "zero": np.zeros((trees, columns)),
+        "one": np.ones((trees, columns)),
+        "uniform": rng.random((trees, columns)),
+        "ratio": rng.integers(0, n + 1) / n,
+    }
+    kinds = sorted(kinds)
+    per_tree = np.choose(rng.integers(len(kinds), size=(trees, columns)), [choices[k] for k in kinds])
+    per_tree[:, rng.random(columns) < 0.2] = constant
+    got, want = _summarize(per_tree), old_summarize(per_tree)
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 def test_confidence_interval_hand_computed():

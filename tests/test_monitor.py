@@ -438,6 +438,18 @@ def test_watch_stream_protocol():
     assert "line 4: skipped malformed input: expected 1 Q-values per step" in diagnostics[1]
 
 
+def test_watch_skips_a_q_whose_bucket_index_is_beyond_int64():
+    model = staircase_model()
+    lines = [json.dumps({"t": t, "q": q}) + "\n" for t, q in enumerate([[0.5], [-1e300], [2.5]])]
+    out, err = io.StringIO(), io.StringIO()
+    assert watch_stream(model, iter(lines), out, err) == 0
+    assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [0, 2]
+    assert err.getvalue().splitlines() == [
+        "line 2: skipped malformed input: Q-value -1e+300 at abstraction level 1.0 "
+        "has a bucket index beyond int64",
+    ]
+
+
 def watch_replies(model, ts):
     """The replies and diagnostics of a session sending state 0 at each t."""
     lines = [json.dumps({"t": t, "q": [0.5]}) + "\n" for t in ts]
