@@ -55,10 +55,12 @@ class UnseenPolicy(str, enum.Enum):
     STOP = "stop"
 
 
-def _bucket_array(q: np.ndarray, d: float) -> np.ndarray:
+def bucketize_batch(qs: np.ndarray, d: float) -> np.ndarray:
+    """Per-action ceiling bucket of q/d for an array of Q-values, such as
+    a (steps, actions) Q-matrix, with boundary values snapped."""
     if not 0 < d < math.inf:
         raise ValueError(f"abstraction level must be positive and finite, got {d}")
-    q = np.asarray(q, dtype=np.float64)
+    q = np.asarray(qs, dtype=np.float64)
     ratio = q / d
     size = np.abs(ratio)
     # One test refuses NaN, infinities and quotients no int64 holds.
@@ -74,12 +76,7 @@ def _bucket_array(q: np.ndarray, d: float) -> np.ndarray:
 
 def bucketize(q: Sequence[float], d: float) -> BucketKey:
     """Per-action ceiling bucket of q/d, with boundary values snapped."""
-    return tuple(_bucket_array(q, d).tolist())
-
-
-def bucketize_batch(qs: np.ndarray, d: float) -> np.ndarray:
-    """Bucket a (steps, actions) Q-matrix in one shot."""
-    return _bucket_array(qs, d)
+    return tuple(bucketize_batch(q, d).tolist())
 
 
 @dataclass

@@ -1,9 +1,10 @@
 """Command-line front end wiring the pipeline end to end.
 
 Subcommands: train-agent, collect, build, select-d, evaluate, watch.
-Every command is reproducible from its flags plus one root seed; a JSON
-config file may stand in for any flag, required ones too, with explicit
-flags winning.
+Every command is reproducible from its flags plus one root seed. A
+`--config` file, a JSON object of flag values, may stand in for any flag,
+required ones too: its values become flag tokens placed before the command
+line's, so argparse reads both at once and the command line wins.
 
 Exit codes: 0 success, 1 I/O failure, 2 numeric failure, 64 usage error.
 """
@@ -35,57 +36,48 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _apply_config_file(argv, args, command: argparse.ArgumentParser):
-    """Overlay config-file values; flags given on the command line win.
+# Finds a command's --config file before the command's own parser runs.
+_CONFIG = _Parser(add_help=False)
+_CONFIG.add_argument("--config")
 
-    `command` is the subcommand's parser. Each value goes through its
-    flag's type and choices, as the flag's text would on the command line.
+
+def _config_flags(path, command: argparse.ArgumentParser) -> list:
+    """The `--flag=value` tokens that the --config file at `path` stands for.
+
+    `command` is the subcommand's parser, which converts and checks the
+    tokens as it does the command line's. A non-string value goes in as
+    its JSON text, so 2.5 is no integer and true is no number; a switch
+    such as --sweep is given by true and left out by false.
     """
-    with open(args.config, encoding="utf-8") as fh:
-        overrides = json.load(fh)
-    actions = {a.dest: a for a in command._actions if a.default is not argparse.SUPPRESS}
-    tokens = list(argv if argv is not None else sys.argv[1:])
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if attr not in actions:
+    from .dataset import DatasetError, read_json
+
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise DatasetError(f"{path}: not a JSON object of flag values")
+    actions = {a.dest: a for a in command._actions if a.dest not in ("help", "config")}
+    tokens = []
+    for key, value in doc.items():
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise UsageError(f"unknown config key {key!r}")
-        flag = "--" + attr.replace("_", "-")
-        explicit = any(tok == flag or tok.startswith(flag + "=") for tok in tokens)
-        if not explicit:
-            setattr(args, attr, _config_value(key, value, actions[attr]))
-    return args
-
-
-_TYPE_NAMES = {"int": "an integer", "float": "a number", "str": "a string"}
-
-
-def _config_value(key, value, action: argparse.Action):
-    """A config-file value converted by its flag's argparse action."""
-    if action.nargs == 0:  # a switch such as --sweep
-        if isinstance(value, bool):
-            return value
-        raise UsageError(f"config key {key!r} expects true or false, got {value!r}")
-    kind = action.type or str
-    expected = _TYPE_NAMES.get(kind.__name__, kind.__name__)
-    if kind is str and not isinstance(value, str):
-        raise UsageError(f"config key {key!r} expects {expected}, got {value!r}")
-    # A non-string value is converted from its JSON text, as a flag's text
-    # would be: 2.5 is no integer and true is no number.
-    try:
-        converted = kind(value if isinstance(value, str) else json.dumps(value))
-    except ValueError:
-        raise UsageError(f"config key {key!r} expects {expected}, got {value!r}") from None
-    except argparse.ArgumentTypeError as exc:
-        raise UsageError(f"config key {key!r} {exc}") from None
-    if action.choices is not None and converted not in action.choices:
-        choices = ", ".join(map(repr, action.choices))
-        raise UsageError(f"config key {key!r} expects one of {choices}, got {value!r}")
-    return converted
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise UsageError(f"config key {key!r} expects true or false, got {value!r}")
+            if value:
+                tokens.append(flag)
+        elif isinstance(value, str):
+            tokens.append(f"{flag}={value}")
+        elif action.type is None:
+            raise UsageError(f"config key {key!r} expects a string, got {value!r}")
+        else:
+            tokens.append(f"{flag}={json.dumps(value)}")
+    return tokens
 
 
 def _checked(kind, holds, requirement):
     """An argparse type: `kind` of the text, refused with `requirement`
-    unless `holds` for it. Flags and config keys share it."""
+    unless `holds` for it."""
 
     def convert(text):
         value = kind(text)
@@ -93,7 +85,7 @@ def _checked(kind, holds, requirement):
             raise argparse.ArgumentTypeError(f"{requirement}, got {text}")
         return value
 
-    convert.__name__ = kind.__name__  # argparse and config messages name the kind
+    convert.__name__ = kind.__name__  # argparse's messages name the kind
     return convert
 
 
@@ -116,6 +108,7 @@ def _grid(text):
 
 
 _CRITERIA = ("upper_bound", "output_probability", "lower_bound")
+_CONFIG_HELP = "JSON object of flag values; the command line wins"
 
 
 def cmd_train_agent(args) -> int:
@@ -191,24 +184,21 @@ def cmd_collect(args) -> int:
     return EXIT_OK
 
 
-def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, theta, unseen_name):
+def cmd_build(args) -> int:
     from .abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
     from .dataset import Label, read_jsonl, require_both_classes
     from .evaluation import macro_f1
     from .forest import out_of_bag_mean, train_forest
-    from .monitor import Criterion, MonitorModel
+    from .monitor import Criterion, MonitorModel, save_model
     from .seeding import derive_seed
 
-    corpus = read_jsonl(episodes_path)
-    require_both_classes(corpus, f"{episodes_path}: the corpus")
-    mode = FeatureMode(mode_name)
-    criterion = Criterion(criterion_name)
-    unseen = UnseenPolicy(unseen_name)
-
-    table = AbstractionTable.build(corpus, d)
+    corpus = read_jsonl(args.episodes)
+    require_both_classes(corpus, f"{args.episodes}: the corpus")
+    mode = FeatureMode(args.features)
+    table = AbstractionTable.build(corpus, args.d)
     x = episode_feature_matrix(corpus.episodes, table, mode, table.corpus_ids)
     y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
-    forest = train_forest(x, y, trees, derive_seed(seed, "build-forest"))
+    forest = train_forest(x, y, args.trees, derive_seed(args.seed, "build-forest"))
 
     # Held-out sanity figure: each episode scored by the trees that left it
     # out of their bootstrap; an episode every tree drew is not scored.
@@ -220,29 +210,19 @@ def _build_monitor(episodes_path, d, mode_name, trees, seed, criterion_name, the
         table=table,
         forest=forest,
         mode=mode,
-        criterion=criterion,
-        theta=theta,
-        unseen_policy=unseen,
+        criterion=Criterion(args.criterion),
+        theta=args.theta,
+        unseen_policy=UnseenPolicy(args.unseen),
         provenance={
             "agent_fingerprint": corpus.agent_fingerprint,
-            "d": d,
-            "seed": seed,
+            "d": args.d,
+            "seed": args.seed,
             "episodes": len(corpus),
         },
     )
-    return model, table.n, f1
-
-
-def cmd_build(args) -> int:
-    from .monitor import save_model
-
-    model, n_states, f1 = _build_monitor(
-        args.episodes, args.d, args.features, args.trees, args.seed,
-        args.criterion, args.theta, args.unseen,
-    )
     save_model(model, args.out)
     shown = "n/a" if f1 is None else f"{f1:.3f}"
-    print(f"built monitor: {n_states} abstract states, out-of-bag macro F1 {shown}")
+    print(f"built monitor: {table.n} abstract states, out-of-bag macro F1 {shown}")
     return EXIT_OK
 
 
@@ -348,7 +328,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report-out", default=None)
-    p.add_argument("--config", default=None, help="JSON file of flag defaults")
+    p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.add_argument("--learning-rate", type=_positive, default=1e-3)
     p.add_argument("--gamma", type=_unit, default=0.99)
     p.add_argument("--epsilon-end", type=_unit, default=0.05)
@@ -362,7 +342,7 @@ def build_parser() -> _Parser:
     p.add_argument("--episodes", type=_at_least_one, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_collect)
 
     p = sub.add_parser("build", help="build a monitor model")
@@ -375,7 +355,7 @@ def build_parser() -> _Parser:
     p.add_argument("--theta", type=_theta, default=0.5)
     p.add_argument("--unseen", choices=["ignore", "stop"], default="ignore")
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("select-d", help="pick an abstraction level from a grid")
@@ -387,7 +367,7 @@ def build_parser() -> _Parser:
     p.add_argument("--criterion", default="upper_bound", choices=_CRITERIA)
     p.add_argument("--theta", type=_theta, default=0.5)
     p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_select_d)
 
     p = sub.add_parser("evaluate", help="run the evaluation harness")
@@ -400,41 +380,26 @@ def build_parser() -> _Parser:
     p.add_argument("--traces", action="store_true", help="emit per-step probability traces")
     p.add_argument("--time-base", type=int, choices=[0, 1], default=0,
                    help="0-based (internal) or 1-based (presentation) step indices")
-    p.add_argument("--config", default=None)
+    p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("watch", help="monitor a Q-value stream on stdin")
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_watch)
 
-    # A --config file may supply a required flag, so `main` checks for
-    # missing flags after the overlay, not argparse while parsing.
-    for command in sub.choices.values():
-        command.required_flags = [a for a in command._actions if a.required]
-        configurable = any(a.dest == "config" for a in command._actions)
-        note = "required, here or in --config" if configurable else "required"
-        for action in command.required_flags:
-            action.required = False
-            action.help = f"{action.help}; {note}" if action.help else note
     return parser
-
-
-def _require_flags(args, command: argparse.ArgumentParser):
-    """Refuse, in argparse's words, required flags that neither the
-    command line nor the config file gave."""
-    missing = ["/".join(a.option_strings) for a in command.required_flags if getattr(args, a.dest) is None]
-    if missing:
-        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is not None and "--config" in command._option_string_actions:
+            path = _CONFIG.parse_known_args(argv[1:])[0].config
+            if path is not None:
+                argv[1:1] = _config_flags(path, command)
         args = parser.parse_args(argv)
-        command = parser.commands[args.command]
-        if getattr(args, "config", None):
-            args = _apply_config_file(argv, args, command)
-        _require_flags(args, command)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

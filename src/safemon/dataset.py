@@ -40,6 +40,16 @@ class DatasetError(ValueError):
     pass
 
 
+def read_json(path):
+    """The JSON document at `path`; text that is not JSON, or bytes that
+    are not UTF-8, raise DatasetError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+
+
 def load_document(path, tag: str, build):
     """Parse the JSON document at `path`, check its "format" tag, and
     return build(doc).
@@ -48,11 +58,7 @@ def load_document(path, tag: str, build):
     cannot use raises DatasetError naming the file, so a bad file fails
     where it is read.
     """
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or "format" not in doc:
         raise DatasetError(f"{path}: no format tag, expected {tag!r}")
     if doc["format"] != tag:

@@ -291,9 +291,10 @@ def _model_from_doc(doc: dict) -> MonitorModel:
 def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
     """NDJSON session: {"t", "q"} lines in, assessment lines out.
 
-    Malformed input lines, a `t` that is not a JSON integer among them,
-    are reported on the diagnostic stream and skipped; the latched fired
-    flag persists across the whole session. A `t` that does not count on
+    Malformed input lines, a `t` that is not a JSON integer or a `q` that
+    is not a list of JSON numbers among them, are reported on the
+    diagnostic stream and skipped; the latched fired flag persists across
+    the whole session. A `t` that does not count on
     from the last one read (from 0 at the start) is reported there too,
     and the line is still assessed.
     """
@@ -311,7 +312,11 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
             if gap is not None:
                 print(f"line {lineno}: {gap}", file=err_stream)
             last_t = t
-            q = np.asarray(msg["q"], dtype=np.float64)
+            q = msg["q"]
+            # numpy would read "1.5" as 1.5 and true as 1.0; `type`, since a bool is an int.
+            if type(q) is not list or not all(type(v) is float or type(v) is int for v in q):
+                raise ValueError(f"q must be a JSON list of numbers, got {json.dumps(q)}")
+            q = np.asarray(q, dtype=np.float64)
             assessment = observe(model, running, q)
         except MonitorStopped:
             print(f"line {lineno}: session frozen by stop policy", file=err_stream)

@@ -4,14 +4,19 @@ import json
 import sys
 from pathlib import Path
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import safemon.cli
 from conftest import make_episode, make_set, two_band_corpus
 from safemon.agent import AgentModel, QNetwork, save_agent
 from safemon.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from safemon.dataset import write_jsonl
-from safemon.envs import CARTPOLE
+from safemon.envs import CARTPOLE, ENV_KINDS
 
 
 @pytest.fixture(scope="module")
@@ -410,21 +415,21 @@ def test_config_file_unknown_key(corpus_path, tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, key, value, message",
     [
-        ("train-agent", "gamma", "high", "config key 'gamma' expects a number, got 'high'"),
+        ("train-agent", "gamma", "high", "argument --gamma: invalid float value: 'high'"),
         ("train-agent", "checkpoint-interval", 2.5,
-         "config key 'checkpoint-interval' expects an integer, got 2.5"),
-        ("train-agent", "gamma", 1.5, "config key 'gamma' must lie in [0, 1], got 1.5"),
-        ("build", "trees", True, "config key 'trees' expects an integer, got True"),
+         "argument --checkpoint-interval: invalid int value: '2.5'"),
+        ("train-agent", "gamma", 1.5, "argument --gamma: must lie in [0, 1], got 1.5"),
+        ("build", "trees", True, "argument --trees: invalid int value: 'true'"),
         ("build", "criterion", "worst",
-         "config key 'criterion' expects one of 'upper_bound', 'output_probability', "
-         "'lower_bound', got 'worst'"),
+         "argument --criterion: invalid choice: 'worst' (choose from 'upper_bound', "
+         "'output_probability', 'lower_bound')"),
         ("build", "features", 1, "config key 'features' expects a string, got 1"),
-        ("build", "theta", 1.5, "config key 'theta' must lie strictly between 0 and 1, got 1.5"),
-        ("build", "trees", 0, "config key 'trees' must be >= 1, got 0"),
-        ("build", "trees", "many", "config key 'trees' expects an integer, got 'many'"),
+        ("build", "theta", 1.5, "argument --theta: must lie strictly between 0 and 1, got 1.5"),
+        ("build", "trees", 0, "argument --trees: must be >= 1, got 0"),
+        ("build", "trees", "many", "argument --trees: invalid int value: 'many'"),
     ],
 )
-def test_config_value_of_wrong_type_is_usage_error_naming_key(
+def test_config_value_of_wrong_type_is_usage_error_naming_flag(
     command, key, value, message, corpus_path, tmp_path, capsys
 ):
     config = tmp_path / "cfg.json"
@@ -437,6 +442,177 @@ def test_config_value_of_wrong_type_is_usage_error_naming_key(
     assert main([command, *flags, "--config", str(config), "--out", str(out)]) == EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not out.exists()
+    # The file's value is read and refused even where the command line
+    # gives the same flag a good one.
+    flag = "--" + key
+    good = {"features": "binary", "criterion": "upper_bound", "trees": "5", "theta": "0.5",
+            "gamma": "0.9", "checkpoint-interval": "5"}[key]
+    argv = [command, *flags, "--config", str(config), flag, good, "--out", str(out)]
+    assert main(argv) == EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert not out.exists()
+
+
+BUILD = ["build", "--episodes", "unread.jsonl", "--d", "1.0", "--out", "unwritten.json"]
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (BUILD, {"config": "other.json"}, "unknown config key 'config'"),
+        (BUILD, {"help": True}, "unknown config key 'help'"),
+        (BUILD, {"out": 3}, "config key 'out' expects a string, got 3"),
+        (["evaluate", "--model", "m.json", "--episodes", "e.jsonl", "--out-prefix", "p"],
+         {"sweep": 1}, "config key 'sweep' expects true or false, got 1"),
+    ],
+    ids=["config", "help", "out-number", "sweep-number"],
+)
+def test_config_key_argparse_cannot_check_is_usage_error_naming_it(
+    command, doc, message, tmp_path, capsys
+):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert main([*command, "--config", str(config)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""  # {"help": true} prints no help
+
+
+@pytest.mark.parametrize(
+    "text, cause",
+    [
+        (b"{'trees': 5}", "not a JSON document: Expecting property name enclosed in double quotes"),
+        (b'{"out": "\xff"}', "not a JSON document: 'utf-8' codec can't decode byte 0xff"),
+        (b"[1, 2]", "not a JSON object of flag values"),
+        (b'"trees"', "not a JSON object of flag values"),
+    ],
+    ids=["not-json", "not-utf8", "list", "string"],
+)
+def test_config_that_is_not_a_json_object_is_io_error_naming_file(text, cause, tmp_path,
+                                                                   capsys):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(text)
+    assert main([*BUILD, "--config", str(config)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"i/o error: {config}: {cause}")
+
+
+def test_model_that_is_not_utf8_is_io_error_naming_file(model_path, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(Path(model_path).read_bytes().replace(b'"format"', b'"\xffformat"', 1))
+    assert main(["watch", "--model", str(bad)]) == EXIT_IO
+    assert capsys.readouterr().err.startswith(f"i/o error: {bad}: not a JSON document: 'utf-8'")
+
+
+def test_config_without_a_path_is_usage_error(capsys):
+    assert main([*BUILD, "--config"]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: argument --config: expected one argument\n"
+
+
+def test_abbreviated_flag_beats_the_config(corpus_path, tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"trees": 10, "theta": 0.3}), encoding="utf-8")
+    out = tmp_path / "m.json"
+    assert main(["build", "--episodes", corpus_path, "--d", "1.0", "--tree", "5", "--the", "0.7",
+                 "--config", str(config), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    doc = json.loads(out.read_text(encoding="utf-8"))
+    assert doc["forest_config"]["n_trees"] == 5
+    assert doc["theta"] == 0.7
+
+
+_paths = st.text("abc-_./0", min_size=1, max_size=8)
+_fraction = st.floats(0.0, 1.0)
+_open_fraction = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+_criteria = st.sampled_from(["upper_bound", "output_probability", "lower_bound"])
+_seeds = st.integers(-(2**70), 2**70)
+
+# Each command's flags, required ones first (with how many), and a strategy
+# of valid values for each; a switch's values are booleans.
+COMMAND_FLAGS = {
+    "build": (3, {
+        "episodes": _paths, "d": st.floats(1e-300, 1e300), "out": _paths,
+        "features": st.sampled_from(["binary", "frequency"]), "trees": st.integers(1, 10**6),
+        "seed": _seeds, "criterion": _criteria, "theta": _open_fraction,
+        "unseen": st.sampled_from(["ignore", "stop"]),
+    }),
+    "evaluate": (3, {
+        "model": _paths, "episodes": _paths, "out-prefix": _paths, "criterion": _criteria,
+        "theta": _open_fraction, "sweep": st.booleans(), "traces": st.booleans(),
+        "time-base": st.sampled_from([0, 1]),
+    }),
+    "train-agent": (3, {
+        "env": st.sampled_from(ENV_KINDS), "steps": st.integers(0, 10**9),
+        "out": _paths, "seed": _seeds, "report-out": _paths,
+        "learning-rate": st.floats(1e-9, 1e9), "gamma": _fraction, "epsilon-end": _fraction,
+        "epsilon-decay-steps": st.integers(1, 10**9), "checkpoint-interval": st.integers(1, 10**9),
+        "target-sync-interval": st.integers(1, 10**9),
+    }),
+}
+
+
+def parsed(argv):
+    """The namespace `main` hands its command, minus --config and the
+    command itself."""
+    seen = []
+    commands = {"build": "cmd_build", "evaluate": "cmd_evaluate", "train-agent": "cmd_train_agent"}
+    with mock.patch.object(safemon.cli, commands[argv[0]], lambda args: seen.append(args) or 0):
+        assert main(argv) == EXIT_OK
+    args = vars(seen[0])
+    del args["config"], args["func"]
+    return args
+
+
+def flag_tokens(flag, value):
+    """Command-line tokens giving `value` to `flag`: a switch is given by
+    its bare flag or left out."""
+    if isinstance(value, bool):
+        return [f"--{flag}"] if value else []
+    return [f"--{flag}={value}"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(COMMAND_FLAGS)))
+def test_config_values_parse_as_the_same_flags_on_the_command_line(data, command,
+                                                                   tmp_path_factory):
+    """Flags split between a config file and the command line, some in
+    both, parse to the namespace of all of them on the command line, the
+    command line's value winning where both give one."""
+    required, strategies = COMMAND_FLAGS[command]
+    doc, given_tokens, winners = {}, [], {}
+    for i, (flag, values) in enumerate(strategies.items()):
+        places = ["cli", "config", "both"] + (["absent"] if i >= required else [])
+        place = data.draw(st.sampled_from(places), label=flag)
+        if place == "absent":
+            continue
+        value = data.draw(values, label=flag)
+        if place != "cli":
+            key = data.draw(st.sampled_from([flag, flag.replace("-", "_")]))
+            doc[key] = value if place == "config" else data.draw(values, label=flag)
+        if place != "config":
+            given_tokens += flag_tokens(flag, value)
+        # A switch left off the command line does not unset the file's true.
+        switch_off = isinstance(value, bool) and not value and place == "both"
+        winners[flag] = doc[key] if switch_off else value
+    config = tmp_path_factory.mktemp("config") / "cfg.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    given_tokens = data.draw(st.permutations(given_tokens))
+    at = data.draw(st.integers(0, len(given_tokens)))
+    argv = [command, *given_tokens[:at], "--config", str(config), *given_tokens[at:]]
+    expected = [token for flag, value in winners.items() for token in flag_tokens(flag, value)]
+    assert parsed(argv) == parsed([command, *expected])
+
+
+def test_build_from_config_writes_the_bytes_of_the_same_flags(corpus_path, tmp_path, capsys):
+    flags = {"episodes": corpus_path, "d": 0.5, "features": "frequency", "trees": 6, "seed": 4,
+             "criterion": "lower_bound", "theta": 0.25, "unseen": "stop"}
+    by_flags, by_config = tmp_path / "flags.json", tmp_path / "config.json"
+    argv = [token for key, value in flags.items() for token in (f"--{key}", str(value))]
+    assert main(["build", *argv, "--out", str(by_flags)]) == EXIT_OK
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**flags, "out": str(by_config)}), encoding="utf-8")
+    assert main(["build", "--config", str(config)]) == EXIT_OK
+    capsys.readouterr()
+    assert by_config.read_bytes() == by_flags.read_bytes()
 
 
 def test_watch_protocol(model_path, capsys, monkeypatch):
@@ -444,6 +620,7 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
         json.dumps({"t": 0, "q": [4.5]}),
         "garbage",
         json.dumps({"t": 1, "q": [9.5]}),
+        json.dumps({"t": 2, "q": ["1.5"]}),
     ]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
     assert main(["watch", "--model", model_path]) == EXIT_OK
@@ -452,6 +629,8 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
     assert len(replies) == 2
     assert {"t", "p", "low", "up", "fired", "unseen"} <= set(replies[0])
     assert "line 2" in captured.err
+    assert 'line 4: skipped malformed input: q must be a JSON list of numbers, got ["1.5"]' in (
+        captured.err)
 
 
 def damaged_copy(path, tmp_path, damage, keys):

@@ -484,6 +484,24 @@ def test_watch_reports_gaps_and_regressions_in_t():
     ]
 
 
+def test_watch_skips_a_q_that_is_not_a_list_of_json_numbers():
+    """A string or a bool in `q` is no Q-value, though numpy would read
+    "1.5" as 1.5 and true as 1.0."""
+    model = staircase_model()
+    qs = [[0.5], ["1.5"], [True], [False], 0.5, [[0.5]], [2.5]]
+    lines = [json.dumps({"t": t, "q": q}) + "\n" for t, q in enumerate(qs)]
+    out, err = io.StringIO(), io.StringIO()
+    assert watch_stream(model, iter(lines), out, err) == 0
+    assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [0, 6]
+    assert err.getvalue().splitlines() == [
+        'line 2: skipped malformed input: q must be a JSON list of numbers, got ["1.5"]',
+        "line 3: skipped malformed input: q must be a JSON list of numbers, got [true]",
+        "line 4: skipped malformed input: q must be a JSON list of numbers, got [false]",
+        "line 5: skipped malformed input: q must be a JSON list of numbers, got 0.5",
+        "line 6: skipped malformed input: q must be a JSON list of numbers, got [[0.5]]",
+    ]
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     data=st.data(),
