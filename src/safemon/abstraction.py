@@ -27,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -147,13 +148,34 @@ class AbstractionTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AbstractionTable":
-        keys, ids = np.asarray(doc["keys"]), np.asarray(doc["ids"])
-        if keys.ndim != 2 or keys.dtype.kind not in "iu":
+        """The table of to_json_dict's form: distinct keys, lists of
+        integers all of one width, and the ids 0 .. n-1, one per key."""
+        keys, ids = doc["keys"], doc["ids"]
+        # `type`, since a bool is an int; json and orjson decode a JSON
+        # integer as an int (orjson one beyond 64 bits as a float).
+        if not (type(keys) is list and keys and set(map(type, keys)) == {list}
+                and len(set(map(len, keys))) == 1
+                and set(map(type, chain.from_iterable(keys))) == {int}):
             raise ValueError("table keys must be lists of integers of one length")
-        if ids.shape != (len(keys),) or ids.dtype.kind not in "iu":
+        n = len(keys)
+        if type(ids) is not list or len(ids) != n or set(map(type, ids)) != {int}:
             raise ValueError("table ids must be one integer per key")
-        index = dict(zip(map(tuple, keys.tolist()), ids.tolist()))
+        # to_json_dict writes the ids in order.
+        if ids != list(range(n)) and set(ids) != set(range(n)):
+            outside = [i for i in ids if not 0 <= i < n]
+            if outside:
+                raise ValueError(f"table id {outside[0]} is outside [0, {n})")
+            raise ValueError(f"table id {_first_repeat(ids)} is given to more than one key")
+        index = dict(zip(map(tuple, keys), ids))
+        if len(index) < n:
+            raise ValueError(f"table key {list(_first_repeat(map(tuple, keys)))} is given more than once")
         return cls(d=float(doc["d"]), index=index)
+
+
+def _first_repeat(items):
+    """The first of `items` equal to an earlier one."""
+    seen = set()
+    return next(item for item in items if item in seen or seen.add(item))
 
 
 def _visit_counts(n_rows: int, n: int, rows: np.ndarray, ids: np.ndarray) -> np.ndarray:

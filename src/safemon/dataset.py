@@ -11,10 +11,11 @@ literals, a number beyond float64's range and a lone surrogate decode as
 before, and a malformed line fails with json's message. The one value the
 two decoders give differently is an integer beyond 64 bits: orjson
 decodes it as the nearest float, json as an int. Inside `s`, `q` and `r`
-that gives the same float64; as an action both are refused. Documents
-(models, agents, tables) and `watch` lines keep json: they carry
-user-given integers of any size, such as seeds and step numbers, and
-cost a few milliseconds per command.
+that gives the same float64; as an action both are refused. Each of `s`,
+`q` and `r` is converted from one flat list per episode, after a scan of
+its values' types, so a string or boolean is refused at its step. Model
+files are decoded with orjson too (monitor.load_model); agent documents,
+`--config` files and `watch` lines keep json: nothing there is hot.
 """
 
 from __future__ import annotations
@@ -50,15 +51,15 @@ def read_json(path):
             raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
 
 
-def load_document(path, tag: str, build):
-    """Parse the JSON document at `path`, check its "format" tag, and
-    return build(doc).
+def load_document(path, tag: str, build, read=read_json):
+    """Parse the JSON document at `path` with read(path) (read_json's
+    values and errors), check its "format" tag, and return build(doc).
 
     Text that is not JSON, another tag, or a key or value that `build`
     cannot use raises DatasetError naming the file, so a bad file fails
     where it is read.
     """
-    doc = read_json(path)
+    doc = read(path)
     if not isinstance(doc, dict) or "format" not in doc:
         raise DatasetError(f"{path}: no format tag, expected {tag!r}")
     if doc["format"] != tag:
@@ -200,15 +201,50 @@ def _episode_to_obj(episode: Episode) -> dict:
     }
 
 
+def _number_rows(steps: list, key: str) -> np.ndarray:
+    """The (steps, width) float64 matrix of each step's `key`, a list of
+    JSON numbers as wide as step 0's; a step that breaks this raises
+    DatasetError naming it.
+
+    The rows are converted as one flat list, which is cheaper than a
+    nested one and pays for the type scan; their widths are checked on
+    their own, since a flat list hides a ragged row.
+    """
+    rows = [step[key] for step in steps]
+    width = len(rows[0]) if type(rows[0]) is list else -1
+    try:
+        widths = set(map(len, rows))
+    except TypeError:  # a number, a bool or null
+        widths = None
+    # A string or object row of the width reaches `values` as characters
+    # or keys, which the type scan refuses; only at width 0 it adds none.
+    if widths == {width} and (width > 0 or set(map(type, rows)) == {list}):
+        values = []
+        for row in rows:
+            values += row  # one C call per row: cheaper than chain.from_iterable
+        # `type`, since a bool is an int; numpy would read "1.5" as 1.5.
+        if set(map(type, values)) <= {float, int}:
+            return np.fromiter(values, dtype=np.float64, count=len(values)).reshape(len(rows), width)
+    for step, row in enumerate(rows):
+        if type(row) is not list:
+            raise DatasetError(f"step {step} has {key} {row!r}, not a list of numbers")
+        if len(row) != width:
+            raise DatasetError(f"step {step} has {len(row)} {key} values, step 0 has {width}")
+        if not all(type(v) is float or type(v) is int for v in row):
+            raise DatasetError(f"step {step} has a non-numeric {key}: {row!r}")
+    raise AssertionError("every row is well formed")
+
+
 def _episode_from_obj(obj: dict) -> Episode:
     steps = obj["steps"]
     if not steps:
         raise DatasetError("episode has no steps")
-    qs = np.array([s["q"] for s in steps], dtype=np.float64)
-    if qs.ndim != 2:
-        raise DatasetError("every step's q must be a list of numbers")
-    states = np.array([s["s"] for s in steps], dtype=np.float64)
-    rewards = np.array([s["r"] for s in steps], dtype=np.float64)
+    qs, states = _number_rows(steps, "q"), _number_rows(steps, "s")
+    rewards = [step["r"] for step in steps]
+    if not set(map(type, rewards)) <= {float, int}:
+        step = next(i for i, r in enumerate(rewards) if type(r) is not float and type(r) is not int)
+        raise DatasetError(f"step {step} has a non-numeric r: {rewards[step]!r}")
+    rewards = np.array(rewards, dtype=np.float64)
     for key, values in (("q", qs), ("s", states), ("r", rewards)):
         finite = np.isfinite(values)
         if not finite.all():
@@ -216,7 +252,7 @@ def _episode_from_obj(obj: dict) -> Episode:
             raise DatasetError(f"step {step} has a non-finite {key}: {steps[step][key]}")
     # An int64 cast would read 1.7 or true as 1 and overflow on 10**30.
     actions, width = [s["a"] for s in steps], qs.shape[1]
-    if set(map(type, actions)) != {int} or min(actions) < 0 or max(actions) >= width:
+    if set(map(type, actions)) != {int} or not set(actions) <= set(range(width)):
         step = next(i for i, a in enumerate(actions) if type(a) is not int or not 0 <= a < width)
         raise DatasetError(f"step {step} has action {actions[step]!r}, not an integer in [0, {width})")
     return Episode(
@@ -239,10 +275,11 @@ def write_jsonl(episode_set: EpisodeSet, path) -> None:
 
 def read_jsonl(path) -> EpisodeSet:
     """Parse an episode corpus; malformed lines, among them bytes that are
-    not UTF-8, a state, Q-value or reward that is NaN or infinite and an
-    action that is not an integer index into the step's Q-vector, and
-    lines whose Q-vector width differs from the first episode's, fail with
-    their number.
+    not UTF-8, a state, Q-value or reward that is not a JSON number or is
+    NaN or infinite, a row of states or Q-values of another width than the
+    episode's first, and an action that is not an integer index into the
+    step's Q-vector, and lines whose Q-vector width differs from the first
+    episode's, fail with their number.
 
     Set-level metadata is not part of the line schema: the environment
     kind is inferred from the Q-vector width, fingerprint and seed stay
@@ -254,12 +291,12 @@ def read_jsonl(path) -> EpisodeSet:
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
-                line = raw.decode("utf-8")
-                if not line.strip():
-                    continue
                 try:
-                    obj = orjson.loads(line)
+                    obj = orjson.loads(raw)  # it checks the UTF-8 itself
                 except orjson.JSONDecodeError:
+                    line = raw.decode("utf-8")
+                    if not line.strip():
+                        continue
                     obj = json.loads(line)
                 episode = _episode_from_obj(obj)
             except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:

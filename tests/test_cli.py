@@ -503,6 +503,24 @@ def test_model_that_is_not_utf8_is_io_error_naming_file(model_path, tmp_path, ca
     assert capsys.readouterr().err.startswith(f"i/o error: {bad}: not a JSON document: 'utf-8'")
 
 
+def test_model_with_a_table_id_past_the_table_is_io_error_naming_file(corpus_path, model_path,
+                                                                      tmp_path, capsys):
+    """Let through, the id ends `evaluate` in an IndexError traceback."""
+    doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
+    n = len(doc["table"]["ids"])
+    doc["table"]["ids"][0] = n
+    bad = tmp_path / "bad-id.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(["evaluate", "--model", str(bad), "--episodes", corpus_path,
+                 "--out-prefix", str(tmp_path / "eval")])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"i/o error: {bad}: monitor-model/1 document has a bad value: table id {n} is outside [0, {n})"
+    )
+
+
 def test_config_without_a_path_is_usage_error(capsys):
     assert main([*BUILD, "--config"]) == EXIT_USAGE
     assert capsys.readouterr().err == "usage error: argument --config: expected one argument\n"

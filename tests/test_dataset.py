@@ -306,6 +306,51 @@ def test_jsonl_rejects_non_finite_states_and_rewards_naming_line_and_step(tmp_pa
         read_jsonl(path)
 
 
+@pytest.mark.parametrize(
+    "field, value, cause",
+    # numpy would read a string as the number it spells and a bool as 0 or 1.
+    [("q", [3.0, "1.5"], "a non-numeric q: [3.0, '1.5']"),
+     ("q", [True, 4.0], "a non-numeric q: [True, 4.0]"),
+     ("q", [3.0, None], "a non-numeric q: [3.0, None]"),
+     ("q", [[3.0], 4.0], "a non-numeric q: [[3.0], 4.0]"),
+     ("s", ["0.0", 0.0], "a non-numeric s: ['0.0', 0.0]"),
+     ("s", [0.0, False], "a non-numeric s: [0.0, False]"),
+     ("r", "-1.0", "a non-numeric r: '-1.0'"),
+     ("r", True, "a non-numeric r: True"),
+     ("r", [-1.0], "a non-numeric r: [-1.0]"),
+     # A row of another width, or no list; the first step has width 2.
+     ("q", [3.0], "1 q values, step 0 has 2"),
+     ("q", [3.0, 4.0, 5.0], "3 q values, step 0 has 2"),
+     ("s", [0.0, 0.0, 0.0], "3 s values, step 0 has 2"),
+     ("q", 3.0, "q 3.0, not a list of numbers"),
+     ("q", "34", "q '34', not a list of numbers"),
+     ("q", {"a": 3.0, "b": 4.0}, "q {'a': 3.0, 'b': 4.0}, not a list of numbers"),
+     ("s", None, "s None, not a list of numbers")],
+)
+def test_jsonl_rejects_a_value_that_is_not_a_json_number_naming_line_and_step(tmp_path, field, value, cause):
+    path = corpus_with_line_2_edited(tmp_path, lambda obj: obj["steps"][1].__setitem__(field, value))
+    with pytest.raises(DatasetError, match=re.escape(f"malformed episode at line 2: step 1 has {cause}")):
+        read_jsonl(path)
+
+
+def test_jsonl_rejects_ragged_rows_that_flatten_to_the_right_length(tmp_path):
+    def edit(obj):
+        obj["steps"][0]["q"], obj["steps"][1]["q"] = [1.0, 2.0, 3.0], [4.0]
+
+    path = corpus_with_line_2_edited(tmp_path, edit)
+    with pytest.raises(DatasetError, match=re.escape("line 2: step 1 has 1 q values, step 0 has 3")):
+        read_jsonl(path)
+
+
+def test_jsonl_refuses_empty_rows_unless_they_are_lists(tmp_path):
+    def edit(obj):
+        obj["steps"][0]["s"], obj["steps"][1]["s"] = [], ""
+
+    path = corpus_with_line_2_edited(tmp_path, edit)
+    with pytest.raises(DatasetError, match=re.escape("line 2: step 1 has s '', not a list of numbers")):
+        read_jsonl(path)
+
+
 @pytest.mark.parametrize("field", ["s", "q", "r"])
 def test_jsonl_rejects_an_integer_beyond_float64(tmp_path, field):
     def edit(obj):

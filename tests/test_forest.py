@@ -697,6 +697,45 @@ def test_serialization_round_trip_preserves_predictions():
         assert (after.dtype, after.shape, after.tobytes()) == (before.dtype, before.shape, before.tobytes())
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_loaded_forest_holds_the_columns_it_was_saved_with(data):
+    """forest_from_json_list(forest_to_json_list(f)) gives every tree's
+    columns and every packed array back, dtype and bytes, over grown trees
+    (some a single leaf, where a bootstrap drew one class), inserted
+    single-leaf trees and forests of leaves alone. The file keeps a value
+    and count for leaves only, and the loader writes 0 at a split."""
+    n, width = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, 3), min_size=width, max_size=width)
+    x = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
+    y = np.array(data.draw(st.permutations(np.arange(n) % 2)))
+    grown = train_forest(x, y, data.draw(st.integers(1, 6)), seed=data.draw(st.integers(0, 2**32 - 1)))
+    trees = list(grown.trees)
+    for _ in range(data.draw(st.integers(0, 3))):
+        leaf = leaf_tree(data.draw(st.floats(0.0, 1.0)), data.draw(st.integers(1, 50)))
+        trees.insert(data.draw(st.integers(0, len(trees))), leaf)
+    if data.draw(st.booleans()):
+        trees = [t for t in trees if len(t.feature) == 1] or [leaf_tree(0.5)]
+    forest = Forest(trees=trees, feature_count=width, seed=grown.seed)
+    doc = json.loads(json.dumps(forest_to_json_list(forest)))
+    loaded = forest_from_json_list(doc, width, forest.seed)
+    assert forest_to_json_list(loaded) == doc
+    assert (loaded.n_trees, loaded.feature_count, loaded.seed) == (forest.n_trees, width, forest.seed)
+    same = lambda a, b: (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+    for before, after in zip(forest.trees, loaded.trees):
+        split = before.feature >= 0
+        for name in ("feature", "threshold", "left", "right", "value", "count"):
+            want = getattr(before, name)
+            if name in ("value", "count"):
+                want = np.where(split, 0, want).astype(want.dtype)
+            assert same(getattr(after, name), want), name
+    packed, back = forest.packed, loaded.packed
+    for name in ("feature", "threshold", "branch", "roots", "split_feature", "split_tree"):
+        assert same(getattr(back, name), getattr(packed, name)), name
+    leaf = np.isinf(packed.threshold)
+    assert same(back.value[leaf], packed.value[leaf])
+
+
 def split_tree():
     """A root that tests feature 0 at 0.5, over leaves of 0.1 (left) and 0.9."""
     return Tree(
@@ -780,6 +819,21 @@ DAMAGED_TREES = {
     "float-count": (lambda t: t[1]["leaf"].__setitem__(1, 164.7), "node 1: leaf [0.1, 164.7] has a count that"),
     "bool-count": (lambda t: t[2]["leaf"].__setitem__(1, True), "node 2: leaf [0.9, True] has a count that"),
     "zero-count": (lambda t: t[2]["leaf"].__setitem__(1, 0), "node 2: leaf [0.9, 0] has a count that is not"),
+    # numpy would read a string as the number it spells and a bool as 0 or 1.
+    "string-threshold": (lambda t: t[0]["split"].__setitem__(1, "1.5"),
+                         "node 0: split [0, '1.5', 1, 2] has a threshold that is not a JSON number"),
+    "bool-threshold": (lambda t: t[0]["split"].__setitem__(1, False),
+                       "node 0: split [0, False, 1, 2] has a threshold that is not a JSON number"),
+    "string-leaf-value": (lambda t: t[1]["leaf"].__setitem__(0, "0.5"),
+                          "node 1: leaf ['0.5', 1] has a value that is not a JSON number"),
+    "bool-leaf-value": (lambda t: t[2]["leaf"].__setitem__(0, True),
+                        "node 2: leaf [True, 1] has a value that is not a JSON number"),
+    "null-leaf-value": (lambda t: t[2]["leaf"].__setitem__(0, None),
+                        "node 2: leaf [None, 1] has a value that is not a JSON number"),
+    "long-split": (lambda t: t[0]["split"].append(3),
+                   "node 0: split [0, 0.5, 1, 2, 3] is not a list of 4 values"),
+    "short-leaf": (lambda t: t[1]["leaf"].pop(), "node 1: leaf [0.1] is not a list of 2 values"),
+    "scalar-leaf": (lambda t: t[2].__setitem__("leaf", 0.9), "node 2: leaf 0.9 is not a list of 2 values"),
 }
 
 

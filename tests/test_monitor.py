@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -400,8 +401,34 @@ def test_model_document_round_trip(tmp_path):
         # Beyond the int32 node columns: refused, not a traceback.
         (lambda doc: doc["forest"][0][0]["split"].__setitem__(0, 10**10),
          "Python integer 10000000000 out of bounds for int32"),
+        # numpy would read a string as the number it spells, a bool as 0 or 1.
+        (lambda doc: doc["forest"][0][0]["split"].__setitem__(1, "1.5"),
+         re.escape("tree 0 node 0: split [2, '1.5', 1, 2] has a threshold that is not a JSON number")),
+        (lambda doc: doc["forest"][0][1]["leaf"].__setitem__(0, "0.5"),
+         re.escape("tree 0 node 1: leaf ['0.5', 1] has a value that is not a JSON number")),
+        (lambda doc: doc["forest"][0][2]["leaf"].__setitem__(0, True),
+         re.escape("tree 0 node 2: leaf [True, 1] has a value that is not a JSON number")),
+        (lambda doc: doc["forest"][0][0]["split"].pop(),
+         re.escape("tree 0 node 0: split [2, 0.5, 1] is not a list of 4 values")),
+        # The table holds keys [1] .. [4], with ids 0 .. 3.
+        (lambda doc: doc["table"]["ids"].__setitem__(1, -1), re.escape("table id -1 is outside [0, 4)")),
+        (lambda doc: doc["table"]["ids"].__setitem__(1, 4), re.escape("table id 4 is outside [0, 4)")),
+        (lambda doc: doc["table"]["ids"].__setitem__(3, 1), "table id 1 is given to more than one key"),
+        (lambda doc: doc["table"]["keys"].__setitem__(2, [1]),
+         re.escape("table key [1] is given more than once")),
+        (lambda doc: doc["table"]["keys"][0].__setitem__(0, True),
+         "table keys must be lists of integers of one length"),
+        (lambda doc: doc["table"]["keys"][0].append(0), "table keys must be lists of integers of one length"),
+        # orjson reads an integer beyond 64 bits as a float.
+        (lambda doc: doc["table"]["keys"][0].__setitem__(0, -2**63 - 1),
+         "table keys must be lists of integers of one length"),
+        (lambda doc: doc["table"]["ids"].__setitem__(0, False), "table ids must be one integer per key"),
+        (lambda doc: doc["table"]["ids"].__setitem__(0, 0.0), "table ids must be one integer per key"),
     ],
-    ids=["unknown-config-key", "feature-beyond-int32"],
+    ids=["unknown-config-key", "feature-beyond-int32", "string-threshold", "string-leaf-value",
+         "bool-leaf-value", "short-split", "negative-id", "id-past-the-table", "repeated-id",
+         "repeated-key", "bool-in-key", "key-of-another-width", "key-beyond-64-bits", "bool-id",
+         "float-id"],
 )
 def test_load_model_refuses_a_bad_value(damage, cause, tmp_path):
     path = tmp_path / "model.json"
@@ -412,6 +439,85 @@ def test_load_model_refuses_a_bad_value(damage, cause, tmp_path):
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(DatasetError, match=f"monitor-model/1 document has a bad value: {cause}"):
         load_model(path)
+
+
+def test_load_model_takes_table_ids_in_any_order(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(staircase_model(), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["table"]["keys"].reverse()
+    doc["table"]["ids"].reverse()
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert load_model(path).table.index == staircase_model().table.index
+
+
+def loaded_by_json(path):
+    """load_model(path) with the document decoded by json alone: orjson
+    refuses every text, so each goes to the json fallback."""
+    import orjson
+
+    with mock.patch.object(orjson, "loads", side_effect=orjson.JSONDecodeError("refused", "", 0)):
+        return load_model(path)
+
+
+def load_outcome(load, path):
+    """The bytes save_model writes for load(path), or the message of the
+    DatasetError that refused the file."""
+    try:
+        model = load(path)
+    except DatasetError as exc:
+        return str(exc)
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "again.json")
+        return (Path(tmp) / "again.json").read_bytes()
+
+
+# Edits to a saved model's text that orjson refuses, or reads otherwise
+# than json does.
+MODEL_EDITS = {
+    "as-saved": lambda text: text,
+    "nan-in-provenance": lambda text: text.replace('"provenance": {', '"provenance": {"x": NaN, ', 1),
+    "nan-theta": lambda text: text.replace('"theta": 0.5', '"theta": NaN', 1),
+    "infinite-threshold": lambda text: text.replace('"split": [2, 0.5,', '"split": [2, Infinity,', 1),
+    # orjson reads these as floats; json as the ints save_model wrote.
+    "20-digit-seed": lambda text: text.replace('"seed": 1}', '"seed": 18446744073709551616}', 1),
+    "negative-20-digit-seed": lambda text: text.replace('"seed": 1}', '"seed": -9223372036854775809}', 1),
+    "20-digit-forest-seed": lambda text: text.replace('"forest_seed": 0', '"forest_seed": 10000000000000000000000', 1),
+    "20-digit-nested-seed": lambda text: text.replace('"seed": 1}', '"seed": [{"a": 18446744073709551616}]}', 1),
+    # A key beyond 64 bits, which orjson reads as a float, in a file that
+    # goes to json for its NaN: json reads an int, which no bucket matches.
+    "20-digit-key-and-nan": lambda text: text.replace('"keys": [[1]', '"keys": [[100000000000000000000]', 1)
+    .replace('"theta": 0.5', '"theta": 0.5, "x": NaN', 1),
+    "lone-surrogate": lambda text: text.replace('"agent_fingerprint": "', '"agent_fingerprint": "\\ud800', 1),
+    "bom": lambda text: "\ufeff" + text,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), edit=st.sampled_from(sorted(MODEL_EDITS) + ["truncated", "not-utf8"]))
+def test_load_model_reads_what_json_reads(data, edit):
+    """Where orjson refuses a model file or decodes a value otherwise,
+    load_model gives json's model, written back byte for byte, or json's
+    message."""
+    model = staircase_model(provenance={"agent_fingerprint": "abc", "seed": 1})
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        save_model(model, path)
+        text = path.read_text(encoding="utf-8")
+        if edit == "truncated":
+            path.write_text(text[: data.draw(st.integers(0, len(text) - 2))], encoding="utf-8")
+        elif edit == "not-utf8":
+            raw = text.encode("utf-8")
+            at = data.draw(st.integers(0, len(raw) - 1))
+            path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        else:
+            edited = MODEL_EDITS[edit](text)
+            assert (edited == text) == (edit == "as-saved")
+            path.write_text(edited, encoding="utf-8")
+        outcome = load_outcome(load_model, path)
+        assert outcome == load_outcome(loaded_by_json, path)
+    if edit.endswith("seed"):
+        assert outcome == edited.encode("utf-8")  # the integer is written back as it was
 
 
 def test_watch_stream_protocol():
