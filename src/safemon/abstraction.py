@@ -150,9 +150,11 @@ class AbstractionTable:
     def from_json_dict(cls, doc: dict) -> "AbstractionTable":
         """The table of to_json_dict's form: distinct keys, lists of
         integers all of one width, and the ids 0 .. n-1, one per key."""
-        keys, ids = doc["keys"], doc["ids"]
+        keys, ids, d = doc["keys"], doc["ids"], doc["d"]
         # `type`, since a bool is an int; json and orjson decode a JSON
         # integer as an int (orjson one beyond 64 bits as a float).
+        if type(d) not in (int, float) or not 0.0 < d < math.inf:
+            raise ValueError(f"table d must be a positive finite JSON number, got {d!r}")
         if not (type(keys) is list and keys and set(map(type, keys)) == {list}
                 and len(set(map(len, keys))) == 1
                 and set(map(type, chain.from_iterable(keys))) == {int}):
@@ -169,7 +171,7 @@ class AbstractionTable:
         index = dict(zip(map(tuple, keys), ids))
         if len(index) < n:
             raise ValueError(f"table key {list(_first_repeat(map(tuple, keys)))} is given more than once")
-        return cls(d=float(doc["d"]), index=index)
+        return cls(d=float(d), index=index)
 
 
 def _first_repeat(items):

@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envs import CARTPOLE, CAUSES, MOUNTAINCAR, RUNNING, STEP_LIMIT, Cause, make_env
+from .envs import CARTPOLE, CAUSES, ENV_KINDS, MOUNTAINCAR, RUNNING, STEP_LIMIT, Cause, make_env
 from .seeding import derive_rng, derive_seed
 
 AGENT_FORMAT = "agent/1"
@@ -574,19 +574,38 @@ def load_agent(path) -> AgentModel:
     return load_document(path, AGENT_FORMAT, _agent_from_doc)
 
 
+def _finite_numbers(doc: dict, key: str, n: int) -> list:
+    """doc[key], refused unless it is a list of n finite JSON numbers."""
+    values = doc[key]
+    # `type`, since a bool is an int.
+    if not (type(values) is list and len(values) == n
+            and all((type(v) is float or type(v) is int) and math.isfinite(v) for v in values)):
+        raise ValueError(f"{key} must be a list of {n} finite numbers, got {values!r}")
+    return values
+
+
 def _agent_from_doc(doc: dict) -> AgentModel:
+    env, sizes = doc["env"], doc["layer_sizes"]
+    if env not in ENV_KINDS:
+        raise ValueError(f"env must be one of {list(ENV_KINDS)}, got {env!r}")
+    if not (type(sizes) is list and len(sizes) >= 2
+            and all(type(s) is int and s >= 1 for s in sizes)):
+        raise ValueError(f"layer_sizes must be a list of two or more integers >= 1, got {sizes!r}")
     network = QNetwork(
-        doc["layer_sizes"],
+        sizes,
         weights=[(entry["w"], entry["b"]) for entry in doc["weights"]],
-        input_offset=doc["input_offset"],
-        input_scale=doc["input_scale"],
+        input_offset=_finite_numbers(doc, "input_offset", sizes[0]),
+        input_scale=_finite_numbers(doc, "input_scale", sizes[0]),
     )
     report = None
     if "report" in doc:
         rep = doc["report"]
+        rate = rep["unsafe_rate"]
+        if type(rate) not in (int, float) or not 0.0 <= rate <= 1.0:
+            raise ValueError(f"report unsafe_rate must be a number in [0, 1], got {rate!r}")
         report = TrainReport(
             mean_reward=rep["mean_reward"],
-            unsafe_rate=rep["unsafe_rate"],
+            unsafe_rate=rate,
             mean_length=rep["mean_length"],
             eval_episodes=rep["eval_episodes"],
             selected_step=rep["selected_step"],
@@ -597,7 +616,7 @@ def _agent_from_doc(doc: dict) -> AgentModel:
             ],
         )
     return AgentModel(
-        env_kind=doc["env"],
+        env_kind=env,
         network=network,
         gamma=doc["gamma"],
         seed=doc["seed"],

@@ -317,12 +317,7 @@ def cmd_watch(args) -> int:
     return watch_stream(model, sys.stdin, sys.stdout, sys.stderr)
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="safemon", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    parser.commands = sub.choices  # subcommand name -> its parser
-
-    p = sub.add_parser("train-agent", help="train a Q-learning agent")
+def _train_agent_arguments(p) -> None:
     p.add_argument("--env", choices=ENV_KINDS, required=True)
     p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -337,7 +332,8 @@ def build_parser() -> _Parser:
     p.add_argument("--target-sync-interval", type=_at_least_one, default=500)
     p.set_defaults(func=cmd_train_agent)
 
-    p = sub.add_parser("collect", help="collect labeled episodes")
+
+def _collect_arguments(p) -> None:
     p.add_argument("--agent", required=True)
     p.add_argument("--episodes", type=_at_least_one, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -345,7 +341,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_collect)
 
-    p = sub.add_parser("build", help="build a monitor model")
+
+def _build_arguments(p) -> None:
     p.add_argument("--episodes", required=True)
     p.add_argument("--d", type=_positive, required=True)
     p.add_argument("--features", choices=["binary", "frequency"], default="binary")
@@ -358,7 +355,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_build)
 
-    p = sub.add_parser("select-d", help="pick an abstraction level from a grid")
+
+def _select_d_arguments(p) -> None:
     p.add_argument("--episodes", required=True)
     p.add_argument("--grid", type=_grid, required=True, help="comma-separated candidate levels")
     p.add_argument("--features", choices=["binary", "frequency"], default="binary")
@@ -370,7 +368,8 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_select_d)
 
-    p = sub.add_parser("evaluate", help="run the evaluation harness")
+
+def _evaluate_arguments(p) -> None:
     p.add_argument("--model", required=True)
     p.add_argument("--episodes", required=True)
     p.add_argument("--criterion", default=None, choices=_CRITERIA)
@@ -383,10 +382,52 @@ def build_parser() -> _Parser:
     p.add_argument("--config", default=None, help=_CONFIG_HELP)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("watch", help="monitor a Q-value stream on stdin")
+
+def _watch_arguments(p) -> None:
     p.add_argument("--model", required=True)
     p.set_defaults(func=cmd_watch)
 
+
+# Each subcommand: its help line and the function that adds its arguments.
+_COMMANDS = {
+    "train-agent": ("train a Q-learning agent", _train_agent_arguments),
+    "collect": ("collect labeled episodes", _collect_arguments),
+    "build": ("build a monitor model", _build_arguments),
+    "select-d": ("pick an abstraction level from a grid", _select_d_arguments),
+    "evaluate": ("run the evaluation harness", _evaluate_arguments),
+    "watch": ("monitor a Q-value stream on stdin", _watch_arguments),
+}
+
+
+class _Command(_Parser):
+    """A subcommand's parser, which gets its arguments the first time it
+    is used: a run adds the arguments of the command it runs and of no
+    other, while every command is still listed for help and usage errors."""
+
+    def __init__(self, add_arguments, **kwargs):
+        super().__init__(**kwargs)
+        self._add_arguments = add_arguments
+
+    def with_arguments(self) -> "_Command":
+        if self._add_arguments is not None:
+            add, self._add_arguments = self._add_arguments, None
+            add(self)
+        return self
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.with_arguments()
+        return super().parse_known_args(args, namespace)
+
+
+def build_parser() -> _Parser:
+    """The safemon parser: one _Command per subcommand, none of them with
+    its arguments until it parses or is asked for them."""
+    parser = _Parser(prog="safemon", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
+    parser.commands = {  # subcommand name -> its parser
+        name: sub.add_parser(name, help=help_line, add_arguments=add_arguments)
+        for name, (help_line, add_arguments) in _COMMANDS.items()
+    }
     return parser
 
 
@@ -395,7 +436,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         command = parser.commands.get(argv[0]) if argv else None
-        if command is not None and "--config" in command._option_string_actions:
+        if command is not None and "--config" in command.with_arguments()._option_string_actions:
             path = _CONFIG.parse_known_args(argv[1:])[0].config
             if path is not None:
                 argv[1:1] = _config_flags(path, command)

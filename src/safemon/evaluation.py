@@ -6,14 +6,22 @@ Every figure comes from one set of per-episode arrays: the fire step
 episode's prediction at time t is its latched fired status at
 min(t, length - 1): episodes that already terminated keep their final
 prediction. Undefined 0/0 precision or recall ratios are reported as 0.
-The three CSV reports go through one writer and one cell formatter.
+
+The three CSV reports go through one writer, `_write_csv`, which gives
+the bytes of csv.writer's excel dialect. Each column comes with its
+format: %d for integers, %.6f for floats, %s for text. A block of rows is
+formatted by one % call, the row format repeated once per row, over the
+block's cells in row order. Text cells come from one formatter, `_cells`
+(None as a blank, floats as %.6f), or its `_text`, which quotes a string
+holding a comma, a quote or a line break as csv.writer does.
 """
 
 from __future__ import annotations
 
-import csv
 import math
+import re
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Optional, Sequence
 
 import numpy as np
@@ -141,10 +149,23 @@ def _metrics_row(c: Confusion, t: int) -> MetricsRow:
 def metrics_over_time(
     traces: Sequence[DecisionTrace], labels, horizon: int
 ) -> list[MetricsRow]:
-    """Weighted P/R/F1 and macro F1 at every time step up to the horizon."""
+    """Weighted P/R/F1 and macro F1 at every time step up to the horizon.
+
+    The confusion counts change only at steps where some episode fires,
+    so each distinct confusion is scored once, at the first step that has
+    it, and the steps up to the next such step repeat its figures.
+    """
     fire, _, unsafe = _episode_arrays(traces, labels, horizon)
-    confusions = _confusions(fire, unsafe, np.arange(horizon))
-    return [_metrics_row(c, t) for t, c in enumerate(confusions)]
+    changes = np.unique(fire[fire < horizon]).astype(np.int64).tolist()
+    starts = changes if changes[:1] == [0] else [0, *changes]
+    rows = []
+    for a, b, c in zip(starts, [*starts[1:], horizon], _confusions(fire, unsafe, starts)):
+        first = _metrics_row(c, a)
+        scores = (first.precision_weighted, first.recall_weighted, first.f1_weighted,
+                  first.f1_macro)
+        rows.append(first)
+        rows += [MetricsRow(t, *scores, c) for t in range(a + 1, b)]
+    return rows
 
 
 def _spread(values: np.ndarray):
@@ -221,6 +242,8 @@ _METRICS_NOTE = "# undefined 0/0 ratios reported as 0; unsafe is the positive cl
 _SCORES = ("precision_weighted", "recall_weighted", "f1_weighted", "f1_macro")
 _COUNTS = ("tp", "fp", "tn", "fn")
 _SPREADS = ("decision_step", "remaining", "fraction")  # the (min, avg, max) triples
+_QUOTE_CHARS = re.compile('[,"\r\n]')
+_BLOCK_ROWS = 4096  # rows per % call: bounds the text held at once
 
 
 def _shifted(values, time_base: int):
@@ -236,32 +259,49 @@ def _spread_of(stats: DecisionTimeStats, name: str, time_base: int) -> list:
     return _shifted(values, time_base if name == "decision_step" else 0)
 
 
-def _cells(values, time_base: int = 0) -> list:
-    """One CSV column: None as a blank, floats as %.6f, other values as
-    they are. Pass the time base for a column of step indices."""
-    return [
-        f"{v:.6f}" if isinstance(v, float) else "" if v is None else v
-        for v in _shifted(values, time_base)
-    ]
+def _text(value) -> str:
+    """A cell as csv.writer's excel dialect writes it: None as a blank, a
+    string quoted when it holds a comma, a quote or a line break (its
+    quotes doubled), anything else as its str."""
+    if value is None:
+        return ""
+    text = str.__str__(value) if isinstance(value, str) else str(value)
+    if _QUOTE_CHARS.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _cells(values) -> list:
+    """One CSV column as text: floats as %.6f, other values as _text
+    writes them."""
+    return [f"{v:.6f}" if isinstance(v, float) else _text(v) for v in values]
 
 
 def _write_csv(path, header, columns, note: str = "") -> None:
-    """One CSV file: the note, the header, then one row across the columns
-    per entry."""
+    """One CSV file, as csv.writer writes it: the note, the header, then
+    one row across the columns per entry, each line ending in CRLF.
+
+    `columns` holds one (format, values) pair per column: "%d" for
+    integers, "%.6f" for floats, "%s" for text from _cells or _text. A
+    block of rows is formatted by one % over its cells, the row format
+    repeated once per row.
+    """
+    formats, values = zip(*columns)
+    row = ",".join(formats) + "\r\n"
+    rows = zip(*values)
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(note)
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+        fh.write(note + ",".join(map(_text, header)) + "\r\n")
+        while block := tuple(chain.from_iterable(islice(rows, _BLOCK_ROWS))):
+            fh.write(row * (len(block) // len(formats)) % block)
 
 
 def write_metrics_csv(rows: Sequence[MetricsRow], path, time_base: int = 0) -> None:
     _write_csv(
         path,
         ["t", *_SCORES, *_COUNTS],
-        [_cells([r.t for r in rows], time_base)]
-        + [_cells([getattr(r, name) for r in rows]) for name in _SCORES]
-        + [[getattr(r.confusion, name) for r in rows] for name in _COUNTS],
+        [("%d", _shifted([r.t for r in rows], time_base))]
+        + [("%.6f", [getattr(r, name) for r in rows]) for name in _SCORES]
+        + [("%d", [getattr(r.confusion, name) for r in rows]) for name in _COUNTS],
         _METRICS_NOTE,
     )
 
@@ -276,11 +316,11 @@ def write_sweep_csv(report: SweepReport, path, time_base: int = 0) -> None:
         path,
         ["criterion", "theta", *scores, *_COUNTS, "fn_count", "fp_count",
          *(f"{name}_{part}" for name in _SPREADS for part in ("min", "avg", "max"))],
-        [[r.criterion.value for r in rows], [r.theta for r in rows]]
-        + [_cells([getattr(r.metrics, name) for r in rows]) for name in scores]
-        + [[getattr(r.metrics.confusion, name) for r in rows] for name in _COUNTS]
-        + [[r.fn_count for r in rows], [r.stats.fp_count for r in rows]]
-        + [_cells(column) for column in zip(*spreads)],
+        [("%s", [_text(r.criterion.value) for r in rows]), ("%s", [_text(r.theta) for r in rows])]
+        + [("%.6f", [getattr(r.metrics, name) for r in rows]) for name in scores]
+        + [("%d", [getattr(r.metrics.confusion, name) for r in rows]) for name in _COUNTS]
+        + [("%d", [r.fn_count for r in rows]), ("%d", [r.stats.fp_count for r in rows])]
+        + [("%s", _cells(column)) for column in zip(*spreads)],
         _METRICS_NOTE,
     )
 
@@ -311,21 +351,20 @@ def write_decision_stats_json(entries: Sequence[dict], path) -> None:
 
 def write_traces_csv(traces, labels, path, time_base: int = 0) -> None:
     """Per-step probability traces for qualitative inspection."""
-    episode, name, step, fired, series = [], [], [], [], []
+    episode, name, step, fired = [], [], [], []
     for i, (trace, label) in enumerate(zip(traces, labels)):
         n = len(trace.series.mean)
         fire = n if trace.first_fire_step is None else trace.first_fire_step
         episode += [i] * n
-        name += [label.value if isinstance(label, Label) else label] * n
-        step += range(n)
+        name += [_text(label)] * n
+        step += range(time_base, n + time_base)
         fired += [0] * fire + [1] * (n - fire)
-        series.append(trace.series)
     probabilities = [
-        _cells([v for s in series for v in getattr(s, column).tolist()])
+        ("%.6f", list(chain.from_iterable(getattr(t.series, column).tolist() for t in traces)))
         for column in ("mean", "low", "up")
     ]
     _write_csv(
         path,
         ["episode", "label", "t", "p", "low", "up", "fired"],
-        [episode, name, _cells(step, time_base), *probabilities, fired],
+        [("%d", episode), ("%s", name), ("%d", step), *probabilities, ("%d", fired)],
     )

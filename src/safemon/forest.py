@@ -748,19 +748,28 @@ def _check_trees(feature, threshold, left, right, value, split, sizes: list, fea
     marks the split nodes, tree t holds sizes[t] nodes): a split tests a
     feature in [0, feature_count) against a finite threshold, and its
     children come after it in its own tree, so every walk ends at a leaf;
-    a leaf value lies in [0, 1]. All nodes are checked at once."""
+    every node but a root is the child of exactly one split, so each is
+    reached by one walk; a leaf value lies in [0, 1]. All nodes are
+    checked at once."""
     ends = np.cumsum(sizes)
-    node = np.arange(len(split)) - np.repeat(ends - sizes, sizes)
+    start = np.repeat(ends - sizes, sizes)
+    node = np.arange(len(split)) - start
     size = np.repeat(sizes, sizes)
-    for bad, cause in (
-        (split & ((feature < 0) | (feature >= feature_count)),
-         lambda i: f"split feature {feature[i]} outside [0, {feature_count})"),
-        (split & ~np.isfinite(threshold), lambda i: f"threshold {threshold[i]} is not finite"),
-        (split & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= size)),
-         lambda i: f"children {left[i]} and {right[i]} are not both after it in its tree"),
-        (~split & ~((value >= 0.0) & (value <= 1.0)),
-         lambda i: f"leaf value {value[i]} outside [0, 1]"),
-    ):
+
+    def refuse(bad, cause):
         if bad.any():
             i = int(np.argmax(bad))
             raise ValueError(f"tree {np.searchsorted(ends, i, side='right')} node {node[i]}: {cause(i)}")
+
+    refuse(split & ((feature < 0) | (feature >= feature_count)),
+           lambda i: f"split feature {feature[i]} outside [0, {feature_count})")
+    refuse(split & ~np.isfinite(threshold), lambda i: f"threshold {threshold[i]} is not finite")
+    refuse(split & ((np.minimum(left, right) <= node) | (np.maximum(left, right) >= size)),
+           lambda i: f"children {left[i]} and {right[i]} are not both after it in its tree")
+    # The children now lie inside their trees, so they index the columns.
+    children = np.concatenate([(start + left)[split], (start + right)[split]])
+    parents = np.bincount(children, minlength=len(split))
+    refuse((node > 0) & (parents != 1),
+           lambda i: f"has {parents[i]} parents; every node but the root has one")
+    refuse(~split & ~((value >= 0.0) & (value <= 1.0)),
+           lambda i: f"leaf value {value[i]} outside [0, 1]")

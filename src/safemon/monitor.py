@@ -315,7 +315,10 @@ def _model_from_doc(doc: dict) -> MonitorModel:
             raise ValueError(f"{key} must be {value!r}, got {config[key]!r}")
     if set(config) != set(want):
         raise ValueError(f"forest_config has unknown keys {sorted(set(config) - set(want))}")
-    forest = forest_from_json_list(doc["forest"], doc["feature_count"], doc["forest_seed"])
+    seed = doc["forest_seed"]
+    if type(seed) is not int:  # a bool is no seed, nor is 3.0
+        raise ValueError(f"forest_seed must be a JSON integer, got {seed!r}")
+    forest = forest_from_json_list(doc["forest"], doc["feature_count"], seed)
     return MonitorModel(
         table=AbstractionTable.from_json_dict(doc["table"]),
         forest=forest,

@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import io
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -89,6 +91,49 @@ def test_usage_errors(capsys, tmp_path):
         assert main(argv) == EXIT_USAGE, argv
         assert capsys.readouterr().err == f"usage error: {message}\n"
     assert not Path(out).exists()
+
+
+# The help texts and usage errors `main` gave before a run built only its
+# own command's arguments: each case's argv, exit code, stdout and stderr.
+CLI_SURFACE = json.loads(Path(__file__).with_name("cli_surface.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CLI_SURFACE, ids=[" ".join(c["argv"]) or "-" for c in CLI_SURFACE])
+def test_help_and_usage_errors_match_golden_text(case, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:  # --help prints and exits
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["out"], case["err"])
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_a_command_adds_only_its_own_arguments(with_config, tmp_path, monkeypatch):
+    added = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def recording(parser, *flags, **kwargs):
+        added.append((parser.prog, flags[0]))
+        return add_argument(parser, *flags, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", recording)
+    argv = ["evaluate", "--model", "m.json", "--episodes", "c.jsonl"]
+    if with_config:
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"out_prefix": "e", "sweep": True}), encoding="utf-8")
+        argv += ["--config", str(config)]
+    else:
+        argv += ["--out-prefix", "e"]
+    with mock.patch.object(safemon.cli, "cmd_evaluate", lambda args: EXIT_OK):
+        assert main(argv) == EXIT_OK
+    # Every parser adds its own -h; only evaluate's adds more.
+    assert {prog for prog, flag in added if flag != "-h"} == {"safemon evaluate"}
+    assert [flag for prog, flag in added if prog == "safemon evaluate"] == [
+        "-h", "--model", "--episodes", "--criterion", "--theta", "--out-prefix", "--sweep",
+        "--traces", "--time-base", "--config",
+    ]
 
 
 TRAIN_AGENT_RULES = [
@@ -687,8 +732,10 @@ def split_root(doc):
 
 # Damage to the first tree whose root splits, the node the loader names and
 # its cause. Let through, a cycle hangs `evaluate` and `watch`, a feature or
-# child out of range ends them in a traceback or gives wrong traces, and a
-# non-integer one is truncated into range without a word.
+# child out of range ends them in a traceback or gives wrong traces, a
+# non-integer one is truncated into range without a word, and a node that
+# two splits share or none reaches leaves a tree that _grow_forest never
+# writes.
 TREE_DAMAGE = {
     "cyclic-tree": (lambda doc: split_root(doc).__setitem__(1, {"split": [0, 0.5, 0, 0]}), 1,
                     "children 0 and 0 are not both after it"),
@@ -700,6 +747,10 @@ TREE_DAMAGE = {
                             "split [2.7, "),
     "non-integer-child": (lambda doc: split_root(doc)[0]["split"].__setitem__(2, 2.7), 0,
                           "has a non-integer feature or child"),
+    "shared-child": (lambda doc: split_root(doc)[0]["split"].__setitem__(3, 1), 1,
+                     "has 2 parents; every node but the root has one"),
+    "deleted-root": (lambda doc: split_root(doc).pop(0), 1,
+                     "has 0 parents; every node but the root has one"),
 }
 DAMAGE = ["wrong-tag", "untagged", "truncated", "missing-key", "null-value", "bogus-value",
           "ragged-list", "non-integer-list"]
@@ -785,6 +836,71 @@ def test_model_with_bad_forest_config_is_io_error_naming_field(
     cause = f"i/o error: {bad}: monitor-model/1 document has a bad value: {field} must be"
     assert cause in captured.err
     assert f"got {value!r}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "field, value, cause",
+    [("forest_seed", value, "forest_seed must be a JSON integer")
+     for value in ("x", True, 3.0, None, [])]
+    + [("d", value, "table d must be a positive finite JSON number")
+       for value in (True, "1.5", 0, -1.0, 1e400, [])],
+)
+def test_model_with_bad_seed_or_level_is_io_error_naming_field(
+    field, value, cause, corpus_path, model_path, tmp_path, capsys
+):
+    doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
+    (doc["table"] if field == "d" else doc)[field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")  # 1e400 is written as Infinity
+    code = main(["evaluate", "--model", str(bad), "--episodes", corpus_path,
+                 "--out-prefix", str(tmp_path / "eval")])
+    assert code == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"i/o error: {bad}: monitor-model/1 document has a bad value: {cause}, got {value!r}\n"
+    )
+
+
+# A field of the agent file, the value it is given and the cause named.
+# Let through, each ended `collect` in a traceback, or exited 2 with
+# numpy's broadcast message, or broadcast a scalar over the state.
+AGENT_DAMAGE = [
+    ("layer_sizes", [], "layer_sizes must be a list of two or more integers >= 1, got []"),
+    ("layer_sizes", {}, "layer_sizes must be a list of two or more integers >= 1, got {}"),
+    ("layer_sizes", [4, True, 2], "layer_sizes must be a list of two or more integers >= 1"),
+    ("env", "pendulum", "env must be one of ['cartpole', 'mountaincar'], got 'pendulum'"),
+    ("env", None, "env must be one of ['cartpole', 'mountaincar'], got None"),
+    ("input_offset", [0.0, 0.0], "input_offset must be a list of 4 finite numbers, got [0.0, 0.0]"),
+    ("input_offset", 1.5, "input_offset must be a list of 4 finite numbers, got 1.5"),
+    ("input_offset", True, "input_offset must be a list of 4 finite numbers, got True"),
+    ("input_scale", [1.0] * 5, "input_scale must be a list of 4 finite numbers"),
+    ("input_scale", [1.0, 1.0, 1.0, math.nan], "input_scale must be a list of 4 finite numbers"),
+    ("input_scale", 10**30, "input_scale must be a list of 4 finite numbers"),
+    *[("report.unsafe_rate", rate, f"report unsafe_rate must be a number in [0, 1], got {rate!r}")
+      for rate in (None, [], {}, "x", True, 1.5)],
+]
+
+
+@pytest.mark.parametrize("field, value, cause", AGENT_DAMAGE,
+                         ids=[f"{field}={value!r}" for field, value, _ in AGENT_DAMAGE])
+def test_agent_with_bad_field_is_io_error_naming_it(field, value, cause, agent_path, tmp_path,
+                                                    capsys):
+    doc = json.loads(Path(agent_path).read_text(encoding="utf-8"))
+    if field == "report.unsafe_rate":
+        doc["report"] = {"mean_reward": 10.0, "unsafe_rate": value, "mean_length": 50.0,
+                         "eval_episodes": 100, "selected_step": 300, "band_satisfied": False,
+                         "checkpoints": []}
+    else:
+        doc[field] = value
+    bad = tmp_path / "bad-agent.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    assert main(["collect", "--agent", str(bad), "--episodes", "2", "--out", str(out)]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"i/o error: {bad}: agent/1 document has a bad value: {cause}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("features", ["binary", "frequency"])

@@ -1,6 +1,7 @@
 import csv
 import math
 from dataclasses import fields, replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,16 @@ from hypothesis import strategies as st
 
 from conftest import make_episode, make_set, two_band_corpus
 from safemon.abstraction import AbstractionTable, FeatureMode, episode_feature_matrix
+from safemon import evaluation
 from safemon.dataset import Label
 from safemon.evaluation import (
     Confusion,
     DecisionTimeStats,
+    MetricsRow,
+    SweepReport,
+    SweepRow,
+    _confusions,
+    _metrics_row,
     decision_time_stats,
     decision_stats_json,
     macro_f1,
@@ -22,7 +29,7 @@ from safemon.evaluation import (
     write_sweep_csv,
     write_traces_csv,
 )
-from safemon.forest import train_forest
+from safemon.forest import BatchSummary, train_forest
 from safemon.abstraction import UnseenPolicy
 from safemon.monitor import Criterion, DecisionTrace, MonitorModel, run_trace
 
@@ -214,6 +221,182 @@ def test_decision_time_stats_match_reference_loop(episodes):
         a, b = getattr(got, field.name), getattr(want, field.name)
         assert type(a) is type(b), field.name
         assert (a.hex() == b.hex()) if isinstance(a, float) else a == b, field.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(fired_episodes(), st.integers(1, 450))
+def test_metrics_over_time_equals_scoring_every_step(episodes, horizon):
+    """Scoring each distinct confusion once gives, field for field, the
+    rows of scoring every step's confusion on its own."""
+    traces, labels = episodes
+    fire = np.array([math.inf if t.first_fire_step is None else t.first_fire_step
+                     for t in traces])
+    unsafe = np.array([label is U for label in labels])
+    want = [_metrics_row(c, t)
+            for t, c in enumerate(_confusions(fire, unsafe, np.arange(horizon)))]
+    got = metrics_over_time(traces, labels, horizon)
+    assert len(got) == horizon
+    for a, b in zip(got, want):
+        for field in fields(MetricsRow):
+            x, y = getattr(a, field.name), getattr(b, field.name)
+            assert type(x) is type(y) and x == y, (a.t, field.name)
+
+
+# The report writers as they were before one % call formatted each block
+# of rows: csv.writer over columns of cells. The writers must give these
+# bytes.
+def oracle_shifted(values, time_base):
+    if not time_base:
+        return values
+    return [None if v is None else v + time_base for v in values]
+
+
+def oracle_cells(values, time_base=0):
+    return [f"{v:.6f}" if isinstance(v, float) else "" if v is None else v
+            for v in oracle_shifted(values, time_base)]
+
+
+def oracle_write_csv(path, header, columns, note=""):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(note)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(zip(*columns))
+
+
+NOTE = "# undefined 0/0 ratios reported as 0; unsafe is the positive class\n"
+SCORES = ("precision_weighted", "recall_weighted", "f1_weighted", "f1_macro")
+COUNTS = ("tp", "fp", "tn", "fn")
+SPREADS = ("decision_step", "remaining", "fraction")
+
+
+def oracle_metrics_csv(rows, path, time_base):
+    oracle_write_csv(
+        path,
+        ["t", *SCORES, *COUNTS],
+        [oracle_cells([r.t for r in rows], time_base)]
+        + [oracle_cells([getattr(r, name) for r in rows]) for name in SCORES]
+        + [[getattr(r.confusion, name) for r in rows] for name in COUNTS],
+        NOTE,
+    )
+
+
+def oracle_sweep_csv(report, path, time_base):
+    rows = report.rows
+    scores = ("f1_macro", "f1_weighted", "precision_weighted", "recall_weighted")
+
+    def spread(stats, name):
+        values = [getattr(stats, f"{name}_{part}") for part in ("min", "avg", "max")]
+        return oracle_shifted(values, time_base if name == "decision_step" else 0)
+
+    spreads = [[v for name in SPREADS for v in spread(r.stats, name)] for r in rows]
+    oracle_write_csv(
+        path,
+        ["criterion", "theta", *scores, *COUNTS, "fn_count", "fp_count",
+         *(f"{name}_{part}" for name in SPREADS for part in ("min", "avg", "max"))],
+        [[r.criterion.value for r in rows], [r.theta for r in rows]]
+        + [oracle_cells([getattr(r.metrics, name) for r in rows]) for name in scores]
+        + [[getattr(r.metrics.confusion, name) for r in rows] for name in COUNTS]
+        + [[r.fn_count for r in rows], [r.stats.fp_count for r in rows]]
+        + [oracle_cells(column) for column in zip(*spreads)],
+        NOTE,
+    )
+
+
+def oracle_traces_csv(traces, labels, path, time_base):
+    episode, name, step, fired, series = [], [], [], [], []
+    for i, (trace, label) in enumerate(zip(traces, labels)):
+        n = len(trace.series.mean)
+        fire = n if trace.first_fire_step is None else trace.first_fire_step
+        episode += [i] * n
+        name += [label.value if isinstance(label, Label) else label] * n
+        step += range(n)
+        fired += [0] * fire + [1] * (n - fire)
+        series.append(trace.series)
+    probabilities = [
+        oracle_cells([v for s in series for v in getattr(s, column).tolist()])
+        for column in ("mean", "low", "up")
+    ]
+    oracle_write_csv(
+        path,
+        ["episode", "label", "t", "p", "low", "up", "fired"],
+        [episode, name, oracle_cells(step, time_base), *probabilities, fired],
+    )
+
+
+# Floats that %.6f formats at its edges: signed zero, NaN, infinities,
+# halfway cases at the sixth decimal and huge magnitudes.
+_edge_floats = st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-7, -5e-7, 2.5e-6, 1.5e-6, 0.0000015,
+     0.1234565, 0.9999995, 1e300, -1e300, 1e-300, 5e-324]
+)
+_floats = st.floats() | _edge_floats
+_counts = st.integers(0, 10**6)
+# Labels: the enum, any text, text of the characters csv quotes for, and a
+# str enum that is no Label (written as its value, not as its str).
+_labels = (st.sampled_from(list(Label)) | st.text(max_size=6) | st.text(',"\r\n a', max_size=6)
+           | st.sampled_from(list(Criterion)))
+
+
+_metrics_row_values = st.builds(
+    MetricsRow, st.integers(0, 10**4), _floats, _floats, _floats, _floats,
+    st.builds(Confusion, _counts, _counts, _counts, _counts),
+)
+_spread = st.none() | _floats | st.integers(0, 500)  # hand-built stats may hold ints
+_sweep_reports = st.builds(
+    SweepReport,
+    rows=st.lists(st.builds(
+        SweepRow, st.sampled_from(list(Criterion)), _floats, _metrics_row_values,
+        st.builds(DecisionTimeStats, *[_spread] * 9, fp_count=_counts), _counts,
+    ), max_size=4),
+    horizon=st.integers(1, 500),
+)
+
+
+@st.composite
+def labelled_traces(draw):
+    traces, labels = [], []
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(1, 6))
+        mean, low, up = (np.array(draw(st.lists(_floats, min_size=n, max_size=n)))
+                         for _ in range(3))
+        fire = draw(st.none() | st.integers(0, n))
+        traces.append(DecisionTrace(BatchSummary(mean, np.zeros(n), low, up), fire, n, False))
+        labels.append(draw(_labels))
+    return traces, labels
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), time_base=st.sampled_from([0, 1]), block_rows=st.integers(1, 8))
+def test_report_writers_give_the_bytes_of_csv_writer(data, time_base, block_rows, csv_dir):
+    """Any block size, down to one row per % call, gives the same bytes."""
+    rows = data.draw(st.lists(_metrics_row_values, max_size=6))
+    report = data.draw(_sweep_reports)
+    traces, labels = data.draw(labelled_traces())
+    for write, oracle, args in (
+        (write_metrics_csv, oracle_metrics_csv, (rows,)),
+        (write_sweep_csv, oracle_sweep_csv, (report,)),
+        (write_traces_csv, oracle_traces_csv, (traces, labels)),
+    ):
+        got, want = csv_dir / "got.csv", csv_dir / "want.csv"
+        with mock.patch.object(evaluation, "_BLOCK_ROWS", block_rows):
+            write(*args, got, time_base=time_base)
+        oracle(*args, want, time_base)
+        assert got.read_bytes() == want.read_bytes(), write.__name__
+
+
+def test_traces_csv_quotes_labels_as_csv_does(tmp_path):
+    traces = [DecisionTrace(BatchSummary(*(np.array([0.5]),) * 4), None, 1, False)] * 4
+    labels = ['a,b', 'say "hi"', "two\nlines", "cr\r"]
+    path = tmp_path / "traces.csv"
+    write_traces_csv(traces, labels, path)
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert [row[1] for row in csv.reader(fh)][1:] == labels
 
 
 def test_evaluation_rejects_bad_input_with_one_message():
