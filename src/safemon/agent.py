@@ -615,11 +615,13 @@ def _agent_from_doc(doc: dict) -> AgentModel:
                 for c in rep["checkpoints"]
             ],
         )
+    gamma, seed, steps = doc["gamma"], doc["seed"], doc["steps_trained"]
+    if type(gamma) not in (int, float) or not 0.0 <= gamma <= 1.0:
+        raise ValueError(f"gamma must be a JSON number in [0, 1], got {gamma!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be a JSON integer, got {seed!r}")
+    if type(steps) is not int or steps < 0:
+        raise ValueError(f"steps_trained must be a JSON integer >= 0, got {steps!r}")
     return AgentModel(
-        env_kind=env,
-        network=network,
-        gamma=doc["gamma"],
-        seed=doc["seed"],
-        steps_trained=doc["steps_trained"],
-        report=report,
+        env_kind=env, network=network, gamma=gamma, seed=seed, steps_trained=steps, report=report
     )

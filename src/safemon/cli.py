@@ -399,47 +399,30 @@ _COMMANDS = {
 }
 
 
-class _Command(_Parser):
-    """A subcommand's parser, which gets its arguments the first time it
-    is used: a run adds the arguments of the command it runs and of no
-    other, while every command is still listed for help and usage errors."""
-
-    def __init__(self, add_arguments, **kwargs):
-        super().__init__(**kwargs)
-        self._add_arguments = add_arguments
-
-    def with_arguments(self) -> "_Command":
-        if self._add_arguments is not None:
-            add, self._add_arguments = self._add_arguments, None
-            add(self)
-        return self
-
-    def parse_known_args(self, args=None, namespace=None):
-        self.with_arguments()
-        return super().parse_known_args(args, namespace)
-
-
 def build_parser() -> _Parser:
-    """The safemon parser: one _Command per subcommand, none of them with
-    its arguments until it parses or is asked for them."""
+    """The safemon parser, with every subcommand's. `main` needs it only
+    for help and for a missing or unknown command; a command runs on a
+    parser of its own arguments alone."""
     parser = _Parser(prog="safemon", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
-    parser.commands = {  # subcommand name -> its parser
-        name: sub.add_parser(name, help=help_line, add_arguments=add_arguments)
-        for name, (help_line, add_arguments) in _COMMANDS.items()
-    }
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_line))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        command = parser.commands.get(argv[0]) if argv else None
-        if command is not None and "--config" in command.with_arguments()._option_string_actions:
-            path = _CONFIG.parse_known_args(argv[1:])[0].config
-            if path is not None:
-                argv[1:1] = _config_flags(path, command)
+        if argv and argv[0] in _COMMANDS:
+            name, argv = argv[0], argv[1:]
+            parser = _Parser(prog=f"safemon {name}")  # the prog a subparser gets
+            _COMMANDS[name][1](parser)
+            if "--config" in parser._option_string_actions:
+                path = _CONFIG.parse_known_args(argv)[0].config
+                if path is not None:
+                    argv[:0] = _config_flags(path, parser)
+        else:
+            parser = build_parser()
         args = parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:

@@ -128,8 +128,8 @@ def test_a_command_adds_only_its_own_arguments(with_config, tmp_path, monkeypatc
         argv += ["--out-prefix", "e"]
     with mock.patch.object(safemon.cli, "cmd_evaluate", lambda args: EXIT_OK):
         assert main(argv) == EXIT_OK
-    # Every parser adds its own -h; only evaluate's adds more.
-    assert {prog for prog, flag in added if flag != "-h"} == {"safemon evaluate"}
+    # Only evaluate's parser is made: no other one adds even its own -h.
+    assert {prog for prog, flag in added} == {"safemon evaluate"}
     assert [flag for prog, flag in added if prog == "safemon evaluate"] == [
         "-h", "--model", "--episodes", "--criterion", "--theta", "--out-prefix", "--sweep",
         "--traces", "--time-base", "--config",
@@ -864,7 +864,8 @@ def test_model_with_bad_seed_or_level_is_io_error_naming_field(
 
 # A field of the agent file, the value it is given and the cause named.
 # Let through, each ended `collect` in a traceback, or exited 2 with
-# numpy's broadcast message, or broadcast a scalar over the state.
+# numpy's broadcast message, or broadcast a scalar over the state, or
+# (gamma, seed, steps_trained) loaded whatever value it held.
 AGENT_DAMAGE = [
     ("layer_sizes", [], "layer_sizes must be a list of two or more integers >= 1, got []"),
     ("layer_sizes", {}, "layer_sizes must be a list of two or more integers >= 1, got {}"),
@@ -879,6 +880,12 @@ AGENT_DAMAGE = [
     ("input_scale", 10**30, "input_scale must be a list of 4 finite numbers"),
     *[("report.unsafe_rate", rate, f"report unsafe_rate must be a number in [0, 1], got {rate!r}")
       for rate in (None, [], {}, "x", True, 1.5)],
+    *[("gamma", gamma, f"gamma must be a JSON number in [0, 1], got {gamma!r}")
+      for gamma in (None, "0.99", True, [], {}, -0.5, 1.5, math.nan)],
+    *[("seed", seed, f"seed must be a JSON integer, got {seed!r}")
+      for seed in (None, "7", True, 7.0, [], {})],
+    *[("steps_trained", steps, f"steps_trained must be a JSON integer >= 0, got {steps!r}")
+      for steps in (None, "100", False, 100.0, -1, [], {})],
 ]
 
 

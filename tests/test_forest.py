@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import re
+from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import id_table, replay_with_leaf_values
 from safemon.abstraction import FeatureMode
 from safemon.forest import (
     Forest,
+    PackedTrees,
     Tree,
     Z_CRITICAL,
     _best_splits,
@@ -405,12 +407,58 @@ def random_trees(draw, width):
     )
 
 
+def chain_tree(depth, width, threshold=2.0):
+    """A chain of `depth` splits, split k testing feature k % width at
+    `threshold`: its left child goes on down the chain and its right one
+    is a leaf. A row at or below the threshold walks all `depth` levels,
+    so beside a root that is a leaf the walks of one forest end at very
+    different depths."""
+    n = 2 * depth + 1
+    feature, left, right = (np.full(n, -1, dtype=np.int32) for _ in range(3))
+    thresholds = np.zeros(n)
+    for k in range(depth):
+        feature[k], thresholds[k], left[k], right[k] = k % width, threshold, k + 1, depth + 1 + k
+    return Tree(feature=feature, threshold=thresholds, left=left, right=right,
+                value=np.arange(n) / (n - 1), count=np.ones(n, dtype=np.int64))
+
+
+def path_length(tree, row):
+    """The number of splits the walk of `row` down `tree` passes."""
+    node, length = 0, 0
+    while tree.feature[node] >= 0:
+        go_left = row[tree.feature[node]] <= tree.threshold[node]
+        node, length = (tree.left if go_left else tree.right)[node], length + 1
+    return length
+
+
+@contextmanager
+def descent_levels():
+    """The levels, read calls, of each PackedTrees._descend call made
+    inside the block. A walk whose longest path passes n splits reads n
+    levels to reach its leaves and one more to see that no pair moves."""
+    levels = []
+    descend = PackedTrees._descend
+
+    def counting(packed, nodes, read):
+        def counted(at):
+            levels[-1] += 1
+            return read(at)
+
+        levels.append(0)
+        return descend(packed, nodes, counted)
+
+    with mock.patch.object(PackedTrees, "_descend", counting):
+        yield levels
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_predict_batch_matches_per_tree_walks(data):
     width = data.draw(st.integers(1, 4))
     trees = data.draw(st.lists(random_trees(width), min_size=1, max_size=6))
     trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
+    if data.draw(st.booleans()):  # walks that end at very different depths
+        trees.insert(data.draw(st.integers(0, len(trees))), chain_tree(33, width))
     row = st.lists(st.sampled_from(GRID + [2.5]), min_size=width, max_size=width)
     rows = data.draw(st.lists(row, max_size=8))
     rows += rows[: data.draw(st.integers(0, len(rows)))]  # duplicated rows
@@ -418,12 +466,17 @@ def test_predict_batch_matches_per_tree_walks(data):
     forest = Forest(trees=trees, feature_count=width, seed=0)
 
     batch = predict_batch(forest, x)
-    per_tree = forest.packed.leaf_values(x)
+    with descent_levels() as levels:
+        per_tree = forest.packed.leaf_values(x)
     assert per_tree.shape == (len(trees), len(x))
+    if len(x):
+        assert levels == [max(path_length(t, row) for t in trees for row in x) + 1]
     for i, row in enumerate(x):
         walked = np.array([t.probability(row) for t in trees])
         assert per_tree[:, i].tobytes() == walked.tobytes()
-        assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
+        with descent_levels() as levels:
+            assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
+        assert levels == [max(path_length(t, row) for t in trees) + 1]
         single = predict(forest, row)
         fields = (single.mean, single.std, single.low, single.up)
         columns = (batch.mean[i], batch.std[i], batch.low[i], batch.up[i])
@@ -435,15 +488,21 @@ def test_predict_batch_matches_per_tree_walks(data):
 @pytest.mark.parametrize("kind", sorted(GOLDEN_BATCH_SHA256))
 def test_one_row_predict_matches_tree_walks(kind):
     """predict walks every tree from its root for one row: the golden
-    forest's trees, alone, must reach the same leaves."""
+    forest's trees, alone, must reach the same leaves, also beside a root
+    that is a leaf and a chain of 33 splits, and the walk must stop one
+    level after its longest path."""
     x, y = golden_data(kind)
-    forest = train_forest(x, y, 30, seed=77)
+    golden = train_forest(x, y, 30, seed=77)
+    uneven = Forest(trees=[leaf_tree(0.25), chain_tree(33, 60), *golden.trees], feature_count=60, seed=0)
     rows = np.vstack([x[:20], np.zeros((1, 60)), np.full((1, 60), 7.0)])
-    for row in rows:
-        walked = np.array([tree.probability(row) for tree in forest.trees])
-        assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
-        single = predict(forest, row)
-        assert single.mean == walked.mean() and single.std == walked.std()
+    for forest in (golden, uneven):
+        for row in rows:
+            walked = np.array([tree.probability(row) for tree in forest.trees])
+            with descent_levels() as levels:
+                assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
+            assert levels == [max(path_length(tree, row) for tree in forest.trees) + 1]
+            single = predict(forest, row)
+            assert single.mean == walked.mean() and single.std == walked.std()
 
 
 def dense_prefixes(ids, n, mode):
@@ -465,19 +524,44 @@ def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
     step only when a feature it tests changed: none at an unseen id or a
     binary revisit. Every tree at every step must still read the leaf its
     own walk reaches, and every summary must equal the plain walk's, over
-    episodes stacked into chunks of any size."""
+    episodes stacked into chunks of any size. Each chunk's walk stops one
+    level after the longest path of the pairs it walks."""
     n = data.draw(st.integers(1, 6))
     trees = data.draw(st.lists(random_trees(n), min_size=1, max_size=6))
     trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
+    if data.draw(st.booleans()):  # walks that end at very different depths
+        trees.insert(data.draw(st.integers(0, len(trees))), chain_tree(33, n))
     forest = Forest(trees=trees, feature_count=n, seed=0)
     model = MonitorModel(table=id_table(n), forest=forest, mode=mode)
     ids = st.lists(st.integers(-1, n - 1), min_size=1, max_size=30)
     episodes = data.draw(st.lists(ids, min_size=1, max_size=4))
     budget = data.draw(st.sampled_from([1, 8, 40, monitor_module.ROW_BUDGET]))
 
-    with mock.patch.object(monitor_module, "ROW_BUDGET", budget):
+    chunks = []  # the blocks of each prefix_leaf_values call and its levels
+    prefix_leaf_values = PackedTrees.prefix_leaf_values
+
+    def recording(packed, blocks):
+        with descent_levels() as levels:
+            result = prefix_leaf_values(packed, blocks)
+        chunks.append((blocks, levels))
+        return result
+
+    with mock.patch.object(monitor_module, "ROW_BUDGET", budget), \
+            mock.patch.object(PackedTrees, "prefix_leaf_values", recording):
         corpus = [[[i + 0.5] if i >= 0 else [-0.5] for i in e] for e in episodes]
         traces, replayed = replay_with_leaf_values(model, corpus)
+    tested = [set(tree.feature[tree.feature >= 0].tolist()) for tree in trees]
+    for blocks, levels in chunks:
+        longest = 0  # over the pairs the change-driven walk goes down
+        for rows, columns in blocks:
+            dense = np.zeros((len(rows), n))
+            dense[:, columns] = rows
+            for t, row in enumerate(dense):
+                changed = set(np.flatnonzero(row != dense[t - 1]).tolist()) if t else None
+                for tree, features in zip(trees, tested):
+                    if t == 0 or changed & features:
+                        longest = max(longest, path_length(tree, row))
+        assert levels == [longest + 1]
     for episode, trace, per_tree in zip(episodes, traces, replayed):
         dense = dense_prefixes(episode, n, mode)
         for t, row in enumerate(dense):
