@@ -555,8 +555,28 @@ def _core_doc(model: AgentModel) -> dict:
 
 
 def agent_fingerprint(model: AgentModel) -> str:
-    canon = json.dumps(_core_doc(model), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    """The first 16 hex digits of a SHA-256 over the agent's core: a
+    compact, key-sorted JSON header of its format, env, gamma, seed,
+    steps_trained and layer_sizes, then the little-endian float64 bytes
+    of input_offset, input_scale and params, in that order.
+
+    The header fixes how many parameter bytes follow, so the fingerprint
+    changes with any header field and any parameter bit (0.0 and -0.0
+    differ). The training report is left out.
+    """
+    network = model.network
+    header = {
+        "format": AGENT_FORMAT,
+        "env": model.env_kind,
+        "gamma": model.gamma,
+        "seed": model.seed,
+        "steps_trained": model.steps_trained,
+        "layer_sizes": list(network.layer_sizes),
+    }
+    digest = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+    for values in (network.input_offset, network.input_scale, network.params):
+        digest.update(np.asarray(values, dtype="<f8").tobytes())
+    return digest.hexdigest()[:16]
 
 
 def save_agent(model: AgentModel, path) -> None:
@@ -574,14 +594,49 @@ def load_agent(path) -> AgentModel:
     return load_document(path, AGENT_FORMAT, _agent_from_doc)
 
 
-def _finite_numbers(doc: dict, key: str, n: int) -> list:
-    """doc[key], refused unless it is a list of n finite JSON numbers."""
-    values = doc[key]
-    # `type`, since a bool is an int.
-    if not (type(values) is list and len(values) == n
-            and all((type(v) is float or type(v) is int) and math.isfinite(v) for v in values)):
-        raise ValueError(f"{key} must be a list of {n} finite numbers, got {values!r}")
-    return values
+def _finite_rows(rows, n: int, names) -> np.ndarray:
+    """The (len(rows), n) float64 matrix of `rows`, refused unless each row
+    is a list of n finite JSON numbers; names[i] names row i."""
+    values = []
+    for row in rows:
+        if type(row) is not list or len(row) != n:
+            break
+        values += row
+    else:
+        # `type`, since a bool is an int; numpy would read "0.5" as 0.5.
+        if set(map(type, values)) <= {float, int}:
+            matrix = np.array(values, dtype=np.float64).reshape(len(rows), n)
+            if np.isfinite(matrix).all():
+                return matrix
+    for name, row in zip(names, rows):
+        if not (type(row) is list and len(row) == n
+                and all((type(v) is float or type(v) is int) and math.isfinite(v) for v in row)):
+            raise ValueError(f"{name} must be a list of {n} finite numbers, got {row!r}")
+    raise AssertionError("every row is well formed")
+
+
+def _layer_weights(weights, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each layer's (w, b) from an agent document's "weights", refused
+    unless it holds one {"w", "b"} entry per layer, shaped as `sizes` say,
+    of finite JSON numbers; the message names the layer, w or b, and row."""
+    if type(weights) is not list or len(weights) != len(sizes) - 1:
+        raise ValueError(
+            f"weights must be a list of {len(sizes) - 1} layers for layer_sizes {sizes}, "
+            f"got {len(weights) if type(weights) is list else weights!r}"
+        )
+    layers = []
+    for k, (entry, fan_in, fan_out) in enumerate(zip(weights, sizes, sizes[1:])):
+        if type(entry) is not dict:
+            raise ValueError(f"weights[{k}] must be an object with keys w and b, got {entry!r}")
+        w, b = entry["w"], entry["b"]
+        if type(w) is not list or len(w) != fan_in:
+            raise ValueError(
+                f"weights[{k}].w must be a list of {fan_in} rows, "
+                f"got {f'{len(w)} rows' if type(w) is list else repr(w)}"
+            )
+        w = _finite_rows(w, fan_out, [f"weights[{k}].w[{r}]" for r in range(fan_in)])
+        layers.append((w, _finite_rows([b], fan_out, [f"weights[{k}].b"])[0]))
+    return layers
 
 
 def _agent_from_doc(doc: dict) -> AgentModel:
@@ -591,11 +646,10 @@ def _agent_from_doc(doc: dict) -> AgentModel:
     if not (type(sizes) is list and len(sizes) >= 2
             and all(type(s) is int and s >= 1 for s in sizes)):
         raise ValueError(f"layer_sizes must be a list of two or more integers >= 1, got {sizes!r}")
+    offset, scale = (_finite_rows([doc[key]], sizes[0], [key])[0]
+                     for key in ("input_offset", "input_scale"))
     network = QNetwork(
-        sizes,
-        weights=[(entry["w"], entry["b"]) for entry in doc["weights"]],
-        input_offset=_finite_numbers(doc, "input_offset", sizes[0]),
-        input_scale=_finite_numbers(doc, "input_scale", sizes[0]),
+        sizes, weights=_layer_weights(doc["weights"], sizes), input_offset=offset, input_scale=scale
     )
     report = None
     if "report" in doc:

@@ -16,6 +16,17 @@ that gives the same float64; as an action both are refused. Each of `s`,
 its values' types, so a string or boolean is refused at its step. Model
 files are decoded with orjson too (monitor.load_model); agent documents,
 `--config` files and `watch` lines keep json: nothing there is hot.
+
+Corpus lines are written without json.dumps: each episode is one `%` of
+a step template, `{"s": [%r, ...], "a": %d, "q": [%r, ...], "r": %r}`,
+repeated once per step and joined by ", ", over the flat list of its
+stacked (state, action, Q-vector, reward) rows. `%r` of a Python float is
+the `float.__repr__` json writes for a finite float, `%d` of the action
+(a whole float in that list) prints the integer, and the separators are
+json's, so each line has json.dumps's bytes. The two differ only on NaN
+and the infinities (`nan` against `NaN`), which read_jsonl refuses
+anyway; write_jsonl refuses them first, with an action outside the
+Q-vector, for every episode before it opens the file.
 """
 
 from __future__ import annotations
@@ -185,22 +196,6 @@ def split(episode_set: EpisodeSet, train_fraction: float, seed: int):
     return subset(order[:n_train]), subset(order[n_train:])
 
 
-def _episode_to_obj(episode: Episode) -> dict:
-    # One .tolist() per column, which makes the same Python ints and
-    # floats as converting step by step, in far fewer calls.
-    columns = (
-        episode.states.tolist(),
-        episode.actions.astype(np.int64, copy=False).tolist(),
-        episode.qs.tolist(),
-        episode.rewards.astype(np.float64, copy=False).tolist(),
-    )
-    return {
-        "label": episode.label.value,
-        "cause": episode.cause.value,
-        "steps": [{"s": s, "a": a, "q": q, "r": r} for s, a, q, r in zip(*columns)],
-    }
-
-
 def _number_rows(steps: list, key: str) -> np.ndarray:
     """The (steps, width) float64 matrix of each step's `key`, a list of
     JSON numbers as wide as step 0's; a step that breaks this raises
@@ -235,6 +230,16 @@ def _number_rows(steps: list, key: str) -> np.ndarray:
     raise AssertionError("every row is well formed")
 
 
+def _first_non_finite(columns):
+    """(key, step) of the first row holding a NaN or an infinity, over
+    (key, (steps, ...) array) pairs taken in order; None if all are finite."""
+    for key, values in columns:
+        finite = np.isfinite(values)
+        if not finite.all():
+            return key, int(np.argmin(finite.reshape(len(values), -1).all(axis=1)))
+    return None
+
+
 def _episode_from_obj(obj: dict) -> Episode:
     steps = obj["steps"]
     if not steps:
@@ -245,11 +250,10 @@ def _episode_from_obj(obj: dict) -> Episode:
         step = next(i for i, r in enumerate(rewards) if type(r) is not float and type(r) is not int)
         raise DatasetError(f"step {step} has a non-numeric r: {rewards[step]!r}")
     rewards = np.array(rewards, dtype=np.float64)
-    for key, values in (("q", qs), ("s", states), ("r", rewards)):
-        finite = np.isfinite(values)
-        if not finite.all():
-            step = int(np.argmin(finite.reshape(len(steps), -1).all(axis=1)))
-            raise DatasetError(f"step {step} has a non-finite {key}: {steps[step][key]}")
+    hit = _first_non_finite((("q", qs), ("s", states), ("r", rewards)))
+    if hit is not None:
+        key, step = hit
+        raise DatasetError(f"step {step} has a non-finite {key}: {steps[step][key]}")
     # An int64 cast would read 1.7 or true as 1 and overflow on 10**30.
     actions, width = [s["a"] for s in steps], qs.shape[1]
     if set(map(type, actions)) != {int} or not set(actions) <= set(range(width)):
@@ -265,12 +269,52 @@ def _episode_from_obj(obj: dict) -> Episode:
     )
 
 
+def _step_template(state_dim: int, width: int) -> str:
+    """The `%` template of one corpus step, with json.dumps's separators."""
+    s, q = (", ".join(["%r"] * n) for n in (state_dim, width))
+    return '{"s": [' + s + '], "a": %d, "q": [' + q + '], "r": %r}'
+
+
+def _unwritable(episode: Episode) -> Optional[str]:
+    """Why read_jsonl would refuse the episode's line, in its words, or None."""
+    columns = {"q": episode.qs, "s": episode.states, "r": episode.rewards}
+    hit = _first_non_finite(columns.items())
+    if hit is not None:
+        key, step = hit
+        return f"step {step} has a non-finite {key}: {columns[key][step].tolist()}"
+    width, actions = episode.qs.shape[1], episode.actions
+    outside = (actions < 0) | (actions >= width)
+    if outside.any():
+        step = int(np.argmax(outside))
+        return f"step {step} has action {actions[step].item()!r}, not an integer in [0, {width})"
+    return None
+
+
 def write_jsonl(episode_set: EpisodeSet, path) -> None:
-    """One JSON object per line per episode; UTF-8 with LF endings."""
+    """One JSON object per line per episode; UTF-8 with LF endings.
+
+    Every episode is checked before the file is opened: one that
+    read_jsonl would refuse (a non-finite state, Q-value or reward, or an
+    action outside [0, Q width)) raises ValueError naming it, its step and
+    field, and leaves `path` untouched.
+    """
+    for i, episode in enumerate(episode_set.episodes):
+        why = _unwritable(episode)
+        if why is not None:
+            raise ValueError(f"{path}: episode {i} not written: {why}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for episode in episode_set.episodes:
-            fh.write(json.dumps(_episode_to_obj(episode)))
-            fh.write("\n")
+            length, state_dim = episode.states.shape
+            step = _step_template(state_dim, episode.qs.shape[1])
+            values = np.column_stack(
+                (episode.states, episode.actions, episode.qs, episode.rewards)
+            ).ravel().tolist()
+            fh.write(
+                f'{{"label": {json.dumps(episode.label.value)}, '
+                f'"cause": {json.dumps(episode.cause.value)}, "steps": ['
+            )
+            fh.write(", ".join([step] * length) % tuple(values))
+            fh.write("]}\n")
 
 
 def read_jsonl(path) -> EpisodeSet:

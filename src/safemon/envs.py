@@ -153,9 +153,10 @@ class _ControlEnv:
         """
         columns = cls._dynamics(states.T, actions, _COLUMN_OPS)
         steps = steps_taken + 1
-        causes = np.select(
-            cls._ends(columns, steps), [_CODE[cause] for cause in cls.endings], RUNNING
-        )
+        # Filled from the last ending back, so the first that holds wins.
+        causes = RUNNING
+        for hit, cause in reversed(tuple(zip(cls._ends(columns, steps), cls.endings))):
+            causes = np.where(hit, _CODE[cause], causes)
         rewards = np.where(
             causes == _CODE[Cause.VIOLATION], cls._violation_reward(steps), cls.step_reward
         )

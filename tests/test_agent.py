@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -99,6 +101,44 @@ def test_serialization_preserves_q_values(tmp_path):
         assert np.max(np.abs(restored.q_values(state) - model.q_values(state))) <= 1e-9
     assert agent_fingerprint(restored) == agent_fingerprint(model)
     assert restored.env_kind == CARTPOLE
+
+
+def flip_last_bit(values, i):
+    values.view(np.int64)[i] ^= 1
+
+
+# Each edit changes one thing the fingerprint covers.
+FINGERPRINT_EDITS = {
+    "weight-last-bit": lambda m: flip_last_bit(m.network.params, 5),
+    "bias-zero-sign": lambda m: m.network.weights[0][1].__setitem__(0, -0.0),
+    "input-offset-last-bit": lambda m: flip_last_bit(m.network.input_offset, 0),
+    "input-scale-last-bit": lambda m: flip_last_bit(m.network.input_scale, 3),
+    "env": lambda m: setattr(m, "env_kind", MOUNTAINCAR),
+    "gamma": lambda m: setattr(m, "gamma", 0.98),
+    "seed": lambda m: setattr(m, "seed", m.seed + 1),
+    "steps-trained": lambda m: setattr(m, "steps_trained", 1),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(FINGERPRINT_EDITS))
+def test_fingerprint_follows_each_parameter_bit_and_header_field(edit):
+    model = tiny_model(CARTPOLE, seed=3)
+    assert math.copysign(1.0, model.network.weights[0][1][0]) == 1.0  # biases start at +0.0
+    base = agent_fingerprint(model)
+    assert re.fullmatch("[0-9a-f]{16}", base)
+    twin = dataclasses.replace(model, network=model.network.copy())
+    FINGERPRINT_EDITS[edit](twin)
+    assert agent_fingerprint(twin) != base
+    assert agent_fingerprint(model) == base
+
+
+def test_fingerprint_leaves_out_the_training_report():
+    model = tiny_model(CARTPOLE, seed=3)
+    reported = dataclasses.replace(model, report=TrainReport(
+        mean_reward=10.0, unsafe_rate=0.1, mean_length=50.0, eval_episodes=100,
+        selected_step=0, band_satisfied=True, checkpoints=[CheckpointStat(0, 0.1, 10.0, 50.0)],
+    ))
+    assert agent_fingerprint(reported) == agent_fingerprint(model)
 
 
 MODERATE = st.floats(-1e3, 1e3)

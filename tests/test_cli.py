@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -886,7 +887,25 @@ AGENT_DAMAGE = [
       for seed in (None, "7", True, 7.0, [], {})],
     *[("steps_trained", steps, f"steps_trained must be a JSON integer >= 0, got {steps!r}")
       for steps in (None, "100", False, 100.0, -1, [], {})],
+    # The fixture's layer sizes are [4, 8, 2]: weights[0].w is 4 rows of 8.
+    ("weights[0].w[1][2]", math.nan, "weights[0].w[1] must be a list of 8 finite numbers, got ["),
+    ("weights[1].w[0][1]", -math.inf, "weights[1].w[0] must be a list of 2 finite numbers, got ["),
+    ("weights[1].b[0]", "0.5", "weights[1].b must be a list of 2 finite numbers, got ['0.5', "),
+    ("weights[0].w[3][7]", True, "weights[0].w[3] must be a list of 8 finite numbers, got ["),
+    ("weights[1].w[5]", [0.5], "weights[1].w[5] must be a list of 2 finite numbers, got [0.5]"),
+    ("weights[0].b", None, "weights[0].b must be a list of 8 finite numbers, got None"),
+    ("weights[1].w", [[0.5, 0.5]] * 2, "weights[1].w must be a list of 8 rows, got 2 rows"),
+    ("weights[1]", [[0.5]], "weights[1] must be an object with keys w and b, got [[0.5]]"),
+    ("weights", [], "weights must be a list of 2 layers for layer_sizes [4, 8, 2], got 0"),
 ]
+
+
+def set_field(doc, field, value):
+    """doc with the value at `field`, a path such as weights[0].w[1][2]."""
+    *path, last = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", field)]
+    for key in path:
+        doc = doc[key]
+    doc[last] = value
 
 
 @pytest.mark.parametrize("field, value, cause", AGENT_DAMAGE,
@@ -899,7 +918,7 @@ def test_agent_with_bad_field_is_io_error_naming_it(field, value, cause, agent_p
                          "eval_episodes": 100, "selected_step": 300, "band_satisfied": False,
                          "checkpoints": []}
     else:
-        doc[field] = value
+        set_field(doc, field, value)
     bad = tmp_path / "bad-agent.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "c.jsonl"
@@ -908,6 +927,26 @@ def test_agent_with_bad_field_is_io_error_naming_it(field, value, cause, agent_p
     assert captured.out == ""
     assert captured.err.startswith(f"i/o error: {bad}: agent/1 document has a bad value: {cause}")
     assert not out.exists()
+
+
+def test_collect_refuses_q_values_that_overflow_and_keeps_the_old_corpus(agent_path, tmp_path,
+                                                                        capsys):
+    # Finite weights, but Q overflows: both layers scaled by 1e200.
+    doc = json.loads(Path(agent_path).read_text(encoding="utf-8"))
+    for layer in doc["weights"]:
+        layer["w"] = [[v * 1e200 for v in row] for row in layer["w"]]
+    big = tmp_path / "big-agent.json"
+    big.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / "c.jsonl"
+    out.write_bytes(b"old corpus\n")
+    with pytest.warns(RuntimeWarning, match="encountered in matmul"):  # numpy's, in the Q pass
+        code = main(["collect", "--agent", str(big), "--episodes", "2", "--out", str(out)])
+    assert code == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"numeric failure: {out}: episode 0 not written: step 0 has a non-finite q: [")
+    assert out.read_bytes() == b"old corpus\n"
 
 
 @pytest.mark.parametrize("features", ["binary", "frequency"])

@@ -250,14 +250,28 @@ def episodes_of(draw, env_kind):
     )
 
 
+def json_dumps_corpus(episodes) -> bytes:
+    """The corpus as json.dumps writes it: one dict per episode and a
+    newline, the reference for write_jsonl's bytes."""
+    lines = []
+    for e in episodes:
+        columns = (e.states.tolist(), e.actions.astype(np.int64).tolist(), e.qs.tolist(),
+                   e.rewards.astype(np.float64).tolist())
+        steps = [{"s": s, "a": a, "q": q, "r": r} for s, a, q, r in zip(*columns)]
+        lines.append(json.dumps({"label": e.label.value, "cause": e.cause.value, "steps": steps}) + "\n")
+    return "".join(lines).encode("utf-8")
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data(), env_kind=st.sampled_from(ENV_KINDS))
 def test_jsonl_round_trip_property(data, env_kind):
-    """read_jsonl(write_jsonl(s)) gives back every array bit for bit."""
+    """read_jsonl(write_jsonl(s)) gives back every array bit for bit, and
+    the file holds the bytes json.dumps gives."""
     episodes = data.draw(st.lists(episodes_of(env_kind), min_size=1, max_size=4))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "corpus.jsonl"
         write_jsonl(EpisodeSet(episodes=episodes), path)
+        assert path.read_bytes() == json_dumps_corpus(episodes)
         restored = read_jsonl(path)
     assert restored.env_kind == env_kind
     assert len(restored) == len(episodes)
@@ -266,6 +280,59 @@ def test_jsonl_round_trip_property(data, env_kind):
         for field in ("qs", "states", "actions", "rewards"):
             a, b = getattr(after, field), getattr(before, field)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+# Floats whose shortest repr takes each of repr's forms: a signed zero, the
+# smallest subnormal, exponent and fixed notation on both sides of the
+# switches, 17 significant digits and the largest finite value.
+WRITER_EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 123456789012345678.0,
+                      1.7976931348623157e308, 200.0]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_jsonl_writes_edge_floats_as_json_dumps_does(tmp_path, width):
+    values = WRITER_EDGE_FLOATS + [-v for v in WRITER_EDGE_FLOATS]
+    length = len(values)
+    pick = lambda k, n: np.array([[values[(k + i * n + j) % length] for j in range(n)]
+                                  for i in range(length)])
+    episodes = [
+        Episode(states=pick(k, 2), actions=np.arange(length, dtype=np.int64) % width,
+                qs=pick(k + 1, width), rewards=pick(k + 2, 1)[:, 0],
+                label=Label.UNSAFE if k else Label.SAFE,
+                cause=Cause.VIOLATION if k else Cause.GOAL)
+        for k in range(2)
+    ]
+    path = tmp_path / "edge.jsonl"
+    write_jsonl(EpisodeSet(episodes=episodes), path)
+    text = path.read_bytes()
+    assert text == json_dumps_corpus(episodes)
+    for value in ("-0.0", "5e-324", "1e-05", "0.0001", "1e+16", "1.2345678901234568e+17",
+                  "1.7976931348623157e+308", "-200.0"):
+        assert value.encode() in text
+    restored = read_jsonl(path)
+    for before, after in zip(episodes, restored.episodes):
+        for field in ("qs", "states", "actions", "rewards"):
+            assert getattr(after, field).tobytes() == getattr(before, field).tobytes()
+
+
+@pytest.mark.parametrize(
+    "field, step, value, cause",
+    [("qs", 1, [math.nan, 2.0], "step 1 has a non-finite q: [nan, 2.0]"),
+     ("qs", 2, [1.0, -math.inf], "step 2 has a non-finite q: [1.0, -inf]"),
+     ("states", 0, [math.inf, 0.0], "step 0 has a non-finite s: [inf, 0.0]"),
+     ("rewards", 2, math.nan, "step 2 has a non-finite r: nan"),
+     ("actions", 1, 2, "step 1 has action 2, not an integer in [0, 2)"),
+     ("actions", 2, -1, "step 2 has action -1, not an integer in [0, 2)")],
+)
+def test_write_refuses_what_read_refuses_before_opening_the_file(tmp_path, field, step, value, cause):
+    good, bad = make_episode([[1.0, 2.0]] * 3), make_episode([[1.0, 2.0]] * 3)
+    getattr(bad, field)[step] = value
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: episode 1 not written: {cause}")) as info:
+        write_jsonl(make_set([good, bad]), path)
+    assert not isinstance(info.value, DatasetError)  # a numeric failure, not a bad file
+    assert path.read_bytes() == b"kept\n"
 
 
 def corpus_with_line_2_edited(tmp_path, edit):

@@ -273,9 +273,26 @@ def batches(draw):
     return kind, rows, draw(st.booleans())
 
 
+# Rows that hit several endings on their last step, with the endings that
+# hold; the first of them must win: past the track edge and the angle
+# limit, past the angle limit alone; across the border, at the goal.
+SEVERAL_ENDINGS = {
+    CARTPOLE: [((2.399, 1.0, 0.2, 1.0), 1, (Cause.VIOLATION, Cause.ANGLE_FAILURE, Cause.STEP_LIMIT)),
+               ((0.0, 0.0, -0.2, -1.0), 0, (Cause.ANGLE_FAILURE, Cause.STEP_LIMIT))],
+    MOUNTAINCAR: [((-1.19, -0.02), 0, (Cause.VIOLATION, Cause.STEP_LIMIT)),
+                  ((0.49, 0.02), 2, (Cause.GOAL, Cause.STEP_LIMIT))],
+}
+
+
+def last_step_batch(kind):
+    return kind, [(state, action, STEP_LIMIT - 1) for state, action, _ in SEVERAL_ENDINGS[kind]], False
+
+
 @settings(max_examples=300, deadline=None)
 @given(batch=batches())
 @example(batch=(CARTPOLE, [((0.0, 0.0, -0.1660949413403334, POW_NOT_SQUARE), 1, 0)], False))
+@example(batch=last_step_batch(CARTPOLE))
+@example(batch=last_step_batch(MOUNTAINCAR))
 def test_transition_equals_scalar_step_bit_for_bit(batch):
     kind, rows, shared = batch
     if shared:  # greedy rollouts pass one count for all live episodes
@@ -292,6 +309,15 @@ def test_transition_equals_scalar_step_bit_for_bit(batch):
         assert next_states[i].tobytes() == out.next_state.tobytes()
         assert rewards[i].tobytes() == np.float64(out.reward).tobytes()
         assert CAUSES[causes[i]] is out.cause
+
+
+@pytest.mark.parametrize("kind", [CARTPOLE, MOUNTAINCAR])
+def test_the_last_step_rows_hit_several_endings(kind):
+    env = make_env(kind)
+    for state, action, endings in SEVERAL_ENDINGS[kind]:
+        next_states, _, _ = env.transition(np.array([state]), np.array([action]), STEP_LIMIT - 1)
+        hits = env._ends(next_states[0].tolist(), STEP_LIMIT)
+        assert tuple(cause for cause, hit in zip(env.endings, hits) if hit) == endings
 
 
 def test_transition_squares_through_libm_pow():

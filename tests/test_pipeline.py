@@ -1,5 +1,6 @@
 """The README pipeline end to end on a reduced budget, each command in its
-own process: train-agent, collect, select-d, build, evaluate, watch.
+own process: train-agent, collect, select-d, build, evaluate, watch on
+cart-pole, and train-agent, collect, build, evaluate on mountain-car.
 
 Marked slow and left out of the default run; select it with `-m slow`.
 """
@@ -30,6 +31,31 @@ COMMANDS = [
 ]
 
 
+# Mountain-car seed 12 at 10,000 steps misses the band (25.5% over 200
+# rollouts, 23.0% over the report's 100), yet both corpora hold safe and
+# unsafe episodes; both commands that read the agent say it missed.
+MC_TRAIN_WARNING = (
+    "warning: no checkpoint's unsafe rate lies in the band [5%, 20%]; selected the final "
+    "checkpoint, step 10000, with unsafe rate 25.5% over 200 rollouts\n"
+)
+MC_COLLECT_WARNING = (
+    "warning: agent.json missed the unsafe-rate band [5%, 20%] in training; its checkpoint, "
+    "step 10000, had unsafe rate 23.0% over 100 episodes\n"
+)
+MOUNTAINCAR_COMMANDS = [
+    (["train-agent", "--env", "mountaincar", "--steps", "10000", "--checkpoint-interval", "10000",
+      "--seed", "12", "--out", "agent.json"], MC_TRAIN_WARNING),
+    (["collect", "--agent", "agent.json", "--episodes", "60", "--seed", "12", "--out", "train.jsonl"],
+     MC_COLLECT_WARNING),
+    (["collect", "--agent", "agent.json", "--episodes", "30", "--seed", "13", "--out", "test.jsonl"],
+     MC_COLLECT_WARNING),
+    (["build", "--episodes", "train.jsonl", "--d", "1.0", "--trees", "20", "--seed", "9",
+      "--out", "monitor.json"], ""),
+    (["evaluate", "--model", "monitor.json", "--episodes", "test.jsonl", "--out-prefix", "report",
+      "--sweep", "--traces"], ""),
+]
+
+
 def safemon(argv, cwd, stdin=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
@@ -39,15 +65,30 @@ def safemon(argv, cwd, stdin=None):
     )
 
 
-def run_pipeline(workdir: Path):
-    """Run every command in `workdir`, checking exit codes and that nothing
-    warned; returns each command's output and each file written."""
+def run_commands(workdir: Path, commands):
+    """Run each (argv, expected stderr) in a fresh `workdir`, checking exit
+    codes and stderr; returns each command's output."""
     workdir.mkdir()
     outputs = {}
-    for argv in COMMANDS:
+    for argv, stderr in commands:
         done = safemon(argv, workdir)
-        assert (done.returncode, done.stderr) == (0, ""), argv
+        assert (done.returncode, done.stderr) == (0, stderr), argv
         outputs[" ".join(argv)] = done.stdout
+    return outputs
+
+
+def written(workdir: Path):
+    return {path.name: path.read_bytes() for path in workdir.iterdir()}
+
+
+def causes(path: Path):
+    return {json.loads(line)["cause"] for line in path.read_text(encoding="utf-8").splitlines()}
+
+
+def run_pipeline(workdir: Path):
+    """Run every cart-pole command in `workdir`, checking that nothing
+    warned; returns each command's output and each file written."""
+    outputs = run_commands(workdir, [(argv, "") for argv in COMMANDS])
 
     # Stream the Q-values of the first unsafe test episode into watch.
     episodes = [json.loads(line) for line in (workdir / "test.jsonl").read_text(encoding="utf-8").splitlines()]
@@ -59,7 +100,7 @@ def run_pipeline(workdir: Path):
     replies = [json.loads(line) for line in done.stdout.splitlines()]
     assert [r["t"] for r in replies] == list(range(len(unsafe["steps"])))
     outputs["watch"] = done.stdout
-    return outputs, {path.name: path.read_bytes() for path in workdir.iterdir()}
+    return outputs, written(workdir)
 
 
 @pytest.mark.slow
@@ -71,3 +112,21 @@ def test_pipeline_exits_zero_and_reruns_byte_identical(tmp_path):
         "report.traces.csv", "test.jsonl", "train.jsonl",
     ]
     assert run_pipeline(tmp_path / "second") == first
+
+
+@pytest.mark.slow
+def test_mountaincar_pipeline_warns_of_the_band_and_reruns_byte_identical(tmp_path):
+    """3-wide Q-vectors and 2-wide states through the corpus writer, and
+    mountain-car's border and step-limit endings through collect (this
+    agent never reaches the goal)."""
+    first = run_commands(tmp_path / "first", MOUNTAINCAR_COMMANDS)
+    files = written(tmp_path / "first")
+    assert sorted(files) == [
+        "agent.json", "agent.json.report.json", "monitor.json", "report.decision_stats.json",
+        "report.metrics.csv", "report.sweep.csv", "report.traces.csv", "test.jsonl",
+        "train.jsonl",
+    ]
+    for corpus in ("train.jsonl", "test.jsonl"):
+        assert causes(tmp_path / "first" / corpus) == {"violation", "step_limit"}
+    assert run_commands(tmp_path / "second", MOUNTAINCAR_COMMANDS) == first
+    assert written(tmp_path / "second") == files
