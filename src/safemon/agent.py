@@ -392,23 +392,26 @@ def greedy_rollouts(network: QNetwork, env_kind: str, seeds, record: bool = Fals
     live = np.arange(n)
     x = np.array([env.reset(seed=seed) for seed in seeds])
     t = 0
-    while live.size:
-        q = network.forward(x)
-        actions = np.argmax(q, axis=1)  # ties break low, as in greedy_action
-        if record:
-            runs.states[t, live] = x
-            runs.actions[t, live] = actions
-            runs.qs[t, live] = q
-        x, rewards, step_causes = env.transition(x, actions, t)
-        totals[live] += rewards
-        if record:
-            runs.rewards[t, live] = rewards
-        ended = step_causes != RUNNING
-        lengths[live[ended]] = t + 1
-        causes[live[ended]] = step_causes[ended]
-        live = live[~ended]
-        x = x[~ended]
-        t += 1
+    # A Q pass that overflows gives a non-finite Q-value, which the corpus
+    # writer refuses by name: numpy's warnings would only come first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while live.size:
+            q = network.forward(x)
+            actions = np.argmax(q, axis=1)  # ties break low, as in greedy_action
+            if record:
+                runs.states[t, live] = x
+                runs.actions[t, live] = actions
+                runs.qs[t, live] = q
+            x, rewards, step_causes = env.transition(x, actions, t)
+            totals[live] += rewards
+            if record:
+                runs.rewards[t, live] = rewards
+            ended = step_causes != RUNNING
+            lengths[live[ended]] = t + 1
+            causes[live[ended]] = step_causes[ended]
+            live = live[~ended]
+            x = x[~ended]
+            t += 1
     runs.totals = totals.tolist()
     runs.lengths = lengths.tolist()
     runs.causes = [CAUSES[code] for code in causes.tolist()]
@@ -605,14 +608,30 @@ def _finite_rows(rows, n: int, names) -> np.ndarray:
     else:
         # `type`, since a bool is an int; numpy would read "0.5" as 0.5.
         if set(map(type, values)) <= {float, int}:
-            matrix = np.array(values, dtype=np.float64).reshape(len(rows), n)
-            if np.isfinite(matrix).all():
-                return matrix
+            try:
+                matrix = np.array(values, dtype=np.float64).reshape(len(rows), n)
+            except OverflowError:  # an integer beyond float64, named below
+                pass
+            else:
+                if np.isfinite(matrix).all():
+                    return matrix
     for name, row in zip(names, rows):
-        if not (type(row) is list and len(row) == n
-                and all((type(v) is float or type(v) is int) and math.isfinite(v) for v in row)):
+        if not (type(row) is list and len(row) == n and all(map(_finite_number, row))):
             raise ValueError(f"{name} must be a list of {n} finite numbers, got {row!r}")
     raise AssertionError("every row is well formed")
+
+
+def _finite_number(v) -> bool:
+    """Whether `v` is a JSON number that float64 holds finitely."""
+    if type(v) is float:
+        return math.isfinite(v)
+    if type(v) is not int:  # a bool is no number
+        return False
+    try:
+        float(v)
+    except OverflowError:
+        return False
+    return True
 
 
 def _layer_weights(weights, sizes) -> list[tuple[np.ndarray, np.ndarray]]:

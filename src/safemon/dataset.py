@@ -17,16 +17,22 @@ its values' types, so a string or boolean is refused at its step. Model
 files are decoded with orjson too (monitor.load_model); agent documents,
 `--config` files and `watch` lines keep json: nothing there is hot.
 
-Corpus lines are written without json.dumps: each episode is one `%` of
-a step template, `{"s": [%r, ...], "a": %d, "q": [%r, ...], "r": %r}`,
-repeated once per step and joined by ", ", over the flat list of its
-stacked (state, action, Q-vector, reward) rows. `%r` of a Python float is
-the `float.__repr__` json writes for a finite float, `%d` of the action
-(a whole float in that list) prints the integer, and the separators are
-json's, so each line has json.dumps's bytes. The two differ only on NaN
-and the infinities (`nan` against `NaN`), which read_jsonl refuses
-anyway; write_jsonl refuses them first, with an action outside the
-Q-vector, for every episode before it opens the file.
+Corpus lines are written without json.dumps, one `%` per episode: a
+bytes step template, `{"s": [%b, ...], "a": %d, "q": [%b, ...], "r": %b}`,
+is repeated once per step, joined by ", " and filled with one token per
+value of the episode's stacked (state, action, Q-vector, reward) rows.
+The float tokens come from one orjson.dumps of those rows, split at its
+commas: orjson prints the same shortest round-trip digits as
+`float.__repr__`, the text json writes for a finite float, many times
+faster. The two differ only in notation, and only outside
+1e-4 <= |x| < 1e16 (where both write fixed notation): orjson writes
+1e-5 <= |x| < 1e-4 in fixed notation and its exponents without a sign
+or zero padding (`1e16`, `1e-7` against `1e+16`, `1e-07`). The few values
+there, found with numpy, are written with repr itself. The actions go in
+as integers, and the separators are json's, so each line has
+json.dumps's bytes. NaN and the infinities, which read_jsonl refuses and
+orjson writes as null, are refused first, with an action outside the
+Q-vector, for every episode before the file is opened.
 """
 
 from __future__ import annotations
@@ -269,10 +275,29 @@ def _episode_from_obj(obj: dict) -> Episode:
     )
 
 
-def _step_template(state_dim: int, width: int) -> str:
-    """The `%` template of one corpus step, with json.dumps's separators."""
-    s, q = (", ".join(["%r"] * n) for n in (state_dim, width))
-    return '{"s": [' + s + '], "a": %d, "q": [' + q + '], "r": %r}'
+def _step_template(state_dim: int, width: int) -> bytes:
+    """The bytes `%` template of one corpus step, with json.dumps's
+    separators: a token for each float, the action as an integer."""
+    s, q = (b", ".join([b"%b"] * n) for n in (state_dim, width))
+    return b'{"s": [' + s + b'], "a": %d, "q": [' + q + b'], "r": %b}'
+
+
+def _float_tokens(values: np.ndarray) -> list[bytes]:
+    """The text `float.__repr__` gives each value of a flat, finite
+    float64 array, as bytes.
+
+    One orjson.dumps writes them all with repr's digits; the values where
+    its notation is not repr's, outside 1e-4 <= |x| < 1e16 but for zero,
+    are written with repr.
+    """
+    import orjson
+
+    tokens = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].split(b",")
+    magnitude = np.abs(values)
+    other = np.flatnonzero(((magnitude < 1e-4) & (magnitude > 0.0)) | (magnitude >= 1e16))
+    for i, value in zip(other.tolist(), values[other].tolist()):
+        tokens[i] = repr(value).encode()
+    return tokens
 
 
 def _unwritable(episode: Episode) -> Optional[str]:
@@ -291,7 +316,9 @@ def _unwritable(episode: Episode) -> Optional[str]:
 
 
 def write_jsonl(episode_set: EpisodeSet, path) -> None:
-    """One JSON object per line per episode; UTF-8 with LF endings.
+    """One JSON object per line per episode, with json.dumps's bytes; UTF-8
+    with LF endings. Each episode's floats are formatted by _float_tokens
+    and filled into _step_template with one `%`.
 
     Every episode is checked before the file is opened: one that
     read_jsonl would refuse (a non-finite state, Q-value or reward, or an
@@ -302,19 +329,20 @@ def write_jsonl(episode_set: EpisodeSet, path) -> None:
         why = _unwritable(episode)
         if why is not None:
             raise ValueError(f"{path}: episode {i} not written: {why}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open(path, "wb") as fh:
         for episode in episode_set.episodes:
             length, state_dim = episode.states.shape
-            step = _step_template(state_dim, episode.qs.shape[1])
-            values = np.column_stack(
+            width = episode.qs.shape[1]
+            tokens = _float_tokens(np.column_stack(
                 (episode.states, episode.actions, episode.qs, episode.rewards)
-            ).ravel().tolist()
-            fh.write(
-                f'{{"label": {json.dumps(episode.label.value)}, '
-                f'"cause": {json.dumps(episode.cause.value)}, "steps": ['
-            )
-            fh.write(", ".join([step] * length) % tuple(values))
-            fh.write("]}\n")
+            ).ravel())
+            # Each step's action slot takes the integer, for the template's %d.
+            tokens[state_dim::state_dim + width + 2] = episode.actions.tolist()
+            head = (f'{{"label": {json.dumps(episode.label.value)}, '
+                    f'"cause": {json.dumps(episode.cause.value)}, "steps": [')
+            fh.write(head.encode())
+            fh.write(b", ".join([_step_template(state_dim, width)] * length) % tuple(tokens))
+            fh.write(b"]}\n")
 
 
 def read_jsonl(path) -> EpisodeSet:

@@ -318,15 +318,24 @@ def _model_from_doc(doc: dict) -> MonitorModel:
     seed = doc["forest_seed"]
     if type(seed) is not int:  # a bool is no seed, nor is 3.0
         raise ValueError(f"forest_seed must be a JSON integer, got {seed!r}")
-    forest = forest_from_json_list(doc["forest"], doc["feature_count"], seed)
+    features, theta = doc["feature_count"], doc["theta"]
+    if type(features) is not int or features < 1:
+        raise ValueError(f"feature_count must be a JSON integer >= 1, got {features!r}")
+    # `type`, since a bool is an int and float() would read "0.5".
+    if type(theta) not in (int, float) or not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be a JSON number in (0, 1), got {theta!r}")
+    provenance = doc.get("provenance", {})
+    if type(provenance) is not dict:
+        raise ValueError(f"provenance must be a JSON object, got {provenance!r}")
+    forest = forest_from_json_list(doc["forest"], features, seed)
     return MonitorModel(
         table=AbstractionTable.from_json_dict(doc["table"]),
         forest=forest,
         mode=FeatureMode(doc["mode"]),
         criterion=Criterion(doc["criterion"]),
-        theta=float(doc["theta"]),
+        theta=theta,
         unseen_policy=UnseenPolicy(doc["unseen_policy"]),
-        provenance=doc.get("provenance", {}),
+        provenance=provenance,
     )
 
 

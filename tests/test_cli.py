@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import warnings
 from pathlib import Path
 
 from unittest import mock
@@ -844,7 +845,13 @@ def test_model_with_bad_forest_config_is_io_error_naming_field(
     [("forest_seed", value, "forest_seed must be a JSON integer")
      for value in ("x", True, 3.0, None, [])]
     + [("d", value, "table d must be a positive finite JSON number")
-       for value in (True, "1.5", 0, -1.0, 1e400, [])],
+       for value in (True, "1.5", 0, -1.0, 1e400, [])]
+    + [("theta", value, "theta must be a JSON number in (0, 1)")
+       for value in ("0.5", True, None, [], 0, 1.0, -0.5, 1e400)]
+    + [("feature_count", value, "feature_count must be a JSON integer >= 1")
+       for value in (2822.0, True, "2822", None, 0, -1, [])]
+    + [("provenance", value, "provenance must be a JSON object")
+       for value in ("x", None, [], 7)],
 )
 def test_model_with_bad_seed_or_level_is_io_error_naming_field(
     field, value, cause, corpus_path, model_path, tmp_path, capsys
@@ -897,6 +904,11 @@ AGENT_DAMAGE = [
     ("weights[1].w", [[0.5, 0.5]] * 2, "weights[1].w must be a list of 8 rows, got 2 rows"),
     ("weights[1]", [[0.5]], "weights[1] must be an object with keys w and b, got [[0.5]]"),
     ("weights", [], "weights must be a list of 2 layers for layer_sizes [4, 8, 2], got 0"),
+    # Integers beyond float64: numpy's OverflowError named no field.
+    ("weights[0].w[1][3]", 10**400, "weights[0].w[1] must be a list of 8 finite numbers, got ["),
+    ("weights[1].b[1]", -(10**400), "weights[1].b must be a list of 2 finite numbers, got ["),
+    ("input_offset[2]", 10**400, "input_offset must be a list of 4 finite numbers, got ["),
+    ("input_scale[0]", -(10**400), "input_scale must be a list of 4 finite numbers, got ["),
 ]
 
 
@@ -908,8 +920,15 @@ def set_field(doc, field, value):
     doc[last] = value
 
 
+def value_id(value) -> str:
+    """A test id's text for `value`: its repr, or 10**N for an integer beyond float64."""
+    if type(value) is int and abs(value) > 10**308:
+        return f"{'-' if value < 0 else ''}10**{len(str(abs(value))) - 1}"
+    return repr(value)
+
+
 @pytest.mark.parametrize("field, value, cause", AGENT_DAMAGE,
-                         ids=[f"{field}={value!r}" for field, value, _ in AGENT_DAMAGE])
+                         ids=[f"{field}={value_id(value)}" for field, value, _ in AGENT_DAMAGE])
 def test_agent_with_bad_field_is_io_error_naming_it(field, value, cause, agent_path, tmp_path,
                                                     capsys):
     doc = json.loads(Path(agent_path).read_text(encoding="utf-8"))
@@ -939,7 +958,8 @@ def test_collect_refuses_q_values_that_overflow_and_keeps_the_old_corpus(agent_p
     big.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "c.jsonl"
     out.write_bytes(b"old corpus\n")
-    with pytest.warns(RuntimeWarning, match="encountered in matmul"):  # numpy's, in the Q pass
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warnings are not shown
         code = main(["collect", "--agent", str(big), "--episodes", "2", "--out", str(out)])
     assert code == EXIT_NUMERIC
     captured = capsys.readouterr()

@@ -23,6 +23,7 @@ from safemon.dataset import (
     read_jsonl,
     split,
     write_jsonl,
+    _float_tokens,
 )
 from safemon.envs import CARTPOLE, ENV_KINDS, MOUNTAINCAR, Cause, make_env
 
@@ -284,9 +285,11 @@ def test_jsonl_round_trip_property(data, env_kind):
 
 # Floats whose shortest repr takes each of repr's forms: a signed zero, the
 # smallest subnormal, exponent and fixed notation on both sides of the
-# switches, 17 significant digits and the largest finite value.
+# switches, 17 significant digits and the largest finite value. The second
+# row is where orjson's notation is not repr's, or sits at its switch.
 WRITER_EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 0.0001, 1e16, 123456789012345678.0,
-                      1.7976931348623157e308, 200.0]
+                      1.7976931348623157e308, 200.0,
+                      1.234e-05, 9.999999999999999e-05, 1e-07, 1e15, 1.5e16, 1e22]
 
 
 @pytest.mark.parametrize("width", [1, 2, 3])
@@ -307,7 +310,8 @@ def test_jsonl_writes_edge_floats_as_json_dumps_does(tmp_path, width):
     text = path.read_bytes()
     assert text == json_dumps_corpus(episodes)
     for value in ("-0.0", "5e-324", "1e-05", "0.0001", "1e+16", "1.2345678901234568e+17",
-                  "1.7976931348623157e+308", "-200.0"):
+                  "1.7976931348623157e+308", "-200.0", "1.234e-05", "-9.999999999999999e-05",
+                  "1e-07", "1000000000000000.0", "-1.5e+16", "1e+22"):
         assert value.encode() in text
     restored = read_jsonl(path)
     for before, after in zip(episodes, restored.episodes):
@@ -461,6 +465,28 @@ edge_floats = st.one_of(
                      1.7976931348623157e308, -1.7976931348623157e308, 1e-308, 1e308]),
     st.floats(allow_nan=False, allow_infinity=False),
 )
+
+
+@settings(max_examples=500, deadline=None)
+@given(value=edge_floats)
+def test_float_tokens_give_repr(value):
+    assert _float_tokens(np.array([value, -value])) == [repr(value).encode(), repr(-value).encode()]
+
+
+def test_float_tokens_give_repr_over_random_bit_patterns():
+    """repr's text for random finite bit patterns, for values near the
+    notation switches, and for fixed-notation values holding a run of zeros
+    (121964739380.00003) that a rewrite of the text must leave alone."""
+    rng = np.random.default_rng(24)
+    bits = rng.integers(0, 2**64, size=250_000, dtype=np.uint64, endpoint=False)
+    values = bits.view(np.float64)
+    values = values[np.isfinite(values)]
+    near = np.concatenate([rng.standard_normal(20_000) * scale for scale in (1e-6, 3e-5, 1e16)])
+    fixed = np.array([121964739380.00003, 3770.0000817, 10.00001, -0.00010000000000000009])
+    for batch in (values, near, np.round(near / 1e-5, 3) * 1e-5, fixed):
+        assert _float_tokens(batch) == [repr(v).encode() for v in batch.tolist()]
+
+
 # Integers beyond 64 bits: orjson decodes them as floats, json as ints.
 big_ints = st.integers(2**63, 10**308) | st.integers(-(10**308), -(2**63) - 1)
 
