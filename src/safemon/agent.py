@@ -34,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dataset import load_document, save_document
 from .envs import CARTPOLE, CAUSES, ENV_KINDS, MOUNTAINCAR, RUNNING, STEP_LIMIT, Cause, make_env
 from .seeding import derive_rng, derive_seed
 
@@ -586,14 +587,10 @@ def save_agent(model: AgentModel, path) -> None:
     doc = _core_doc(model)
     if model.report is not None:
         doc["report"] = asdict(model.report)
-    from .dataset import save_document  # dataset imports this module
-
     save_document(path, doc)
 
 
 def load_agent(path) -> AgentModel:
-    from .dataset import load_document  # dataset imports this module
-
     return load_document(path, AGENT_FORMAT, _agent_from_doc)
 
 

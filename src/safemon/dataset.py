@@ -14,8 +14,9 @@ decodes it as the nearest float, json as an int. Inside `s`, `q` and `r`
 that gives the same float64; as an action both are refused. Each of `s`,
 `q` and `r` is converted from one flat list per episode, after a scan of
 its values' types, so a string or boolean is refused at its step. Model
-files are decoded with orjson too (monitor.load_model); agent documents,
-`--config` files and `watch` lines keep json: nothing there is hot.
+files and `watch` lines are decoded with orjson too (monitor.load_model,
+monitor.watch_stream); agent documents and `--config` files keep json:
+nothing there is hot.
 
 Corpus lines are written without json.dumps, one `%` per episode: a
 bytes step template, `{"s": [%b, ...], "a": %d, "q": [%b, ...], "r": %b}`,
@@ -40,13 +41,15 @@ from __future__ import annotations
 import enum
 import json
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .agent import AgentModel, agent_fingerprint, greedy_rollouts
 from .envs import STEP_LIMIT, Cause
 from .seeding import derive_rng, derive_seed
+
+if TYPE_CHECKING:
+    from .agent import AgentModel
 
 
 class Label(str, enum.Enum):
@@ -152,6 +155,8 @@ def require_both_classes(episode_set: EpisodeSet, what: str) -> None:
 
 def collect(agent: AgentModel, env_kind: str, count: int, seed: int) -> EpisodeSet:
     """Collect `count` greedy episodes from seeded random initial states."""
+    from .agent import agent_fingerprint, greedy_rollouts
+
     if count < 1:
         raise DatasetError("count must be >= 1")
     if env_kind != agent.env_kind:

@@ -607,7 +607,8 @@ def predict(forest: Forest, x) -> ProbabilitySummary:
         raise ValueError(
             f"expected a feature vector of length {forest.feature_count}, got shape {x.shape}"
         )
-    return BatchSummary(*_summarize(forest.packed.leaf_values(x[None, :]))).column(0)
+    mean, std, low, up = _summarize(forest.packed.leaf_values(x[None, :]))
+    return ProbabilitySummary(float(mean[0]), float(std[0]), float(low[0]), float(up[0]))
 
 
 def _rows(forest: Forest, x_rows) -> np.ndarray:

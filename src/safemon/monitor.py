@@ -9,12 +9,17 @@ lower bound only at > theta.
 
 observe scores each step with forest.predict: every tree is walked from
 its root, with no change detection, which is the cheaper walk for one
-row. Stored episodes are replayed together: run_traces looks up the
-whole corpus at once, cuts each episode at the stop policy, encodes
-every prefix over the states the episode visits, and scores the
-episodes in chunks under a row budget, one change-driven forest call
-per chunk (a tree is walked at a step only when a feature it tests
-changed there). Each episode becomes a DecisionTrace: its summary series
+row. The vector it scores is kept in the RunningState and updated in
+place: a step sets one entry, never rebuilding the whole vector.
+watch_stream decodes each line with orjson, and with json where the two
+would differ, and writes each reply from one `%` template with
+json.dumps's bytes.
+
+Stored episodes are replayed together: run_traces looks up the whole
+corpus at once, cuts each episode at the stop policy, encodes every
+prefix over the states the episode visits, and scores the episodes in
+chunks under a row budget, one change-driven forest call per chunk (a
+tree is walked at a step only when a feature it tests changed there). Each episode becomes a DecisionTrace: its summary series
 plus the first fire step. Its per-step assessments are derived from the
 series on demand and equal what observe returns step by step, bit for
 bit, since both walks reach the same leaves and share the summary code.
@@ -89,16 +94,25 @@ class MonitorModel:
 
 @dataclass
 class RunningState:
-    """Per-episode monitoring state; one per concurrently watched episode."""
+    """Per-episode monitoring state; one per concurrently watched episode.
+
+    `counts` holds the visits to each abstract state and `features` the
+    vector the forest scores: 1.0 at each visited state in binary mode,
+    and `counts` itself in frequency mode.
+    """
 
     counts: np.ndarray
+    features: np.ndarray
     fired: bool = False
     frozen: bool = False
     t: int = -1
 
     @classmethod
     def fresh(cls, model: MonitorModel) -> "RunningState":
-        return cls(counts=np.zeros(model.table.n, dtype=np.float64))
+        counts = np.zeros(model.table.n, dtype=np.float64)
+        if model.mode is FeatureMode.BINARY:
+            return cls(counts=counts, features=np.zeros_like(counts))
+        return cls(counts=counts, features=counts)
 
 
 @dataclass(frozen=True)
@@ -162,12 +176,10 @@ def observe(model: MonitorModel, running: RunningState, q) -> StepAssessment:
         # Ignore policy: feature vector stays as it was.
     else:
         running.counts[abstract_id] += 1.0
+        if model.mode is FeatureMode.BINARY:
+            running.features[abstract_id] = 1.0
 
-    if model.mode is FeatureMode.BINARY:
-        features = np.minimum(running.counts, 1.0)
-    else:
-        features = running.counts
-    summary = predict(model.forest, features)
+    summary = predict(model.forest, running.features)
     if criterion_holds(summary, model.criterion, model.theta):
         running.fired = True
     running.t += 1
@@ -293,19 +305,22 @@ def _read_model(path):
         doc = orjson.loads(text)
     except orjson.JSONDecodeError:
         return read_json(path)
-    if type(doc) is dict and _holds_a_wide_float([doc.get("forest_seed"), doc.get("provenance")]):
+    if type(doc) is dict and _holds_a_wide_float((doc.get("forest_seed"), doc.get("provenance"))):
         return read_json(path)
     return doc
 
 
-def _holds_a_wide_float(value) -> bool:
-    """Whether `value`, or a list or dict value inside it, is a float of
-    magnitude 2**63 or more."""
-    if type(value) is float:
-        return abs(value) >= 2.0**63
-    if type(value) is dict:
-        value = list(value.values())
-    return type(value) is list and any(map(_holds_a_wide_float, value))
+def _holds_a_wide_float(values) -> bool:
+    """Whether one of `values`, or a list or dict value inside one, is a
+    float of magnitude 2**63 or more."""
+    for v in values:
+        if type(v) is float:
+            if abs(v) >= 2.0**63:
+                return True
+        elif type(v) is list or type(v) is dict:
+            if _holds_a_wide_float(v.values() if type(v) is dict else v):
+                return True
+    return False
 
 
 def _model_from_doc(doc: dict) -> MonitorModel:
@@ -339,23 +354,42 @@ def _model_from_doc(doc: dict) -> MonitorModel:
     )
 
 
+# One reply line. It has json.dumps's bytes for the same dict: json writes
+# an int as %d does and a finite float as float.__repr__, which %r calls.
+_REPLY = '{"t": %d, "p": %r, "low": %r, "up": %r, "fired": %s, "unseen": %s}\n'
+
+
 def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
     """NDJSON session: {"t", "q"} lines in, assessment lines out.
 
     Malformed input lines, a `t` that is not a JSON integer or a `q` that
-    is not a list of JSON numbers among them, are reported on the
-    diagnostic stream and skipped; the latched fired flag persists across
-    the whole session. A `t` that does not count on
+    is not a list of JSON numbers within float64's range among them, are
+    reported on the diagnostic stream and skipped; the latched fired flag
+    persists across the whole session. A `t` that does not count on
     from the last one read (from 0 at the start) is reported there too,
     and the line is still assessed.
+
+    A line is decoded with orjson, and again with json where the two
+    would differ: where orjson refuses it (NaN and Infinity literals, a
+    number beyond float64's range, a BOM, a lone surrogate), and where
+    its `t` or `q` holds a float of magnitude 2**63 or more, which json
+    reads as an int if its text is one.
     """
+    import orjson
+
     running = RunningState.fresh(model)
     last_t = None
     for lineno, line in enumerate(in_stream, start=1):
         if not line.strip():
             continue
         try:
-            msg = json.loads(line)
+            try:
+                msg = orjson.loads(line)
+            except orjson.JSONDecodeError:
+                msg = json.loads(line)
+            else:
+                if type(msg) is dict and _holds_a_wide_float((msg.get("t"), msg.get("q"))):
+                    msg = json.loads(line)
             t = msg["t"]
             if type(t) is not int:  # a bool is no t, nor is 1.9 or "2"
                 raise ValueError(f"t must be a JSON integer, got {json.dumps(t)}")
@@ -367,7 +401,10 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
             # numpy would read "1.5" as 1.5 and true as 1.0; `type`, since a bool is an int.
             if type(q) is not list or not all(type(v) is float or type(v) is int for v in q):
                 raise ValueError(f"q must be a JSON list of numbers, got {json.dumps(q)}")
-            q = np.asarray(q, dtype=np.float64)
+            try:
+                q = np.asarray(q, dtype=np.float64)
+            except OverflowError:
+                raise ValueError("q holds an integer beyond float64's range") from None
             assessment = observe(model, running, q)
         except MonitorStopped:
             print(f"line {lineno}: session frozen by stop policy", file=err_stream)
@@ -375,19 +412,18 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
         except (KeyError, TypeError, ValueError) as exc:
             print(f"line {lineno}: skipped malformed input: {exc}", file=err_stream)
             continue
+        summary = assessment.summary
         out_stream.write(
-            json.dumps(
-                {
-                    "t": t,
-                    "p": assessment.summary.mean,
-                    "low": assessment.summary.low,
-                    "up": assessment.summary.up,
-                    "fired": assessment.fired,
-                    "unseen": assessment.unseen_alert,
-                }
+            _REPLY
+            % (
+                t,
+                summary.mean,
+                summary.low,
+                summary.up,
+                "true" if assessment.fired else "false",
+                "true" if assessment.unseen_alert else "false",
             )
         )
-        out_stream.write("\n")
         out_stream.flush()
     return 0
 

@@ -686,15 +686,19 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
         "garbage",
         json.dumps({"t": 1, "q": [9.5]}),
         json.dumps({"t": 2, "q": ["1.5"]}),
+        json.dumps({"t": 3, "q": [10**400]}),  # json's int, which float64 cannot hold
+        json.dumps({"t": 4, "q": [4.5]}),
     ]
     monkeypatch.setattr(sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
     assert main(["watch", "--model", model_path]) == EXIT_OK
     captured = capsys.readouterr()
     replies = [json.loads(line) for line in captured.out.splitlines()]
-    assert len(replies) == 2
+    assert [r["t"] for r in replies] == [0, 1, 4]
     assert {"t", "p", "low", "up", "fired", "unseen"} <= set(replies[0])
     assert "line 2" in captured.err
     assert 'line 4: skipped malformed input: q must be a JSON list of numbers, got ["1.5"]' in (
+        captured.err)
+    assert "line 5: skipped malformed input: q holds an integer beyond float64's range" in (
         captured.err)
 
 

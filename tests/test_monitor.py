@@ -29,6 +29,7 @@ from safemon.monitor import (
     MonitorModel,
     MonitorStopped,
     RunningState,
+    StepAssessment,
     criterion_holds,
     load_model,
     observe,
@@ -96,9 +97,10 @@ def test_observe_unseen_ignore_leaves_features_unchanged():
     model = staircase_model()
     running = RunningState.fresh(model)
     observe(model, running, q_for(0))
-    before = running.counts.copy()
+    before = running.counts.copy(), running.features.copy()
     a = observe(model, running, np.array([99.5]))  # key never seen
-    assert np.array_equal(running.counts, before)
+    assert np.array_equal(running.counts, before[0])
+    assert np.array_equal(running.features, before[1])
     assert not a.unseen_alert  # alerts are a stop-policy concept
 
 
@@ -265,6 +267,33 @@ def test_run_traces_equal_observe_property(episodes, mode, unseen, criterion, th
         assert trace.first_fire_step == (fired[0] if fired else None)
         assert trace.episode_length == len(ids)
         assert trace.stop_hit == (unseen is UnseenPolicy.STOP and -1 in ids)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    ids=st.lists(st.integers(-1, 2), min_size=20, max_size=60),
+    mode=st.sampled_from(FeatureMode),
+    unseen=st.sampled_from(UnseenPolicy),
+)
+def test_observe_keeps_the_binary_features_in_place(ids, mode, unseen):
+    """Sessions that revisit three states over and over: observe updates
+    its feature vector in place and still equals run_trace bit for bit."""
+    model = MonitorModel(table=id_table(6), forest=PROPERTY_FOREST, mode=mode, unseen_policy=unseen)
+    qs = np.array([q_for(i) if i >= 0 else np.array([-7.5]) for i in ids])
+    trace = run_trace(model, qs)
+    running = RunningState.fresh(model)
+    assert (running.features is running.counts) == (mode is FeatureMode.FREQUENCY)
+    features = running.features
+    for want in trace.assessments:
+        got = observe(model, running, qs[want.t])
+        assert (got.t, got.fired, got.unseen_alert) == (want.t, want.fired, want.unseen_alert)
+        for field in ("mean", "std", "low", "up"):
+            assert np.float64(getattr(got.summary, field)).tobytes() == (
+                np.float64(getattr(want.summary, field)).tobytes()
+            )
+        assert running.features is features
+        expected = running.counts if mode is FeatureMode.FREQUENCY else np.minimum(running.counts, 1.0)
+        assert running.features.tobytes() == expected.tobytes()
 
 
 def random_walk_episodes(rng, count):
@@ -606,6 +635,93 @@ def test_watch_skips_a_q_that_is_not_a_list_of_json_numbers():
         "line 5: skipped malformed input: q must be a JSON list of numbers, got 0.5",
         "line 6: skipped malformed input: q must be a JSON list of numbers, got [[0.5]]",
     ]
+
+
+def test_watch_skips_a_q_holding_an_integer_beyond_float64():
+    """json reads such an integer as an int, which numpy cannot make a
+    float64; the line is skipped, and the session goes on."""
+    model = staircase_model()
+    big = "1" + "0" * 400
+    lines = [
+        '{"t": 0, "q": [0.5]}\n',
+        '{"t": 1, "q": [%s]}\n' % big,
+        '{"t": 2, "q": [-%s]}\n' % big,
+        '{"t": 3, "q": [2.5]}\n',
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    assert watch_stream(model, iter(lines), out, err) == 0
+    assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [0, 3]
+    assert err.getvalue().splitlines() == [
+        "line 2: skipped malformed input: q holds an integer beyond float64's range",
+        "line 3: skipped malformed input: q holds an integer beyond float64's range",
+    ]
+
+
+# Lines that orjson refuses or decodes otherwise than json, and two that
+# both read alike: a repeated key and an array.
+DECODE_TABLE = {
+    "t-2**64": '{"t": 18446744073709551616, "q": [0.5]}',
+    "t-below-int64": '{"t": -9223372036854775809, "q": [0.5]}',
+    "q-2**70": '{"t": 1, "q": [1180591620717411303424]}',
+    "q-2**70-and-a-string": '{"t": 1, "q": [1180591620717411303424, "x"]}',
+    "q-dict-2**64": '{"t": 1, "q": {"a": 18446744073709551616}}',
+    "nan": '{"t": 1, "q": [NaN]}',
+    "1e400": '{"t": 1, "q": [1e400]}',
+    "bom": '\ufeff{"t": 1, "q": [0.5]}',
+    "lone-surrogate": '{"t": 1, "q": "\\ud800"}',
+    "lone-surrogate-elsewhere": '{"t": 1, "q": [2.5], "note": "\\udc00"}',
+    "duplicate-t": '{"t": 7, "t": 1, "q": [2.5]}',
+    "array": '[{"t": 1, "q": [0.5]}]',
+}
+
+
+def watch_outcome(model, lines):
+    out, err = io.StringIO(), io.StringIO()
+    code = watch_stream(model, iter(line + "\n" for line in lines), out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(DECODE_TABLE))
+def test_watch_reads_each_line_as_json_does(name):
+    """Each line, between two good ones, gives the replies and diagnostics
+    of a session whose lines are all decoded with json.loads."""
+    import orjson
+
+    model = staircase_model()
+    lines = ['{"t": 0, "q": [0.5]}', DECODE_TABLE[name], '{"t": 2, "q": [1.5]}']
+    got = watch_outcome(model, lines)
+    with mock.patch.object(orjson, "loads", json.loads):
+        want = watch_outcome(model, lines)
+    assert got == want
+    assert got[1].count("\n") >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    t=st.one_of(st.sampled_from([0, 2**63, 2**64, -1, -(2**63) - 1, -(2**64)]), st.integers()),
+    p=st.lists(
+        st.one_of(
+            st.floats(0.0, 1.0),
+            st.sampled_from([5e-324, 1e-05, 9.999999999999999e-05, 1e-4, -0.0, 1.0]),
+        ),
+        min_size=3,
+        max_size=3,
+    ),
+    fired=st.booleans(),
+    unseen=st.booleans(),
+)
+def test_watch_reply_has_json_dumps_bytes(t, p, fired, unseen):
+    """The reply template writes what json.dumps writes for the same dict."""
+    mean, low, up = p
+    assessment = StepAssessment(
+        t=0, summary=ProbabilitySummary(mean, 0.0, low, up), fired=fired, unseen_alert=unseen
+    )
+    out = io.StringIO()
+    with mock.patch.object(monitor_module, "observe", lambda *args: assessment):
+        line = json.dumps({"t": t, "q": [0.5]}) + "\n"
+        assert watch_stream(staircase_model(), iter([line]), out, io.StringIO()) == 0
+    want = {"t": t, "p": mean, "low": low, "up": up, "fired": fired, "unseen": unseen}
+    assert out.getvalue() == json.dumps(want) + "\n"
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,5 +1,7 @@
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -34,3 +36,18 @@ def test_every_third_party_import_is_a_declared_dependency():
     missing = sorted(third_party - declared)
     assert not missing, f"imported under src/safemon but not in dependencies: {missing}"
     assert {"numpy", "orjson"} <= third_party  # the walk sees imports inside functions too
+
+
+def test_watch_imports_neither_the_agent_nor_the_evaluation_module():
+    """The package's names are imported on first use, so `watch` start-up
+    compiles and runs only the modules it needs."""
+    script = (
+        "import sys, safemon.cli, safemon.monitor\n"
+        "print(sorted({'safemon.agent', 'safemon.evaluation'} & set(sys.modules)))\n"
+        "from safemon import train_agent\n"
+        "print(train_agent.__module__)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines() == ["[]", "safemon.agent"]
