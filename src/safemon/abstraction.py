@@ -6,20 +6,20 @@ encoded over the resulting abstract-state vocabulary, either as presence
 bits or as visit counts, and those vectors are what the violation
 predictor consumes.
 
-One function counts visits into feature rows: prefix_feature_matrix uses
-it for every prefix of one episode (batch replay), episode_feature_matrix
-for the end of each training episode in frequency mode; binary
+One function counts visits into feature rows: episode_feature_matrix
+uses it for the end of each training episode in frequency mode, and
+prefix_feature_matrix for every prefix of one episode; binary
 end-of-episode rows are presence bits, one byte each. A prefix matrix is
 compact: it has one column per abstract state the episode visits, plus
 the global ids of those columns, and every other state's count is 0.
 Features are monotone visit counts, so each step changes at most one
-column. monitor.run_traces stacks the prefix matrices of a chunk of
-episodes and hands them to the forest's change-driven walk, which walks
-a tree at a step only when that column is one the tree tests. The
-monitor's running counts in observe are the same encoding, kept one step
-at a time over the whole table, and each step walks every tree. A
-Q-vector whose width differs from the table's is rejected where it is
-looked up.
+column. Batch replay does not build prefix matrices: monitor.run_traces
+hands a chunk's visit ids to the forest's change-driven walk, which
+builds the same prefixes over the states a tree tests and walks a tree
+at a step only when that step changes one of them. The monitor's running
+counts in observe are the same encoding, kept one step at a time over
+the whole table, and each step walks every tree. A Q-vector whose width
+differs from the table's is rejected where it is looked up.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,9 +134,9 @@ class AbstractionTable:
         """Ids for a (steps, actions) Q-matrix; unseen keys become -1."""
         qs = np.asarray(qs)
         self._require_width(qs, 2)
-        get = self.index.get
         keys = map(tuple, bucketize_batch(qs, self.d).tolist())
-        return np.fromiter((get(key, -1) for key in keys), dtype=np.int64, count=len(qs))
+        ids = map(self.index.get, keys, repeat(-1))
+        return np.fromiter(ids, dtype=np.int64, count=len(qs))
 
     def to_json_dict(self) -> dict:
         keys = sorted(self.index, key=self.index.get)

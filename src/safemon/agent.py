@@ -664,6 +664,8 @@ def _agent_from_doc(doc: dict) -> AgentModel:
         raise ValueError(f"layer_sizes must be a list of two or more integers >= 1, got {sizes!r}")
     offset, scale = (_finite_rows([doc[key]], sizes[0], [key])[0]
                      for key in ("input_offset", "input_scale"))
+    if not scale.all():  # a state divided by 0 is no Q-network input
+        raise ValueError(f"input_scale must hold no 0, got {doc['input_scale']!r}")
     network = QNetwork(
         sizes, weights=_layer_weights(doc["weights"], sizes), input_offset=offset, input_scale=scale
     )

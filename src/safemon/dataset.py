@@ -62,13 +62,16 @@ class DatasetError(ValueError):
 
 
 def read_json(path):
-    """The JSON document at `path`; text that is not JSON, or bytes that
-    are not UTF-8, raise DatasetError naming the file."""
+    """The JSON document at `path`; text that is not JSON, bytes that are
+    not UTF-8, or a value nested deeper than json can decode raise
+    DatasetError naming the file."""
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+        except RecursionError:
+            raise DatasetError(f"{path}: a value is nested too deeply to read") from None
 
 
 def load_document(path, tag: str, build, read=read_json):

@@ -55,13 +55,20 @@ Which pairs go down it depends on the traffic.
   four of six alternating runs (2-vCPU Intel Xeon VM, numpy 2.4; in the
   other two the host ran up to 1.7x slower).
 - The prefixes of episodes (`predict_prefixes`, which
-  `monitor.run_traces` calls): tree k is walked at row t of an episode
-  only when t = 0 or row t differs from row t-1 in a feature tree k
-  tests, and every other pair keeps the leaf of (k, t-1). That is the
+  `monitor.run_traces` calls with a chunk's visit ids): tree k is walked
+  at row t of an episode only when t = 0 or step t changes a feature
+  tree k tests (a seen state in frequency mode, a first visit in binary
+  mode), and every other pair keeps the leaf of (k, t-1). That is the
   feature-driven traversal of QuickScorer (Lucchese et al., SIGIR 2015).
-  Each step changes at most one feature, so few pairs are walked, and
-  leaf values are gathered and summarised only at the rows where some
-  changed: 1% of the pairs and 2% of the rows on the replay benchmark.
+  A chunk's inputs are built at once from its ids. One stable sort of
+  (episode, state) keys finds each episode's visited states that some
+  split tests; their prefix counts are the only columns of its rows
+  (every other feature reads 0, and no walk reads a state no split
+  tests). The events come straight from the ids, and the walked pairs
+  are their distinct ids, sorted. Each step changes at most one feature,
+  so few pairs are walked, and leaf values are gathered and summarised
+  only at the rows where some changed: 1% of the pairs and 2% of the
+  rows on the replay benchmark.
 
 Both give the bits of walking each tree alone, and the single-input
 `predict` shares the summary code, so stream and batch agree bit for bit
@@ -79,6 +86,7 @@ from typing import Optional
 
 import numpy as np
 
+from .abstraction import FeatureMode
 from .seeding import derive_seed
 
 Z_CRITICAL = 1.96
@@ -189,67 +197,92 @@ class PackedTrees:
         )
         return values.reshape(len(self.roots), n_rows)
 
-    def prefix_leaf_values(self, blocks: list) -> tuple[np.ndarray, np.ndarray]:
-        """Leaf values of the stacked rows of `blocks` at the rows where
-        some leaf value changed.
+    def prefix_leaf_values(self, ids: list, mode: FeatureMode) -> tuple[np.ndarray, np.ndarray]:
+        """Leaf values of every prefix of a chunk of episodes at the rows
+        where some leaf value changed.
 
-        Block i is (rows, columns), as abstraction.prefix_feature_matrix
-        returns it, with at least one row: column j of a row holds feature
-        columns[j] (ids in [0, n_features), each once), and every other
-        feature reads 0. Tree k is walked at row t of a block only when
-        t = 0 or row t differs from row t-1 in a feature tree k tests;
-        every other pair keeps the leaf of (k, t-1). Returns the (n_trees,
+        Episode i is ids[i], its per-step abstract ids (-1 unseen), with at
+        least one step. Its row t is the feature vector of steps 0..t in
+        `mode`: the visits to each state, or 1 at each state visited. The
+        rows of all episodes are stacked. Tree k is walked at row t of an
+        episode only when t = 0 or step t changes a feature tree k tests
+        (a seen id in frequency mode, a first visit in binary mode); every
+        other pair keeps the leaf of (k, t-1). Returns the (n_trees,
         n_changed) values at row 0 and every row where some tree's value
-        differs from the row before (in a block or across two), and the
+        differs from the row before (in an episode or across two), and the
         index of each row's last such row: row r has changed[:, last[r]].
         """
         n_trees = len(self.roots)
-        sizes = np.array([len(rows) for rows, _ in blocks])
-        widths = np.array([len(columns) + 1 for _, columns in blocks])
+        sizes = np.array([len(episode_ids) for episode_ids in ids])
         n_rows = int(sizes.sum())
         first_row = np.cumsum(sizes) - sizes
+        steps = np.concatenate(ids)
+        episode = np.repeat(np.arange(len(ids)), sizes)
 
-        # The blocks, each with a zero column appended, one after the other
-        # in `flat`; row r of block e starts at row_base[r].
+        # The steps that visit a state some split tests: no walk reads any
+        # other state, so each episode's columns are those states only. An
+        # unseen id (-1) and one past every tested feature read False.
+        n_features = int(self.feature.max()) + 1
+        tested = np.zeros(n_features + 1, dtype=bool)
+        tested[self.split_feature] = True
+        visit = np.flatnonzero(tested[np.minimum(steps, n_features)])
+        keys = episode[visit] * n_features + steps[visit]
+        order = np.argsort(keys, kind="stable")  # by (episode, id), then by step
+        sorted_keys = keys[order]
+        new = np.ones(len(keys), dtype=bool)  # the first visit of each (episode, id)
+        new[1:] = sorted_keys[1:] != sorted_keys[:-1]
+        distinct = sorted_keys[new]
+        n_columns = np.bincount(distinct // n_features, minlength=len(ids))
+        # The column of each distinct key in its episode's rows, and of each visit.
+        local = np.arange(len(distinct)) - np.repeat(np.cumsum(n_columns) - n_columns, n_columns)
+        rank = np.empty(len(keys), dtype=np.intp)
+        rank[order] = np.cumsum(new) - 1
+        column = local[rank]
+
+        # The episodes' rows, each with a zero column appended, one after
+        # the other in `flat`; row r of episode e starts at row_base[r].
+        # One visit (or first visit) per cell, summed down each episode.
+        widths = n_columns + 1
         cells = sizes * widths
         block_start = np.cumsum(cells) - cells
-        flat = np.zeros(int(cells.sum()), dtype=np.result_type(*{rows.dtype for rows, _ in blocks}))
-        change_rows, change_features = [], []  # (row, feature) of every change
-        for (rows, columns), start, width, first in zip(
-            blocks, block_start.tolist(), widths.tolist(), first_row.tolist()
-        ):
-            flat[start:start + len(rows) * width].reshape(len(rows), width)[:, :-1] = rows
-            t, j = np.nonzero(rows[1:] != rows[:-1])
-            change_rows.append(t + first + 1)
-            change_features.append(columns[j])
-        block = np.repeat(np.arange(len(blocks)), sizes)
-        row_base = (block_start - first_row * widths)[block] + np.arange(n_rows) * widths[block]
+        row_base = (block_start - first_row * widths)[episode] + np.arange(n_rows) * widths[episode]
+        counted = visit
+        if mode is FeatureMode.BINARY:
+            first_visit = np.zeros(len(keys), dtype=bool)
+            first_visit[order[new]] = True
+            counted, column = visit[first_visit], column[first_visit]
+        flat = np.zeros(int(cells.sum()), dtype=np.float32)
+        flat[row_base[counted] + column] = 1.0
+        for e in np.flatnonzero(n_columns).tolist():
+            block = flat[block_start[e]:block_start[e] + cells[e]].reshape(sizes[e], widths[e])
+            np.cumsum(block, axis=0, out=block)
 
-        # The (block, feature) table: the column of each feature in its
-        # block's rows, the zero column for a feature the block lacks.
-        n_columns = widths - 1
-        visited = np.concatenate([columns for _, columns in blocks])
-        n_features = max(int(self.feature.max()), int(visited.max(initial=0))) + 1
+        # The (episode, feature) table: the column of each feature in its
+        # episode's rows, the zero column for a feature the episode lacks.
         table = np.repeat(n_columns, n_features)
-        local = np.arange(len(visited)) - np.repeat(np.cumsum(n_columns) - n_columns, n_columns)
-        table[np.repeat(np.arange(len(blocks)) * n_features, n_columns) + visited] = local
+        table[distinct] = local
 
-        # Events, as pair ids k * n_rows + r: every tree at a block's first
-        # row, and each tree testing a feature that changed at row r.
-        event = np.zeros(n_trees * n_rows, dtype=bool)
-        event.reshape(n_trees, n_rows)[:, first_row] = True
-        features = np.concatenate(change_features)
+        # Events, as pair ids k * n_rows + r: every tree at an episode's
+        # first row, and each tree testing the feature that step r changed.
+        changes = counted[counted != first_row[episode[counted]]]
+        features = steps[changes]
         lo = np.searchsorted(self.split_feature, features, side="left")
         count = np.searchsorted(self.split_feature, features, side="right") - lo
         first = np.cumsum(count) - count  # the split-node ranges, concatenated
         splits = np.arange(count.sum()) + np.repeat(lo - first, count)
-        event[self.split_tree[splits] * n_rows + np.repeat(np.concatenate(change_rows), count)] = True
-
-        pairs = np.flatnonzero(event)
-        del event
+        pairs = np.sort(np.concatenate([
+            (np.arange(0, n_trees * n_rows, n_rows)[:, None] + first_row).ravel(),
+            self.split_tree[splits] * n_rows + np.repeat(changes, count),
+        ]))
+        # A tree that tests a feature at several nodes gets one event per
+        # node: keep one of each. Sorting and comparing neighbours is many
+        # times faster than np.unique, which hashes before it sorts.
+        once = np.ones(len(pairs), dtype=bool)
+        once[1:] = pairs[1:] != pairs[:-1]
+        pairs = pairs[once]
         rows = pairs % n_rows
         read_at = row_base.take(rows)
-        table_at = block.take(rows) * n_features
+        table_at = episode.take(rows) * n_features
         values = self._descend(
             self.roots.take(pairs // n_rows),
             lambda nodes: flat.take(read_at + table.take(table_at + self.feature.take(nodes))),
@@ -624,15 +657,15 @@ def predict_batch(forest: Forest, x_rows: np.ndarray) -> BatchSummary:
     return BatchSummary(*_summarize(forest.packed.leaf_values(_rows(forest, x_rows))))
 
 
-def predict_prefixes(forest: Forest, blocks: list) -> BatchSummary:
-    """predict() over the stacked rows of compact prefix blocks.
+def predict_prefixes(forest: Forest, ids: list, mode: FeatureMode) -> BatchSummary:
+    """predict() over every prefix of each episode's ids, stacked.
 
-    `blocks` are as PackedTrees.prefix_leaf_values takes them, one per
-    episode. The summary is computed only at the rows where some leaf value
-    changed and copied to the rows after them, which hold the same
-    per-tree values and so the same summary, bit for bit.
+    `ids` and `mode` are as PackedTrees.prefix_leaf_values takes them. The
+    summary is computed only at the rows where some leaf value changed and
+    copied to the rows after them, which hold the same per-tree values and
+    so the same summary, bit for bit.
     """
-    changed, last = forest.packed.prefix_leaf_values(blocks)
+    changed, last = forest.packed.prefix_leaf_values(ids, mode)
     return BatchSummary(*(field.take(last) for field in _summarize(changed)))
 
 

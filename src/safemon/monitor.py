@@ -16,13 +16,14 @@ would differ, and writes each reply from one `%` template with
 json.dumps's bytes.
 
 Stored episodes are replayed together: run_traces looks up the whole
-corpus at once, cuts each episode at the stop policy, encodes every
-prefix over the states the episode visits, and scores the episodes in
-chunks under a row budget, one change-driven forest call per chunk (a
-tree is walked at a step only when a feature it tests changed there). Each episode becomes a DecisionTrace: its summary series
-plus the first fire step. Its per-step assessments are derived from the
-series on demand and equal what observe returns step by step, bit for
-bit, since both walks reach the same leaves and share the summary code.
+corpus at once, cuts each episode at the stop policy, and scores the
+episodes in chunks under a row budget. Each chunk's visit ids go to one
+change-driven forest call, which builds every prefix from them (a tree
+is walked at a step only when a feature it tests changed there). Each
+episode becomes a DecisionTrace: its summary series plus the first fire
+step. Its per-step assessments are derived from the series on demand and
+equal what observe returns step by step, bit for bit, since both walks
+reach the same leaves and share the summary code.
 A model file's `forest_config` is its number of trees and forest.GROWTH;
 load_model refuses any other, naming the key, any tree a walk could not
 finish or with a non-integer split feature or child, or a threshold or
@@ -40,13 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .abstraction import (
-    AbstractionTable,
-    FeatureMode,
-    UnseenPolicy,
-    prefix_feature_matrix,
-)
-from .dataset import load_document, read_json, save_document
+from .abstraction import AbstractionTable, FeatureMode, UnseenPolicy
+from .dataset import DatasetError, load_document, read_json, save_document
 from .forest import (
     GROWTH,
     BatchSummary,
@@ -250,8 +246,7 @@ def run_traces(model: MonitorModel, episodes_qs) -> list[DecisionTrace]:
 
 def _replay_chunk(model: MonitorModel, ids: list) -> list[BatchSummary]:
     """The probability series of each episode of a chunk, from its ids."""
-    blocks = [prefix_feature_matrix(episode_ids, model.table.n, model.mode) for episode_ids in ids]
-    batch = predict_prefixes(model.forest, blocks)
+    batch = predict_prefixes(model.forest, ids, model.mode)
     fields = (batch.mean, batch.std, batch.low, batch.up)
     bounds = np.cumsum([0] + [len(episode_ids) for episode_ids in ids]).tolist()
     return [BatchSummary(*(f[a:b] for f in fields)) for a, b in zip(bounds, bounds[1:])]
@@ -295,7 +290,8 @@ def _read_model(path):
     holds a float of magnitude 2**63 or more: those carry user-given
     integers of any size (`build --seed`) that save_model must write back
     as they were. Elsewhere such an integer is refused either way, or
-    read as the same float64.
+    read as the same float64. A value nested too deeply for json, or for
+    the scan of those two keys, raises DatasetError naming the file.
     """
     import orjson
 
@@ -305,9 +301,13 @@ def _read_model(path):
         doc = orjson.loads(text)
     except orjson.JSONDecodeError:
         return read_json(path)
-    if type(doc) is dict and _holds_a_wide_float((doc.get("forest_seed"), doc.get("provenance"))):
-        return read_json(path)
-    return doc
+    try:
+        wide = type(doc) is dict and _holds_a_wide_float(
+            (doc.get("forest_seed"), doc.get("provenance"))
+        )
+    except RecursionError:  # the scan recurses once per level of nesting
+        raise DatasetError(f"{path}: a value is nested too deeply to read") from None
+    return read_json(path) if wide else doc
 
 
 def _holds_a_wide_float(values) -> bool:
@@ -362,9 +362,10 @@ _REPLY = '{"t": %d, "p": %r, "low": %r, "up": %r, "fired": %s, "unseen": %s}\n'
 def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
     """NDJSON session: {"t", "q"} lines in, assessment lines out.
 
-    Malformed input lines, a `t` that is not a JSON integer or a `q` that
-    is not a list of JSON numbers within float64's range among them, are
-    reported on the diagnostic stream and skipped; the latched fired flag
+    Malformed input lines, a `t` that is not a JSON integer, a `q` that
+    is not a list of JSON numbers within float64's range and a value
+    nested too deeply to decode among them, are reported on the
+    diagnostic stream and skipped; the latched fired flag
     persists across the whole session. A `t` that does not count on
     from the last one read (from 0 at the start) is reported there too,
     and the line is still assessed.
@@ -411,6 +412,10 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
             return 0
         except (KeyError, TypeError, ValueError) as exc:
             print(f"line {lineno}: skipped malformed input: {exc}", file=err_stream)
+            continue
+        except RecursionError:  # from json, or from _holds_a_wide_float
+            print(f"line {lineno}: skipped malformed input: a value is nested too deeply",
+                  file=err_stream)
             continue
         summary = assessment.summary
         out_stream.write(

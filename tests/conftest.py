@@ -5,7 +5,7 @@ import numpy as np
 from safemon.abstraction import AbstractionTable
 from safemon.dataset import Episode, EpisodeSet, Label
 from safemon.envs import Cause
-from safemon.forest import PackedTrees
+from safemon.forest import PackedTrees, Tree
 from safemon.monitor import run_traces
 
 
@@ -42,6 +42,18 @@ def id_table(n):
     return AbstractionTable(d=1.0, index={(k + 1,): k for k in range(n)})
 
 
+def leaf_tree(fraction, count=1):
+    """A tree whose root is a leaf of value `fraction`."""
+    return Tree(
+        feature=np.array([-1], dtype=np.int32),
+        threshold=np.zeros(1),
+        left=np.array([-1], dtype=np.int32),
+        right=np.array([-1], dtype=np.int32),
+        value=np.array([float(fraction)]),
+        count=np.array([count], dtype=np.int64),
+    )
+
+
 def replay_with_leaf_values(model, corpus):
     """run_traces(model, corpus), and each trace's (n_trees, steps) leaf
     values as the replay's prefix_leaf_values calls gave them: the values
@@ -49,8 +61,8 @@ def replay_with_leaf_values(model, corpus):
     chunks = []
     prefix_leaf_values = PackedTrees.prefix_leaf_values
 
-    def spy(packed, blocks):
-        changed, last = prefix_leaf_values(packed, blocks)
+    def spy(packed, ids, mode):
+        changed, last = prefix_leaf_values(packed, ids, mode)
         chunks.append(changed[:, last])
         return changed, last
 

@@ -543,6 +543,33 @@ def test_config_that_is_not_a_json_object_is_io_error_naming_file(text, cause, t
     assert capsys.readouterr().err.startswith(f"i/o error: {config}: {cause}")
 
 
+@pytest.mark.parametrize("depth", [1000, 100_000])
+@pytest.mark.parametrize("seam", ["agent", "config", "model"])
+def test_file_nested_too_deeply_is_io_error_naming_file(seam, depth, agent_path, model_path,
+                                                        tmp_path, capsys, monkeypatch):
+    """json decodes, and the model reader scans `provenance`, one level
+    per call: a value 1,000 or more deep ran out of recursion and ended
+    the command in a traceback. It is refused, naming the file."""
+    bad = tmp_path / "deep.json"
+    if seam == "config":
+        doc = {"trees": "DEEP"}
+        argv = [*BUILD, "--config", str(bad)]
+    elif seam == "agent":
+        doc = json.loads(Path(agent_path).read_text(encoding="utf-8"))
+        doc["report"] = "DEEP"
+        argv = ["collect", "--agent", str(bad), "--episodes", "2", "--out", str(tmp_path / "c.jsonl")]
+    else:
+        doc = json.loads(Path(model_path).read_text(encoding="utf-8"))
+        doc["provenance"]["deep"] = "DEEP"
+        argv = ["watch", "--model", str(bad)]
+        monkeypatch.setattr(sys, "stdin", io.StringIO(""))
+    bad.write_text(json.dumps(doc).replace('"DEEP"', "[" * depth + "]" * depth), encoding="utf-8")
+    assert main(argv) == EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"i/o error: {bad}: a value is nested too deeply to read\n"
+
+
 def test_model_that_is_not_utf8_is_io_error_naming_file(model_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(Path(model_path).read_bytes().replace(b'"format"', b'"\xffformat"', 1))
@@ -913,6 +940,10 @@ AGENT_DAMAGE = [
     ("weights[1].b[1]", -(10**400), "weights[1].b must be a list of 2 finite numbers, got ["),
     ("input_offset[2]", 10**400, "input_offset must be a list of 4 finite numbers, got ["),
     ("input_scale[0]", -(10**400), "input_scale must be a list of 4 finite numbers, got ["),
+    # A state divided by 0: collect then failed at its first episode.
+    ("input_scale[1]", 0.0, "input_scale must hold no 0, got [2.4, 0.0, 0.21, 3.0]"),
+    ("input_scale[3]", -0.0, "input_scale must hold no 0, got [2.4, 3.0, 0.21, -0.0]"),
+    ("input_scale[0]", 0, "input_scale must hold no 0, got [0, 3.0, 0.21, 3.0]"),
 ]
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import safemon.forest as forest_module
 import safemon.monitor as monitor_module
-from conftest import id_table, replay_with_leaf_values
+from conftest import id_table, leaf_tree, replay_with_leaf_values
 from safemon.abstraction import FeatureMode
 from safemon.forest import (
     Forest,
@@ -31,17 +31,6 @@ from safemon.forest import (
 )
 from safemon.monitor import MonitorModel
 from safemon.seeding import derive_seed
-
-
-def leaf_tree(fraction, count=1):
-    return Tree(
-        feature=np.array([-1], dtype=np.int32),
-        threshold=np.zeros(1),
-        left=np.array([-1], dtype=np.int32),
-        right=np.array([-1], dtype=np.int32),
-        value=np.array([float(fraction)]),
-        count=np.array([count], dtype=np.int64),
-    )
 
 
 def leaf_forest(fractions, feature_count=3):
@@ -507,7 +496,7 @@ def test_one_row_predict_matches_tree_walks(kind):
 
 def dense_prefixes(ids, n, mode):
     """Every prefix of an episode's ids (-1 unseen) as visit counts over
-    all n states, built without abstraction.prefix_feature_matrix."""
+    all n states, built step by step."""
     visits = np.zeros((len(ids), n), dtype=np.float32)
     for t, i in enumerate(ids):
         if i >= 0:
@@ -516,14 +505,30 @@ def dense_prefixes(ids, n, mode):
     return np.minimum(counts, 1.0) if mode is FeatureMode.BINARY else counts
 
 
+def walked_longest(trees, ids, n, mode):
+    """The longest path of the (tree, row) pairs the change-driven walk
+    goes down over an episode's prefixes: every tree at row 0, and at row
+    t each tree testing a feature that differs from row t-1."""
+    tested = [set(tree.feature[tree.feature >= 0].tolist()) for tree in trees]
+    dense = dense_prefixes(ids, n, mode)
+    longest = 0
+    for t, row in enumerate(dense):
+        changed = set(np.flatnonzero(row != dense[t - 1]).tolist()) if t else None
+        for tree, features in zip(trees, tested):
+            if t == 0 or changed & features:
+                longest = max(longest, path_length(tree, row))
+    return longest
+
+
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), mode=st.sampled_from(FeatureMode))
 def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
-    """run_traces scores each episode's prefixes in compact form (only the
-    states it visits, every other feature reads 0), walking a tree at a
-    step only when a feature it tests changed: none at an unseen id or a
-    binary revisit. Every tree at every step must still read the leaf its
-    own walk reaches, and every summary must equal the plain walk's, over
+    """run_traces hands each chunk's visit ids to the forest, which builds
+    every prefix over only the states the episode visits that some split
+    tests (every other feature reads 0) and walks a tree at a step only
+    when a feature it tests changed: none at an unseen id or a binary
+    revisit. Every tree at every step must still read the leaf its own
+    walk reaches, and every summary must equal the plain walk's, over
     episodes stacked into chunks of any size. Each chunk's walk stops one
     level after the longest path of the pairs it walks."""
     n = data.draw(st.integers(1, 6))
@@ -537,30 +542,22 @@ def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
     episodes = data.draw(st.lists(ids, min_size=1, max_size=4))
     budget = data.draw(st.sampled_from([1, 8, 40, monitor_module.ROW_BUDGET]))
 
-    chunks = []  # the blocks of each prefix_leaf_values call and its levels
+    chunks = []  # the ids of each prefix_leaf_values call and its levels
     prefix_leaf_values = PackedTrees.prefix_leaf_values
 
-    def recording(packed, blocks):
+    def recording(packed, chunk_ids, chunk_mode):
         with descent_levels() as levels:
-            result = prefix_leaf_values(packed, blocks)
-        chunks.append((blocks, levels))
+            result = prefix_leaf_values(packed, chunk_ids, chunk_mode)
+        chunks.append((chunk_ids, levels))
         return result
 
     with mock.patch.object(monitor_module, "ROW_BUDGET", budget), \
             mock.patch.object(PackedTrees, "prefix_leaf_values", recording):
         corpus = [[[i + 0.5] if i >= 0 else [-0.5] for i in e] for e in episodes]
         traces, replayed = replay_with_leaf_values(model, corpus)
-    tested = [set(tree.feature[tree.feature >= 0].tolist()) for tree in trees]
-    for blocks, levels in chunks:
-        longest = 0  # over the pairs the change-driven walk goes down
-        for rows, columns in blocks:
-            dense = np.zeros((len(rows), n))
-            dense[:, columns] = rows
-            for t, row in enumerate(dense):
-                changed = set(np.flatnonzero(row != dense[t - 1]).tolist()) if t else None
-                for tree, features in zip(trees, tested):
-                    if t == 0 or changed & features:
-                        longest = max(longest, path_length(tree, row))
+    assert [ids.tolist() for chunk_ids, _ in chunks for ids in chunk_ids] == episodes
+    for chunk_ids, levels in chunks:
+        longest = max(walked_longest(trees, ids, n, mode) for ids in chunk_ids)
         assert levels == [longest + 1]
     for episode, trace, per_tree in zip(episodes, traces, replayed):
         dense = dense_prefixes(episode, n, mode)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safemon.monitor as monitor_module
-from conftest import id_table, make_episode, make_set, replay_with_leaf_values
+from conftest import id_table, leaf_tree, make_episode, make_set, replay_with_leaf_values
 from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
 from safemon.dataset import DatasetError, Label
 from safemon.forest import (
@@ -234,6 +234,29 @@ def test_stream_equals_batch_property(ids, mode, unseen, criterion, theta):
         assert len(batch) == len(ids)
 
 
+def assert_replay_equals_observe(model, episodes):
+    """run_traces over episodes of ids (-1 unseen) gives, episode by
+    episode, what observe returns step by step, bit for bit, down to the
+    leaf values each step reaches; the traces are returned."""
+    corpus = [np.array([q_for(i) if i >= 0 else np.array([-7.5]) for i in ids]) for ids in episodes]
+    traces, replayed = replay_with_leaf_values(model, corpus)
+    assert len(traces) == len(corpus)
+    for ids, qs, trace, per_tree in zip(episodes, corpus, traces, replayed):
+        running = RunningState.fresh(model)
+        observed = [
+            assert_observed_equals_replayed(model, running, qs[want.t], want, per_tree[:, want.t])
+            for want in trace.assessments
+        ]
+        if len(observed) < len(qs):
+            with pytest.raises(MonitorStopped):
+                observe(model, running, qs[len(observed)])
+        fired = [a.t for a in observed if a.fired]
+        assert trace.first_fire_step == (fired[0] if fired else None)
+        assert trace.episode_length == len(ids)
+        assert trace.stop_hit == (model.unseen_policy is UnseenPolicy.STOP and -1 in ids)
+    return traces
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     episodes=st.lists(st.lists(st.integers(-1, 5), min_size=1, max_size=25), min_size=1, max_size=6),
@@ -250,23 +273,33 @@ def test_run_traces_equal_observe_property(episodes, mode, unseen, criterion, th
         table=id_table(6), forest=PROPERTY_FOREST, mode=mode,
         criterion=criterion, theta=theta, unseen_policy=unseen,
     )
-    corpus = [np.array([q_for(i) if i >= 0 else np.array([-7.5]) for i in ids]) for ids in episodes]
     with mock.patch.object(monitor_module, "ROW_BUDGET", budget):
-        traces, replayed = replay_with_leaf_values(model, corpus)
-    assert len(traces) == len(corpus)
-    for ids, qs, trace, per_tree in zip(episodes, corpus, traces, replayed):
-        running = RunningState.fresh(model)
-        observed = [
-            assert_observed_equals_replayed(model, running, qs[want.t], want, per_tree[:, want.t])
-            for want in trace.assessments
-        ]
-        if len(observed) < len(qs):
-            with pytest.raises(MonitorStopped):
-                observe(model, running, qs[len(observed)])
-        fired = [a.t for a in observed if a.fired]
-        assert trace.first_fire_step == (fired[0] if fired else None)
-        assert trace.episode_length == len(ids)
-        assert trace.stop_hit == (unseen is UnseenPolicy.STOP and -1 in ids)
+        assert_replay_equals_observe(model, episodes)
+
+
+@pytest.mark.parametrize("budget", [1, monitor_module.ROW_BUDGET])
+@pytest.mark.parametrize("unseen", list(UnseenPolicy))
+@pytest.mark.parametrize("mode", list(FeatureMode))
+@pytest.mark.parametrize("forest, episodes", [
+    pytest.param(Forest(trees=[leaf_tree(0.25), leaf_tree(0.5), leaf_tree(1.0)], feature_count=6, seed=0),
+                 [[0, 1, 0], [-1], [5, 5, 2, -1]], id="leaf-only-forest"),
+    pytest.param(PROPERTY_FOREST, [[-1, -1, -1], [1, 4, 1], [-1], [-1, -1]], id="only-unseen-steps"),
+    pytest.param(PROPERTY_FOREST, [[0], [4], [-1], [1], [1]], id="one-step-episodes"),
+    pytest.param(PROPERTY_FOREST, [[-1, 1, 4], [4, 4, 1], [-1]], id="unseen-at-step-0"),
+])
+def test_run_traces_edge_chunks_equal_observe(forest, episodes, mode, unseen, budget):
+    """Chunks the replay builds from ids alone, with no state some split
+    tests (a forest of leaves, steps all unseen), with one-step episodes,
+    and with a stop policy that cuts an episode at step 0, still give what
+    observe returns step by step."""
+    model = MonitorModel(table=id_table(6), forest=forest, mode=mode, unseen_policy=unseen)
+    with mock.patch.object(monitor_module, "ROW_BUDGET", budget):
+        traces = assert_replay_equals_observe(model, episodes)
+    cut = [len(trace.assessments) for trace in traces]
+    if unseen is UnseenPolicy.STOP:
+        assert cut == [ids.index(-1) + 1 if -1 in ids else len(ids) for ids in episodes]
+    else:
+        assert cut == [len(ids) for ids in episodes]
 
 
 @settings(max_examples=60, deadline=None)
@@ -654,6 +687,26 @@ def test_watch_skips_a_q_holding_an_integer_beyond_float64():
     assert err.getvalue().splitlines() == [
         "line 2: skipped malformed input: q holds an integer beyond float64's range",
         "line 3: skipped malformed input: q holds an integer beyond float64's range",
+    ]
+
+
+@pytest.mark.parametrize("depth", [1000, 100_000])
+def test_watch_skips_a_line_nested_too_deeply(depth):
+    """json decodes, and the wide-float scan reads `q`, one level per
+    call: a line 1,000 or more deep ran out of recursion and ended the
+    session. It is skipped like any malformed line, and the next is read."""
+    model = staircase_model()
+    lines = [
+        '{"t": 0, "q": [0.5]}\n',
+        '{"t": 1, "q": %s}\n' % ("[" * depth + "]" * depth),
+        '{"t": 2, "q": [2.5]}\n',
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    assert watch_stream(model, iter(lines), out, err) == 0
+    assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [0, 2]
+    assert err.getvalue().splitlines() == [
+        "line 2: skipped malformed input: a value is nested too deeply",
+        "line 3: t jumped from 0 to 2",
     ]
 
 

@@ -2,11 +2,14 @@
 own process: train-agent, collect, select-d, build, evaluate, watch on
 cart-pole, and train-agent, collect, build, evaluate on mountain-car.
 
-Marked slow and left out of the default run; select it with `-m slow`.
+The runs are marked slow and left out of the default run; select them
+with `-m slow`. One fast test reads the README's own block, in process.
 """
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -130,3 +133,32 @@ def test_mountaincar_pipeline_warns_of_the_band_and_reruns_byte_identical(tmp_pa
         assert causes(tmp_path / "first" / corpus) == {"violation", "step_limit"}
     assert run_commands(tmp_path / "second", MOUNTAINCAR_COMMANDS) == first
     assert written(tmp_path / "second") == files
+
+
+def readme_pipeline() -> list[list[str]]:
+    """The commands of the README's pipeline block, each as its argv after
+    `safemon`, with continued lines joined and comments dropped."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```\n(.*?)^```", text, flags=re.M | re.S)
+    (block,) = [b for b in blocks if b.startswith("safemon train-agent")]
+    commands = [shlex.split(line, comments=True) for line in block.replace("\\\n", " ").splitlines()]
+    assert all(argv[0] == "safemon" for argv in commands)
+    return [argv[1:] for argv in commands]
+
+
+def test_readme_pipeline_reads_only_files_it_wrote_before():
+    """Each --episodes, --model and --agent path of the README block is the
+    --out of an earlier command, and each command parses; the block once
+    evaluated a test.jsonl that no line wrote."""
+    from safemon.cli import build_parser
+
+    parser = build_parser()
+    written = set()
+    for argv in readme_pipeline():
+        args = vars(parser.parse_args(argv))
+        for key in ("episodes", "model", "agent"):
+            if type(args.get(key)) is str:  # collect's --episodes is a count
+                assert args[key] in written, f"{argv[0]} reads {args[key]}, which no earlier command wrote"
+        if "out" in args:
+            written.add(args["out"])
+    assert {"agent.json", "train.jsonl", "test.jsonl", "monitor.json"} <= written
