@@ -4,19 +4,13 @@ and JSONL persistence.
 Episodes store the full per-step Q-vectors so that abstraction tables can
 be rebuilt at any level without re-executing the agent.
 
-Corpus lines are decoded with orjson, whose float parsing is most of the
-cost of reading a corpus and several times faster than json's. A line
-orjson refuses is decoded again with json, so the NaN and Infinity
-literals, a number beyond float64's range and a lone surrogate decode as
-before, and a malformed line fails with json's message. The one value the
-two decoders give differently is an integer beyond 64 bits: orjson
-decodes it as the nearest float, json as an int. Inside `s`, `q` and `r`
-that gives the same float64; as an action both are refused. Each of `s`,
-`q` and `r` is converted from one flat list per episode, after a scan of
-its values' types, so a string or boolean is refused at its step. Model
-files and `watch` lines are decoded with orjson too (monitor.load_model,
-monitor.watch_stream); agent documents and `--config` files keep json:
-nothing there is hot.
+Every JSON input, here and in the other modules, is decoded by `decode`,
+which gives json's values and errors; its docstring states the rule. A
+corpus line is decoded with no key scanned (`exact=()`): an integer beyond
+64 bits inside `s`, `q` or `r` gives the same float64 either way, and as
+an action it is refused either way. Each of `s`, `q` and `r` is converted
+from one flat list per episode, after a scan of its values' types, so a
+string or boolean is refused at its step.
 
 Corpus lines are written without json.dumps, one `%` per episode: a
 bytes step template, `{"s": [%b, ...], "a": %d, "q": [%b, ...], "r": %b}`,
@@ -61,28 +55,77 @@ class DatasetError(ValueError):
     pass
 
 
-def read_json(path):
-    """The JSON document at `path`; text that is not JSON, bytes that are
-    not UTF-8, or a value nested deeper than json can decode raise
-    DatasetError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+def decode(raw, exact=None):
+    """The value json.loads gives for `raw`, UTF-8 bytes or a str, or json's
+    error (UnicodeDecodeError for bytes that are not UTF-8).
+
+    orjson decodes it first, several times faster, and gives json's value
+    but in two cases, where json decodes the text again. orjson refuses
+    some text json reads: the NaN and Infinity literals, a number beyond
+    float64's range, a BOM, a lone surrogate, and anything malformed,
+    which then fails with json's message. And orjson reads an integer
+    beyond 64 bits as a float, json as an int; so a float of magnitude
+    2**63 or more sends the text to json too. The scan for one covers the
+    whole value, or with `exact`, a tuple, only those top-level keys of
+    an object: elsewhere the caller refuses such an integer either way,
+    or reads it as the same float64. A value nested too deeply for json,
+    or for the scan, raises DatasetError.
+    """
+    import orjson
+
+    try:
         try:
-            return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
-        except RecursionError:
-            raise DatasetError(f"{path}: a value is nested too deeply to read") from None
+            value = orjson.loads(raw)
+        except orjson.JSONDecodeError:
+            pass
+        else:
+            if exact is None:
+                scanned = (value,)
+            else:
+                scanned = [value.get(key) for key in exact] if type(value) is dict else ()
+            if not _holds_a_wide_float(scanned):
+                return value
+        return json.loads(raw.decode("utf-8") if type(raw) is bytes else raw)
+    except RecursionError:  # json, and the scan, recurse once per level of nesting
+        raise DatasetError("a value is nested too deeply to read") from None
 
 
-def load_document(path, tag: str, build, read=read_json):
-    """Parse the JSON document at `path` with read(path) (read_json's
-    values and errors), check its "format" tag, and return build(doc).
+def _holds_a_wide_float(values) -> bool:
+    """Whether one of `values`, or a list or dict value inside one, is a
+    float of magnitude 2**63 or more."""
+    for v in values:
+        if type(v) is float:
+            if abs(v) >= 2.0**63:
+                return True
+        elif type(v) is list or type(v) is dict:
+            if _holds_a_wide_float(v.values() if type(v) is dict else v):
+                return True
+    return False
+
+
+def read_json(path, exact=None):
+    """decode(the bytes at `path`, exact); text that is not JSON, bytes that
+    are not UTF-8, or a value nested too deeply raise DatasetError naming
+    the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        return decode(raw, exact)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise DatasetError(f"{path}: not a JSON document: {exc}") from exc
+    except DatasetError as exc:
+        raise DatasetError(f"{path}: {exc}") from None
+
+
+def load_document(path, tag: str, build, exact=None):
+    """Parse the JSON document at `path` with read_json(path, exact), check
+    its "format" tag, and return build(doc).
 
     Text that is not JSON, another tag, or a key or value that `build`
     cannot use raises DatasetError naming the file, so a bad file fails
     where it is read.
     """
-    doc = read(path)
+    doc = read_json(path, exact)
     if not isinstance(doc, dict) or "format" not in doc:
         raise DatasetError(f"{path}: no format tag, expected {tag!r}")
     if doc["format"] != tag:
@@ -365,21 +408,18 @@ def read_jsonl(path) -> EpisodeSet:
     kind is inferred from the Q-vector width, fingerprint and seed stay
     unset.
     """
-    import orjson
-
     episodes = []
     with open(path, "rb") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 try:
-                    obj = orjson.loads(raw)  # it checks the UTF-8 itself
-                except orjson.JSONDecodeError:
-                    line = raw.decode("utf-8")
-                    if not line.strip():
+                    obj = decode(raw, ())
+                except json.JSONDecodeError:  # as every blank line raises
+                    if not raw.decode("utf-8").strip():
                         continue
-                    obj = json.loads(line)
+                    raise
                 episode = _episode_from_obj(obj)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise DatasetError(f"{path}: malformed episode at line {lineno}: {exc}") from exc
             width = episode.qs.shape[1]
             if not episodes:

@@ -11,9 +11,8 @@ observe scores each step with forest.predict: every tree is walked from
 its root, with no change detection, which is the cheaper walk for one
 row. The vector it scores is kept in the RunningState and updated in
 place: a step sets one entry, never rebuilding the whole vector.
-watch_stream decodes each line with orjson, and with json where the two
-would differ, and writes each reply from one `%` template with
-json.dumps's bytes.
+watch_stream decodes each line with dataset.decode and writes each reply
+from one `%` template with json.dumps's bytes.
 
 Stored episodes are replayed together: run_traces looks up the whole
 corpus at once, cuts each episode at the stop policy, and scores the
@@ -29,7 +28,9 @@ load_model refuses any other, naming the key, any tree a walk could not
 finish or with a non-integer split feature or child, or a threshold or
 leaf value that is not a JSON number, naming the node, and a table whose
 ids are not 0 .. n-1 or whose keys repeat. It decodes the file with
-orjson, falling back to json where the two would differ (_read_model).
+dataset.decode, exact in `forest_seed` and `provenance`, which carry
+user-given integers of any size (`build --seed`) that save_model must
+write back as they were.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .abstraction import AbstractionTable, FeatureMode, UnseenPolicy
-from .dataset import DatasetError, load_document, read_json, save_document
+from .dataset import decode, load_document, save_document
 from .forest import (
     GROWTH,
     BatchSummary,
@@ -276,51 +277,7 @@ def save_model(model: MonitorModel, path) -> None:
 
 
 def load_model(path) -> MonitorModel:
-    return load_document(path, MODEL_FORMAT, _model_from_doc, read=_read_model)
-
-
-def _read_model(path):
-    """The model document at `path`, with read_json's values and errors.
-
-    orjson decodes it several times faster than json, and gives the same
-    values, except that it refuses some text json reads (NaN and Infinity
-    literals, a number beyond float64's range, a lone surrogate) and reads
-    an integer beyond 64 bits as a float. Text orjson refuses goes to
-    read_json, and so does a document whose `forest_seed` or `provenance`
-    holds a float of magnitude 2**63 or more: those carry user-given
-    integers of any size (`build --seed`) that save_model must write back
-    as they were. Elsewhere such an integer is refused either way, or
-    read as the same float64. A value nested too deeply for json, or for
-    the scan of those two keys, raises DatasetError naming the file.
-    """
-    import orjson
-
-    with open(path, "rb") as fh:
-        text = fh.read()
-    try:
-        doc = orjson.loads(text)
-    except orjson.JSONDecodeError:
-        return read_json(path)
-    try:
-        wide = type(doc) is dict and _holds_a_wide_float(
-            (doc.get("forest_seed"), doc.get("provenance"))
-        )
-    except RecursionError:  # the scan recurses once per level of nesting
-        raise DatasetError(f"{path}: a value is nested too deeply to read") from None
-    return read_json(path) if wide else doc
-
-
-def _holds_a_wide_float(values) -> bool:
-    """Whether one of `values`, or a list or dict value inside one, is a
-    float of magnitude 2**63 or more."""
-    for v in values:
-        if type(v) is float:
-            if abs(v) >= 2.0**63:
-                return True
-        elif type(v) is list or type(v) is dict:
-            if _holds_a_wide_float(v.values() if type(v) is dict else v):
-                return True
-    return False
+    return load_document(path, MODEL_FORMAT, _model_from_doc, exact=("forest_seed", "provenance"))
 
 
 def _model_from_doc(doc: dict) -> MonitorModel:
@@ -368,29 +325,16 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
     diagnostic stream and skipped; the latched fired flag
     persists across the whole session. A `t` that does not count on
     from the last one read (from 0 at the start) is reported there too,
-    and the line is still assessed.
-
-    A line is decoded with orjson, and again with json where the two
-    would differ: where orjson refuses it (NaN and Infinity literals, a
-    number beyond float64's range, a BOM, a lone surrogate), and where
-    its `t` or `q` holds a float of magnitude 2**63 or more, which json
-    reads as an int if its text is one.
+    and the line is still assessed. A line is decoded by dataset.decode,
+    exact in `t` and `q`.
     """
-    import orjson
-
     running = RunningState.fresh(model)
     last_t = None
     for lineno, line in enumerate(in_stream, start=1):
         if not line.strip():
             continue
         try:
-            try:
-                msg = orjson.loads(line)
-            except orjson.JSONDecodeError:
-                msg = json.loads(line)
-            else:
-                if type(msg) is dict and _holds_a_wide_float((msg.get("t"), msg.get("q"))):
-                    msg = json.loads(line)
+            msg = decode(line, ("t", "q"))
             t = msg["t"]
             if type(t) is not int:  # a bool is no t, nor is 1.9 or "2"
                 raise ValueError(f"t must be a JSON integer, got {json.dumps(t)}")
@@ -412,10 +356,6 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
             return 0
         except (KeyError, TypeError, ValueError) as exc:
             print(f"line {lineno}: skipped malformed input: {exc}", file=err_stream)
-            continue
-        except RecursionError:  # from json, or from _holds_a_wide_float
-            print(f"line {lineno}: skipped malformed input: a value is nested too deeply",
-                  file=err_stream)
             continue
         summary = assessment.summary
         out_stream.write(

@@ -9,6 +9,14 @@ from safemon.forest import PackedTrees, Tree
 from safemon.monitor import run_traces
 
 
+def orjson_refusing():
+    """A context in which orjson refuses every text, so that dataset.decode
+    hands each to json alone."""
+    import orjson
+
+    return mock.patch.object(orjson, "loads", side_effect=orjson.JSONDecodeError("refused", "", 0))
+
+
 def make_episode(qs, unsafe=False):
     """Episode with the given per-step Q-matrix and placeholder dynamics."""
     qs = np.asarray(qs, dtype=np.float64)

@@ -10,6 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import orjson_refusing
 from safemon import agent
 from safemon.agent import (
     GRAD_CLIP_NORM,
@@ -29,6 +30,7 @@ from safemon.agent import (
     save_agent,
     train_agent,
 )
+from safemon.dataset import DatasetError
 from safemon.envs import CARTPOLE, MOUNTAINCAR, Cause, make_env
 from safemon.seeding import derive_seed
 
@@ -196,6 +198,73 @@ def test_agent_file_round_trip_keeps_fingerprint_and_q_bits(model, data):
     assert restored.network.forward(states).tobytes() == model.network.forward(states).tobytes()
     for state in states:
         assert restored.network.forward(state).tobytes() == model.network.forward(state).tobytes()
+
+
+def agent_outcome(path):
+    """The bytes save_agent writes for load_agent(path), or the message of
+    the DatasetError that refused the file."""
+    try:
+        model = load_agent(path)
+    except DatasetError as exc:
+        return str(exc)
+    again = Path(path).with_name("again.json")
+    save_agent(model, again)
+    return again.read_bytes()
+
+
+def agent_outcome_by_json(path):
+    with orjson_refusing():
+        return agent_outcome(path)
+
+
+WIDE = "18446744073709551616"  # 2**64: orjson reads it as a float, json as an int
+
+# Edits to a saved agent's text that orjson refuses, or reads otherwise
+# than json does.
+AGENT_EDITS = {
+    "as-saved": lambda text: text,
+    "nan-in-report": lambda text: text.replace('"mean_reward": 10.0', '"mean_reward": NaN', 1),
+    "nan-gamma": lambda text: text.replace('"gamma": 0.99', '"gamma": NaN', 1),
+    "lone-surrogate": lambda text: text.replace('"env": ', '"note": "\\ud800", "env": ', 1),
+    "bom": lambda text: "\ufeff" + text,
+    "wide-seed": lambda text: text.replace('"seed": 3', f'"seed": {WIDE}', 1),
+    "wide-negative-seed": lambda text: text.replace('"seed": 3', f'"seed": -{WIDE}', 1),
+    "wide-steps-trained": lambda text: text.replace('"steps_trained": 0', f'"steps_trained": {WIDE}', 1),
+    "wide-layer-size": lambda text: text.replace('"layer_sizes": [4,', f'"layer_sizes": [{WIDE},', 1),
+    "wide-in-report": lambda text: text.replace('"selected_step": 0', f'"selected_step": {WIDE}', 1),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), edit=st.sampled_from(sorted(AGENT_EDITS) + ["truncated", "not-utf8"]))
+def test_load_agent_reads_what_json_reads(data, edit):
+    """Where orjson refuses an agent file or decodes a value otherwise,
+    load_agent gives json's agent, written back byte for byte, or json's
+    message."""
+    model = dataclasses.replace(tiny_model(CARTPOLE, seed=3), report=TrainReport(
+        mean_reward=10.0, unsafe_rate=0.1, mean_length=50.0, eval_episodes=100,
+        selected_step=0, band_satisfied=True, checkpoints=[CheckpointStat(0, 0.1, 10.0, 50.0)],
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "agent.json"
+        save_agent(model, path)
+        text = path.read_text(encoding="utf-8")
+        if edit == "truncated":
+            path.write_text(text[: data.draw(st.integers(0, len(text) - 2))], encoding="utf-8")
+        elif edit == "not-utf8":
+            raw = text.encode("utf-8")
+            at = data.draw(st.integers(0, len(raw) - 1))
+            path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        else:
+            edited = AGENT_EDITS[edit](text)
+            assert (edited == text) == (edit == "as-saved")
+            path.write_text(edited, encoding="utf-8")
+        outcome = agent_outcome(path)
+        assert outcome == agent_outcome_by_json(path)
+    if edit in ("wide-seed", "wide-negative-seed", "wide-steps-trained", "wide-in-report"):
+        assert outcome == edited.encode("utf-8")  # the integer is written back as it was
+    if edit == "bom":
+        assert "Unexpected UTF-8 BOM" in outcome  # as json.loads refuses the text
 
 
 def smoke_config(**overrides):

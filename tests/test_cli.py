@@ -16,10 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safemon.cli
-from conftest import make_episode, make_set, two_band_corpus
+from conftest import make_episode, make_set, orjson_refusing, two_band_corpus
 from safemon.agent import AgentModel, QNetwork, save_agent
 from safemon.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from safemon.dataset import write_jsonl
+from safemon.dataset import DatasetError, write_jsonl
 from safemon.envs import CARTPOLE, ENV_KINDS
 
 
@@ -543,15 +543,69 @@ def test_config_that_is_not_a_json_object_is_io_error_naming_file(text, cause, t
     assert capsys.readouterr().err.startswith(f"i/o error: {config}: {cause}")
 
 
+def config_outcome(path):
+    """The tokens the `build` --config file at `path` stands for, or the
+    message of the error that refused it."""
+    parser = safemon.cli._Parser(prog="safemon build")
+    safemon.cli._COMMANDS["build"][1](parser)
+    try:
+        return safemon.cli._config_flags(path, parser)
+    except (DatasetError, safemon.cli.UsageError) as exc:
+        return str(exc)
+
+
+# Edits to a config file's text that orjson refuses, or reads otherwise
+# than json does.
+CONFIG_EDITS = {
+    "as-written": lambda text: text,
+    "nan": lambda text: text.replace('"theta": 0.25', '"theta": NaN', 1),
+    "bom": lambda text: "\ufeff" + text,
+    "lone-surrogate": lambda text: text.replace('"out": "', '"out": "\\ud800', 1),
+    "wide-seed": lambda text: text.replace('"seed": 7', '"seed": 18446744073709551616', 1),
+    "wide-negative-seed": lambda text: text.replace('"seed": 7', '"seed": -18446744073709551616', 1),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data(), edit=st.sampled_from(sorted(CONFIG_EDITS) + ["truncated", "not-utf8"]))
+def test_config_reads_what_json_reads(data, edit, tmp_path_factory):
+    """Where orjson refuses a --config file or decodes a value otherwise,
+    it stands for json's tokens, or fails with json's message."""
+    path = tmp_path_factory.mktemp("config") / "cfg.json"
+    text = json.dumps({"seed": 7, "theta": 0.25, "out": "m.json"})
+    if edit == "truncated":
+        path.write_text(text[: data.draw(st.integers(0, len(text) - 2))], encoding="utf-8")
+    elif edit == "not-utf8":
+        raw = text.encode("utf-8")
+        at = data.draw(st.integers(0, len(raw) - 1))
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+    else:
+        edited = CONFIG_EDITS[edit](text)
+        assert (edited == text) == (edit == "as-written")
+        path.write_text(edited, encoding="utf-8")
+    outcome = config_outcome(path)
+    with orjson_refusing():
+        assert outcome == config_outcome(path)
+    if edit.startswith("wide"):
+        assert outcome[0] == "--seed=" + edited.split()[1][:-1]  # the integer as written
+    if edit == "bom":
+        assert "Unexpected UTF-8 BOM" in outcome  # as json.loads refuses the text
+
+
 @pytest.mark.parametrize("depth", [1000, 100_000])
-@pytest.mark.parametrize("seam", ["agent", "config", "model"])
+@pytest.mark.parametrize("seam", ["agent", "config", "corpus", "model"])
 def test_file_nested_too_deeply_is_io_error_naming_file(seam, depth, agent_path, model_path,
                                                         tmp_path, capsys, monkeypatch):
-    """json decodes, and the model reader scans `provenance`, one level
-    per call: a value 1,000 or more deep ran out of recursion and ended
-    the command in a traceback. It is refused, naming the file."""
-    bad = tmp_path / "deep.json"
-    if seam == "config":
+    """json decodes, and the scan for integers beyond 64 bits reads, one
+    level per call: a value 1,000 or more deep ran out of recursion and
+    ended the command in a traceback. It is refused, naming the file (and
+    a corpus line, whose NaN sends it to json)."""
+    bad, where = tmp_path / "deep.json", ""
+    if seam == "corpus":
+        doc = {"x": float("nan"), "steps": "DEEP"}
+        argv = ["build", "--episodes", str(bad), "--d", "1.0", "--out", str(tmp_path / "m.json")]
+        where = "malformed episode at line 1: "
+    elif seam == "config":
         doc = {"trees": "DEEP"}
         argv = [*BUILD, "--config", str(bad)]
     elif seam == "agent":
@@ -567,7 +621,7 @@ def test_file_nested_too_deeply_is_io_error_naming_file(seam, depth, agent_path,
     assert main(argv) == EXIT_IO
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"i/o error: {bad}: a value is nested too deeply to read\n"
+    assert captured.err == f"i/o error: {bad}: {where}a value is nested too deeply to read\n"
 
 
 def test_model_that_is_not_utf8_is_io_error_naming_file(model_path, tmp_path, capsys):

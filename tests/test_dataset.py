@@ -4,15 +4,13 @@ import re
 import struct
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
-import orjson
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_episode, make_set
+from conftest import make_episode, make_set, orjson_refusing
 from safemon.agent import AgentModel, QNetwork
 from safemon.dataset import (
     DatasetError,
@@ -436,8 +434,7 @@ def test_jsonl_rejects_an_integer_beyond_float64(tmp_path, field):
 def decoded_by_json(path):
     """read_jsonl(path) with every line decoded by json.loads, as before
     orjson: orjson refuses each line, so each goes to the json fallback."""
-    refuse = orjson.JSONDecodeError("refused", "", 0)
-    with mock.patch.object(orjson, "loads", side_effect=refuse):
+    with orjson_refusing():
         return read_jsonl(path)
 
 
@@ -530,6 +527,21 @@ def test_orjson_decodes_corpus_arrays_as_json_does(data, env_kind):
     assert as_bytes(restored.states, restored.actions, restored.qs, restored.rewards) == as_bytes(
         column("s"), episode.actions, column("q"), column("r")
     )
+
+
+def test_a_line_whose_text_strips_to_nothing_is_skipped(tmp_path):
+    """A blank line is one whose UTF-8 text str.strip empties, so Unicode
+    whitespace counts as well as ASCII; it is skipped, but it still counts
+    in the line numbers messages give."""
+    path = tmp_path / "corpus.jsonl"
+    write_jsonl(make_set([make_episode([[1.0, 2.0]]), make_episode([[3.0, 4.0]])]), path)
+    first, second = path.read_text(encoding="utf-8").splitlines()
+    text = f"\n{first}\n \t\u2028\u00a0\n\x0c\n{second}\n"
+    path.write_text(text, encoding="utf-8")
+    assert [e.qs.tolist() for e in read_jsonl(path).episodes] == [[[1.0, 2.0]], [[3.0, 4.0]]]
+    path.write_text(text + "\u200b\n", encoding="utf-8")  # a zero-width space is no whitespace
+    with pytest.raises(DatasetError, match="malformed episode at line 6: Expecting value"):
+        read_jsonl(path)
 
 
 # Edits to the text of a corpus line that orjson or json refuses.

@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safemon.monitor as monitor_module
-from conftest import id_table, leaf_tree, make_episode, make_set, replay_with_leaf_values
+from conftest import (
+    id_table,
+    leaf_tree,
+    make_episode,
+    make_set,
+    orjson_refusing,
+    replay_with_leaf_values,
+)
 from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
 from safemon.dataset import DatasetError, Label
 from safemon.forest import (
@@ -516,9 +523,7 @@ def test_load_model_takes_table_ids_in_any_order(tmp_path):
 def loaded_by_json(path):
     """load_model(path) with the document decoded by json alone: orjson
     refuses every text, so each goes to the json fallback."""
-    import orjson
-
-    with mock.patch.object(orjson, "loads", side_effect=orjson.JSONDecodeError("refused", "", 0)):
+    with orjson_refusing():
         return load_model(path)
 
 
@@ -705,7 +710,7 @@ def test_watch_skips_a_line_nested_too_deeply(depth):
     assert watch_stream(model, iter(lines), out, err) == 0
     assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [0, 2]
     assert err.getvalue().splitlines() == [
-        "line 2: skipped malformed input: a value is nested too deeply",
+        "line 2: skipped malformed input: a value is nested too deeply to read",
         "line 3: t jumped from 0 to 2",
     ]
 

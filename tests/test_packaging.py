@@ -24,6 +24,32 @@ def imported_top_level_modules(package: Path) -> set[str]:
     return names
 
 
+def json_decode_calls(package: Path) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of every call to json.load,
+    json.loads or orjson.loads in the package's sources."""
+    decoders = {("json", "load"), ("json", "loads"), ("orjson", "loads")}
+    calls = []
+    for source in package.rglob("*.py"):
+        nodes = [(ast.parse(source.read_text(encoding="utf-8"), filename=str(source)), None)]
+        while nodes:
+            node, owner = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            func = getattr(node, "func", None)
+            if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
+                    and isinstance(func.value, ast.Name) and (func.value.id, func.attr) in decoders):
+                calls.append((source.stem, owner))
+            nodes.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return calls
+
+
+def test_every_json_input_is_decoded_by_dataset_decode():
+    """One decoder, one fallback rule and one nesting refusal for every
+    JSON input: no other function decodes JSON text itself."""
+    calls = json_decode_calls(ROOT / "src" / "safemon")
+    assert calls and set(calls) == {("dataset", "decode")}, sorted(set(calls))
+
+
 def test_every_third_party_import_is_a_declared_dependency():
     """An undeclared import fails here, not in a fresh install."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
