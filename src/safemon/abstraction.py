@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
@@ -62,7 +62,11 @@ def bucketize_batch(qs: np.ndarray, d: float) -> np.ndarray:
     if not 0 < d < math.inf:
         raise ValueError(f"abstraction level must be positive and finite, got {d}")
     q = np.asarray(qs, dtype=np.float64)
-    ratio = q / d
+    if d < 1.0:  # only then can a finite q overflow; the refusal below names it
+        with np.errstate(over="ignore"):
+            ratio = q / d
+    else:
+        ratio = q / d
     size = np.abs(ratio)
     # One test refuses NaN, infinities and quotients no int64 holds.
     if not (size < _INDEX_LIMIT).all():
@@ -148,20 +152,11 @@ class AbstractionTable:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "AbstractionTable":
-        """The table of to_json_dict's form: distinct keys, lists of
-        integers all of one width, and the ids 0 .. n-1, one per key."""
-        keys, ids, d = doc["keys"], doc["ids"], doc["d"]
-        # `type`, since a bool is an int; json and orjson decode a JSON
-        # integer as an int (orjson one beyond 64 bits as a float).
-        if type(d) not in (int, float) or not 0.0 < d < math.inf:
-            raise ValueError(f"table d must be a positive finite JSON number, got {d!r}")
-        if not (type(keys) is list and keys and set(map(type, keys)) == {list}
-                and len(set(map(len, keys))) == 1
-                and set(map(type, chain.from_iterable(keys))) == {int}):
-            raise ValueError("table keys must be lists of integers of one length")
+        """The table of to_json_dict's form, whose fields load_model checks
+        (monitor.MODEL_FIELDS), refused unless its ids are 0 .. n-1, one
+        per key, and its keys are distinct."""
+        keys, ids = doc["keys"], doc["ids"]
         n = len(keys)
-        if type(ids) is not list or len(ids) != n or set(map(type, ids)) != {int}:
-            raise ValueError("table ids must be one integer per key")
         # to_json_dict writes the ids in order.
         if ids != list(range(n)) and set(ids) != set(range(n)):
             outside = [i for i in ids if not 0 <= i < n]
@@ -171,7 +166,7 @@ class AbstractionTable:
         index = dict(zip(map(tuple, keys), ids))
         if len(index) < n:
             raise ValueError(f"table key {list(_first_repeat(map(tuple, keys)))} is given more than once")
-        return cls(d=float(d), index=index)
+        return cls(d=float(doc["d"]), index=index)
 
 
 def _first_repeat(items):

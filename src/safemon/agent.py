@@ -34,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dataset import load_document, save_document
+from .dataset import Field, finite_numbers, json_integer, json_number, load_document, save_document
 from .envs import CARTPOLE, CAUSES, ENV_KINDS, MOUNTAINCAR, RUNNING, STEP_LIMIT, Cause, make_env
 from .seeding import derive_rng, derive_seed
 
@@ -542,19 +542,19 @@ def train_agent(env_kind: str, config: AgentTrainConfig) -> AgentModel:
     )
 
 
+def _header(model: AgentModel) -> dict:
+    """The scalar fields of the agent's document, in its order."""
+    return {"format": AGENT_FORMAT, "env": model.env_kind, "gamma": model.gamma, "seed": model.seed,
+            "steps_trained": model.steps_trained, "layer_sizes": list(model.network.layer_sizes)}
+
+
 def _core_doc(model: AgentModel) -> dict:
+    network = model.network
     return {
-        "format": AGENT_FORMAT,
-        "env": model.env_kind,
-        "gamma": model.gamma,
-        "seed": model.seed,
-        "steps_trained": model.steps_trained,
-        "layer_sizes": list(model.network.layer_sizes),
-        "input_offset": model.network.input_offset.tolist(),
-        "input_scale": model.network.input_scale.tolist(),
-        "weights": [
-            {"w": w.tolist(), "b": b.tolist()} for w, b in model.network.weights
-        ],
+        **_header(model),
+        "input_offset": network.input_offset.tolist(),
+        "input_scale": network.input_scale.tolist(),
+        "weights": [{"w": w.tolist(), "b": b.tolist()} for w, b in network.weights],
     }
 
 
@@ -569,15 +569,7 @@ def agent_fingerprint(model: AgentModel) -> str:
     differ). The training report is left out.
     """
     network = model.network
-    header = {
-        "format": AGENT_FORMAT,
-        "env": model.env_kind,
-        "gamma": model.gamma,
-        "seed": model.seed,
-        "steps_trained": model.steps_trained,
-        "layer_sizes": list(network.layer_sizes),
-    }
-    digest = hashlib.sha256(json.dumps(header, sort_keys=True, separators=(",", ":")).encode())
+    digest = hashlib.sha256(json.dumps(_header(model), sort_keys=True, separators=(",", ":")).encode())
     for values in (network.input_offset, network.input_scale, network.params):
         digest.update(np.asarray(values, dtype="<f8").tobytes())
     return digest.hexdigest()[:16]
@@ -591,109 +583,62 @@ def save_agent(model: AgentModel, path) -> None:
 
 
 def load_agent(path) -> AgentModel:
-    return load_document(path, AGENT_FORMAT, _agent_from_doc)
+    return load_document(path, AGENT_FORMAT, AGENT_FIELDS, _agent_from_doc,
+                         exact=("seed", "steps_trained", "layer_sizes", "report"))
 
 
-def _finite_rows(rows, n: int, names) -> np.ndarray:
-    """The (len(rows), n) float64 matrix of `rows`, refused unless each row
-    is a list of n finite JSON numbers; names[i] names row i."""
-    values = []
-    for row in rows:
-        if type(row) is not list or len(row) != n:
-            break
-        values += row
-    else:
-        # `type`, since a bool is an int; numpy would read "0.5" as 0.5.
-        if set(map(type, values)) <= {float, int}:
-            try:
-                matrix = np.array(values, dtype=np.float64).reshape(len(rows), n)
-            except OverflowError:  # an integer beyond float64, named below
-                pass
-            else:
-                if np.isfinite(matrix).all():
-                    return matrix
-    for name, row in zip(names, rows):
-        if not (type(row) is list and len(row) == n and all(map(_finite_number, row))):
-            raise ValueError(f"{name} must be a list of {n} finite numbers, got {row!r}")
-    raise AssertionError("every row is well formed")
+_READ = ("collect",)
+_UNIT = json_number(lambda v: 0.0 <= v <= 1.0)
+_MEAN_LENGTH = json_number(lambda v: 1.0 <= v <= STEP_LIMIT)
+_FINITE = json_number(lambda v: abs(v) < math.inf)
+_LIST_OF_N = lambda v, n: type(v) is list and len(v) == n
 
-
-def _finite_number(v) -> bool:
-    """Whether `v` is a JSON number that float64 holds finitely."""
-    if type(v) is float:
-        return math.isfinite(v)
-    if type(v) is not int:  # a bool is no number
-        return False
-    try:
-        float(v)
-    except OverflowError:
-        return False
-    return True
-
-
-def _layer_weights(weights, sizes) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Each layer's (w, b) from an agent document's "weights", refused
-    unless it holds one {"w", "b"} entry per layer, shaped as `sizes` say,
-    of finite JSON numbers; the message names the layer, w or b, and row."""
-    if type(weights) is not list or len(weights) != len(sizes) - 1:
-        raise ValueError(
-            f"weights must be a list of {len(sizes) - 1} layers for layer_sizes {sizes}, "
-            f"got {len(weights) if type(weights) is list else weights!r}"
-        )
-    layers = []
-    for k, (entry, fan_in, fan_out) in enumerate(zip(weights, sizes, sizes[1:])):
-        if type(entry) is not dict:
-            raise ValueError(f"weights[{k}] must be an object with keys w and b, got {entry!r}")
-        w, b = entry["w"], entry["b"]
-        if type(w) is not list or len(w) != fan_in:
-            raise ValueError(
-                f"weights[{k}].w must be a list of {fan_in} rows, "
-                f"got {f'{len(w)} rows' if type(w) is list else repr(w)}"
-            )
-        w = _finite_rows(w, fan_out, [f"weights[{k}].w[{r}]" for r in range(fan_in)])
-        layers.append((w, _finite_rows([b], fan_out, [f"weights[{k}].b"])[0]))
-    return layers
+# An agent/1 document, each field after those its rule reads. collect reads
+# the network, and the report for its band warning; gamma, seed and
+# steps_trained feed only agent_fingerprint, which no corpus line holds.
+AGENT_FIELDS = (
+    Field("env", f"be one of {list(ENV_KINDS)}", ENV_KINDS.__contains__, _READ),
+    Field("gamma", "be a JSON number in [0, 1]", _UNIT),
+    Field("seed", "be a JSON integer", json_integer()),
+    Field("steps_trained", "be a JSON integer >= 0", json_integer(0)),
+    Field("layer_sizes", "be a list of two or more integers >= 1",
+          lambda v: type(v) is list and len(v) >= 2 and all(type(s) is int and s >= 1 for s in v), _READ),
+    *(Field(key, "be a list of {} finite numbers", finite_numbers, _READ,
+            tie=lambda doc: doc["layer_sizes"][0]) for key in ("input_offset", "input_scale")),
+    Field("input_scale", "hold no 0", lambda v: 0 not in v, _READ),  # a state divided by 0 is no input
+    Field("weights", "be a list of {} layers for layer_sizes {doc[layer_sizes]}", _LIST_OF_N, _READ,
+          tie=lambda doc: len(doc["layer_sizes"]) - 1, unit="layers"),
+    Field("weights[]", "be an object with keys w and b", dict, _READ),
+    Field("weights[].w", "be a list of {} rows", _LIST_OF_N, _READ,
+          tie=lambda doc, k: doc["layer_sizes"][k], unit="rows"),
+    Field("weights[].w[]", "be a list of {} finite numbers", finite_numbers, _READ,
+          tie=lambda doc, k, row: doc["layer_sizes"][k + 1]),
+    Field("weights[].b", "be a list of {} finite numbers", finite_numbers, _READ,
+          tie=lambda doc, k: doc["layer_sizes"][k + 1]),
+    Field("report", "be a JSON object", dict, _READ, optional=True),
+    Field("report.mean_reward", "be a finite JSON number", _FINITE),
+    Field("report.unsafe_rate", "be a number in [0, 1]", _UNIT, _READ),
+    Field("report.mean_length", f"be a JSON number in [1, {STEP_LIMIT}]", _MEAN_LENGTH),
+    Field("report.eval_episodes", "be a JSON integer >= 1", json_integer(1), _READ),
+    Field("report.selected_step", "be a JSON integer >= 0", json_integer(0), _READ),
+    Field("report.band_satisfied", "be true or false", bool, _READ),
+    Field("report.checkpoints", "be a list", list),
+    Field("report.checkpoints[]", "be a JSON object", dict),
+    Field("report.checkpoints[].step", "be a JSON integer >= 0", json_integer(0)),
+    Field("report.checkpoints[].unsafe_rate", "be a number in [0, 1]", _UNIT),
+    Field("report.checkpoints[].mean_reward", "be a finite JSON number", _FINITE),
+    Field("report.checkpoints[].mean_length", f"be a JSON number in [1, {STEP_LIMIT}]", _MEAN_LENGTH),
+)
 
 
 def _agent_from_doc(doc: dict) -> AgentModel:
-    env, sizes = doc["env"], doc["layer_sizes"]
-    if env not in ENV_KINDS:
-        raise ValueError(f"env must be one of {list(ENV_KINDS)}, got {env!r}")
-    if not (type(sizes) is list and len(sizes) >= 2
-            and all(type(s) is int and s >= 1 for s in sizes)):
-        raise ValueError(f"layer_sizes must be a list of two or more integers >= 1, got {sizes!r}")
-    offset, scale = (_finite_rows([doc[key]], sizes[0], [key])[0]
-                     for key in ("input_offset", "input_scale"))
-    if not scale.all():  # a state divided by 0 is no Q-network input
-        raise ValueError(f"input_scale must hold no 0, got {doc['input_scale']!r}")
-    network = QNetwork(
-        sizes, weights=_layer_weights(doc["weights"], sizes), input_offset=offset, input_scale=scale
+    network = QNetwork(doc["layer_sizes"], weights=[(layer["w"], layer["b"]) for layer in doc["weights"]],
+                       input_offset=doc["input_offset"], input_scale=doc["input_scale"])
+    rep = doc.get("report")
+    report = None if rep is None else TrainReport(
+        rep["mean_reward"], rep["unsafe_rate"], rep["mean_length"], rep["eval_episodes"],
+        rep["selected_step"], rep["band_satisfied"],
+        [CheckpointStat(c["step"], c["unsafe_rate"], c["mean_reward"], c["mean_length"])
+         for c in rep["checkpoints"]],
     )
-    report = None
-    if "report" in doc:
-        rep = doc["report"]
-        rate = rep["unsafe_rate"]
-        if type(rate) not in (int, float) or not 0.0 <= rate <= 1.0:
-            raise ValueError(f"report unsafe_rate must be a number in [0, 1], got {rate!r}")
-        report = TrainReport(
-            mean_reward=rep["mean_reward"],
-            unsafe_rate=rate,
-            mean_length=rep["mean_length"],
-            eval_episodes=rep["eval_episodes"],
-            selected_step=rep["selected_step"],
-            band_satisfied=rep["band_satisfied"],
-            checkpoints=[
-                CheckpointStat(c["step"], c["unsafe_rate"], c["mean_reward"], c["mean_length"])
-                for c in rep["checkpoints"]
-            ],
-        )
-    gamma, seed, steps = doc["gamma"], doc["seed"], doc["steps_trained"]
-    if type(gamma) not in (int, float) or not 0.0 <= gamma <= 1.0:
-        raise ValueError(f"gamma must be a JSON number in [0, 1], got {gamma!r}")
-    if type(seed) is not int:
-        raise ValueError(f"seed must be a JSON integer, got {seed!r}")
-    if type(steps) is not int or steps < 0:
-        raise ValueError(f"steps_trained must be a JSON integer >= 0, got {steps!r}")
-    return AgentModel(
-        env_kind=env, network=network, gamma=gamma, seed=seed, steps_trained=steps, report=report
-    )
+    return AgentModel(doc["env"], network, doc["gamma"], doc["seed"], doc["steps_trained"], report)

@@ -314,7 +314,8 @@ def cmd_watch(args) -> int:
     from .monitor import load_model, watch_stream
 
     model = load_model(args.model)
-    return watch_stream(model, sys.stdin, sys.stdout, sys.stderr)
+    # Bytes, so that a line that is not UTF-8 is skipped like any malformed one.
+    return watch_stream(model, getattr(sys.stdin, "buffer", sys.stdin), sys.stdout, sys.stderr)
 
 
 def _train_agent_arguments(p) -> None:

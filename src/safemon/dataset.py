@@ -34,8 +34,11 @@ from __future__ import annotations
 
 import enum
 import json
+import math
+import re
+import reprlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
@@ -117,20 +120,96 @@ def read_json(path, exact=None):
         raise DatasetError(f"{path}: {exc}") from None
 
 
-def load_document(path, tag: str, build, exact=None):
-    """Parse the JSON document at `path` with read_json(path, exact), check
-    its "format" tag, and return build(doc).
+@dataclass(frozen=True)
+class Field:
+    """A field of a document kind: where it sits, its rule, and the commands
+    whose outputs it can change (`reads`).
 
-    Text that is not JSON, another tag, or a key or value that `build`
-    cannot use raises DatasetError naming the file, so a bad file fails
-    where it is read.
+    `path` is the field's keys, "[]" standing for each item of a list
+    ("weights[].w"). A value keeps the rule when it is of type `holds`, or
+    when holds(value), or for a length tied to another field, holds(value,
+    tie(doc, *indices)), the indices filling the path's "[]"s. A refusal
+    reads "<name> must <what>, got <value>", with the tied length at the
+    "{}" of `what`. The name is the path, its indices filled and a space
+    after its first key ("table d", "weights[0].w[1]"), or `name`; a list is
+    shown by its length in `unit`s, when given. An `optional` field may be
+    absent, with those under it.
+    """
+
+    path: str
+    what: str
+    holds: Callable
+    reads: tuple = ()
+    tie: Optional[Callable] = None
+    unit: Optional[str] = None
+    optional: bool = False
+    name: Optional[str] = None
+
+
+def json_integer(low=-math.inf):  # a bool is no JSON integer
+    return lambda v: type(v) is int and v >= low
+
+
+def json_number(within):  # a bool is no JSON number, and NaN within no bounds
+    return lambda v: type(v) in (int, float) and within(v)
+
+
+def finite_numbers(v, n: int) -> bool:
+    """Whether `v` is a list of n JSON numbers that float64 holds finitely."""
+    if type(v) is not list or len(v) != n or not set(map(type, v)) <= {int, float}:
+        return False
+    try:
+        return all(map(math.isfinite, v))
+    except OverflowError:  # an integer beyond float64
+        return False
+
+
+def check_fields(doc: dict, fields) -> None:
+    """Refuse `doc` at the first of `fields`, in order, that it lacks
+    (KeyError) or whose value breaks its rule (ValueError), naming it. A
+    field comes after those its path and tie read."""
+    optional = {f.path for f in fields if f.optional}
+    for f in fields:
+        found = [((), doc)]  # (indices, value) of each value at the path so far
+        for step in re.finditer(r"\[\]|\w+", f.path):
+            key = step.group()
+            if key == "[]":
+                found = [(at + (i,), item) for at, items in found for i, item in enumerate(items)]
+                continue
+            missing = [at for at, value in found if key not in value]
+            if missing and f.path[: step.end()] not in optional:
+                raise KeyError(_field_name(f.path[: step.end()], missing[0]))
+            found = [(at, value[key]) for at, value in found if key in value]
+        for indices, value in found:
+            length = f.tie and f.tie(doc, *indices)
+            args = (value,) if f.tie is None else (value, length)
+            if not (type(value) is f.holds if type(f.holds) is type else f.holds(*args)):
+                name = f.name or _field_name(f.path, indices)
+                counted = f.unit is not None and type(value) is list
+                shown = f"{len(value)} {f.unit}" if counted else reprlib.repr(value)
+                raise ValueError(f"{name} must {f.what.format(length, doc=doc)}, got {shown}")
+
+
+def _field_name(path: str, indices) -> str:
+    first, *rest = path.split("[]")
+    return re.sub(r"^(\w+)\.", r"\1 ", first + "".join(f"[{i}]{part}" for i, part in zip(indices, rest)))
+
+
+def load_document(path, tag: str, fields, build, exact=None):
+    """Parse the JSON document at `path` with read_json(path, exact), check
+    its "format" tag and its `fields`, and return build(doc).
+
+    Text that is not JSON, another tag, a missing field or a value that
+    breaks its field's rule, or one that `build` cannot use, raises
+    DatasetError naming the file, so a bad file fails where it is read.
     """
     doc = read_json(path, exact)
     if not isinstance(doc, dict) or "format" not in doc:
         raise DatasetError(f"{path}: no format tag, expected {tag!r}")
     if doc["format"] != tag:
-        raise DatasetError(f"{path}: format tag {doc['format']!r}, expected {tag!r}")
+        raise DatasetError(f"{path}: format tag {reprlib.repr(doc['format'])}, expected {tag!r}")
     try:
+        check_fields(doc, fields)
         return build(doc)
     except KeyError as exc:
         raise DatasetError(f"{path}: {tag} document has no key {exc.args[0]!r}") from exc

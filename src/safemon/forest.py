@@ -11,13 +11,10 @@ each training row (`Forest.in_bag`), which `out_of_bag_mean` reads to
 score every training row by the trees that left it out; a loaded forest
 has no such counts.
 
-The loader (`forest_from_json_list`) reads a model file's nodes in one
-pass over all trees, collecting the split and leaf entries, and fills
-each of the six whole-forest node columns with one numpy assignment after
-one scan of its values' types; every Tree is a slice of those columns,
-and the columns are checked once, all nodes together (`_check_trees`). A
-string, a bool or a float where an integer belongs is refused, naming the
-tree and node, rather than parsed or truncated by numpy.
+The loader (`forest_from_json_list`) checks a model file's nodes column
+by column, all nodes together; a node it refuses is named by its tree and
+index, and a string, bool or float where an integer belongs is refused,
+not parsed or truncated by numpy.
 
 A node's split is the candidate boundary of lowest weighted Gini. All
 trees grow in lockstep (`_grow_forest`): each keeps its own depth-first
@@ -80,6 +77,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Optional
@@ -704,27 +702,24 @@ def forest_to_json_list(forest: Forest) -> list:
 
 
 def forest_from_json_list(trees_doc: list, feature_count: int, seed: int) -> Forest:
-    """The forest of forest_to_json_list's form, every node checked.
-
-    One pass over the nodes of all trees collects the split entries, the
-    leaf entries and which nodes split. Each of the six whole-forest
-    columns is filled by one numpy assignment, after one scan of its
-    values' types, and each Tree is a slice of those columns.
-    """
+    """The forest of forest_to_json_list's form, every node checked. One
+    pass over all nodes collects the split and leaf entries; each of the six
+    whole-forest columns is filled by one numpy assignment after one scan of
+    its values' types, and each Tree is a slice of those columns."""
     sizes = [len(nodes) for nodes in trees_doc]
     if not sizes or not all(sizes):
         raise ValueError("a forest needs one tree or more, each of one node or more")
     is_split, splits, leaves = bytearray(), [], []
-    for node in chain.from_iterable(trees_doc):
-        if "leaf" in node:
-            leaves.append(node["leaf"])
-            is_split.append(0)
-        else:
-            splits.append(node["split"])
-            is_split.append(1)
     try:
+        for node in chain.from_iterable(trees_doc):
+            if "leaf" in node:
+                leaves.append(node["leaf"])
+                is_split.append(0)
+            else:
+                splits.append(node["split"])
+                is_split.append(1)
         shaped = set(map(len, splits)) <= {4} and set(map(len, leaves)) <= {2}
-    except TypeError:  # an entry that is a number, a bool or null
+    except (TypeError, KeyError):  # a node that is no split or leaf object; an entry that is no list
         shaped = False
     if not shaped:
         raise _entry_error(trees_doc)
@@ -764,11 +759,14 @@ def forest_from_json_list(trees_doc: list, feature_count: int, seed: int) -> For
 
 
 def _entry_error(trees_doc: list) -> ValueError:
-    """The error naming the first node whose entry is not a list of its
-    kind's values: a split's feature, threshold, left and right child, a
-    leaf's value and count."""
+    """The error naming the first node that is not an object holding a
+    split or a leaf entry, or whose entry is not a list of its kind's
+    values: a split's feature, threshold, left and right child, a leaf's
+    value and count."""
     for t, nodes in enumerate(trees_doc):
         for i, node in enumerate(nodes):
+            if type(node) is not dict or not {"leaf", "split"} & node.keys():
+                return ValueError(f"tree {t} node {i}: {reprlib.repr(node)} is no split or leaf object")
             kind, width = ("leaf", 2) if "leaf" in node else ("split", 4)
             entry = node[kind]
             if type(entry) is not list or len(entry) != width:
@@ -783,7 +781,7 @@ def _entry_error(trees_doc: list) -> ValueError:
                 cause = "has a count that is not an integer >= 1"
             else:
                 continue
-            return ValueError(f"tree {t} node {i}: {kind} {entry} {cause}")
+            return ValueError(f"tree {t} node {i}: {kind} {reprlib.repr(entry)} {cause}")
     raise AssertionError("every entry is well formed")
 
 

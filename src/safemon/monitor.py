@@ -23,27 +23,24 @@ episode becomes a DecisionTrace: its summary series plus the first fire
 step. Its per-step assessments are derived from the series on demand and
 equal what observe returns step by step, bit for bit, since both walks
 reach the same leaves and share the summary code.
-A model file's `forest_config` is its number of trees and forest.GROWTH;
-load_model refuses any other, naming the key, any tree a walk could not
-finish or with a non-integer split feature or child, or a threshold or
-leaf value that is not a JSON number, naming the node, and a table whose
-ids are not 0 .. n-1 or whose keys repeat. It decodes the file with
-dataset.decode, exact in `forest_seed` and `provenance`, which carry
-user-given integers of any size (`build --seed`) that save_model must
-write back as they were.
+load_model checks a model file against MODEL_FIELDS. It decodes the file
+exact in `forest_seed` and `provenance`, which carry user-given integers
+of any size (`build --seed`) that save_model writes back as they were.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import sys
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
 
 from .abstraction import AbstractionTable, FeatureMode, UnseenPolicy
-from .dataset import decode, load_document, save_document
+from .dataset import Field, decode, json_integer, json_number, load_document, save_document
 from .forest import (
     GROWTH,
     BatchSummary,
@@ -277,37 +274,59 @@ def save_model(model: MonitorModel, path) -> None:
 
 
 def load_model(path) -> MonitorModel:
-    return load_document(path, MODEL_FORMAT, _model_from_doc, exact=("forest_seed", "provenance"))
+    return load_document(path, MODEL_FORMAT, MODEL_FIELDS, _model_from_doc,
+                         exact=("forest_seed", "provenance"))
+
+
+_READ = ("evaluate", "watch")
+_TABLE_SIZE = lambda doc: len(doc["table"]["keys"])
+
+# A monitor-model/1 document, each field after those its rule reads. The
+# forest's nodes are checked column by column where they are read
+# (forest_from_json_list), and the table's ids as one permutation and its
+# keys as distinct where the index is built (AbstractionTable.from_json_dict).
+# forest_config holds the forest's settings, named alone as train_forest
+# names them.
+MODEL_FIELDS = (
+    Field("table", "be a JSON object", dict, _READ),
+    Field("table.d", "be a positive finite JSON number",
+          json_number(lambda v: 0.0 < v <= sys.float_info.max), _READ),
+    Field("table.keys", "be lists of integers of one length",
+          lambda v: (type(v) is list and v != [] and set(map(type, v)) == {list}
+                     and len(set(map(len, v))) == 1 and set(map(type, chain.from_iterable(v))) == {int}),
+          _READ),
+    Field("table.ids", "be one integer per key",
+          lambda v, n: type(v) is list and len(v) == n and set(map(type, v)) == {int},
+          _READ, tie=_TABLE_SIZE),
+    Field("forest", "be a list of one or more trees, each a list of one or more nodes",
+          lambda v: type(v) is list and v != [] and all(type(t) is list and t != [] for t in v), _READ),
+    Field("forest_config", "be a JSON object", dict),
+    Field("forest_config.n_trees", "be {}", lambda v, n: type(v) is int and v == n,
+          tie=lambda doc: len(doc["forest"]), name="n_trees"),
+    *(Field(f"forest_config.{key}", f"be {value!r}",
+            lambda v, value=value: type(v) is type(value) and v == value, name=key)
+      for key, value in GROWTH.items()),
+    Field("forest_seed", "be a JSON integer", json_integer()),
+    Field("feature_count", "be a JSON integer >= 1", json_integer(1), _READ),
+    Field("feature_count", "be {}, the number of table keys", lambda v, n: v == n, _READ,
+          tie=_TABLE_SIZE),
+    *(Field(key, f"be one of {values}", values.__contains__, _READ) for key, values in (
+        ("mode", [m.value for m in FeatureMode]), ("criterion", [c.value for c in Criterion]),
+        ("unseen_policy", [u.value for u in UnseenPolicy]))),
+    Field("theta", "be a JSON number in (0, 1)", json_number(lambda v: 0.0 < v < 1.0), _READ),
+    Field("provenance", "be a JSON object", dict, optional=True),
+)
 
 
 def _model_from_doc(doc: dict) -> MonitorModel:
-    config, want = doc["forest_config"], {"n_trees": len(doc["forest"]), **GROWTH}
-    for key, value in want.items():
-        if type(config[key]) is not type(value) or config[key] != value:
-            raise ValueError(f"{key} must be {value!r}, got {config[key]!r}")
-    if set(config) != set(want):
-        raise ValueError(f"forest_config has unknown keys {sorted(set(config) - set(want))}")
-    seed = doc["forest_seed"]
-    if type(seed) is not int:  # a bool is no seed, nor is 3.0
-        raise ValueError(f"forest_seed must be a JSON integer, got {seed!r}")
-    features, theta = doc["feature_count"], doc["theta"]
-    if type(features) is not int or features < 1:
-        raise ValueError(f"feature_count must be a JSON integer >= 1, got {features!r}")
-    # `type`, since a bool is an int and float() would read "0.5".
-    if type(theta) not in (int, float) or not 0.0 < theta < 1.0:
-        raise ValueError(f"theta must be a JSON number in (0, 1), got {theta!r}")
-    provenance = doc.get("provenance", {})
-    if type(provenance) is not dict:
-        raise ValueError(f"provenance must be a JSON object, got {provenance!r}")
-    forest = forest_from_json_list(doc["forest"], features, seed)
+    unknown = sorted(set(doc["forest_config"]) - {"n_trees", *GROWTH})
+    if unknown:
+        raise ValueError(f"forest_config has unknown keys {unknown}")
+    forest = forest_from_json_list(doc["forest"], doc["feature_count"], doc["forest_seed"])
     return MonitorModel(
-        table=AbstractionTable.from_json_dict(doc["table"]),
-        forest=forest,
-        mode=FeatureMode(doc["mode"]),
-        criterion=Criterion(doc["criterion"]),
-        theta=theta,
-        unseen_policy=UnseenPolicy(doc["unseen_policy"]),
-        provenance=provenance,
+        table=AbstractionTable.from_json_dict(doc["table"]), forest=forest,
+        mode=FeatureMode(doc["mode"]), criterion=Criterion(doc["criterion"]), theta=doc["theta"],
+        unseen_policy=UnseenPolicy(doc["unseen_policy"]), provenance=doc.get("provenance", {}),
     )
 
 
@@ -325,8 +344,8 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
     diagnostic stream and skipped; the latched fired flag
     persists across the whole session. A `t` that does not count on
     from the last one read (from 0 at the start) is reported there too,
-    and the line is still assessed. A line is decoded by dataset.decode,
-    exact in `t` and `q`.
+    and the line is still assessed. A line, text or UTF-8 bytes, is
+    decoded by dataset.decode, exact in `t` and `q`.
     """
     running = RunningState.fresh(model)
     last_t = None

@@ -3,7 +3,9 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from pathlib import Path
@@ -781,6 +783,21 @@ def test_watch_protocol(model_path, capsys, monkeypatch):
         captured.err)
     assert "line 5: skipped malformed input: q holds an integer beyond float64's range" in (
         captured.err)
+
+
+def test_watch_skips_a_line_that_is_not_utf8_where_stdin_decodes_strictly(model_path):
+    """Read as text, the line ended the session in a numeric failure, and
+    the reply to the line before it, decoded in the same chunk, was lost."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="utf-8:strict")
+    stream = b'{"t": 0, "q": [4.5]}\n\xff\n{"t": 1, "q": [4.5]}\n'
+    done = subprocess.run([sys.executable, "-m", "safemon.cli", "watch", "--model", model_path],
+                          input=stream, env=env, capture_output=True, timeout=120)
+    assert done.returncode == EXIT_OK
+    assert [json.loads(line)["t"] for line in done.stdout.splitlines()] == [0, 1]
+    assert done.stderr.decode("utf-8") == (
+        "line 2: skipped malformed input: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n")
 
 
 def damaged_copy(path, tmp_path, damage, keys):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -6,6 +7,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from safemon.dataset import Field
 
 tomllib = pytest.importorskip("tomllib")
 
@@ -48,6 +51,31 @@ def test_every_json_input_is_decoded_by_dataset_decode():
     JSON input: no other function decodes JSON text itself."""
     calls = json_decode_calls(ROOT / "src" / "safemon")
     assert calls and set(calls) == {("dataset", "decode")}, sorted(set(calls))
+
+
+def field_table_arguments(package: Path) -> list[tuple[str, str]]:
+    """(module, source of the field-table argument, or "") of every call to
+    load_document in the package's sources."""
+    found = []
+    for source in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), filename=str(source))):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "load_document":
+                keywords = {k.arg: k.value for k in node.keywords}
+                table = node.args[2] if len(node.args) > 2 else keywords.get("fields")
+                found.append((source.stem, "" if table is None else ast.unparse(table)))
+    return found
+
+
+def test_every_document_is_loaded_against_a_field_table():
+    """load_document checks a document against the table it is given, so a
+    kind loaded without one would bypass the checker."""
+    calls = field_table_arguments(ROOT / "src" / "safemon")
+    assert calls, "no load_document call found"
+    for module, table in calls:
+        fields = getattr(importlib.import_module(f"safemon.{module}"), table, None) if table else None
+        assert isinstance(fields, tuple) and fields and all(isinstance(f, Field) for f in fields), (
+            module, table)
 
 
 def test_every_third_party_import_is_a_declared_dependency():
