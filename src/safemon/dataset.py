@@ -12,6 +12,17 @@ an action it is refused either way. Each of `s`, `q` and `r` is converted
 from one flat list per episode, after a scan of its values' types, so a
 string or boolean is refused at its step.
 
+The loaders, `load_document` (the model and agent files) and `read_jsonl`
+(the corpora of `evaluate`, `build` and `select-d`), run with the cyclic
+garbage collector's automatic passes paused (`collection_paused`). That is
+safe: a decoded JSON value holds no reference cycle and the conversions
+build none, so a pass would find nothing to free. And it pays: a loader
+keeps every container it decodes alive until it returns, so each pass
+would walk them all. Collection resumes once the loader has returned and
+its decoded document is freed. A `watch` session keeps the collector on,
+for its line decode and every step, since a session has no end; so does
+everything after a load.
+
 Corpus lines are written without json.dumps, one `%` per episode: a
 bytes step template, `{"s": [%b, ...], "a": %d, "q": [%b, ...], "r": %b}`,
 is repeated once per step, joined by ", " and filled with one token per
@@ -33,10 +44,12 @@ Q-vector, for every episode before the file is opened.
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import math
 import re
 import reprlib
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -70,9 +83,10 @@ def decode(raw, exact=None):
     beyond 64 bits as a float, json as an int; so a float of magnitude
     2**63 or more sends the text to json too. The scan for one covers the
     whole value, or with `exact`, a tuple, only those top-level keys of
-    an object: elsewhere the caller refuses such an integer either way,
-    or reads it as the same float64. A value nested too deeply for json,
-    or for the scan, raises DatasetError.
+    an object: elsewhere the caller refuses such an integer either way
+    (load_document showing json's value), or reads it as the same
+    float64. A value nested too deeply for json, or for the scan, raises
+    DatasetError.
     """
     import orjson
 
@@ -104,6 +118,23 @@ def _holds_a_wide_float(values) -> bool:
             if _holds_a_wide_float(v.values() if type(v) is dict else v):
                 return True
     return False
+
+
+@contextmanager
+def collection_paused():
+    """Run the block with the cyclic garbage collector's automatic passes
+    paused, and restore the setting found, on return or exception.
+
+    Used as a decorator, it resumes collection once the function's frame
+    has released its locals, so the pass that follows walks only what the
+    function returns, not the document it decoded."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def read_json(path, exact=None):
@@ -164,10 +195,14 @@ def finite_numbers(v, n: int) -> bool:
         return False
 
 
-def check_fields(doc: dict, fields) -> None:
+def check_fields(doc: dict, fields, json_doc=None) -> None:
     """Refuse `doc` at the first of `fields`, in order, that it lacks
     (KeyError) or whose value breaks its rule (ValueError), naming it. A
-    field comes after those its path and tie read."""
+    field comes after those its path and tie read.
+
+    `json_doc`, if given, returns the document as json reads it: a
+    refused value is shown as it is there, so an integer beyond 64 bits
+    that orjson read as a float is shown as the file holds it."""
     optional = {f.path for f in fields if f.optional}
     for f in fields:
         found = [((), doc)]  # (indices, value) of each value at the path so far
@@ -186,8 +221,18 @@ def check_fields(doc: dict, fields) -> None:
             if not (type(value) is f.holds if type(f.holds) is type else f.holds(*args)):
                 name = f.name or _field_name(f.path, indices)
                 counted = f.unit is not None and type(value) is list
+                if not counted and json_doc is not None:
+                    value = _value_at(json_doc(), f.path, indices)
                 shown = f"{len(value)} {f.unit}" if counted else reprlib.repr(value)
                 raise ValueError(f"{name} must {f.what.format(length, doc=doc)}, got {shown}")
+
+
+def _value_at(doc, path: str, indices):
+    """The value at `path` in `doc`, its "[]"s filled by `indices`."""
+    indices = iter(indices)
+    for key in re.findall(r"\[\]|\w+", path):
+        doc = doc[next(indices) if key == "[]" else key]
+    return doc
 
 
 def _field_name(path: str, indices) -> str:
@@ -195,13 +240,19 @@ def _field_name(path: str, indices) -> str:
     return re.sub(r"^(\w+)\.", r"\1 ", first + "".join(f"[{i}]{part}" for i, part in zip(indices, rest)))
 
 
+@collection_paused()
 def load_document(path, tag: str, fields, build, exact=None):
     """Parse the JSON document at `path` with read_json(path, exact), check
-    its "format" tag and its `fields`, and return build(doc).
+    its "format" tag and its `fields`, and return build(doc), all with
+    collection paused.
 
     Text that is not JSON, another tag, a missing field or a value that
     breaks its field's rule, or one that `build` cannot use, raises
-    DatasetError naming the file, so a bad file fails where it is read.
+    DatasetError naming the file, so a bad file fails where it is read. A
+    value a field's rule refuses is shown as json reads it: the file is
+    decoded again with every key scanned, so an integer beyond 64 bits
+    outside `exact` is shown whole, not as orjson's float. Where a value
+    is nested too deeply for that, the value first read is shown.
     """
     doc = read_json(path, exact)
     if not isinstance(doc, dict) or "format" not in doc:
@@ -209,12 +260,22 @@ def load_document(path, tag: str, fields, build, exact=None):
     if doc["format"] != tag:
         raise DatasetError(f"{path}: format tag {reprlib.repr(doc['format'])}, expected {tag!r}")
     try:
-        check_fields(doc, fields)
+        check_fields(doc, fields, json_doc=lambda: _read_exactly(path, doc))
         return build(doc)
     except KeyError as exc:
         raise DatasetError(f"{path}: {tag} document has no key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: {tag} document has a bad value: {exc}") from exc
+
+
+def _read_exactly(path, doc):
+    """read_json(path) with every key scanned, so json's value wherever a
+    float of magnitude 2**63 or more turns up; `doc` if a value is nested
+    too deeply to read."""
+    try:
+        return read_json(path)
+    except DatasetError:
+        return doc
 
 
 def save_document(path, doc, indent=None) -> None:
@@ -475,6 +536,7 @@ def write_jsonl(episode_set: EpisodeSet, path) -> None:
             fh.write(b"]}\n")
 
 
+@collection_paused()
 def read_jsonl(path) -> EpisodeSet:
     """Parse an episode corpus; malformed lines, among them bytes that are
     not UTF-8, a state, Q-value or reward that is not a JSON number or is

@@ -1,17 +1,25 @@
+import gc
+import io
 import json
 import math
 import re
 import struct
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_episode, make_set, orjson_refusing
-from safemon.agent import AgentModel, QNetwork
+import safemon.agent
+import safemon.dataset
+import safemon.forest
+import safemon.monitor
+from conftest import id_table, leaf_tree, make_episode, make_set, orjson_refusing, two_band_corpus
+from safemon.agent import AgentModel, QNetwork, load_agent, save_agent
+from safemon.cli import main
 from safemon.dataset import (
     DatasetError,
     Episode,
@@ -24,6 +32,8 @@ from safemon.dataset import (
     _float_tokens,
 )
 from safemon.envs import CARTPOLE, ENV_KINDS, MOUNTAINCAR, Cause, make_env
+from safemon.forest import Forest
+from safemon.monitor import MonitorModel, load_model, save_model, watch_stream
 
 
 @pytest.fixture(scope="module")
@@ -573,3 +583,139 @@ def test_lines_a_decoder_refuses_read_as_json_reads_them(data, edit):
             second = REFUSED_EDITS[edit](second)
         path.write_text(f"{first}\n{second}\n", encoding="utf-8")
         assert outcome(read_jsonl, path) == outcome(decoded_by_json, path)
+
+
+# Loading with collection paused. A loader keeps every container it
+# decodes alive until it returns, so a collector pass during a load walks
+# them and frees nothing; the loaders pause collection, and nothing else
+# does.
+
+
+@pytest.fixture
+def loadable(tmp_path, random_cartpole_agent):
+    """{loader name: (loader, a file it loads, a file it refuses)}."""
+    model, agent, corpus = tmp_path / "model.json", tmp_path / "agent.json", tmp_path / "c.jsonl"
+    forest = Forest(trees=[leaf_tree(0.25), leaf_tree(0.75)], feature_count=4, seed=0)
+    save_model(MonitorModel(table=id_table(4), forest=forest), model)
+    save_agent(random_cartpole_agent, agent)
+    write_jsonl(two_band_corpus(n_per_class=3), corpus)
+    bad_model, bad_agent, bad_corpus = (tmp_path / f"bad-{p.name}" for p in (model, agent, corpus))
+    bad_model.write_text(model.read_text().replace('"theta": 0.5', '"theta": 1.5'), encoding="utf-8")
+    bad_agent.write_text(agent.read_text().replace('"gamma": 0.99', '"gamma": "x"'), encoding="utf-8")
+    lines = corpus.read_text().splitlines(keepends=True)
+    bad_corpus.write_text("".join(lines[:2] + [lines[2][:-9] + "\n"] + lines[3:]), encoding="utf-8")
+    return {"load_model": (load_model, model, bad_model), "load_agent": (load_agent, agent, bad_agent),
+            "read_jsonl": (read_jsonl, corpus, bad_corpus)}
+
+
+@pytest.fixture
+def collection_restored():
+    enabled = gc.isenabled()
+    yield
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+LOADERS = ["load_model", "load_agent", "read_jsonl"]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_loader_leaves_collection_as_it_found_it(name, enabled, loadable, collection_restored):
+    load, good, bad = loadable[name]
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    load(good)
+    assert gc.isenabled() is enabled
+    with pytest.raises(DatasetError):
+        load(bad)
+    assert gc.isenabled() is enabled
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_loader_decodes_and_converts_with_collection_paused(name, loadable, monkeypatch,
+                                                               collection_restored):
+    gc.enable()
+    seen = []
+    for module, function in [(safemon.dataset, "decode"), (safemon.dataset, "_episode_from_obj"),
+                             (safemon.monitor, "_model_from_doc"), (safemon.agent, "_agent_from_doc")]:
+        def spy(*args, _inner=getattr(module, function), _name=function):
+            seen.append((_name, gc.isenabled()))
+            return _inner(*args)
+
+        monkeypatch.setattr(module, function, spy)
+    load, good, _ = loadable[name]
+    load(good)
+    assert seen and not any(enabled for _, enabled in seen), seen
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("name", LOADERS)
+def test_a_load_leaves_no_cyclic_garbage(name, loadable, collection_restored):
+    """Why the pause is safe: a decoded JSON value holds no reference
+    cycle and the conversions build none, so nothing is left for a pass
+    to free, after a load or a refused model file."""
+    load, good, bad = loadable[name]
+    load(good)  # a first load may import modules, whose objects hold cycles
+    gc.disable()
+    gc.collect()
+    loaded = load(good)  # noqa: F841 (held across the pass, as a caller holds it)
+    assert gc.collect() == 0
+    if name == "load_model":
+        with pytest.raises(DatasetError):
+            load(bad)
+        assert gc.collect() == 0
+
+
+@pytest.mark.parametrize("name, key", [("load_model", "format"), ("load_agent", "format"),
+                                       ("read_jsonl", "steps")])
+def test_collection_resumes_once_the_loader_has_released_what_it_decoded(name, key, loadable,
+                                                                          monkeypatch,
+                                                                          collection_restored):
+    """The pass that follows a load walks what the loader returns: the
+    decoded document (or the last corpus line) is freed with the loader's
+    frame, before collection resumes."""
+    gc.enable()
+    decoded_left = []
+
+    def enable():
+        decoded_left.append(any(type(o) is dict and key in o for o in gc.get_objects(0)))
+        gc.enable()
+
+    monkeypatch.setattr(safemon.dataset, "gc",
+                        SimpleNamespace(isenabled=gc.isenabled, disable=gc.disable, enable=enable))
+    load, good, _ = loadable[name]
+    gc.collect()
+    load(good)
+    assert decoded_left == [False]
+
+
+def test_watch_steps_and_the_forest_fit_run_with_collection_on(loadable, tmp_path, monkeypatch,
+                                                               collection_restored):
+    gc.enable()
+    seen = []
+    observe, train_forest = safemon.monitor.observe, safemon.forest.train_forest
+
+    def observe_spy(*args):
+        seen.append(("observe", gc.isenabled()))
+        return observe(*args)
+
+    def train_spy(*args, **kwargs):
+        seen.append(("train_forest", gc.isenabled()))
+        return train_forest(*args, **kwargs)
+
+    monkeypatch.setattr(safemon.monitor, "observe", observe_spy)
+    monkeypatch.setattr(safemon.forest, "train_forest", train_spy)
+    lines = "".join(f'{{"t": {t}, "q": [{t + 0.5}]}}\n' for t in range(4))
+    out, err = io.StringIO(), io.StringIO()
+    assert watch_stream(load_model(loadable["load_model"][1]), io.StringIO(lines), out, err) == 0
+    assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 4
+    corpus = loadable["read_jsonl"][1]
+    argv = ["build", "--episodes", str(corpus), "--d", "1.0", "--trees", "3", "--out",
+            str(tmp_path / "built.json")]
+    assert main(argv) == 0
+    assert seen == [("observe", True)] * 4 + [("train_forest", True)]

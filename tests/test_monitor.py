@@ -510,6 +510,37 @@ def test_load_model_refuses_a_bad_value(damage, cause, tmp_path):
         load_model(path)
 
 
+# A field outside the keys decode scans, given an integer beyond 64 bits
+# (which orjson reads as a float), and the refusal: the value is shown as
+# the file holds it, and orjson's float only where the file is nested too
+# deeply for json to read it again.
+WIDE_FIELD_REFUSALS = [
+    ('"feature_count": 4', '"feature_count": 18446744073709551616', "",
+     "feature_count must be a JSON integer >= 1, got 18446744073709551616"),
+    ('"mode": "binary"', '"mode": 1000000000000000000000000000000', "",
+     "mode must be one of ['binary', 'frequency'], got 1000000000000000000000000000000"),
+    ('"mode": "binary"', '"mode": 1000000000000000000000000000000', "[" * 1020 + "]" * 1020,
+     "mode must be one of ['binary', 'frequency'], got 1e+30"),
+]
+
+
+@pytest.mark.parametrize("field, wide, note, cause", WIDE_FIELD_REFUSALS,
+                         ids=["feature-count-2**64", "mode-10**30", "mode-10**30-deep-note"])
+def test_a_refusal_shows_an_integer_beyond_64_bits_as_the_file_holds_it(field, wide, note, cause,
+                                                                       tmp_path):
+    path = tmp_path / "model.json"
+    save_model(staircase_model(), path)
+    text = path.read_text(encoding="utf-8")
+    assert field in text
+    text = text.replace(field, wide, 1)
+    if note:  # orjson reads it; json, and decode's scan, recurse too deeply
+        text = text.rstrip()[:-1] + f', "note": {note}}}\n'
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(DatasetError) as refusal:
+        load_model(path)
+    assert str(refusal.value) == f"{path}: monitor-model/1 document has a bad value: {cause}"
+
+
 def test_load_model_takes_table_ids_in_any_order(tmp_path):
     path = tmp_path / "model.json"
     save_model(staircase_model(), path)

@@ -27,10 +27,10 @@ def imported_top_level_modules(package: Path) -> set[str]:
     return names
 
 
-def json_decode_calls(package: Path) -> list[tuple[str, str]]:
-    """(module, innermost enclosing function) of every call to json.load,
-    json.loads or orjson.loads in the package's sources."""
-    decoders = {("json", "load"), ("json", "loads"), ("orjson", "loads")}
+def calls_of(package: Path, functions) -> list[tuple[str, str]]:
+    """(module, innermost enclosing function) of every call to one of
+    `functions`, (module name, attribute) pairs such as ("json", "loads"),
+    in the package's sources."""
     calls = []
     for source in package.rglob("*.py"):
         nodes = [(ast.parse(source.read_text(encoding="utf-8"), filename=str(source)), None)]
@@ -40,7 +40,7 @@ def json_decode_calls(package: Path) -> list[tuple[str, str]]:
                 owner = node.name
             func = getattr(node, "func", None)
             if (isinstance(node, ast.Call) and isinstance(func, ast.Attribute)
-                    and isinstance(func.value, ast.Name) and (func.value.id, func.attr) in decoders):
+                    and isinstance(func.value, ast.Name) and (func.value.id, func.attr) in functions):
                 calls.append((source.stem, owner))
             nodes.extend((child, owner) for child in ast.iter_child_nodes(node))
     return calls
@@ -49,8 +49,15 @@ def json_decode_calls(package: Path) -> list[tuple[str, str]]:
 def test_every_json_input_is_decoded_by_dataset_decode():
     """One decoder, one fallback rule and one nesting refusal for every
     JSON input: no other function decodes JSON text itself."""
-    calls = json_decode_calls(ROOT / "src" / "safemon")
+    calls = calls_of(ROOT / "src" / "safemon", {("json", "load"), ("json", "loads"), ("orjson", "loads")})
     assert calls and set(calls) == {("dataset", "decode")}, sorted(set(calls))
+
+
+def test_collection_is_paused_in_one_place():
+    """Only dataset.collection_paused turns the cyclic collector off and
+    on, so every pause is one that restores the setting it found."""
+    calls = calls_of(ROOT / "src" / "safemon", {("gc", "disable"), ("gc", "enable")})
+    assert calls and set(calls) == {("dataset", "collection_paused")}, sorted(set(calls))
 
 
 def field_table_arguments(package: Path) -> list[tuple[str, str]]:
