@@ -6,17 +6,17 @@ encoded over the resulting abstract-state vocabulary, either as presence
 bits or as visit counts, and those vectors are what the violation
 predictor consumes.
 
-One function counts visits into feature rows: episode_feature_matrix
-uses it for the end of each training episode in frequency mode, and
-prefix_feature_matrix for every prefix of one episode; binary
-end-of-episode rows are presence bits, one byte each. A prefix matrix is
-compact: it has one column per abstract state the episode visits, plus
-the global ids of those columns, and every other state's count is 0.
-Features are monotone visit counts, so each step changes at most one
-column. Batch replay does not build prefix matrices: monitor.run_traces
-hands a chunk's visit ids to the forest's change-driven walk, which
-builds the same prefixes over the states a tree tests and walks a tree
-at a step only when that step changes one of them. The monitor's running
+episode_feature_matrix builds the end-of-episode rows: visit counts in
+frequency mode, presence bits, one byte each, in binary mode. Features
+are monotone visit counts, so each step changes at most one column.
+prefix_feature_matrix, which builds every prefix of one episode as a
+compact matrix (one column per state the episode visits, plus the global
+ids of those columns), has no caller in the package: it stays only
+because the benchmark's tracer (perfbench/layers.py) spans it. Batch
+replay does not build prefix matrices: monitor.run_traces hands a
+chunk's visit ids to the forest's change-driven walk, which builds the
+same prefixes over the states a tree tests and walks a tree at a step
+only when that step changes one of them. The monitor's running
 counts in observe are the same encoding, kept one step at a time over
 the whole table, and each step walks every tree. A Q-vector whose width
 differs from the table's is rejected where it is looked up.

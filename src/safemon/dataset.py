@@ -83,10 +83,10 @@ def decode(raw, exact=None):
     beyond 64 bits as a float, json as an int; so a float of magnitude
     2**63 or more sends the text to json too. The scan for one covers the
     whole value, or with `exact`, a tuple, only those top-level keys of
-    an object: elsewhere the caller refuses such an integer either way
-    (load_document showing json's value), or reads it as the same
-    float64. A value nested too deeply for json, or for the scan, raises
-    DatasetError.
+    an object: elsewhere the caller reads it as the same float64, or, like
+    load_document, decodes the text again with every key scanned before
+    it refuses a value. A value nested too deeply for json, or for the
+    scan, raises DatasetError.
     """
     import orjson
 
@@ -195,14 +195,10 @@ def finite_numbers(v, n: int) -> bool:
         return False
 
 
-def check_fields(doc: dict, fields, json_doc=None) -> None:
+def check_fields(doc: dict, fields) -> None:
     """Refuse `doc` at the first of `fields`, in order, that it lacks
     (KeyError) or whose value breaks its rule (ValueError), naming it. A
-    field comes after those its path and tie read.
-
-    `json_doc`, if given, returns the document as json reads it: a
-    refused value is shown as it is there, so an integer beyond 64 bits
-    that orjson read as a float is shown as the file holds it."""
+    field comes after those its path and tie read."""
     optional = {f.path for f in fields if f.optional}
     for f in fields:
         found = [((), doc)]  # (indices, value) of each value at the path so far
@@ -221,18 +217,8 @@ def check_fields(doc: dict, fields, json_doc=None) -> None:
             if not (type(value) is f.holds if type(f.holds) is type else f.holds(*args)):
                 name = f.name or _field_name(f.path, indices)
                 counted = f.unit is not None and type(value) is list
-                if not counted and json_doc is not None:
-                    value = _value_at(json_doc(), f.path, indices)
                 shown = f"{len(value)} {f.unit}" if counted else reprlib.repr(value)
                 raise ValueError(f"{name} must {f.what.format(length, doc=doc)}, got {shown}")
-
-
-def _value_at(doc, path: str, indices):
-    """The value at `path` in `doc`, its "[]"s filled by `indices`."""
-    indices = iter(indices)
-    for key in re.findall(r"\[\]|\w+", path):
-        doc = doc[next(indices) if key == "[]" else key]
-    return doc
 
 
 def _field_name(path: str, indices) -> str:
@@ -248,34 +234,37 @@ def load_document(path, tag: str, fields, build, exact=None):
 
     Text that is not JSON, another tag, a missing field or a value that
     breaks its field's rule, or one that `build` cannot use, raises
-    DatasetError naming the file, so a bad file fails where it is read. A
-    value a field's rule refuses is shown as json reads it: the file is
-    decoded again with every key scanned, so an integer beyond 64 bits
-    outside `exact` is shown whole, not as orjson's float. Where a value
-    is nested too deeply for that, the value first read is shown.
+    DatasetError naming the file, so a bad file fails where it is read.
+    A document refused so is decoded again with every key scanned, and
+    that document, json's, is checked and built from its first field: an
+    integer beyond 64 bits outside `exact`, which orjson reads as a float,
+    is judged and shown as json reads it. Where a value is nested too
+    deeply for that, the first refusal stands.
     """
     doc = read_json(path, exact)
+    try:
+        return _checked(path, tag, fields, build, doc)
+    except DatasetError as refusal:
+        try:
+            doc = read_json(path)
+        except DatasetError:  # nested too deeply for json, or for the scan
+            raise refusal from refusal.__cause__
+    return _checked(path, tag, fields, build, doc)
+
+
+def _checked(path, tag: str, fields, build, doc):
+    """build(doc), once doc holds the format tag `tag` and keeps `fields`."""
     if not isinstance(doc, dict) or "format" not in doc:
         raise DatasetError(f"{path}: no format tag, expected {tag!r}")
     if doc["format"] != tag:
         raise DatasetError(f"{path}: format tag {reprlib.repr(doc['format'])}, expected {tag!r}")
     try:
-        check_fields(doc, fields, json_doc=lambda: _read_exactly(path, doc))
+        check_fields(doc, fields)
         return build(doc)
     except KeyError as exc:
         raise DatasetError(f"{path}: {tag} document has no key {exc.args[0]!r}") from exc
     except (TypeError, ValueError, OverflowError) as exc:
         raise DatasetError(f"{path}: {tag} document has a bad value: {exc}") from exc
-
-
-def _read_exactly(path, doc):
-    """read_json(path) with every key scanned, so json's value wherever a
-    float of magnitude 2**63 or more turns up; `doc` if a value is nested
-    too deeply to read."""
-    try:
-        return read_json(path)
-    except DatasetError:
-        return doc
 
 
 def save_document(path, doc, indent=None) -> None:

@@ -67,10 +67,14 @@ Which pairs go down it depends on the traffic.
   only at the rows where some changed: 1% of the pairs and 2% of the
   rows on the replay benchmark.
 
-Both give the bits of walking each tree alone, and the single-input
+Both give the leaves of walking each tree alone, and the single-input
 `predict` shares the summary code, so stream and batch agree bit for bit
-by construction. `Tree.probability` stays as the reference walk the
-tests compare against.
+by construction. (A prefix walk keeps a tree's leaf of the row before
+where the new one is equal as a float, so a zero leaf may keep the sign
+it had there; numpy's sums start from +0.0, so no summary sees it.) The tests hold every walk and summary to a plain-Python
+reference over the model file's node lists (tests/reference.py).
+`Tree.probability` has no caller in the package: it stays only because
+the benchmark's tracer (perfbench/layers.py) spans it.
 """
 
 from __future__ import annotations

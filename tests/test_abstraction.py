@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from conftest import id_table, make_episode, make_set, two_band_corpus
 from safemon import forest
 from safemon.abstraction import (
@@ -24,12 +25,9 @@ from safemon.monitor import Criterion
 
 
 def encode(ids, n, mode):
-    """Reference encoder: one visit per id, unseen ids (None or -1) dropped."""
-    vector = np.zeros(n)
-    for i in ids:
-        if i is not None and i >= 0:
-            vector[i] += 1.0
-    return np.minimum(vector, 1.0) if mode is FeatureMode.BINARY else vector
+    """The reference's feature row after each id; unseen ids (None or -1)
+    change nothing."""
+    return np.array(list(reference.prefix_rows(ids, n, mode is FeatureMode.BINARY))).reshape(len(ids), n)
 
 
 def id_episode(ids):
@@ -147,6 +145,36 @@ def test_bucketize_is_the_batch_rule_on_one_row(d, k, shift, ulps, width):
     if isinstance(one, tuple):
         assert all(type(b) is int for b in one)
         assert all(abs(b) < 2**63 for b in one)
+
+
+# Relative offsets from a multiple of d: inside, at and beyond the snap
+# tolerance (1e-12), and half a level.
+OFFSETS = [0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-10, 1e-9, 2e-9, 0.5]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), d=st.one_of(st.floats(1e-6, 1e6), st.floats(1e-12, 1.0)))
+def test_bucketize_is_the_reference_rule(data, d):
+    """bucketize and bucketize_batch give reference.bucket's key, the
+    snapped ceiling of q/d, for finite Q-values with |q/d| below 2**63: at
+    multiples of d nudged across the snap tolerance and by a few ulps,
+    next to 2**63 * d, and anywhere, at levels above and below 1."""
+    def near_multiple(k, offset, ulps):
+        value = (k * (1.0 + offset) if k else offset) * d
+        for _ in range(abs(ulps)):
+            value = math.nextafter(value, math.copysign(math.inf, ulps))
+        return value
+
+    offsets = st.sampled_from(OFFSETS + [-o for o in OFFSETS])
+    q_value = st.one_of(
+        st.builds(near_multiple, st.integers(-10**9, 10**9), offsets, st.integers(-3, 3)),
+        st.builds(near_multiple, st.sampled_from([TOP, -TOP, 2.0**62]), st.just(0.0), st.integers(-3, 0)),
+        st.floats(-(2.0**62) * d, 2.0**62 * d),
+    )
+    q = data.draw(st.lists(q_value.filter(lambda v: abs(v / d) < 2.0**63), min_size=1, max_size=3))
+    want = tuple(reference.bucket(v, d) for v in q)
+    assert bucketize(q, d) == want
+    assert bucketize_batch(np.array([q]), d).tolist() == [list(want)]
 
 
 def test_bucketize_matches_ceiling_oracle():
@@ -284,10 +312,7 @@ def test_prefix_feature_matrix_matches_encode():
     n = 9
     raw = rng.integers(-1, n, size=40)
     for mode in FeatureMode:
-        matrix = dense_prefix(raw, n, mode)
-        for t in range(len(raw)):
-            ids = [int(i) if i >= 0 else None for i in raw[: t + 1]]
-            assert np.array_equal(matrix[t], encode(ids, n, mode))
+        assert np.array_equal(dense_prefix(raw, n, mode), encode(raw.tolist(), n, mode))
 
 
 def test_episode_feature_matrix_matches_encode():
@@ -300,7 +325,7 @@ def test_episode_feature_matrix_matches_encode():
         assert matrix.dtype == (np.uint8 if mode is FeatureMode.BINARY else np.float32)
         for row, episode in zip(matrix, episodes):
             ids = [table.lookup(q) for q in episode.qs]
-            assert np.array_equal(row, encode(ids, table.n, mode))
+            assert np.array_equal(row, encode(ids, table.n, mode)[-1])
         # The ids the table found while it was built give the same rows.
         reused = episode_feature_matrix(episodes, table, mode, table.corpus_ids)
         assert reused.tobytes() == matrix.tobytes()
@@ -332,8 +357,7 @@ def test_encoders_match_reference_property(n, data, mode):
     ends = []
     for ids in id_lists:
         matrix = dense_prefix(ids, n, mode)
-        for t in range(len(ids)):
-            assert np.array_equal(matrix[t], encode(ids[: t + 1], n, mode))
+        assert np.array_equal(matrix, encode(ids, n, mode))
         ends.append(matrix[-1])
     episodes = [id_episode(ids) for ids in id_lists]
     assert np.array_equal(episode_feature_matrix(episodes, id_table(n), mode), ends)

@@ -17,7 +17,7 @@ import safemon.agent
 import safemon.dataset
 import safemon.forest
 import safemon.monitor
-from conftest import id_table, leaf_tree, make_episode, make_set, orjson_refusing, two_band_corpus
+from conftest import forest_of, id_table, leaf_tree, make_episode, make_set, orjson_refusing, two_band_corpus
 from safemon.agent import AgentModel, QNetwork, load_agent, save_agent
 from safemon.cli import main
 from safemon.dataset import (
@@ -32,7 +32,6 @@ from safemon.dataset import (
     _float_tokens,
 )
 from safemon.envs import CARTPOLE, ENV_KINDS, MOUNTAINCAR, Cause, make_env
-from safemon.forest import Forest
 from safemon.monitor import MonitorModel, load_model, save_model, watch_stream
 
 
@@ -595,7 +594,7 @@ def test_lines_a_decoder_refuses_read_as_json_reads_them(data, edit):
 def loadable(tmp_path, random_cartpole_agent):
     """{loader name: (loader, a file it loads, a file it refuses)}."""
     model, agent, corpus = tmp_path / "model.json", tmp_path / "agent.json", tmp_path / "c.jsonl"
-    forest = Forest(trees=[leaf_tree(0.25), leaf_tree(0.75)], feature_count=4, seed=0)
+    forest = forest_of([leaf_tree(0.25), leaf_tree(0.75)], 4)
     save_model(MonitorModel(table=id_table(4), forest=forest), model)
     save_agent(random_cartpole_agent, agent)
     write_jsonl(two_band_corpus(n_per_class=3), corpus)

@@ -31,12 +31,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import id_table, make_episode, make_set
+from conftest import forest_of, id_table, make_episode, make_set, split_tree
 from safemon.agent import AGENT_FIELDS, AgentModel, CheckpointStat, QNetwork, TrainReport, save_agent
 from safemon.cli import main
 from safemon.dataset import write_jsonl
 from safemon.envs import CARTPOLE
-from safemon.forest import Forest, Tree
 from safemon.monitor import MODEL_FIELDS, MonitorModel, save_model
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,16 +68,9 @@ def tiny_agent(path):
                path)
 
 
-def tree(feature, threshold, low, high):
-    return Tree(feature=np.array([feature, -1, -1], dtype=np.int32),
-                threshold=np.array([threshold, 0.0, 0.0]),
-                left=np.array([1, -1, -1], dtype=np.int32), right=np.array([2, -1, -1], dtype=np.int32),
-                value=np.array([0.5, low, high]), count=np.array([4, 2, 2], dtype=np.int64))
-
-
 def tiny_model(path):
     """Two trees over four states; the corpus visits states 0 .. 3 (q = id + 0.5)."""
-    forest = Forest(trees=[tree(2, 0.5, 0.1, 0.8), tree(3, 0.5, 0.2, 0.9)], feature_count=4, seed=0)
+    forest = forest_of([split_tree(2, 0.5, 0.1, 0.8, count=2), split_tree(3, 0.5, 0.2, 0.9, count=2)], 4)
     save_model(MonitorModel(table=id_table(4), forest=forest, provenance={"seed": 7, "d": 1.0}), path)
 
 

@@ -1,8 +1,6 @@
 import hashlib
 import json
-import math
 import re
-from contextlib import contextmanager
 from unittest import mock
 
 import numpy as np
@@ -12,12 +10,22 @@ from hypothesis import strategies as st
 
 import safemon.forest as forest_module
 import safemon.monitor as monitor_module
-from conftest import id_table, leaf_tree, replay_with_leaf_values
+import reference
+from conftest import (
+    GRID,
+    assert_monitor_matches_reference,
+    assert_rows_match_reference,
+    bits,
+    chain_tree,
+    forest_of,
+    id_qs,
+    id_table,
+    leaf_tree,
+    random_forest,
+    split_tree,
+)
 from safemon.abstraction import FeatureMode
 from safemon.forest import (
-    Forest,
-    PackedTrees,
-    Tree,
     Z_CRITICAL,
     _best_splits,
     _ColumnStore,
@@ -34,11 +42,7 @@ from safemon.seeding import derive_seed
 
 
 def leaf_forest(fractions, feature_count=3):
-    return Forest(
-        trees=[leaf_tree(f) for f in fractions],
-        feature_count=feature_count,
-        seed=0,
-    )
+    return forest_of([leaf_tree(f) for f in fractions], feature_count)
 
 
 def brute_force_gini_split(x, y):
@@ -233,11 +237,11 @@ def test_best_splits_searches_many_nodes_in_any_chunks(data, chunk):
 
 
 def reference_forest(x, y, n_trees, seed):
-    """The forest train_forest must grow: each tree grown alone,
-    depth-first with the left child first, ceil(sqrt(n)) of its n features
-    (at most n) drawn as candidates from its own stream at every impure
-    node, and every split found by reference_best_split on the node's
-    rows."""
+    """The node lists of the forest train_forest must grow: each tree
+    grown alone, depth-first with the left child first, ceil(sqrt(n)) of
+    its n features (at most n) drawn as candidates from its own stream at
+    every impure node, and every split found by reference_best_split on
+    the node's rows."""
     n_samples, n_features = x.shape
     k = min(n_features, int(np.ceil(np.sqrt(n_features))))
     trees = []
@@ -258,15 +262,14 @@ def reference_forest(x, y, n_trees, seed):
             split = reference_best_split(x[idx], y[idx], candidates)
             if split is None:
                 continue
-            nodes[-1][0:2] = split
+            nodes[-1][0:2] = int(split[0]), float(split[1])
             go_left = x[idx, split[0]] <= split[1]
             node = len(nodes) - 1
             stack.append((idx[~go_left], node, False))
             stack.append((idx[go_left], node, True))
-        columns = list(zip(*nodes))
-        dtypes = (np.int32, np.float64, np.int32, np.int32, np.float64, np.int64)
-        trees.append(Tree(*(np.array(c, dtype=t) for c, t in zip(columns, dtypes))))
-    return Forest(trees=trees, feature_count=n_features, seed=seed)
+        trees.append([{"split": [feature, threshold, left, right]} if feature >= 0 else {"leaf": [value, count]}
+                      for feature, threshold, left, right, value, count in nodes])
+    return trees
 
 
 @settings(max_examples=80, deadline=None)
@@ -286,7 +289,7 @@ def test_train_forest_matches_reference_forest(data, cells, chunk):
     seed = data.draw(st.integers(0, 2**31))
     with mock.patch.object(forest_module, "CHUNK_ENTRIES", chunk):
         grown = json.dumps(forest_to_json_list(train_forest(x, y, n_trees, seed)))
-    assert grown == json.dumps(forest_to_json_list(reference_forest(x, y, n_trees, seed)))
+    assert grown == json.dumps(reference_forest(x, y, n_trees, seed))
 
 
 def golden_data(kind):
@@ -360,116 +363,20 @@ def test_binary_rows_as_bytes_grow_and_score_like_floats():
     assert out_of_bag_mean(as_bytes, packed).tobytes() == out_of_bag_mean(as_float, x).tobytes()
 
 
-# Split thresholds and input values share a grid, so inputs often sit
-# exactly on a threshold (ties go left).
-GRID = [0.0, 0.5, 1.0, 1.5, 2.0]
-
-
-@st.composite
-def random_trees(draw, width):
-    """A tree of depth at most 4, nodes numbered depth-first."""
-    feature, threshold, left, right, value = [], [], [], [], []
-
-    def grow(depth):
-        node = len(feature)
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        value.append(draw(st.floats(0.0, 1.0)))
-        if depth < 4 and draw(st.booleans()):
-            feature[node] = draw(st.integers(0, width - 1))
-            threshold[node] = draw(st.sampled_from(GRID))
-            left[node] = grow(depth + 1)
-            right[node] = grow(depth + 1)
-        return node
-
-    grow(0)
-    n = len(feature)
-    return Tree(
-        feature=np.array(feature, dtype=np.int32),
-        threshold=np.array(threshold),
-        left=np.array(left, dtype=np.int32),
-        right=np.array(right, dtype=np.int32),
-        value=np.array(value),
-        count=np.ones(n, dtype=np.int64),
-    )
-
-
-def chain_tree(depth, width, threshold=2.0):
-    """A chain of `depth` splits, split k testing feature k % width at
-    `threshold`: its left child goes on down the chain and its right one
-    is a leaf. A row at or below the threshold walks all `depth` levels,
-    so beside a root that is a leaf the walks of one forest end at very
-    different depths."""
-    n = 2 * depth + 1
-    feature, left, right = (np.full(n, -1, dtype=np.int32) for _ in range(3))
-    thresholds = np.zeros(n)
-    for k in range(depth):
-        feature[k], thresholds[k], left[k], right[k] = k % width, threshold, k + 1, depth + 1 + k
-    return Tree(feature=feature, threshold=thresholds, left=left, right=right,
-                value=np.arange(n) / (n - 1), count=np.ones(n, dtype=np.int64))
-
-
-def path_length(tree, row):
-    """The number of splits the walk of `row` down `tree` passes."""
-    node, length = 0, 0
-    while tree.feature[node] >= 0:
-        go_left = row[tree.feature[node]] <= tree.threshold[node]
-        node, length = (tree.left if go_left else tree.right)[node], length + 1
-    return length
-
-
-@contextmanager
-def descent_levels():
-    """The levels, read calls, of each PackedTrees._descend call made
-    inside the block. A walk whose longest path passes n splits reads n
-    levels to reach its leaves and one more to see that no pair moves."""
-    levels = []
-    descend = PackedTrees._descend
-
-    def counting(packed, nodes, read):
-        def counted(at):
-            levels[-1] += 1
-            return read(at)
-
-        levels.append(0)
-        return descend(packed, nodes, counted)
-
-    with mock.patch.object(PackedTrees, "_descend", counting):
-        yield levels
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_predict_batch_matches_per_tree_walks(data):
+    """leaf_values, predict_batch and predict give the reference's walks
+    and summaries (conftest.assert_rows_match_reference) over random
+    forests and rows that often sit on a threshold, duplicated rows too."""
     width = data.draw(st.integers(1, 4))
-    trees = data.draw(st.lists(random_trees(width), min_size=1, max_size=6))
-    trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
-    if data.draw(st.booleans()):  # walks that end at very different depths
-        trees.insert(data.draw(st.integers(0, len(trees))), chain_tree(33, width))
+    trees = data.draw(random_forest(width))
     row = st.lists(st.sampled_from(GRID + [2.5]), min_size=width, max_size=width)
     rows = data.draw(st.lists(row, max_size=8))
     rows += rows[: data.draw(st.integers(0, len(rows)))]  # duplicated rows
     x = np.array(rows, dtype=np.float64).reshape(len(rows), width)
-    forest = Forest(trees=trees, feature_count=width, seed=0)
-
-    batch = predict_batch(forest, x)
-    with descent_levels() as levels:
-        per_tree = forest.packed.leaf_values(x)
-    assert per_tree.shape == (len(trees), len(x))
-    if len(x):
-        assert levels == [max(path_length(t, row) for t in trees for row in x) + 1]
-    for i, row in enumerate(x):
-        walked = np.array([t.probability(row) for t in trees])
-        assert per_tree[:, i].tobytes() == walked.tobytes()
-        with descent_levels() as levels:
-            assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
-        assert levels == [max(path_length(t, row) for t in trees) + 1]
-        single = predict(forest, row)
-        fields = (single.mean, single.std, single.low, single.up)
-        columns = (batch.mean[i], batch.std[i], batch.low[i], batch.up[i])
-        assert np.array(fields).tobytes() == np.array(columns).tobytes()
+    forest = forest_of(trees, width)
+    assert_rows_match_reference(forest, trees, x)
     assert forest.packed.leaf_values(x[:0]).shape == (len(trees), 0)
     assert predict_batch(forest, x[:0]).mean.shape == (0,)
 
@@ -477,94 +384,31 @@ def test_predict_batch_matches_per_tree_walks(data):
 @pytest.mark.parametrize("kind", sorted(GOLDEN_BATCH_SHA256))
 def test_one_row_predict_matches_tree_walks(kind):
     """predict walks every tree from its root for one row: the golden
-    forest's trees, alone, must reach the same leaves, also beside a root
-    that is a leaf and a chain of 33 splits, and the walk must stop one
-    level after its longest path."""
+    forest's trees must reach the reference's leaves, also beside a root
+    that is a leaf and a chain of 33 splits."""
     x, y = golden_data(kind)
     golden = train_forest(x, y, 30, seed=77)
-    uneven = Forest(trees=[leaf_tree(0.25), chain_tree(33, 60), *golden.trees], feature_count=60, seed=0)
+    trees = forest_to_json_list(golden)
+    uneven = [leaf_tree(0.25), chain_tree(33, 60), *trees]
     rows = np.vstack([x[:20], np.zeros((1, 60)), np.full((1, 60), 7.0)])
-    for forest in (golden, uneven):
-        for row in rows:
-            walked = np.array([tree.probability(row) for tree in forest.trees])
-            with descent_levels() as levels:
-                assert forest.packed.leaf_values(row[None, :])[:, 0].tobytes() == walked.tobytes()
-            assert levels == [max(path_length(tree, row) for tree in forest.trees) + 1]
-            single = predict(forest, row)
-            assert single.mean == walked.mean() and single.std == walked.std()
-
-
-def dense_prefixes(ids, n, mode):
-    """Every prefix of an episode's ids (-1 unseen) as visit counts over
-    all n states, built step by step."""
-    visits = np.zeros((len(ids), n), dtype=np.float32)
-    for t, i in enumerate(ids):
-        if i >= 0:
-            visits[t, i] = 1.0
-    counts = np.cumsum(visits, axis=0)
-    return np.minimum(counts, 1.0) if mode is FeatureMode.BINARY else counts
-
-
-def walked_longest(trees, ids, n, mode):
-    """The longest path of the (tree, row) pairs the change-driven walk
-    goes down over an episode's prefixes: every tree at row 0, and at row
-    t each tree testing a feature that differs from row t-1."""
-    tested = [set(tree.feature[tree.feature >= 0].tolist()) for tree in trees]
-    dense = dense_prefixes(ids, n, mode)
-    longest = 0
-    for t, row in enumerate(dense):
-        changed = set(np.flatnonzero(row != dense[t - 1]).tolist()) if t else None
-        for tree, features in zip(trees, tested):
-            if t == 0 or changed & features:
-                longest = max(longest, path_length(tree, row))
-    return longest
+    assert_rows_match_reference(golden, trees, rows)
+    assert_rows_match_reference(forest_of(uneven, 60), uneven, rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), mode=st.sampled_from(FeatureMode))
 def test_change_driven_walk_matches_per_tree_walks_on_prefixes(data, mode):
-    """run_traces hands each chunk's visit ids to the forest, which builds
-    every prefix over only the states the episode visits that some split
-    tests (every other feature reads 0) and walks a tree at a step only
-    when a feature it tests changed: none at an unseen id or a binary
-    revisit. Every tree at every step must still read the leaf its own
-    walk reaches, and every summary must equal the plain walk's, over
-    episodes stacked into chunks of any size. Each chunk's walk stops one
-    level after the longest path of the pairs it walks."""
+    """run_traces hands each chunk's visit ids to the forest, which walks a
+    tree at a step only when a feature it tests changed: none at an unseen
+    id or a binary revisit. Over episodes stacked into chunks of any size,
+    every tree at every step must still read the reference's leaf, and
+    each chunk's walk stops one level after the longest path it walks."""
     n = data.draw(st.integers(1, 6))
-    trees = data.draw(st.lists(random_trees(n), min_size=1, max_size=6))
-    trees.append(leaf_tree(data.draw(st.floats(0.0, 1.0))))
-    if data.draw(st.booleans()):  # walks that end at very different depths
-        trees.insert(data.draw(st.integers(0, len(trees))), chain_tree(33, n))
-    forest = Forest(trees=trees, feature_count=n, seed=0)
-    model = MonitorModel(table=id_table(n), forest=forest, mode=mode)
-    ids = st.lists(st.integers(-1, n - 1), min_size=1, max_size=30)
-    episodes = data.draw(st.lists(ids, min_size=1, max_size=4))
+    model = MonitorModel(table=id_table(n), forest=forest_of(data.draw(random_forest(n)), n), mode=mode)
+    episodes = data.draw(st.lists(st.lists(st.integers(-1, n - 1), min_size=1, max_size=30),
+                                  min_size=1, max_size=4))
     budget = data.draw(st.sampled_from([1, 8, 40, monitor_module.ROW_BUDGET]))
-
-    chunks = []  # the ids of each prefix_leaf_values call and its levels
-    prefix_leaf_values = PackedTrees.prefix_leaf_values
-
-    def recording(packed, chunk_ids, chunk_mode):
-        with descent_levels() as levels:
-            result = prefix_leaf_values(packed, chunk_ids, chunk_mode)
-        chunks.append((chunk_ids, levels))
-        return result
-
-    with mock.patch.object(monitor_module, "ROW_BUDGET", budget), \
-            mock.patch.object(PackedTrees, "prefix_leaf_values", recording):
-        corpus = [[[i + 0.5] if i >= 0 else [-0.5] for i in e] for e in episodes]
-        traces, replayed = replay_with_leaf_values(model, corpus)
-    assert [ids.tolist() for chunk_ids, _ in chunks for ids in chunk_ids] == episodes
-    for chunk_ids, levels in chunks:
-        longest = max(walked_longest(trees, ids, n, mode) for ids in chunk_ids)
-        assert levels == [longest + 1]
-    for episode, trace, per_tree in zip(episodes, traces, replayed):
-        dense = dense_prefixes(episode, n, mode)
-        for t, row in enumerate(dense):
-            walked = np.array([tree.probability(row) for tree in trees])
-            assert per_tree[:, t].tobytes() == walked.tobytes()
-        assert summary_bytes(trace.series) == summary_bytes(predict_batch(forest, dense))
+    assert_monitor_matches_reference(model, [id_qs(ids) for ids in episodes], budget)
 
 
 def in_bag(seed, tree, n):
@@ -591,12 +435,8 @@ def test_out_of_bag_mean_matches_per_row_loop(data, high):
     assert got.shape == (n,)
     bags = [in_bag(seed, i, n) for i in range(forest.n_trees)]
     assert [set(np.flatnonzero(counts).tolist()) for counts in forest.in_bag] == bags
-    for j in range(n):
-        votes = [t.probability(x[j]) for t, bag in zip(forest.trees, bags) if j not in bag]
-        if votes:
-            assert got[j] == pytest.approx(sum(votes) / len(votes), rel=1e-12, abs=0.0)
-        else:
-            assert np.isnan(got[j])
+    trees, drawn = forest_to_json_list(forest), forest.in_bag.T.tolist()
+    assert got.tobytes() == bits([reference.out_of_bag_mean(trees, row, d) for row, d in zip(x.tolist(), drawn)])
 
 
 def test_out_of_bag_mean_is_nan_for_rows_every_tree_drew():
@@ -625,16 +465,6 @@ def test_out_of_bag_mean_needs_the_in_bag_counts_of_its_training():
         out_of_bag_mean(trained, x[1:])
 
 
-def old_summarize(per_tree):
-    """The summary as ndarray.mean, ndarray.std and np.clip give it."""
-    m = per_tree.shape[0]
-    rows = np.ascontiguousarray(per_tree.T)
-    mean = rows.mean(axis=1)
-    std = rows.std(axis=1)
-    half = Z_CRITICAL * std / math.sqrt(m)
-    return mean, std, np.clip(mean - half, 0.0, 1.0), np.clip(mean + half, 0.0, 1.0)
-
-
 @settings(max_examples=300, deadline=None)
 @given(
     trees=st.integers(1, 300),
@@ -645,8 +475,8 @@ def old_summarize(per_tree):
 )
 def test_summarize_is_mean_std_and_clip_bit_for_bit(trees, columns, kinds, constant, seed):
     """Leaf values as trees hold them (pure leaves, any fraction, a count
-    ratio pos / n), some columns constant: the same bytes as the numpy
-    wrappers give."""
+    ratio pos / n), some columns constant: the same bytes as the
+    reference's summary of each column, which calls the numpy wrappers."""
     rng = np.random.default_rng(seed)
     n = rng.integers(1, 10**6, size=(trees, columns))
     choices = {
@@ -658,8 +488,8 @@ def test_summarize_is_mean_std_and_clip_bit_for_bit(trees, columns, kinds, const
     kinds = sorted(kinds)
     per_tree = np.choose(rng.integers(len(kinds), size=(trees, columns)), [choices[k] for k in kinds])
     per_tree[:, rng.random(columns) < 0.2] = constant
-    got, want = _summarize(per_tree), old_summarize(per_tree)
-    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    want = [reference.summary(column) for column in per_tree.T.tolist()]
+    assert bits(_summarize(per_tree)) == np.array(want).T.tobytes()
 
 
 def test_confidence_interval_hand_computed():
@@ -703,12 +533,7 @@ def test_ensemble_identity_on_random_inputs():
     x = rng.uniform(0, 1, size=(60, 5))
     y = (x[:, 0] + 0.3 * rng.standard_normal(60) > 0.5).astype(int)
     forest = train_forest(x, y, 15, seed=4)
-    probes = rng.uniform(-0.5, 1.5, size=(1000, 5))
-    batch = predict_batch(forest, probes)
-    manual = np.array([[t.probability(p) for p in probes] for t in forest.trees]).mean(axis=0)
-    assert np.max(np.abs(batch.mean - manual)) <= 1e-12
-    s = predict(forest, probes[0])
-    assert abs(s.mean - np.mean(forest.packed.leaf_values(probes[:1]))) <= 1e-12
+    assert_rows_match_reference(forest, forest_to_json_list(forest), rng.uniform(-0.5, 1.5, size=(1000, 5)))
 
 
 def test_permutation_invariance():
@@ -728,8 +553,9 @@ def test_single_tree_forest_mean_equals_tree_output():
     x = rng.uniform(0, 1, size=(30, 4))
     y = (x[:, 1] > 0.5).astype(int)
     forest = train_forest(x, y, 1, seed=21)
+    (tree,) = forest_to_json_list(forest)
     for probe in rng.uniform(0, 1, size=(50, 4)):
-        assert predict(forest, probe).mean == forest.trees[0].probability(probe)
+        assert predict(forest, probe).mean == reference.walk(tree, probe.tolist())[0]
 
 
 def test_linearly_separable_toy_set_training_accuracy():
@@ -781,70 +607,48 @@ def test_serialization_round_trip_preserves_predictions():
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_loaded_forest_holds_the_columns_it_was_saved_with(data):
-    """forest_from_json_list(forest_to_json_list(f)) gives every tree's
-    columns and every packed array back, dtype and bytes, over grown trees
-    (some a single leaf, where a bootstrap drew one class), inserted
-    single-leaf trees and forests of leaves alone. The file keeps a value
-    and count for leaves only, and the loader writes 0 at a split."""
+    """forest_from_json_list(forest_to_json_list(f)) gives every packed
+    array of a grown forest back, dtype and bytes (the file keeps a value
+    for leaves only), and the file's trees back, over grown trees (some a
+    single leaf, where a bootstrap drew one class), inserted single-leaf
+    trees and forests of leaves alone, whose walks are the reference's."""
     n, width = data.draw(st.integers(2, 10)), data.draw(st.integers(1, 4))
     cells = st.lists(st.integers(0, 3), min_size=width, max_size=width)
     x = np.array(data.draw(st.lists(cells, min_size=n, max_size=n)), dtype=np.float64)
     y = np.array(data.draw(st.permutations(np.arange(n) % 2)))
     grown = train_forest(x, y, data.draw(st.integers(1, 6)), seed=data.draw(st.integers(0, 2**32 - 1)))
-    trees = list(grown.trees)
-    for _ in range(data.draw(st.integers(0, 3))):
-        leaf = leaf_tree(data.draw(st.floats(0.0, 1.0)), data.draw(st.integers(1, 50)))
-        trees.insert(data.draw(st.integers(0, len(trees))), leaf)
-    if data.draw(st.booleans()):
-        trees = [t for t in trees if len(t.feature) == 1] or [leaf_tree(0.5)]
-    forest = Forest(trees=trees, feature_count=width, seed=grown.seed)
-    doc = json.loads(json.dumps(forest_to_json_list(forest)))
-    loaded = forest_from_json_list(doc, width, forest.seed)
-    assert forest_to_json_list(loaded) == doc
-    assert (loaded.n_trees, loaded.feature_count, loaded.seed) == (forest.n_trees, width, forest.seed)
+    trees = json.loads(json.dumps(forest_to_json_list(grown)))
+    packed, back = grown.packed, forest_of(trees, width, grown.seed).packed
     same = lambda a, b: (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
-    for before, after in zip(forest.trees, loaded.trees):
-        split = before.feature >= 0
-        for name in ("feature", "threshold", "left", "right", "value", "count"):
-            want = getattr(before, name)
-            if name in ("value", "count"):
-                want = np.where(split, 0, want).astype(want.dtype)
-            assert same(getattr(after, name), want), name
-    packed, back = forest.packed, loaded.packed
     for name in ("feature", "threshold", "branch", "roots", "split_feature", "split_tree"):
         assert same(getattr(back, name), getattr(packed, name)), name
     leaf = np.isinf(packed.threshold)
     assert same(back.value[leaf], packed.value[leaf])
-
-
-def split_tree():
-    """A root that tests feature 0 at 0.5, over leaves of 0.1 (left) and 0.9."""
-    return Tree(
-        feature=np.array([0, -1, -1], dtype=np.int32),
-        threshold=np.array([0.5, 0.0, 0.0]),
-        left=np.array([1, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1], dtype=np.int32),
-        value=np.array([0.5, 0.1, 0.9]),
-        count=np.array([2, 1, 1], dtype=np.int64),
-    )
+    for _ in range(data.draw(st.integers(0, 3))):
+        leaf = leaf_tree(data.draw(st.floats(0.0, 1.0)), data.draw(st.integers(1, 50)))
+        trees.insert(data.draw(st.integers(0, len(trees))), leaf)
+    if data.draw(st.booleans()):
+        trees = [t for t in trees if len(t) == 1] or [leaf_tree(0.5)]
+    loaded = forest_of(trees, width, grown.seed)
+    assert forest_to_json_list(loaded) == trees
+    assert (loaded.n_trees, loaded.feature_count, loaded.seed) == (len(trees), width, grown.seed)
+    assert_rows_match_reference(loaded, trees, x)
 
 
 def test_exact_threshold_routes_left():
-    tree = split_tree()
-    assert tree.probability(np.array([0.5])) == 0.1
-    assert tree.probability(np.array([0.5000001])) == 0.9
+    tree = split_tree(0, 0.5, 0.1, 0.9)
+    assert [reference.walk(tree, [v])[0] for v in (0.5, 0.5000001, 0.6)] == [0.1, 0.9, 0.9]
+    forest = forest_of([tree], 1)
     rows = np.array([[0.5], [0.6]])
-    assert [tree.probability(row) for row in rows] == [0.1, 0.9]
-    forest = Forest(trees=[tree], feature_count=1, seed=0)
     assert forest.packed.leaf_values(rows)[0].tolist() == [0.1, 0.9]
     assert predict_batch(forest, rows).mean.tolist() == [0.1, 0.9]
 
 
 def test_leaf_only_tree_constant_output():
-    tree = leaf_tree(0.25)
+    forest = leaf_forest([0.25])
     for x in ([0.0, 0.0, 0.0], [9.9, -3.0, 1.0]):
-        assert tree.probability(np.array(x)) == 0.25
-    assert leaf_tree(1.0).probability(np.array([0.0])) == 1.0
+        assert predict(forest, np.array(x)).mean == 0.25
+    assert predict(leaf_forest([1.0], feature_count=1), np.array([0.0])).mean == 1.0
 
 
 def test_training_input_validation():
@@ -920,8 +724,7 @@ DAMAGED_TREES = {
 
 @pytest.mark.parametrize("damage", sorted(DAMAGED_TREES))
 def test_loader_refuses_a_tree_a_walk_could_not_finish(damage):
-    forest = Forest(trees=[leaf_tree(0.5), split_tree()], feature_count=3, seed=0)
-    doc = forest_to_json_list(forest)
+    doc = [leaf_tree(0.5), split_tree(0, 0.5, 0.1, 0.9)]
     assert forest_from_json_list(doc, 3, 0).packed.roots.tolist() == [0, 1]
     corrupt, cause = DAMAGED_TREES[damage]
     corrupt(doc[1])

@@ -60,6 +60,23 @@ def test_collection_is_paused_in_one_place():
     assert calls and set(calls) == {("dataset", "collection_paused")}, sorted(set(calls))
 
 
+def test_tests_build_forests_as_node_lists():
+    """A test builds a forest as node lists in the model file's form and
+    walks it with tests/reference.py: no test module names `Tree` or an
+    attribute `probability`, but the two that check the benchmark tracer's
+    hooks on Tree.probability and on a fit's trees."""
+    named = set()
+    for source in (ROOT / "tests").glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"), filename=str(source))):
+            names = {getattr(node, "id", None), getattr(node, "attr", None)}
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names |= {alias.name for alias in node.names}
+            if "Tree" in names or (isinstance(node, ast.Attribute) and node.attr == "probability"):
+                named.add(source.name)
+    assert "test_tracing.py" in named  # the walk sees a hook check
+    assert named <= {"test_tracing.py", "test_perfbench_layers.py"}, sorted(named)
+
+
 def field_table_arguments(package: Path) -> list[tuple[str, str]]:
     """(module, source of the field-table argument, or "") of every call to
     load_document in the package's sources."""

@@ -5,24 +5,11 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import id_table
+from conftest import forest_of, id_table, split_tree
 from safemon import abstraction, envs, forest, monitor
-from safemon.forest import Forest, Tree
 from safemon.monitor import MonitorModel, RunningState
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-
-
-def split_forest():
-    tree = Tree(
-        feature=np.array([1, -1, -1], dtype=np.int32),
-        threshold=np.array([0.5, 0.0, 0.0]),
-        left=np.array([1, -1, -1], dtype=np.int32),
-        right=np.array([2, -1, -1], dtype=np.int32),
-        value=np.array([0.5, 0.2, 0.9]),
-        count=np.ones(3, dtype=np.int64),
-    )
-    return Forest(trees=[tree], feature_count=2, seed=0)
 
 
 def test_layers_install_traces_observe_and_uninstall_restores(monkeypatch):
@@ -46,7 +33,7 @@ def test_layers_install_traces_observe_and_uninstall_restores(monkeypatch):
     uninstall = layers.install(tracer)
     try:
         assert all(a is not b for a, b in zip(targets(), before))
-        model = MonitorModel(table=id_table(2), forest=split_forest())
+        model = MonitorModel(table=id_table(2), forest=forest_of([split_tree(1, 0.5, 0.2, 0.9)], 2))
         running = RunningState.fresh(model)
         means = [monitor.observe(model, running, np.array([k + 0.5])).summary.mean for k in (0, 1)]
         # The fit hook reads the forest's n_trees and trees.
