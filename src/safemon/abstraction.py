@@ -6,6 +6,14 @@ encoded over the resulting abstract-state vocabulary, either as presence
 bits or as visit counts, and those vectors are what the violation
 predictor consumes.
 
+The bucket rule has two forms. bucketize_batch applies it to arrays, as
+corpora are bucketed (AbstractionTable.build, lookup_batch). bucketize
+applies it to one Q-vector, element by element in Python floats, as a
+monitored step is looked up (AbstractionTable.lookup): on a 2- or 3-wide
+vector numpy's fixed cost is most of the work. A Q-value or level that
+bucketize cannot bucket goes to bucketize_batch, so every refusal has one
+source.
+
 episode_feature_matrix builds the end-of-episode rows: visit counts in
 frequency mode, presence bits, one byte each, in binary mode. Features
 are monotone visit counts, so each step changes at most one column.
@@ -80,7 +88,23 @@ def bucketize_batch(qs: np.ndarray, d: float) -> np.ndarray:
 
 
 def bucketize(q: Sequence[float], d: float) -> BucketKey:
-    """Per-action ceiling bucket of q/d, with boundary values snapped."""
+    """Per-action ceiling bucket of q/d, with boundary values snapped: the
+    rule of bucketize_batch, applied to one Q-vector element by element in
+    Python floats, without numpy's fixed cost on a 2- or 3-wide vector."""
+    d = float(d)
+    if 0 < d < math.inf:
+        key = []
+        for v in q:
+            ratio = float(v) / d  # read as numpy reads it; a numpy scalar would warn on overflow
+            size = abs(ratio)
+            if not size < _INDEX_LIMIT:  # NaN fails it too
+                break
+            nearest = round(ratio)  # half to even, as np.rint
+            snap = abs(ratio - nearest) <= _SNAP_RTOL * max(1.0, size)
+            key.append(nearest if snap else math.ceil(ratio))
+        else:
+            return tuple(key)
+    # d or a Q-value breaks a rule: the batch rule refuses it, in its words.
     return tuple(bucketize_batch(q, d).tolist())
 
 
@@ -129,9 +153,15 @@ class AbstractionTable:
             )
 
     def lookup(self, q: Sequence[float]) -> Optional[int]:
-        """Abstract id of a Q-vector, or None when its key was never seen."""
-        q = np.asarray(q)
-        self._require_width(q, 1)
+        """Abstract id of a Q-vector, or None when its key was never seen.
+
+        A list of numbers of the table's width is bucketed as it is. Any
+        other input is made a float64 array first, so that its shape can
+        be checked.
+        """
+        if type(q) is not list or len(q) != self.key_width:
+            q = np.asarray(q, dtype=np.float64)
+            self._require_width(q, 1)
         return self.index.get(bucketize(q, self.d))
 
     def lookup_batch(self, qs: np.ndarray) -> np.ndarray:

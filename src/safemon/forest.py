@@ -618,10 +618,12 @@ def _summarize(per_tree: np.ndarray):
 
     The columns are reduced via a contiguous transpose, so each one goes
     through the same reduction however many inputs share the batch. The
-    ufunc calls are those `ndarray.mean`, `ndarray.std` and `np.clip` make,
-    without their Python wrappers, so the bits are theirs; only a bound of
-    -0.0, which takes leaves of -0.0, is clamped to 0.0 where np.clip
-    would keep it.
+    ufunc calls are those `ndarray.mean` and `ndarray.std` make, without
+    their Python wrappers, so the bits are theirs. The bounds are clamped
+    with np.maximum and np.minimum, which give np.clip's bits on every
+    bound they meet: the two differ only at -0.0, and no bound is -0.0,
+    since the sum over the trees starts from +0.0 (leaves of -0.0 give a
+    mean of 0.0).
     """
     m = per_tree.shape[0]
     rows = np.ascontiguousarray(per_tree.T)

@@ -159,7 +159,13 @@ def criterion_holds(summary, criterion: Criterion, theta: float):
 
 
 def observe(model: MonitorModel, running: RunningState, q) -> StepAssessment:
-    """Fold one Q-vector into the running episode and assess it."""
+    """Fold one Q-vector into the running episode and assess it.
+
+    `q` is a list of numbers, as watch passes it, or anything
+    AbstractionTable.lookup makes an array of, such as a numpy row: both
+    give the same assessment. An integer in a list that no float64 holds
+    raises OverflowError, before the running state changes.
+    """
     if running.frozen:
         raise MonitorStopped("monitor was frozen by the stop policy")
     abstract_id = model.table.lookup(q)
@@ -345,7 +351,8 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
     persists across the whole session. A `t` that does not count on
     from the last one read (from 0 at the start) is reported there too,
     and the line is still assessed. A line, text or UTF-8 bytes, is
-    decoded by dataset.decode, exact in `t` and `q`.
+    decoded by dataset.decode, exact in `t` and `q`, and its `q` list
+    goes to observe as it is: no numpy array is made for one step.
     """
     running = RunningState.fresh(model)
     last_t = None
@@ -362,14 +369,14 @@ def watch_stream(model: MonitorModel, in_stream, out_stream, err_stream) -> int:
                 print(f"line {lineno}: {gap}", file=err_stream)
             last_t = t
             q = msg["q"]
-            # numpy would read "1.5" as 1.5 and true as 1.0; `type`, since a bool is an int.
+            # A bool would be read as 0.0 or 1.0, and "1.5" in an array as 1.5;
+            # `type`, since a bool is an int.
             if type(q) is not list or not all(type(v) is float or type(v) is int for v in q):
                 raise ValueError(f"q must be a JSON list of numbers, got {json.dumps(q)}")
             try:
-                q = np.asarray(q, dtype=np.float64)
-            except OverflowError:
+                assessment = observe(model, running, q)
+            except OverflowError:  # raised by lookup, before observe changes anything
                 raise ValueError("q holds an integer beyond float64's range") from None
-            assessment = observe(model, running, q)
         except MonitorStopped:
             print(f"line {lineno}: session frozen by stop policy", file=err_stream)
             return 0

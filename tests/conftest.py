@@ -1,4 +1,5 @@
 import json
+import math
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -51,6 +52,21 @@ def two_band_corpus(n_per_class=20, steps=3, safe_q=4.5, unsafe_q=9.5, actions=1
         q = unsafe_q if unsafe else safe_q
         episodes.append(make_episode(np.full((steps, actions), q), unsafe=unsafe))
     return make_set(episodes)
+
+
+# Relative offsets from a multiple of d: inside, at and beyond the snap
+# tolerance (1e-12), and half a level, each of both signs.
+SNAP_OFFSETS = [0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-10, 1e-9, 2e-9, 0.5]
+SNAP_OFFSETS += [-o for o in SNAP_OFFSETS]
+
+
+def near_multiple(k, d, offset, ulps):
+    """k * d moved by the relative `offset` (by offset * d at k = 0), then
+    `ulps` floats up, or down when it is negative."""
+    value = (k * (1.0 + offset) if k else offset) * d
+    for _ in range(abs(ulps)):
+        value = math.nextafter(value, math.copysign(math.inf, ulps))
+    return value
 
 
 def id_table(n):

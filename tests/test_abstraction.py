@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from conftest import id_table, make_episode, make_set, two_band_corpus
+from conftest import SNAP_OFFSETS, id_table, make_episode, make_set, near_multiple, two_band_corpus
 from safemon import forest
 from safemon.abstraction import (
     AbstractionTable,
@@ -104,12 +104,14 @@ def test_bucketize_refuses_an_index_beyond_int64(q, d):
 
 def test_bucketize_refuses_a_quotient_that_overflows():
     # A finite q over a tiny d overflows to inf; the refusal names it, and
-    # numpy's overflow warning does not come first.
+    # numpy's overflow warning does not come first, whether q is a list,
+    # an array or a list of numpy scalars.
     message = "Q-value 1e+300 at abstraction level 1e-300 has a bucket index beyond int64"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=re.escape(message)):
-            bucketize([1e300], 1e-300)
+        for q in ([1e300], np.array([1e300]), [np.float64(1e300)]):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                bucketize(q, 1e-300)
 
 
 # The largest float below 2**63: a Q-value of TOP * d has the last bucket
@@ -147,11 +149,6 @@ def test_bucketize_is_the_batch_rule_on_one_row(d, k, shift, ulps, width):
         assert all(abs(b) < 2**63 for b in one)
 
 
-# Relative offsets from a multiple of d: inside, at and beyond the snap
-# tolerance (1e-12), and half a level.
-OFFSETS = [0.0, 5e-13, 1e-12, 2e-12, 1e-11, 1e-10, 1e-9, 2e-9, 0.5]
-
-
 @settings(max_examples=300, deadline=None)
 @given(data=st.data(), d=st.one_of(st.floats(1e-6, 1e6), st.floats(1e-12, 1.0)))
 def test_bucketize_is_the_reference_rule(data, d):
@@ -159,22 +156,26 @@ def test_bucketize_is_the_reference_rule(data, d):
     snapped ceiling of q/d, for finite Q-values with |q/d| below 2**63: at
     multiples of d nudged across the snap tolerance and by a few ulps,
     next to 2**63 * d, and anywhere, at levels above and below 1."""
-    def near_multiple(k, offset, ulps):
-        value = (k * (1.0 + offset) if k else offset) * d
-        for _ in range(abs(ulps)):
-            value = math.nextafter(value, math.copysign(math.inf, ulps))
-        return value
-
-    offsets = st.sampled_from(OFFSETS + [-o for o in OFFSETS])
     q_value = st.one_of(
-        st.builds(near_multiple, st.integers(-10**9, 10**9), offsets, st.integers(-3, 3)),
-        st.builds(near_multiple, st.sampled_from([TOP, -TOP, 2.0**62]), st.just(0.0), st.integers(-3, 0)),
+        st.builds(near_multiple, st.integers(-10**9, 10**9), st.just(d), st.sampled_from(SNAP_OFFSETS),
+                  st.integers(-3, 3)),
+        st.builds(near_multiple, st.sampled_from([TOP, -TOP, 2.0**62]), st.just(d), st.just(0.0),
+                  st.integers(-3, 0)),
         st.floats(-(2.0**62) * d, 2.0**62 * d),
     )
     q = data.draw(st.lists(q_value.filter(lambda v: abs(v / d) < 2.0**63), min_size=1, max_size=3))
     want = tuple(reference.bucket(v, d) for v in q)
     assert bucketize(q, d) == want
     assert bucketize_batch(np.array([q]), d).tolist() == [list(want)]
+
+
+@pytest.mark.parametrize("q", [2.0**51 + 0.5, 2.0**51 + 1.5, -(2.0**51 + 0.5), 2.0**52 + 1, 2.0**52 + 3])
+def test_bucketize_rounds_a_snapped_half_to_even(q):
+    """From 2**51 up the snap tolerance passes half a level, so a
+    quotient halfway between two integers snaps to one of them: the even
+    one, as np.rint rounds, and not the one above."""
+    assert bucketize([q], 1.0) == (reference.bucket(q, 1.0),) == (int(np.rint(q)),)
+    assert bucketize_batch(np.array([[q]]), 1.0).tolist() == [[int(np.rint(q))]]
 
 
 def test_bucketize_matches_ceiling_oracle():

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import safemon.monitor as monitor_module
 from conftest import (
+    SNAP_OFFSETS,
     assert_monitor_matches_reference,
     assert_rows_match_reference,
     forest_of,
@@ -21,10 +22,12 @@ from conftest import (
     leaf_tree,
     make_episode,
     make_set,
+    near_multiple,
     orjson_refusing,
     random_forest,
     saved_and_loaded,
     split_tree,
+    summary_bits,
 )
 from safemon.abstraction import AbstractionTable, FeatureMode, UnseenPolicy, episode_feature_matrix
 from safemon.dataset import DatasetError, Label
@@ -218,6 +221,42 @@ def test_observe_keeps_the_binary_features_in_place(ids, mode, unseen):
     running = RunningState.fresh(model)
     assert (running.features is running.counts) == (mode is FeatureMode.FREQUENCY)
     assert_monitor_matches_reference(model, [id_qs(ids)])
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), d=st.sampled_from([0.1, 0.3, 1.0, 2.5]), width=st.integers(1, 3),
+       mode=st.sampled_from(FeatureMode), unseen=st.sampled_from(UnseenPolicy))
+def test_observe_reads_a_list_as_its_numpy_row(data, d, width, mode, unseen):
+    """Each step given as a list of Python numbers, as watch passes it,
+    and as a float64 row gets the same assessment, bit for bit; lookup of
+    the list is lookup_batch's id of the row (None for -1). The steps sit
+    on, next to and between bucket boundaries, seen in the table and not."""
+    value = st.one_of(
+        st.builds(near_multiple, st.integers(-4, 4), st.just(d), st.sampled_from(SNAP_OFFSETS), st.integers(-2, 2)),
+        st.floats(-5.0, 5.0),
+        st.integers(-5, 5),
+    )
+    step = st.lists(value, min_size=width, max_size=width)
+    seen = data.draw(st.lists(step, min_size=1, max_size=8))
+    table = AbstractionTable.build(make_set([make_episode(seen)]), d)
+    steps = data.draw(st.lists(st.one_of(st.sampled_from(seen), step), min_size=1, max_size=20))
+    rows = np.array(steps, dtype=np.float64)
+    model = MonitorModel(table=table, forest=forest_of(data.draw(random_forest(table.n)), table.n),
+                         mode=mode, unseen_policy=unseen)
+    ids = table.lookup_batch(rows).tolist()
+    assert [table.lookup(q) for q in steps] == [None if i < 0 else i for i in ids]
+    by_list, by_row = RunningState.fresh(model), RunningState.fresh(model)
+    for q, row in zip(steps, rows):
+        if by_row.frozen:
+            for running, given in ((by_list, q), (by_row, row)):
+                with pytest.raises(MonitorStopped):
+                    observe(model, running, given)
+            break
+        got, want = observe(model, by_list, q), observe(model, by_row, row)
+        assert (got.t, got.fired, got.unseen_alert) == (want.t, want.fired, want.unseen_alert)
+        assert summary_bits(got.summary) == summary_bits(want.summary)
+        assert by_list.features.tobytes() == by_row.features.tobytes()
+    assert by_list.frozen == by_row.frozen
 
 
 def random_walk_episodes(rng, count):
@@ -511,7 +550,8 @@ def test_watch_stream_protocol():
     diagnostics = err.getvalue().splitlines()
     assert len(diagnostics) == 2
     assert "line 2" in diagnostics[0]
-    assert "line 4: skipped malformed input: expected 1 Q-values per step" in diagnostics[1]
+    assert diagnostics[1] == (
+        "line 4: skipped malformed input: expected 1 Q-values per step, got an array of shape (2,)")
 
 
 def test_watch_skips_a_q_whose_bucket_index_is_beyond_int64():
@@ -579,22 +619,54 @@ def test_watch_skips_a_q_that_is_not_a_list_of_json_numbers():
 
 
 def test_watch_skips_a_q_holding_an_integer_beyond_float64():
-    """json reads such an integer as an int, which numpy cannot make a
-    float64; the line is skipped, and the session goes on."""
+    """json reads such an integer as an int, which no float64 holds; the
+    line is skipped, and the session goes on. The integer is named before
+    a wrong width."""
     model = staircase_model()
     big = "1" + "0" * 400
     lines = [
         '{"t": 0, "q": [0.5]}\n',
         '{"t": 1, "q": [%s]}\n' % big,
         '{"t": 2, "q": [-%s]}\n' % big,
-        '{"t": 3, "q": [2.5]}\n',
+        '{"t": 3, "q": [%s, 0.5]}\n' % big,
+        '{"t": 4, "q": [2.5]}\n',
     ]
     out, err = io.StringIO(), io.StringIO()
     assert watch_stream(model, iter(lines), out, err) == 0
-    assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [0, 3]
+    assert [json.loads(line)["t"] for line in out.getvalue().splitlines()] == [0, 4]
     assert err.getvalue().splitlines() == [
-        "line 2: skipped malformed input: q holds an integer beyond float64's range",
-        "line 3: skipped malformed input: q holds an integer beyond float64's range",
+        f"line {n}: skipped malformed input: q holds an integer beyond float64's range" for n in (2, 3, 4)
+    ]
+
+
+def q_session(model, qs):
+    """The t of each reply and the diagnostics of a session whose line t
+    sends the JSON text qs[t] as its `q`."""
+    code, out, err = watch_outcome(model, ['{"t": %d, "q": %s}' % (t, q) for t, q in enumerate(qs)])
+    assert code == 0
+    return [json.loads(line)["t"] for line in out.splitlines()], err.splitlines()
+
+
+def test_watch_names_a_wrong_width_and_a_value_that_is_not_finite():
+    replies, diagnostics = q_session(staircase_model(), [
+        "[0.5]", "[0.5, 0.5]", "[NaN]", "[Infinity]", "[-Infinity]", "[1e400]", "[2.5]"])
+    assert replies == [0, 6]
+    assert diagnostics == [
+        "line 2: skipped malformed input: expected 1 Q-values per step, got an array of shape (2,)",
+        *(f"line {n}: skipped malformed input: Q-values must be finite" for n in (3, 4, 5, 6)),
+    ]
+
+
+def test_watch_names_a_value_that_is_not_finite_before_a_wide_quotient():
+    """At d = 1, 1e300 has a bucket index beyond int64 and NaN none at
+    all: in one q, the NaN is named, whichever comes first."""
+    model = MonitorModel(table=AbstractionTable(d=1.0, index={(1, 1): 0}), forest=forest_of([leaf_tree(0.5)], 1))
+    replies, diagnostics = q_session(model, ["[1e300, NaN]", "[NaN, 1e300]", "[1e300, 0.5]", "[0.5, 1]"])
+    assert replies == [3]
+    assert diagnostics == [
+        "line 1: skipped malformed input: Q-values must be finite",
+        "line 2: skipped malformed input: Q-values must be finite",
+        "line 3: skipped malformed input: Q-value 1e+300 at abstraction level 1.0 has a bucket index beyond int64",
     ]
 
 

@@ -129,3 +129,14 @@ def test_watch_imports_neither_the_agent_nor_the_evaluation_module():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines() == ["[]", "safemon.agent"]
+
+
+def test_a_bare_pytest_run_imports_the_package_from_src():
+    """pyproject puts src/ on pytest's path, so `python -m pytest` in a
+    checkout collects without PYTHONPATH or an install."""
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", "tests/test_dataset.py"],
+        cwd=ROOT, env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
