@@ -17,7 +17,6 @@ _EXPORTS = {
     "agent": [
         "AgentModel",
         "AgentTrainConfig",
-        "EpsilonSchedule",
         "TrainingDiverged",
         "agent_fingerprint",
         "greedy_action",

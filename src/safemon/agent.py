@@ -5,6 +5,9 @@ to be competent enough to produce corpora containing both safe and unsafe
 episodes. Training keeps periodic checkpoints and picks the latest one
 whose unsafe-episode rate over seeded rollouts lands in a target band,
 because a flawless agent would starve the monitor of unsafe examples.
+Every agent is trained by one DQN recipe: module constants fix the hidden
+layers, the replay buffer, the batch and the step of the first update,
+and `AgentTrainConfig` holds what `train-agent`'s flags set.
 
 Greedy rollouts, for checkpoint evaluation and for corpus collection, run
 many seeded episodes in lockstep: per step, one Q pass over the live
@@ -29,7 +32,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,6 +47,11 @@ BAND_EVAL_EPISODES = 200
 REPORT_EVAL_EPISODES = 100
 if REPORT_EVAL_EPISODES > BAND_EVAL_EPISODES:  # the report reuses band rollouts
     raise ValueError("REPORT_EVAL_EPISODES must not exceed BAND_EVAL_EPISODES")
+# The DQN recipe every agent is trained with.
+HIDDEN_SIZES = (64, 64)
+REPLAY_CAPACITY = 50_000
+BATCH_SIZE = 64
+TRAIN_START = 1_000  # the first step that takes an update
 GRAD_CLIP_NORM = 10.0
 MOMENTUM = 0.9
 
@@ -60,49 +68,35 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class EpsilonSchedule:
-    start: float = 1.0
-    end: float = 0.05
-    decay_steps: int = 50_000
-
-    def __post_init__(self):
-        if not (0.0 <= self.end <= self.start <= 1.0):
-            raise ValueError("need 0 <= end <= start <= 1")
-        if self.decay_steps < 1:
-            raise ValueError("decay_steps must be positive")
-
-    def value(self, step: int) -> float:
-        frac = min(step / self.decay_steps, 1.0)
-        return self.start + (self.end - self.start) * frac
-
-
-@dataclass(frozen=True)
 class AgentTrainConfig:
+    """The settings of one training run; the rest of the DQN recipe is the
+    module's constants. Exploration decays linearly from 1.0 to
+    `epsilon_end` over `epsilon_decay_steps` steps."""
+
     total_steps: int = 100_000
-    replay_capacity: int = 50_000
-    batch_size: int = 64
     target_sync_interval: int = 500
     learning_rate: float = 1e-3
-    epsilon: EpsilonSchedule = field(default_factory=EpsilonSchedule)
+    epsilon_end: float = 0.05
+    epsilon_decay_steps: int = 50_000
     gamma: float = 0.99
-    hidden_sizes: tuple[int, ...] = (64, 64)
     seed: int = 0
     checkpoint_interval: int = 5_000
-    train_start: int = 1_000
 
     def __post_init__(self):
-        positives = (
-            self.replay_capacity,
-            self.batch_size,
-            self.target_sync_interval,
-            self.checkpoint_interval,
-        )
-        if any(v < 1 for v in positives) or self.learning_rate <= 0:
+        if min(self.target_sync_interval, self.checkpoint_interval) < 1 or self.learning_rate <= 0:
             raise ValueError("config values must be positive")
         if self.total_steps < 0:
             raise ValueError("total_steps must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
+        if not 0.0 <= self.epsilon_end <= 1.0:
+            raise ValueError("epsilon_end must lie in [0, 1]")
+        if self.epsilon_decay_steps < 1:
+            raise ValueError("epsilon_decay_steps must be positive")
+
+    def epsilon(self, step: int) -> float:
+        """The exploration rate at `step`."""
+        return 1.0 + (self.epsilon_end - 1.0) * min(step / self.epsilon_decay_steps, 1.0)
 
 
 def _layer_views(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -451,13 +445,13 @@ def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[in
     periodic (step, network) snapshots, the final network last."""
     env = make_env(env_kind)
     offset, scale = _INPUT_NORMS[env_kind]
-    layer_sizes = (env.state_dim, *config.hidden_sizes, env.action_count)
+    layer_sizes = (env.state_dim, *HIDDEN_SIZES, env.action_count)
     init_rng = derive_rng(config.seed, "init")
     network = QNetwork(layer_sizes, rng=init_rng, input_offset=offset, input_scale=scale)
     target = network.copy()
     optimizer = _SgdMomentum(network, config.learning_rate)
     # A run never holds more transitions than it takes steps.
-    buffer = _ReplayBuffer(min(config.replay_capacity, config.total_steps), env.state_dim)
+    buffer = _ReplayBuffer(min(REPLAY_CAPACITY, config.total_steps), env.state_dim)
     explore_rng = derive_rng(config.seed, "explore")
     replay_rng = derive_rng(config.seed, "replay")
 
@@ -466,7 +460,7 @@ def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[in
     checkpoints: list[tuple[int, QNetwork]] = []
 
     for step in range(1, config.total_steps + 1):
-        if explore_rng.random() < config.epsilon.value(step):
+        if explore_rng.random() < config.epsilon(step):
             action = int(explore_rng.integers(env.action_count))
         else:
             action = greedy_action(network.forward(state))
@@ -481,8 +475,8 @@ def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[in
         else:
             state = out.next_state
 
-        if step >= config.train_start and buffer.size >= config.batch_size:
-            batch = buffer.sample(config.batch_size, replay_rng)
+        if step >= TRAIN_START and buffer.size >= BATCH_SIZE:
+            batch = buffer.sample(BATCH_SIZE, replay_rng)
             loss = _dqn_update(network, target, optimizer, batch, config.gamma)
             if not math.isfinite(loss):
                 raise TrainingDiverged(

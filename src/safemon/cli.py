@@ -116,7 +116,6 @@ def cmd_train_agent(args) -> int:
         BAND_EVAL_EPISODES,
         UNSAFE_RATE_BAND,
         AgentTrainConfig,
-        EpsilonSchedule,
         save_agent,
         train_agent,
     )
@@ -125,7 +124,8 @@ def cmd_train_agent(args) -> int:
     config = AgentTrainConfig(
         total_steps=args.steps,
         learning_rate=args.learning_rate,
-        epsilon=EpsilonSchedule(1.0, args.epsilon_end, args.epsilon_decay_steps),
+        epsilon_end=args.epsilon_end,
+        epsilon_decay_steps=args.epsilon_decay_steps,
         gamma=args.gamma,
         seed=args.seed,
         checkpoint_interval=args.checkpoint_interval,
@@ -319,18 +319,21 @@ def cmd_watch(args) -> int:
 
 
 def _train_agent_arguments(p) -> None:
+    from .agent import AgentTrainConfig as defaults  # one defaults table: the config's
+
     p.add_argument("--env", choices=ENV_KINDS, required=True)
     p.add_argument("--steps", type=_count, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--report-out", default=None)
     p.add_argument("--config", default=None, help=_CONFIG_HELP)
-    p.add_argument("--learning-rate", type=_positive, default=1e-3)
-    p.add_argument("--gamma", type=_unit, default=0.99)
-    p.add_argument("--epsilon-end", type=_unit, default=0.05)
-    p.add_argument("--epsilon-decay-steps", type=_at_least_one, default=50_000)
-    p.add_argument("--checkpoint-interval", type=_at_least_one, default=5_000)
-    p.add_argument("--target-sync-interval", type=_at_least_one, default=500)
+    p.add_argument("--learning-rate", type=_positive, default=defaults.learning_rate)
+    p.add_argument("--gamma", type=_unit, default=defaults.gamma)
+    p.add_argument("--epsilon-end", type=_unit, default=defaults.epsilon_end)
+    p.add_argument("--epsilon-decay-steps", type=_at_least_one, default=defaults.epsilon_decay_steps)
+    p.add_argument("--checkpoint-interval", type=_at_least_one, default=defaults.checkpoint_interval)
+    p.add_argument("--target-sync-interval", type=_at_least_one,
+                   default=defaults.target_sync_interval)
     p.set_defaults(func=cmd_train_agent)
 
 

@@ -300,9 +300,7 @@ class Episode:
 @dataclass
 class EpisodeSet:
     episodes: list[Episode]
-    env_kind: Optional[str] = None
     agent_fingerprint: Optional[str] = None
-    seed: Optional[int] = None
 
     def __post_init__(self):
         if not self.episodes:
@@ -350,12 +348,7 @@ def collect(agent: AgentModel, env_kind: str, count: int, seed: int) -> EpisodeS
         )
         for i, (length, cause) in enumerate(zip(runs.lengths, runs.causes))
     ]
-    return EpisodeSet(
-        episodes=episodes,
-        env_kind=env_kind,
-        agent_fingerprint=agent_fingerprint(agent),
-        seed=seed,
-    )
+    return EpisodeSet(episodes=episodes, agent_fingerprint=agent_fingerprint(agent))
 
 
 def split(episode_set: EpisodeSet, train_fraction: float, seed: int):
@@ -372,12 +365,7 @@ def split(episode_set: EpisodeSet, train_fraction: float, seed: int):
     episodes = episode_set.episodes
 
     def subset(indices):
-        return EpisodeSet(
-            episodes=[episodes[i] for i in indices],
-            env_kind=episode_set.env_kind,
-            agent_fingerprint=episode_set.agent_fingerprint,
-            seed=episode_set.seed,
-        )
+        return EpisodeSet([episodes[i] for i in indices], episode_set.agent_fingerprint)
 
     return subset(order[:n_train]), subset(order[n_train:])
 
@@ -530,12 +518,11 @@ def read_jsonl(path) -> EpisodeSet:
     """Parse an episode corpus; malformed lines, among them bytes that are
     not UTF-8, a state, Q-value or reward that is not a JSON number or is
     NaN or infinite, a row of states or Q-values of another width than the
-    episode's first, and an action that is not an integer index into the
-    step's Q-vector, and lines whose Q-vector width differs from the first
-    episode's, fail with their number.
+    episode's first, an action that is not an integer index into the
+    step's Q-vector, and a value nested too deeply to read, and lines whose
+    Q-vector width differs from the first episode's, fail with their number.
 
-    Set-level metadata is not part of the line schema: the environment
-    kind is inferred from the Q-vector width, fingerprint and seed stay
+    A line holds no set-level metadata, so the agent fingerprint stays
     unset.
     """
     episodes = []
@@ -549,8 +536,10 @@ def read_jsonl(path) -> EpisodeSet:
                         continue
                     raise
                 episode = _episode_from_obj(obj)
-            except (KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise DatasetError(f"{path}: malformed episode at line {lineno}: {exc}") from exc
+            except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+                # A refusal shows the value it refuses, and repr recurses once per level.
+                why = "a value is nested too deeply to read" if type(exc) is RecursionError else exc
+                raise DatasetError(f"{path}: malformed episode at line {lineno}: {why}") from exc
             width = episode.qs.shape[1]
             if not episodes:
                 first_line, action_count = lineno, width
@@ -562,5 +551,4 @@ def read_jsonl(path) -> EpisodeSet:
             episodes.append(episode)
     if not episodes:
         raise DatasetError(f"{path}: empty episode set")
-    env_kind = {2: "cartpole", 3: "mountaincar"}.get(action_count)
-    return EpisodeSet(episodes=episodes, env_kind=env_kind)
+    return EpisodeSet(episodes=episodes)

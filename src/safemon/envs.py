@@ -7,9 +7,10 @@ are irrecoverable *safety violations*, while the pole falling over or the
 200-step limit are ordinary, safe terminations. The mountain-car left
 wall is therefore not clamped, so the border can actually be crossed.
 
-Environments are small mutable objects driven by ``reset()``/``step()``.
-All randomness enters through the reset seed, so a (seed, action
-sequence) pair always reproduces the same trajectory bit for bit.
+Environments are small mutable objects driven by ``reset(seed)`` and
+``step()``. All randomness enters through the reset seed, which every
+reset requires, so a (seed, action sequence) pair always reproduces the
+same trajectory bit for bit.
 
 ``transition`` advances many episodes at once: one array update per step
 over an ``(n, state_dim)`` stack of states, which is how greedy rollouts
@@ -114,7 +115,7 @@ class _ControlEnv:
         self.steps_taken = 0
         self.done = False
 
-    def reset(self, seed=None) -> np.ndarray:
+    def reset(self, seed: int) -> np.ndarray:
         self.state = self._initial_state(np.random.default_rng(seed))
         self.steps_taken = 0
         self.done = False

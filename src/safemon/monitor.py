@@ -90,12 +90,11 @@ class MonitorModel:
 class RunningState:
     """Per-episode monitoring state; one per concurrently watched episode.
 
-    `counts` holds the visits to each abstract state and `features` the
-    vector the forest scores: 1.0 at each visited state in binary mode,
-    and `counts` itself in frequency mode.
+    `features` is the vector the forest scores: 1.0 at each visited
+    abstract state in binary mode, and each state's visit count in
+    frequency mode.
     """
 
-    counts: np.ndarray
     features: np.ndarray
     fired: bool = False
     frozen: bool = False
@@ -103,10 +102,7 @@ class RunningState:
 
     @classmethod
     def fresh(cls, model: MonitorModel) -> "RunningState":
-        counts = np.zeros(model.table.n, dtype=np.float64)
-        if model.mode is FeatureMode.BINARY:
-            return cls(counts=counts, features=np.zeros_like(counts))
-        return cls(counts=counts, features=counts)
+        return cls(features=np.zeros(model.table.n, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -174,10 +170,10 @@ def observe(model: MonitorModel, running: RunningState, q) -> StepAssessment:
         if model.unseen_policy is UnseenPolicy.STOP:
             running.frozen = True
         # Ignore policy: feature vector stays as it was.
+    elif model.mode is FeatureMode.BINARY:
+        running.features[abstract_id] = 1.0
     else:
-        running.counts[abstract_id] += 1.0
-        if model.mode is FeatureMode.BINARY:
-            running.features[abstract_id] = 1.0
+        running.features[abstract_id] += 1.0
 
     summary = predict(model.forest, running.features)
     if criterion_holds(summary, model.criterion, model.theta):

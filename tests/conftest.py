@@ -40,8 +40,8 @@ def make_episode(qs, unsafe=False):
     )
 
 
-def make_set(episodes, env_kind=None):
-    return EpisodeSet(episodes=list(episodes), env_kind=env_kind)
+def make_set(episodes):
+    return EpisodeSet(episodes=list(episodes))
 
 
 def two_band_corpus(n_per_class=20, steps=3, safe_q=4.5, unsafe_q=9.5, actions=1):

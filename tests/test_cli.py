@@ -595,17 +595,31 @@ def test_config_reads_what_json_reads(data, edit, tmp_path_factory):
 
 
 @pytest.mark.parametrize("depth", [1000, 100_000])
-@pytest.mark.parametrize("seam", ["agent", "config", "corpus", "model"])
+@pytest.mark.parametrize("seam", ["agent", "config", "corpus", "corpus-q", "corpus-a", "corpus-r",
+                                  "corpus-label", "model"])
 def test_file_nested_too_deeply_is_io_error_naming_file(seam, depth, agent_path, model_path,
                                                         tmp_path, capsys, monkeypatch):
     """json decodes, and the scan for integers beyond 64 bits reads, one
     level per call: a value 1,000 or more deep ran out of recursion and
     ended the command in a traceback. It is refused, naming the file (and
-    a corpus line, whose NaN sends it to json)."""
+    a corpus line). A corpus line whose NaN sends it to json fails there;
+    orjson decodes the others, and a refusal's repr of the value failed."""
     bad, where = tmp_path / "deep.json", ""
     if seam == "corpus":
         doc = {"x": float("nan"), "steps": "DEEP"}
         argv = ["build", "--episodes", str(bad), "--d", "1.0", "--out", str(tmp_path / "m.json")]
+        where = "malformed episode at line 1: "
+    elif seam.startswith("corpus-"):
+        key = seam.partition("-")[2]
+        step = {"s": [0.0, 0.0, 0.0, 0.0], "a": 0, "q": [0.1, 0.2], "r": 1.0}
+        doc = {"label": "safe", "cause": "step_limit", "steps": [step]}
+        (doc if key == "label" else step)[key] = "DEEP"
+        argv = {  # each command that reads a corpus
+            "q": ["build", "--d", "1.0", "--out", str(tmp_path / "m.json")],
+            "a": ["evaluate", "--model", model_path, "--out-prefix", str(tmp_path / "e")],
+            "r": ["select-d", "--grid", "1,2", "--out", str(tmp_path / "s.json")],
+            "label": ["build", "--d", "1.0", "--features", "frequency", "--out", str(tmp_path / "m.json")],
+        }[key] + ["--episodes", str(bad)]
         where = "malformed episode at line 1: "
     elif seam == "config":
         doc = {"trees": "DEEP"}

@@ -18,7 +18,7 @@ import safemon.dataset
 import safemon.forest
 import safemon.monitor
 from conftest import forest_of, id_table, leaf_tree, make_episode, make_set, orjson_refusing, two_band_corpus
-from safemon.agent import AgentModel, QNetwork, load_agent, save_agent
+from safemon.agent import AgentModel, QNetwork, agent_fingerprint, load_agent, save_agent
 from safemon.cli import main
 from safemon.dataset import (
     DatasetError,
@@ -64,9 +64,7 @@ def test_collect_is_seed_deterministic(random_cartpole_agent, tmp_path):
 def test_collect_labels_and_metadata(random_cartpole_agent):
     corpus = collect(random_cartpole_agent, CARTPOLE, 25, seed=1)
     assert len(corpus) == 25
-    assert corpus.env_kind == CARTPOLE
-    assert corpus.agent_fingerprint
-    assert corpus.seed == 1
+    assert corpus.agent_fingerprint == agent_fingerprint(random_cartpole_agent)
     for episode in corpus.episodes:
         # label consistency with the stored cause, violation only terminal
         assert (episode.label is Label.UNSAFE) == (episode.cause is Cause.VIOLATION)
@@ -188,17 +186,6 @@ def test_jsonl_inconsistent_label_rejected(tmp_path):
         read_jsonl(path)
 
 
-def test_read_infers_env_kind(tmp_path):
-    path = tmp_path / "mc.jsonl"
-    obj = {
-        "label": "safe",
-        "cause": "goal",
-        "steps": [{"s": [-0.5, 0.0], "a": 2, "q": [0.1, 0.2, 0.3], "r": -1.0}],
-    }
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    assert read_jsonl(path).env_kind == MOUNTAINCAR
-
-
 def test_episode_validation():
     with pytest.raises(DatasetError):
         Episode(
@@ -281,7 +268,6 @@ def test_jsonl_round_trip_property(data, env_kind):
         write_jsonl(EpisodeSet(episodes=episodes), path)
         assert path.read_bytes() == json_dumps_corpus(episodes)
         restored = read_jsonl(path)
-    assert restored.env_kind == env_kind
     assert len(restored) == len(episodes)
     for before, after in zip(episodes, restored.episodes):
         assert (after.label, after.cause) == (before.label, before.cause)

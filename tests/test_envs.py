@@ -45,6 +45,13 @@ def test_reset_same_seed_identical():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", [CARTPOLE, MOUNTAINCAR])
+def test_reset_requires_a_seed(kind):
+    """All randomness enters through the reset seed: no reset draws OS entropy."""
+    with pytest.raises(TypeError):
+        make_env(kind).reset()
+
+
 def test_mountaincar_reset_velocity_zero():
     for seed in range(20):
         state = make_env(MOUNTAINCAR).reset(seed=seed)

@@ -88,10 +88,9 @@ def test_observe_unseen_ignore_leaves_features_unchanged():
     model = staircase_model()
     running = RunningState.fresh(model)
     observe(model, running, q_for(0))
-    before = running.counts.copy(), running.features.copy()
+    before = running.features.copy()
     a = observe(model, running, np.array([99.5]))  # key never seen
-    assert np.array_equal(running.counts, before[0])
-    assert np.array_equal(running.features, before[1])
+    assert np.array_equal(running.features, before)
     assert not a.unseen_alert  # alerts are a stop-policy concept
 
 
@@ -215,11 +214,11 @@ def test_run_traces_edge_chunks_equal_observe(trees, episodes, mode, unseen, bud
 )
 def test_observe_keeps_the_binary_features_in_place(ids, mode, unseen):
     """Sessions that revisit three states over and over: observe updates
-    its feature vector in place (in frequency mode it is the counts) and
-    still scores the reference's row."""
+    its one feature vector in place (each state's visit count in frequency
+    mode) and still scores the reference's row."""
     model = MonitorModel(table=id_table(6), forest=PROPERTY_FOREST, mode=mode, unseen_policy=unseen)
-    running = RunningState.fresh(model)
-    assert (running.features is running.counts) == (mode is FeatureMode.FREQUENCY)
+    features = RunningState.fresh(model).features
+    assert (features.dtype, features.tolist()) == (np.float64, [0.0] * 6)
     assert_monitor_matches_reference(model, [id_qs(ids)])
 
 

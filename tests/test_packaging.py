@@ -1,13 +1,20 @@
 import ast
+import dataclasses
 import importlib
+import inspect
 import os
 import re
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+import safemon.agent
+from safemon.agent import AgentTrainConfig
+from safemon.cli import cmd_train_agent, main
 from safemon.dataset import Field
 
 tomllib = pytest.importorskip("tomllib")
@@ -140,3 +147,23 @@ def test_a_bare_pytest_run_imports_the_package_from_src():
         cwd=ROOT, env=env, capture_output=True, text=True,
     )
     assert done.returncode == 0, done.stdout + done.stderr
+
+
+def test_train_agent_sets_every_config_field_and_takes_its_defaults():
+    """One DQN recipe and one defaults table: cmd_train_agent passes every
+    AgentTrainConfig field from a flag, so a setting no flag gives is a
+    module constant, and a flag left out gives the config's default."""
+    tree = ast.parse(textwrap.dedent(inspect.getsource(cmd_train_agent)))
+    [call] = [node for node in ast.walk(tree)
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AgentTrainConfig"]
+    passed = {k.arg: ast.unparse(k.value) for k in call.keywords}
+    assert sorted(passed) == sorted(f.name for f in dataclasses.fields(AgentTrainConfig))
+    assert all(re.fullmatch(r"args\.\w+", value) for value in passed.values()), passed
+
+    class Trained(Exception):
+        pass
+
+    with mock.patch.object(safemon.agent, "train_agent", side_effect=Trained) as train:
+        with pytest.raises(Trained):
+            main(["train-agent", "--env", "cartpole", "--steps", "7", "--out", "unwritten.json"])
+    assert train.call_args.args == ("cartpole", AgentTrainConfig(total_steps=7))
