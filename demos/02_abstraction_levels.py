@@ -23,7 +23,7 @@ network = QNetwork(
     input_offset=np.zeros(4), input_scale=np.array([2.4, 3.0, 0.21, 3.0]),
 )
 agent = AgentModel(env_kind=CARTPOLE, network=network, gamma=0.99, seed=0, steps_trained=0)
-corpus = collect(agent, CARTPOLE, 150, seed=7)
+corpus = collect(agent, 150, seed=7)
 print(f"\ncorpus: {len(corpus)} episodes, {distinct_q_count(corpus)} distinct Q-vectors")
 
 print(f"\n{'d':>8} {'abstract states':>16}")

@@ -318,7 +318,7 @@ def select_level(
     """
     from . import forest as forest_mod
     from . import monitor as monitor_mod
-    from .dataset import require_both_classes, split
+    from .dataset import Label, require_both_classes, split
     from .evaluation import macro_f1, sweep
 
     if len(candidate_ds) < 2:
@@ -328,8 +328,8 @@ def select_level(
     require_both_classes(train, "the corpus")
     inner_train, inner_test = split(train, 0.7, inner_split_seed)
     require_both_classes(inner_train, "the 70% inner training split")
-    y_train = np.array([e.label.value == "unsafe" for e in inner_train.episodes], dtype=np.int64)
-    y_test = np.array([e.label.value == "unsafe" for e in inner_test.episodes], dtype=np.int64)
+    y_train = np.array([e.label == Label.UNSAFE for e in inner_train.episodes], dtype=np.int64)
+    y_test = np.array([e.label == Label.UNSAFE for e in inner_test.episodes], dtype=np.int64)
 
     scored = []
     for d in candidate_ds:

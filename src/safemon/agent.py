@@ -44,9 +44,6 @@ from .seeding import derive_rng, derive_seed
 AGENT_FORMAT = "agent/1"
 UNSAFE_RATE_BAND = (0.05, 0.20)
 BAND_EVAL_EPISODES = 200
-REPORT_EVAL_EPISODES = 100
-if REPORT_EVAL_EPISODES > BAND_EVAL_EPISODES:  # the report reuses band rollouts
-    raise ValueError("REPORT_EVAL_EPISODES must not exceed BAND_EVAL_EPISODES")
 # The DQN recipe every agent is trained with.
 HIDDEN_SIZES = (64, 64)
 REPLAY_CAPACITY = 50_000
@@ -283,6 +280,8 @@ class _ReplayBuffer:
 
 @dataclass
 class CheckpointStat:
+    """A checkpoint's figures over its BAND_EVAL_EPISODES greedy rollouts."""
+
     step: int
     unsafe_rate: float
     mean_reward: float
@@ -291,13 +290,16 @@ class CheckpointStat:
 
 @dataclass
 class TrainReport:
-    mean_reward: float
-    unsafe_rate: float
-    mean_length: float
-    eval_episodes: int
+    """Every checkpoint's figures, and which checkpoint was kept."""
+
     selected_step: int
     band_satisfied: bool
     checkpoints: list[CheckpointStat]
+
+    @property
+    def selected(self) -> CheckpointStat:
+        """The figures of the kept checkpoint, the one at `selected_step`."""
+        return next(stat for stat in self.checkpoints if stat.step == self.selected_step)
 
 
 @dataclass
@@ -346,10 +348,10 @@ class Rollouts:
     qs: Optional[np.ndarray] = None  # (STEP_LIMIT, n, action_count)
     rewards: Optional[np.ndarray] = None  # (STEP_LIMIT, n)
 
-    def summary(self, count: int) -> tuple[float, float, float]:
-        """Mean reward, unsafe rate and mean length of the first `count` episodes."""
-        unsafe = sum(cause is Cause.VIOLATION for cause in self.causes[:count])
-        return float(np.mean(self.totals[:count])), unsafe / count, float(np.mean(self.lengths[:count]))
+    def summary(self) -> tuple[float, float, float]:
+        """Mean reward, unsafe rate and mean length of the episodes."""
+        unsafe = sum(cause is Cause.VIOLATION for cause in self.causes)
+        return float(np.mean(self.totals)), unsafe / len(self.causes), float(np.mean(self.lengths))
 
 
 def greedy_rollouts(network: QNetwork, env_kind: str, seeds, record: bool = False) -> Rollouts:
@@ -498,13 +500,10 @@ def train_agent(env_kind: str, config: AgentTrainConfig) -> AgentModel:
     falls inside the band."""
     # The replay buffer is freed on return, before the rollouts run.
     checkpoints = _train_checkpoints(env_kind, config)
-    rollouts = [
-        evaluate_policy(snapshot, env_kind, BAND_EVAL_EPISODES, config.seed)
-        for _, snapshot in checkpoints
-    ]
     stats = []
-    for (step, _), runs in zip(checkpoints, rollouts):
-        reward, rate, length = runs.summary(BAND_EVAL_EPISODES)
+    for step, snapshot in checkpoints:
+        runs = evaluate_policy(snapshot, env_kind, BAND_EVAL_EPISODES, config.seed)
+        reward, rate, length = runs.summary()
         stats.append(CheckpointStat(step, rate, reward, length))
 
     # Latest checkpoint inside the band; if none qualifies, fall back to
@@ -515,24 +514,13 @@ def train_agent(env_kind: str, config: AgentTrainConfig) -> AgentModel:
     selected = inside[-1] if inside else len(checkpoints) - 1
 
     step, snapshot = checkpoints[selected]
-    # The report's seeds eval:0..99 open the band rollouts of the same network.
-    reward, rate, length = rollouts[selected].summary(REPORT_EVAL_EPISODES)
-    report = TrainReport(
-        mean_reward=reward,
-        unsafe_rate=rate,
-        mean_length=length,
-        eval_episodes=REPORT_EVAL_EPISODES,
-        selected_step=step,
-        band_satisfied=band_satisfied,
-        checkpoints=stats,
-    )
     return AgentModel(
         env_kind=env_kind,
         network=snapshot,
         gamma=config.gamma,
         seed=config.seed,
         steps_trained=step,
-        report=report,
+        report=TrainReport(selected_step=step, band_satisfied=band_satisfied, checkpoints=stats),
     )
 
 
@@ -588,8 +576,10 @@ _FINITE = json_number(lambda v: abs(v) < math.inf)
 _LIST_OF_N = lambda v, n: type(v) is list and len(v) == n
 
 # An agent/1 document, each field after those its rule reads. collect reads
-# the network, and the report for its band warning; gamma, seed and
-# steps_trained feed only agent_fingerprint, which no corpus line holds.
+# the network, and the report for its band warning, which quotes the
+# selected checkpoint; gamma, seed and steps_trained feed only
+# agent_fingerprint, which no corpus line holds. Keys not listed are
+# ignored, so an older file's report-level figures do not stop it loading.
 AGENT_FIELDS = (
     Field("env", f"be one of {list(ENV_KINDS)}", ENV_KINDS.__contains__, _READ),
     Field("gamma", "be a JSON number in [0, 1]", _UNIT),
@@ -610,18 +600,16 @@ AGENT_FIELDS = (
     Field("weights[].b", "be a list of {} finite numbers", finite_numbers, _READ,
           tie=lambda doc, k: doc["layer_sizes"][k + 1]),
     Field("report", "be a JSON object", dict, _READ, optional=True),
-    Field("report.mean_reward", "be a finite JSON number", _FINITE),
-    Field("report.unsafe_rate", "be a number in [0, 1]", _UNIT, _READ),
-    Field("report.mean_length", f"be a JSON number in [1, {STEP_LIMIT}]", _MEAN_LENGTH),
-    Field("report.eval_episodes", "be a JSON integer >= 1", json_integer(1), _READ),
-    Field("report.selected_step", "be a JSON integer >= 0", json_integer(0), _READ),
     Field("report.band_satisfied", "be true or false", bool, _READ),
-    Field("report.checkpoints", "be a list", list),
-    Field("report.checkpoints[]", "be a JSON object", dict),
-    Field("report.checkpoints[].step", "be a JSON integer >= 0", json_integer(0)),
-    Field("report.checkpoints[].unsafe_rate", "be a number in [0, 1]", _UNIT),
+    Field("report.checkpoints", "be a list", list, _READ),
+    Field("report.checkpoints[]", "be a JSON object", dict, _READ),
+    Field("report.checkpoints[].step", "be a JSON integer >= 0", json_integer(0), _READ),
+    Field("report.checkpoints[].unsafe_rate", "be a number in [0, 1]", _UNIT, _READ),
     Field("report.checkpoints[].mean_reward", "be a finite JSON number", _FINITE),
     Field("report.checkpoints[].mean_length", f"be a JSON number in [1, {STEP_LIMIT}]", _MEAN_LENGTH),
+    Field("report.selected_step", "be the step of one of its checkpoints {}",
+          lambda v, steps: type(v) is int and v in steps, _READ,
+          tie=lambda doc: [c["step"] for c in doc["report"]["checkpoints"]]),
 )
 
 
@@ -630,7 +618,6 @@ def _agent_from_doc(doc: dict) -> AgentModel:
                        input_offset=doc["input_offset"], input_scale=doc["input_scale"])
     rep = doc.get("report")
     report = None if rep is None else TrainReport(
-        rep["mean_reward"], rep["unsafe_rate"], rep["mean_length"], rep["eval_episodes"],
         rep["selected_step"], rep["band_satisfied"],
         [CheckpointStat(c["step"], c["unsafe_rate"], c["mean_reward"], c["mean_length"])
          for c in rep["checkpoints"]],

@@ -136,37 +136,39 @@ def cmd_train_agent(args) -> int:
     report = model.report
     report_doc = {"env": args.env, "seed": args.seed, **asdict(report)}
     save_document(args.report_out or args.out + ".report.json", report_doc, indent=2)
+    selected = report.selected
     print(
-        f"trained {args.env} agent: checkpoint {report.selected_step}, "
-        f"mean reward {report.mean_reward:.1f}, unsafe rate {report.unsafe_rate:.1%}"
+        f"trained {args.env} agent: checkpoint {selected.step}, "
+        f"mean reward {selected.mean_reward:.1f}, unsafe rate {selected.unsafe_rate:.1%} "
+        f"over {BAND_EVAL_EPISODES} rollouts"
     )
     if not report.band_satisfied:
         lo, hi = UNSAFE_RATE_BAND
-        final = report.checkpoints[-1]
         print(
             f"warning: no checkpoint's unsafe rate lies in the band [{lo:.0%}, {hi:.0%}]; "
-            f"selected the final checkpoint, step {final.step}, with unsafe rate "
-            f"{final.unsafe_rate:.1%} over {BAND_EVAL_EPISODES} rollouts",
+            f"selected the final checkpoint, step {selected.step}, with unsafe rate "
+            f"{selected.unsafe_rate:.1%} over {BAND_EVAL_EPISODES} rollouts",
             file=sys.stderr,
         )
     return EXIT_OK
 
 
 def cmd_collect(args) -> int:
-    from .agent import UNSAFE_RATE_BAND, load_agent
+    from .agent import BAND_EVAL_EPISODES, UNSAFE_RATE_BAND, load_agent
     from .dataset import collect, write_jsonl
 
     agent = load_agent(args.agent)
     report = agent.report
     if report is not None and not report.band_satisfied:
         lo, hi = UNSAFE_RATE_BAND
+        selected = report.selected
         print(
             f"warning: {args.agent} missed the unsafe-rate band [{lo:.0%}, {hi:.0%}] in "
-            f"training; its checkpoint, step {report.selected_step}, had unsafe rate "
-            f"{report.unsafe_rate:.1%} over {report.eval_episodes} episodes",
+            f"training; its checkpoint, step {selected.step}, had unsafe rate "
+            f"{selected.unsafe_rate:.1%} over {BAND_EVAL_EPISODES} rollouts",
             file=sys.stderr,
         )
-    corpus = collect(agent, agent.env_kind, args.episodes, args.seed)
+    corpus = collect(agent, args.episodes, args.seed)
     write_jsonl(corpus, args.out)
     counts = corpus.label_counts()
     total = len(corpus)
@@ -197,7 +199,7 @@ def cmd_build(args) -> int:
     mode = FeatureMode(args.features)
     table = AbstractionTable.build(corpus, args.d)
     x = episode_feature_matrix(corpus.episodes, table, mode, table.corpus_ids)
-    y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
+    y = np.array([e.label == Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
     forest = train_forest(x, y, args.trees, derive_seed(args.seed, "build-forest"))
 
     # Held-out sanity figure: each episode scored by the trees that left it
@@ -288,16 +290,15 @@ def cmd_evaluate(args) -> int:
             f"model {args.model} was built over {model.table.key_width}"
         )
     labels = [e.label for e in corpus.episodes]
-    horizon = max(e.length for e in corpus.episodes)
     traces = run_traces(model, [e.qs for e in corpus.episodes])
 
-    rows = metrics_over_time(traces, labels, horizon)
+    rows = metrics_over_time(traces, labels)
     write_metrics_csv(rows, args.out_prefix + ".metrics.csv", time_base=args.time_base)
     stats = decision_time_stats(traces, labels)
     summary = decision_stats_json(stats, model.criterion, model.theta, args.time_base)
     write_decision_stats_json([summary], args.out_prefix + ".decision_stats.json")
     if args.sweep:
-        report = sweep(traces, labels, list(Criterion), [0.25, 0.5, 0.75], horizon=horizon)
+        report = sweep(traces, labels, list(Criterion), [0.25, 0.5, 0.75])
         write_sweep_csv(report, args.out_prefix + ".sweep.csv", time_base=args.time_base)
     if args.traces:
         write_traces_csv(traces, labels, args.out_prefix + ".traces.csv", time_base=args.time_base)

@@ -326,16 +326,15 @@ def require_both_classes(episode_set: EpisodeSet, what: str) -> None:
         )
 
 
-def collect(agent: AgentModel, env_kind: str, count: int, seed: int) -> EpisodeSet:
-    """Collect `count` greedy episodes from seeded random initial states."""
+def collect(agent: AgentModel, count: int, seed: int) -> EpisodeSet:
+    """Collect `count` greedy episodes of the agent on the env it was
+    trained on, from seeded random initial states."""
     from .agent import agent_fingerprint, greedy_rollouts
 
     if count < 1:
         raise DatasetError("count must be >= 1")
-    if env_kind != agent.env_kind:
-        raise DatasetError(f"agent was trained on {agent.env_kind!r}, not {env_kind!r}")
     seeds = [derive_seed(seed, f"collect:episode:{i}") for i in range(count)]
-    runs = greedy_rollouts(agent.network, env_kind, seeds, record=True)
+    runs = greedy_rollouts(agent.network, agent.env_kind, seeds, record=True)
     # Each episode views its column of the recorded arrays, no copy.
     episodes = [
         Episode(

@@ -59,17 +59,20 @@ RUNNING = _CODE[Cause.NONE]
 
 @dataclass(frozen=True)
 class StepOutcome:
+    """One step's result; its end flags follow from `cause`, Cause.NONE
+    while the episode runs on."""
+
     next_state: np.ndarray
     reward: float
-    terminated: bool
-    violation: bool
     cause: Cause
 
-    def __post_init__(self):
-        if self.violation and not self.terminated:
-            raise ValueError("violation implies termination")
-        if self.violation != (self.cause is Cause.VIOLATION):
-            raise ValueError("violation flag must match the cause")
+    @property
+    def terminated(self) -> bool:
+        return self.cause is not Cause.NONE
+
+    @property
+    def violation(self) -> bool:
+        return self.cause is Cause.VIOLATION
 
 
 class EnvError(ValueError):
@@ -139,8 +142,7 @@ class _ControlEnv:
             reward = self.step_reward
 
         self.done = cause is not Cause.NONE
-        # next_state, reward, terminated, violation, cause
-        return StepOutcome(self.state.copy(), reward, self.done, cause is Cause.VIOLATION, cause)
+        return StepOutcome(self.state.copy(), reward, cause)
 
     @classmethod
     def transition(cls, states: np.ndarray, actions: np.ndarray, steps_taken):

@@ -5,7 +5,9 @@ Every figure comes from one set of per-episode arrays: the fire step
 (inf for an episode that never fired), the length and the label. An
 episode's prediction at time t is its latched fired status at
 min(t, length - 1): episodes that already terminated keep their final
-prediction. Undefined 0/0 precision or recall ratios are reported as 0.
+prediction. The horizon is the longest episode's length, so the last
+step scored, horizon - 1, is the one at which every episode has ended.
+Undefined 0/0 precision or recall ratios are reported as 0.
 
 The three CSV reports go through one writer, `_write_csv`, which gives
 the bytes of csv.writer's excel dialect. Each column comes with its
@@ -102,17 +104,16 @@ def _fire_array(steps) -> np.ndarray:
     return np.array([math.inf if step is None else step for step in steps], dtype=np.float64)
 
 
-def _episode_arrays(traces: Sequence[DecisionTrace], labels, horizon: Optional[int] = None):
-    """Checked inputs as (fire, lengths, unsafe) arrays, one entry per episode."""
+def _episode_arrays(traces: Sequence[DecisionTrace], labels):
+    """Checked inputs as (fire, lengths, unsafe) arrays, one entry per
+    episode; a label is a Label or its string value."""
     if len(traces) != len(labels):
         raise ValueError("traces and labels disagree on episode count")
     if len(traces) == 0:
         raise ValueError("need at least one trace")
-    if horizon is not None and horizon < 1:
-        raise ValueError("horizon must be >= 1")
     fire = _fire_array(t.first_fire_step for t in traces)
     lengths = np.array([t.episode_length for t in traces], dtype=np.int64)
-    unsafe = np.array([label is Label.UNSAFE or label == Label.UNSAFE.value for label in labels])
+    unsafe = np.array([label == Label.UNSAFE for label in labels])
     return fire, lengths, unsafe
 
 
@@ -146,16 +147,16 @@ def _metrics_row(c: Confusion, t: int) -> MetricsRow:
     )
 
 
-def metrics_over_time(
-    traces: Sequence[DecisionTrace], labels, horizon: int
-) -> list[MetricsRow]:
-    """Weighted P/R/F1 and macro F1 at every time step up to the horizon.
+def metrics_over_time(traces: Sequence[DecisionTrace], labels) -> list[MetricsRow]:
+    """Weighted P/R/F1 and macro F1 at every time step before the horizon,
+    the longest episode's length.
 
     The confusion counts change only at steps where some episode fires,
     so each distinct confusion is scored once, at the first step that has
     it, and the steps up to the next such step repeat its figures.
     """
-    fire, _, unsafe = _episode_arrays(traces, labels, horizon)
+    fire, lengths, unsafe = _episode_arrays(traces, labels)
+    horizon = int(lengths.max())
     changes = np.unique(fire[fire < horizon]).astype(np.int64).tolist()
     starts = changes if changes[:1] == [0] else [0, *changes]
     rows = []
@@ -204,7 +205,7 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepReport:
     rows: list[SweepRow]
-    horizon: int
+    horizon: int  # the longest episode's length; the metrics are those at horizon - 1
 
 
 def sweep(
@@ -212,17 +213,17 @@ def sweep(
     labels,
     criteria: Sequence[Criterion],
     thetas: Sequence[float],
-    horizon: Optional[int] = None,
 ) -> SweepReport:
-    """Metrics, decision times, and FP/FN counts over a criterion x theta grid.
+    """Metrics at the horizon, decision times, and FP/FN counts over a
+    criterion x theta grid.
 
     Each pair re-derives only the fire steps from the traces' probability
     series, so the forest is not queried again.
     """
     if not criteria or not thetas:
         raise ValueError("criteria and thetas must be non-empty")
-    _, lengths, unsafe = _episode_arrays(traces, labels, horizon)
-    horizon = horizon if horizon is not None else int(lengths.max())
+    _, lengths, unsafe = _episode_arrays(traces, labels)
+    horizon = int(lengths.max())
     rows = []
     for criterion in criteria:
         for theta in thetas:

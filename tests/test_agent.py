@@ -13,9 +13,9 @@ from hypothesis.extra import numpy as hnp
 from conftest import orjson_refusing
 from safemon import agent
 from safemon.agent import (
+    BAND_EVAL_EPISODES,
     GRAD_CLIP_NORM,
     MOMENTUM,
-    REPORT_EVAL_EPISODES,
     AgentModel,
     AgentTrainConfig,
     CheckpointStat,
@@ -136,7 +136,6 @@ def test_fingerprint_follows_each_parameter_bit_and_header_field(edit):
 def test_fingerprint_leaves_out_the_training_report():
     model = tiny_model(CARTPOLE, seed=3)
     reported = dataclasses.replace(model, report=TrainReport(
-        mean_reward=10.0, unsafe_rate=0.1, mean_length=50.0, eval_episodes=100,
         selected_step=0, band_satisfied=True, checkpoints=[CheckpointStat(0, 0.1, 10.0, 50.0)],
     ))
     assert agent_fingerprint(reported) == agent_fingerprint(model)
@@ -162,17 +161,14 @@ def agent_models(draw):
         input_offset=draw(hnp.arrays(np.float64, sizes[0], elements=MODERATE)),
         input_scale=draw(hnp.arrays(np.float64, sizes[0], elements=st.floats(1e-3, 1e3))),
     )
-    rate = st.floats(0.0, 1.0)
-    report = draw(st.none() | st.builds(
-        TrainReport,
-        mean_reward=MODERATE, unsafe_rate=rate, mean_length=st.floats(1.0, 200.0),
-        eval_episodes=st.integers(1, 200), selected_step=st.integers(0, 10**6),
-        band_satisfied=st.booleans(),
-        checkpoints=st.lists(st.builds(
-            CheckpointStat, step=st.integers(0, 10**6), unsafe_rate=rate,
+    report = None
+    if draw(st.booleans()):
+        checkpoints = draw(st.lists(st.builds(
+            CheckpointStat, step=st.integers(0, 10**6), unsafe_rate=st.floats(0.0, 1.0),
             mean_reward=MODERATE, mean_length=st.floats(1.0, 200.0),
-        ), max_size=3),
-    ))
+        ), min_size=1, max_size=3))
+        selected_step = draw(st.sampled_from([c.step for c in checkpoints]))
+        report = TrainReport(selected_step, draw(st.booleans()), checkpoints)
     return AgentModel(
         env_kind=draw(st.sampled_from([CARTPOLE, MOUNTAINCAR])),
         network=network,
@@ -230,7 +226,8 @@ AGENT_EDITS = {
     "wide-negative-seed": lambda text: text.replace('"seed": 3', f'"seed": -{WIDE}', 1),
     "wide-steps-trained": lambda text: text.replace('"steps_trained": 0', f'"steps_trained": {WIDE}', 1),
     "wide-layer-size": lambda text: text.replace('"layer_sizes": [4,', f'"layer_sizes": [{WIDE},', 1),
-    "wide-in-report": lambda text: text.replace('"selected_step": 0', f'"selected_step": {WIDE}', 1),
+    "wide-in-report": lambda text: text.replace('"selected_step": 0', f'"selected_step": {WIDE}', 1)
+    .replace('"step": 0', f'"step": {WIDE}', 1),
 }
 
 
@@ -241,7 +238,6 @@ def test_load_agent_reads_what_json_reads(data, edit):
     load_agent gives json's agent, written back byte for byte, or json's
     message."""
     model = dataclasses.replace(tiny_model(CARTPOLE, seed=3), report=TrainReport(
-        mean_reward=10.0, unsafe_rate=0.1, mean_length=50.0, eval_episodes=100,
         selected_step=0, band_satisfied=True, checkpoints=[CheckpointStat(0, 0.1, 10.0, 50.0)],
     ))
     with tempfile.TemporaryDirectory() as tmp:
@@ -286,8 +282,7 @@ def test_train_agent_smoke_and_determinism():
     b = train_agent(CARTPOLE, smoke_config())
     assert agent_fingerprint(a) == agent_fingerprint(b)
     assert a.report is not None
-    assert a.report.mean_reward == b.report.mean_reward
-    assert a.report.unsafe_rate == b.report.unsafe_rate
+    assert a.report == b.report
     assert len(a.report.checkpoints) >= 2
     c = train_agent(CARTPOLE, smoke_config(seed=8))
     assert agent_fingerprint(a) != agent_fingerprint(c)
@@ -297,7 +292,8 @@ def test_zero_step_budget_returns_random_model():
     model = train_agent(CARTPOLE, smoke_config(total_steps=0))
     assert model.steps_trained == 0
     assert model.report is not None  # evaluation still runs
-    assert model.report.eval_episodes == 100
+    assert [c.step for c in model.report.checkpoints] == [0]
+    assert model.report.selected.step == 0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -521,12 +517,13 @@ def test_report_equals_fresh_evaluation_of_selected_checkpoint(band, monkeypatch
     assert report.band_satisfied == (band is not None)
     episodes = [
         reference_episode(model.network, CARTPOLE, derive_seed(30, f"eval:{i}"))
-        for i in range(REPORT_EVAL_EPISODES)
+        for i in range(BAND_EVAL_EPISODES)
     ]
-    assert report.eval_episodes == REPORT_EVAL_EPISODES
-    assert report.mean_reward == float(np.mean([e[0] for e in episodes]))
-    assert report.unsafe_rate == sum(e[2] is Cause.VIOLATION for e in episodes) / len(episodes)
-    assert report.mean_length == float(np.mean([e[1] for e in episodes]))
+    selected = report.selected
+    assert selected.step == report.selected_step
+    assert selected.mean_reward == float(np.mean([e[0] for e in episodes]))
+    assert selected.unsafe_rate == sum(e[2] is Cause.VIOLATION for e in episodes) / len(episodes)
+    assert selected.mean_length == float(np.mean([e[1] for e in episodes]))
 
 
 def test_config_validation():

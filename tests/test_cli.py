@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import safemon.cli
 from conftest import make_episode, make_set, orjson_refusing, two_band_corpus
-from safemon.agent import AgentModel, QNetwork, save_agent
+from safemon.agent import AgentModel, QNetwork, load_agent, save_agent
 from safemon.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from safemon.dataset import DatasetError, write_jsonl
 from safemon.envs import CARTPOLE, ENV_KINDS
@@ -191,9 +191,8 @@ def test_train_agent_reports_deterministically(tmp_path, capsys):
     assert report1 == report2
     doc = json.loads(report1)
     assert doc["selected_step"] == 300
-    assert "unsafe_rate" in doc and "mean_reward" in doc
     # The sidecar is the agent file's report behind the env and seed.
-    assert list(doc)[:2] == ["env", "seed"]
+    assert list(doc) == ["env", "seed", "selected_step", "band_satisfied", "checkpoints"]
     saved = json.loads(Path(out1).read_text(encoding="utf-8"))["report"]
     assert {k: v for k, v in doc.items() if k not in ("env", "seed")} == saved
     assert list(saved) == list(doc)[2:]
@@ -206,6 +205,7 @@ def test_train_agent_warns_when_no_checkpoint_is_in_band(tmp_path, capsys, monke
     assert main(argv) == EXIT_OK  # a tiny budget: 0% unsafe everywhere
     captured = capsys.readouterr()
     assert captured.out.startswith("trained cartpole agent: checkpoint 300")
+    assert captured.out.endswith(", unsafe rate 0.0% over 200 rollouts\n")
     assert captured.err == (
         "warning: no checkpoint's unsafe rate lies in the band [5%, 20%]; selected the "
         "final checkpoint, step 300, with unsafe rate 0.0% over 200 rollouts\n"
@@ -243,7 +243,7 @@ def test_collect_warns_when_agent_missed_the_band(tmp_path, capsys):
     assert main(argv + [str(tmp_path / "c1.jsonl")]) == EXIT_OK
     assert capsys.readouterr().err.splitlines()[0] == (
         f"warning: {agent} missed the unsafe-rate band [5%, 20%] in training; its "
-        f"checkpoint, step 300, had unsafe rate 0.0% over 100 episodes"
+        f"checkpoint, step 300, had unsafe rate 0.0% over 200 rollouts"
     )
     # The same agent marked as inside the band: no band warning, same corpus.
     doc = json.loads(agent.read_text(encoding="utf-8"))
@@ -252,6 +252,58 @@ def test_collect_warns_when_agent_missed_the_band(tmp_path, capsys):
     assert main(argv + [str(tmp_path / "c2.jsonl")]) == EXIT_OK
     assert "band" not in capsys.readouterr().err
     assert (tmp_path / "c1.jsonl").read_bytes() == (tmp_path / "c2.jsonl").read_bytes()
+
+
+def test_every_message_quotes_the_selected_checkpoints_rate(tmp_path, capsys):
+    """train-agent's line, its band warning, the report and collect's
+    warning give one figure: the selected checkpoint's over its 200 band
+    rollouts. At seed 30 the first 100 of them are 58.0% unsafe."""
+    agent = tmp_path / "a.json"
+    assert main(["train-agent", "--env", "cartpole", "--steps", "1500", "--seed", "30",
+                 "--checkpoint-interval", "1000", "--epsilon-end", "0.1",
+                 "--epsilon-decay-steps", "1000", "--target-sync-interval", "200",
+                 "--out", str(agent)]) == EXIT_OK
+    trained = capsys.readouterr()
+    report = json.loads(Path(str(agent) + ".report.json").read_text(encoding="utf-8"))
+    (selected,) = [c for c in report["checkpoints"] if c["step"] == report["selected_step"]]
+    assert report["band_satisfied"] is False
+    assert load_agent(agent).report.selected.unsafe_rate == selected["unsafe_rate"] == 0.575
+    rate = "unsafe rate 57.5% over 200 rollouts"
+    assert trained.out == (
+        f"trained cartpole agent: checkpoint 1500, mean reward {selected['mean_reward']:.1f}, "
+        f"{rate}\n"
+    )
+    assert trained.err.endswith(f"step 1500, with {rate}\n")
+    assert main(["collect", "--agent", str(agent), "--episodes", "2", "--seed", "9",
+                 "--out", str(tmp_path / "c.jsonl")]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines()[0] == (
+        f"warning: {agent} missed the unsafe-rate band [5%, 20%] in training; its "
+        f"checkpoint, step 1500, had {rate}"
+    )
+
+
+def test_agent_file_with_the_older_report_keys_loads(agent_path, tmp_path, capsys):
+    """An agent file whose report also holds mean_reward, unsafe_rate,
+    mean_length and eval_episodes, as earlier versions wrote it, loads; the
+    warning quotes the selected checkpoint's rate, not the stored one."""
+    doc = json.loads(Path(agent_path).read_text(encoding="utf-8"))
+    doc["report"] = {"selected_step": 300, "band_satisfied": False, "checkpoints": [
+        {"step": 300, "unsafe_rate": 0.255, "mean_reward": -200.0, "mean_length": 187.5}]}
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(doc), encoding="utf-8")
+    doc["report"] = {"mean_reward": -200.0, "unsafe_rate": 0.23, "mean_length": 187.13,
+                     "eval_episodes": 100, **doc["report"]}
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(doc), encoding="utf-8")
+    for agent in (plain, older):
+        argv = ["collect", "--agent", str(agent), "--episodes", "3", "--seed", "9",
+                "--out", str(tmp_path / f"{agent.stem}.jsonl")]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err.splitlines()[0] == (
+            f"warning: {agent} missed the unsafe-rate band [5%, 20%] in training; its "
+            f"checkpoint, step 300, had unsafe rate 25.5% over 200 rollouts"
+        )
+    assert (tmp_path / "plain.jsonl").read_bytes() == (tmp_path / "older.jsonl").read_bytes()
 
 
 def test_collect_prints_balance_and_is_deterministic(agent_path, tmp_path, capsys):
@@ -1002,8 +1054,13 @@ AGENT_DAMAGE = [
     ("input_scale", [1.0] * 5, "input_scale must be a list of 4 finite numbers"),
     ("input_scale", [1.0, 1.0, 1.0, math.nan], "input_scale must be a list of 4 finite numbers"),
     ("input_scale", 10**30, "input_scale must be a list of 4 finite numbers"),
-    *[("report.unsafe_rate", rate, f"report unsafe_rate must be a number in [0, 1], got {rate!r}")
+    *[("report.checkpoints[0].unsafe_rate", rate,
+       f"report checkpoints[0].unsafe_rate must be a number in [0, 1], got {rate!r}")
       for rate in (None, [], {}, "x", True, 1.5)],
+    # The report's checkpoints hold steps [300] only.
+    *[("report.selected_step", step,
+       f"report selected_step must be the step of one of its checkpoints [300], got {step!r}")
+      for step in (7, True, "300", 300.0, None)],
     *[("gamma", gamma, f"gamma must be a JSON number in [0, 1], got {gamma!r}")
       for gamma in (None, "0.99", True, [], {}, -0.5, 1.5, math.nan)],
     *[("seed", seed, f"seed must be a JSON integer, got {seed!r}")
@@ -1052,12 +1109,10 @@ def value_id(value) -> str:
 def test_agent_with_bad_field_is_io_error_naming_it(field, value, cause, agent_path, tmp_path,
                                                     capsys):
     doc = json.loads(Path(agent_path).read_text(encoding="utf-8"))
-    if field == "report.unsafe_rate":
-        doc["report"] = {"mean_reward": 10.0, "unsafe_rate": value, "mean_length": 50.0,
-                         "eval_episodes": 100, "selected_step": 300, "band_satisfied": False,
-                         "checkpoints": []}
-    else:
-        set_field(doc, field, value)
+    if field.startswith("report."):
+        doc["report"] = {"selected_step": 300, "band_satisfied": False, "checkpoints": [
+            {"step": 300, "unsafe_rate": 0.5, "mean_reward": 20.0, "mean_length": 20.0}]}
+    set_field(doc, field, value)
     bad = tmp_path / "bad-agent.json"
     bad.write_text(json.dumps(doc), encoding="utf-8")
     out = tmp_path / "c.jsonl"

@@ -61,8 +61,7 @@ RELATIONS = {("table", "ids"): "table id", ("table", "keys"): "table key"}
 def tiny_agent(path):
     network = QNetwork((4, 8, 2), rng=np.random.default_rng(5), input_offset=np.zeros(4),
                        input_scale=np.array([2.4, 3.0, 0.21, 3.0]))
-    report = TrainReport(mean_reward=20.0, unsafe_rate=0.5, mean_length=20.0, eval_episodes=100,
-                         selected_step=300, band_satisfied=False,
+    report = TrainReport(selected_step=300, band_satisfied=False,
                          checkpoints=[CheckpointStat(300, 0.5, 20.0, 20.0)])
     save_agent(AgentModel(CARTPOLE, network, gamma=0.99, seed=2, steps_trained=300, report=report),
                path)

@@ -15,7 +15,6 @@ from safemon.envs import (
     Cause,
     EnvError,
     MountainCarEnv,
-    StepOutcome,
     make_env,
 )
 
@@ -233,13 +232,6 @@ def test_invalid_action_raises():
     env.reset(seed=0)
     with pytest.raises(EnvError):
         env.step(2)
-
-
-def test_step_outcome_consistency_enforced():
-    with pytest.raises(ValueError):
-        StepOutcome(np.zeros(2), 0.0, False, True, Cause.VIOLATION)
-    with pytest.raises(ValueError):
-        StepOutcome(np.zeros(2), 0.0, True, True, Cause.GOAL)
 
 
 # libm's pow(v, 2.0), which `step` uses for theta_dot**2, differs from

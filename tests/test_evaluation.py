@@ -49,7 +49,10 @@ def test_metrics_hand_computed_four_episode_example():
     # tp=2 fp=1 tn=1 fn=0; unsafe P=2/3 R=1 F1=0.8; safe P=1 R=1/2 F1=2/3.
     traces = [trace(3, 10), trace(0, 10), trace(None, 10), trace(5, 10)]
     labels = [U, S, S, U]
-    rows = metrics_over_time(traces, labels, horizon=10)
+    rows = metrics_over_time(traces, labels)
+    assert len(rows) == 10  # the horizon is the longest episode
+    # A label may also be given as its string value.
+    assert metrics_over_time(traces, [label.value for label in labels]) == rows
     last = rows[-1]
     assert last.confusion.tp == 2
     assert last.confusion.fp == 1
@@ -66,7 +69,7 @@ def test_metrics_hand_computed_four_episode_example():
 def test_metrics_all_correct_is_one():
     traces = [trace(2, 8), trace(None, 8), trace(0, 8), trace(None, 8)]
     labels = [U, S, U, S]
-    last = metrics_over_time(traces, labels, horizon=8)[-1]
+    last = metrics_over_time(traces, labels)[-1]
     assert last.f1_macro == 1.0
     assert last.f1_weighted == 1.0
     assert last.precision_weighted == 1.0
@@ -74,7 +77,8 @@ def test_metrics_all_correct_is_one():
 
 
 def test_metrics_latched_prediction_over_time():
-    rows = metrics_over_time([trace(3, 5), trace(None, 5)], [U, S], horizon=8)
+    rows = metrics_over_time([trace(3, 5), trace(None, 8)], [U, S])
+    assert len(rows) == 8
     # before step 3 the unsafe episode is predicted safe
     assert rows[2].confusion.fn == 1
     # from step 3 onward (including past termination) it stays unsafe
@@ -93,7 +97,7 @@ def test_metrics_weighted_equals_macro_on_balanced_sets():
             trace(int(rng.integers(0, 6)) if rng.random() < 0.6 else None, 6)
             for _ in range(n)
         ]
-        last = metrics_over_time(traces, labels, horizon=6)[-1]
+        last = metrics_over_time(traces, labels)[-1]
         assert last.f1_weighted == pytest.approx(last.f1_macro, abs=1e-12)
 
 
@@ -105,7 +109,7 @@ def test_metrics_bounds_and_confusion_sum():
         trace(int(rng.integers(0, 10)) if rng.random() < 0.5 else None, int(rng.integers(5, 12)))
         for _ in range(n)
     ]
-    for row in metrics_over_time(traces, labels, horizon=12):
+    for row in metrics_over_time(traces, labels):
         assert row.confusion.total == n
         for v in (row.precision_weighted, row.recall_weighted, row.f1_weighted, row.f1_macro):
             assert 0.0 <= v <= 1.0
@@ -135,7 +139,7 @@ def test_degenerate_level_hits_majority_baseline():
         assert model.table.n == 1
         traces, labels = replay(model, corpus)
         assert all(t.first_fire_step is None for t in traces)
-        rows = metrics_over_time(traces, labels, horizon=5)
+        rows = metrics_over_time(traces, labels)
         assert len(rows) == 5
         for row in rows:
             assert row.confusion == Confusion(tp=0, fp=0, tn=n_safe, fn=n_unsafe)
@@ -224,17 +228,19 @@ def test_decision_time_stats_match_reference_loop(episodes):
 
 
 @settings(max_examples=100, deadline=None)
-@given(fired_episodes(), st.integers(1, 450))
-def test_metrics_over_time_equals_scoring_every_step(episodes, horizon):
+@given(fired_episodes())
+def test_metrics_over_time_equals_scoring_every_step(episodes):
     """Scoring each distinct confusion once gives, field for field, the
-    rows of scoring every step's confusion on its own."""
+    rows of scoring every step's confusion on its own, up to the longest
+    episode."""
     traces, labels = episodes
+    horizon = max(t.episode_length for t in traces)
     fire = np.array([math.inf if t.first_fire_step is None else t.first_fire_step
                      for t in traces])
     unsafe = np.array([label is U for label in labels])
     want = [_metrics_row(c, t)
             for t, c in enumerate(_confusions(fire, unsafe, np.arange(horizon)))]
-    got = metrics_over_time(traces, labels, horizon)
+    got = metrics_over_time(traces, labels)
     assert len(got) == horizon
     for a, b in zip(got, want):
         for field in fields(MetricsRow):
@@ -401,10 +407,8 @@ def test_traces_csv_quotes_labels_as_csv_does(tmp_path):
 
 def test_evaluation_rejects_bad_input_with_one_message():
     calls = {
-        "metrics_over_time": lambda tr, lb, horizon=4: metrics_over_time(tr, lb, horizon),
-        "sweep": lambda tr, lb, horizon=None: sweep(
-            tr, lb, [Criterion.UPPER_BOUND], [0.5], horizon
-        ),
+        "metrics_over_time": metrics_over_time,
+        "sweep": lambda tr, lb: sweep(tr, lb, [Criterion.UPPER_BOUND], [0.5]),
         "decision_time_stats": decision_time_stats,
     }
     for call in calls.values():
@@ -412,10 +416,6 @@ def test_evaluation_rejects_bad_input_with_one_message():
             call([], [])
         with pytest.raises(ValueError, match="^traces and labels disagree on episode count$"):
             call([trace(1, 4), trace(None, 4)], [U])
-    for name in ("metrics_over_time", "sweep"):
-        for horizon in (0, -1):
-            with pytest.raises(ValueError, match="^horizon must be >= 1$"):
-                calls[name]([trace(1, 4)], [U], horizon)
 
 
 def fitted_model(corpus, d=1.0, mode=FeatureMode.BINARY, **kwargs):
@@ -462,7 +462,7 @@ def test_sweep_rows_equal_replays_under_their_own_rule():
     assert report.horizon == max(e.length for e in corpus.episodes)
     for row in report.rows:
         own = replay(replace(model, criterion=row.criterion, theta=row.theta), corpus)[0]
-        assert row.metrics == metrics_over_time(own, labels, report.horizon)[-1]
+        assert row.metrics == metrics_over_time(own, labels)[-1]
         assert row.stats == decision_time_stats(own, labels)
     # The grid is not degenerate: the rules disagree on these episodes.
     assert len({(r.stats.decision_step_avg, r.stats.fp_count) for r in report.rows}) > 3
@@ -489,11 +489,11 @@ def test_sweep_matches_run_trace_under_stop_policy():
     traces, labels = replay(model, test)
     assert [len(t.assessments) for t in traces] == [2, 3, 4, 4]
     assert [t.stop_hit for t in traces] == [True, True, False, False]
-    horizon_row = metrics_over_time(traces, labels, 4)[-1]
+    horizon_row = metrics_over_time(traces, labels)[-1]
     stats = decision_time_stats(traces, labels)
     assert (horizon_row.confusion.tp, horizon_row.confusion.fp) == (2, 0)
 
-    (row,) = sweep(traces, labels, [model.criterion], [model.theta], horizon=4).rows
+    (row,) = sweep(traces, labels, [model.criterion], [model.theta]).rows
     assert row.metrics == horizon_row
     assert row.stats == stats
 
@@ -505,8 +505,6 @@ def test_sweep_rejects_empty_grid():
         sweep(traces, labels, [], [0.5])
     with pytest.raises(ValueError):
         sweep(traces, labels[1:], [Criterion.UPPER_BOUND], [0.5])
-    with pytest.raises(ValueError):
-        sweep(traces, labels, [Criterion.UPPER_BOUND], [0.5], horizon=0)
 
 
 def test_csv_emission(tmp_path):
@@ -521,7 +519,7 @@ def test_csv_emission(tmp_path):
     assert len(rows) == 1
     assert rows[0]["criterion"] == "upper_bound"
 
-    metrics = metrics_over_time(traces, labels, horizon=4)
+    metrics = metrics_over_time(traces, labels)
     metrics_path = tmp_path / "metrics.csv"
     write_metrics_csv(metrics, metrics_path, time_base=1)
     with open(metrics_path, encoding="utf-8") as fh:

@@ -18,7 +18,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Cart-pole seed 7 at 3,000 steps lands in the unsafe-rate band (13% over
+# Cart-pole seed 7 at 3,000 steps lands in the unsafe-rate band (12.0% over
 # 200 rollouts), so both corpora hold safe and unsafe episodes.
 COMMANDS = [
     ["train-agent", "--env", "cartpole", "--steps", "3000", "--checkpoint-interval", "3000",
@@ -35,15 +35,15 @@ COMMANDS = [
 
 
 # Mountain-car seed 12 at 10,000 steps misses the band (25.5% over 200
-# rollouts, 23.0% over the report's 100), yet both corpora hold safe and
-# unsafe episodes; both commands that read the agent say it missed.
+# rollouts), yet both corpora hold safe and unsafe episodes; both commands
+# that read the agent say it missed.
 MC_TRAIN_WARNING = (
     "warning: no checkpoint's unsafe rate lies in the band [5%, 20%]; selected the final "
     "checkpoint, step 10000, with unsafe rate 25.5% over 200 rollouts\n"
 )
 MC_COLLECT_WARNING = (
     "warning: agent.json missed the unsafe-rate band [5%, 20%] in training; its checkpoint, "
-    "step 10000, had unsafe rate 23.0% over 100 episodes\n"
+    "step 10000, had unsafe rate 25.5% over 200 rollouts\n"
 )
 MOUNTAINCAR_COMMANDS = [
     (["train-agent", "--env", "mountaincar", "--steps", "10000", "--checkpoint-interval", "10000",
@@ -80,6 +80,12 @@ def run_commands(workdir: Path, commands):
     return outputs
 
 
+def quoted_rate(text: str) -> str:
+    """The one unsafe rate that `text` quotes."""
+    (rate,) = re.findall(r"unsafe rate (\d+\.\d%) over 200 rollouts", text)
+    return rate
+
+
 def written(workdir: Path):
     return {path.name: path.read_bytes() for path in workdir.iterdir()}
 
@@ -114,6 +120,10 @@ def test_pipeline_exits_zero_and_reruns_byte_identical(tmp_path):
         "report.decision_stats.json", "report.metrics.csv", "report.sweep.csv",
         "report.traces.csv", "test.jsonl", "train.jsonl",
     ]
+    report = json.loads(first[1]["agent.json.report.json"])
+    (selected,) = [c for c in report["checkpoints"] if c["step"] == report["selected_step"]]
+    rate = quoted_rate(first[0][" ".join(COMMANDS[0])])
+    assert rate == f"{selected['unsafe_rate']:.1%}" == "12.0%"
     assert run_pipeline(tmp_path / "second") == first
 
 
@@ -131,6 +141,8 @@ def test_mountaincar_pipeline_warns_of_the_band_and_reruns_byte_identical(tmp_pa
     ]
     for corpus in ("train.jsonl", "test.jsonl"):
         assert causes(tmp_path / "first" / corpus) == {"violation", "step_limit"}
+    rate = quoted_rate(first[" ".join(MOUNTAINCAR_COMMANDS[0][0])])
+    assert rate == quoted_rate(MC_TRAIN_WARNING) == quoted_rate(MC_COLLECT_WARNING) == "25.5%"
     assert run_commands(tmp_path / "second", MOUNTAINCAR_COMMANDS) == first
     assert written(tmp_path / "second") == files
 
