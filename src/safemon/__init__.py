@@ -13,7 +13,7 @@ so that a command imports only the modules it runs.
 from importlib import import_module as _import_module
 
 _EXPORTS = {
-    "abstraction": ["AbstractionTable", "FeatureMode", "UnseenPolicy", "bucketize", "select_level"],
+    "abstraction": ["AbstractionTable", "FeatureMode", "UnseenPolicy", "bucketize"],
     "agent": [
         "AgentModel",
         "AgentTrainConfig",
@@ -33,6 +33,7 @@ _EXPORTS = {
         "decision_time_stats",
         "macro_f1",
         "metrics_over_time",
+        "select_level",
         "sweep",
     ],
     "forest": ["Forest", "ProbabilitySummary", "predict", "train_forest"],

@@ -28,6 +28,9 @@ only when that step changes one of them. The monitor's running
 counts in observe are the same encoding, kept one step at a time over
 the whole table, and each step walks every tree. A Q-vector whose width
 differs from the table's is rejected where it is looked up.
+
+The bottom layer: it imports no other safemon module, and picking a
+level (evaluation.select_level) sits above it.
 """
 
 from __future__ import annotations
@@ -39,8 +42,6 @@ from itertools import repeat
 from typing import Optional, Sequence
 
 import numpy as np
-
-from .seeding import derive_seed
 
 BucketKey = tuple[int, ...]
 
@@ -266,118 +267,3 @@ def distinct_q_count(episode_set) -> int:
     for episode in episode_set.episodes:
         seen.update(map(tuple, episode.qs.tolist()))
     return len(seen)
-
-
-# Candidates whose end-of-episode macro F1 is within this many points of
-# the best candidate count as part of the optimal range.
-OPTIMAL_RANGE_SLACK = 0.02
-
-
-@dataclass
-class LevelRow:
-    d: float
-    n_states: int
-    f1_macro: float
-    operation_f1: Optional[float]
-    mean_fire_step: Optional[float]
-    in_optimal_range: bool
-    excluded: bool
-
-
-@dataclass
-class LevelSelection:
-    optimal_range: tuple[float, float]
-    d_star: float
-    rows: list[LevelRow]
-
-
-def select_level(
-    train,
-    candidate_ds: Sequence[float],
-    inner_split_seed: int,
-    mode: FeatureMode = FeatureMode.BINARY,
-    theta: float = 0.5,
-    criterion=None,
-    n_trees: int = 100,
-) -> LevelSelection:
-    """Two-phase, coarse-to-fine style pick of the abstraction level.
-
-    Phase 1 scores each candidate by end-of-episode macro F1 on an inner
-    70/30 split; candidates within 2 points of the best form the optimal
-    range. Phase 2 reruns the latched monitor over the inner test
-    episodes for every in-range candidate: among those whose in-operation
-    horizon F1 is within the same slack of the best, it keeps the one
-    that fires earliest on true positives, ties toward the larger
-    (coarser) level. Judging phase 2 on operation F1 as well as earliness
-    is what keeps trigger-happy levels (fire at step 0 on everything)
-    from winning on earliness alone. Frequency-mode candidates whose
-    empty-prefix summary already meets the criterion are excluded
-    outright: such a monitor would fire before seeing anything.
-    A corpus or inner training split without both classes raises
-    DatasetError.
-    """
-    from . import forest as forest_mod
-    from . import monitor as monitor_mod
-    from .dataset import Label, require_both_classes, split
-    from .evaluation import macro_f1, sweep
-
-    if len(candidate_ds) < 2:
-        raise ValueError("need at least two candidate abstraction levels")
-    crit = criterion if criterion is not None else monitor_mod.Criterion.UPPER_BOUND
-
-    require_both_classes(train, "the corpus")
-    inner_train, inner_test = split(train, 0.7, inner_split_seed)
-    require_both_classes(inner_train, "the 70% inner training split")
-    y_train = np.array([e.label == Label.UNSAFE for e in inner_train.episodes], dtype=np.int64)
-    y_test = np.array([e.label == Label.UNSAFE for e in inner_test.episodes], dtype=np.int64)
-
-    scored = []
-    for d in candidate_ds:
-        table = AbstractionTable.build(inner_train, d)
-        x_train = episode_feature_matrix(inner_train.episodes, table, mode, table.corpus_ids)
-        model = forest_mod.train_forest(
-            x_train, y_train, n_trees, derive_seed(inner_split_seed, f"level-forest:{d!r}")
-        )
-        x_test = episode_feature_matrix(inner_test.episodes, table, mode)
-        means = forest_mod.predict_batch(model, x_test).mean
-        f1 = macro_f1(y_test, means >= 0.5)
-        scored.append((d, table, model, f1))
-
-    best_f1 = max(item[3] for item in scored)
-    in_range = [item for item in scored if item[3] >= best_f1 - OPTIMAL_RANGE_SLACK]
-    range_lo = min(item[0] for item in in_range)
-    range_hi = max(item[0] for item in in_range)
-
-    labels = [e.label for e in inner_test.episodes]
-    rows = []
-    candidates = []
-    for d, table, model, f1 in scored:
-        selected = f1 >= best_f1 - OPTIMAL_RANGE_SLACK
-        excluded = False
-        mean_fire: Optional[float] = None
-        operation_f1: Optional[float] = None
-        if selected:
-            if mode is FeatureMode.FREQUENCY:
-                empty = forest_mod.predict(model, np.zeros(table.n))
-                excluded = monitor_mod.criterion_holds(empty, crit, theta)
-            if not excluded:
-                monitor = monitor_mod.MonitorModel(
-                    table=table, forest=model, mode=mode, criterion=crit, theta=theta
-                )
-                traces = monitor_mod.run_traces(monitor, [e.qs for e in inner_test.episodes])
-                (row,) = sweep(traces, labels, [crit], [theta]).rows
-                operation_f1, mean_fire = row.metrics.f1_macro, row.stats.decision_step_avg
-                candidates.append((d, operation_f1, mean_fire))
-        rows.append(LevelRow(d, table.n, f1, operation_f1, mean_fire, selected, excluded))
-
-    if not candidates:
-        raise ValueError("every in-range candidate was excluded; widen the grid")
-    best_operation = max(c[1] for c in candidates)
-    ranked = sorted(
-        (
-            (fire if fire is not None else math.inf, -d, d)
-            for d, op_f1, fire in candidates
-            if op_f1 >= best_operation - OPTIMAL_RANGE_SLACK
-        )
-    )
-    return LevelSelection(optimal_range=(range_lo, range_hi), d_star=ranked[0][2], rows=rows)

@@ -229,8 +229,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_select_d(args) -> int:
-    from .abstraction import FeatureMode, select_level
+    from .abstraction import FeatureMode
     from .dataset import DatasetError, read_jsonl, save_document
+    from .evaluation import select_level
     from .monitor import Criterion
 
     corpus = read_jsonl(args.episodes)

@@ -9,6 +9,10 @@ prediction. The horizon is the longest episode's length, so the last
 step scored, horizon - 1, is the one at which every episode has ended.
 Undefined 0/0 precision or recall ratios are reported as 0.
 
+select_level picks `select-d`'s abstraction level: by the end-of-episode
+macro F1 of a forest per level, then by `sweep`'s figures for the latched
+monitors of the levels in range. It sits above the modules it drives.
+
 The three CSV reports go through one writer, `_write_csv`, which gives
 the bytes of csv.writer's excel dialect. Each column comes with its
 format: %d for integers, %.6f for floats, %s for text. A block of rows is
@@ -28,8 +32,18 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import Label, save_document
-from .monitor import Criterion, DecisionTrace, first_fire_step
+from .abstraction import AbstractionTable, FeatureMode, episode_feature_matrix
+from .dataset import Label, require_both_classes, save_document, split
+from .forest import predict, predict_batch, train_forest
+from .monitor import (
+    Criterion,
+    DecisionTrace,
+    MonitorModel,
+    criterion_holds,
+    first_fire_step,
+    run_traces,
+)
+from .seeding import derive_seed
 
 
 @dataclass(frozen=True)
@@ -234,6 +248,101 @@ def sweep(
             fn_count = int(np.sum(unsafe & (fire == math.inf)))
             rows.append(SweepRow(criterion, theta, metrics, stats, fn_count))
     return SweepReport(rows=rows, horizon=horizon)
+
+
+# Candidates whose end-of-episode macro F1 is within this many points of
+# the best candidate count as part of the optimal range.
+OPTIMAL_RANGE_SLACK = 0.02
+
+
+@dataclass
+class LevelRow:
+    d: float
+    n_states: int
+    f1_macro: float
+    operation_f1: Optional[float]
+    mean_fire_step: Optional[float]
+    in_optimal_range: bool
+    excluded: bool
+
+
+@dataclass
+class LevelSelection:
+    optimal_range: tuple[float, float]
+    d_star: float
+    rows: list[LevelRow]
+
+
+def select_level(
+    train,
+    candidate_ds: Sequence[float],
+    inner_split_seed: int,
+    mode: FeatureMode = FeatureMode.BINARY,
+    theta: float = 0.5,
+    criterion: Criterion = Criterion.UPPER_BOUND,
+    n_trees: int = 100,
+) -> LevelSelection:
+    """Two-phase, coarse-to-fine style pick of the abstraction level.
+
+    Phase 1 scores each candidate by end-of-episode macro F1 on an inner
+    70/30 split; candidates within 2 points of the best form the optimal
+    range. Phase 2 reruns the latched monitor over the inner test
+    episodes for every in-range candidate: among those whose in-operation
+    horizon F1 is within the same slack of the best, it keeps the one
+    that fires earliest on true positives, ties toward the larger
+    (coarser) level. Judging phase 2 on operation F1 as well as earliness
+    is what keeps trigger-happy levels (fire at step 0 on everything)
+    from winning on earliness alone. Frequency-mode candidates whose
+    empty-prefix summary already meets the criterion are excluded
+    outright: such a monitor would fire before seeing anything. The
+    criterion defaults to the upper bound, as `build`'s does.
+    A corpus or inner training split without both classes raises
+    DatasetError.
+    """
+    if len(candidate_ds) < 2:
+        raise ValueError("need at least two candidate abstraction levels")
+
+    require_both_classes(train, "the corpus")
+    inner_train, inner_test = split(train, 0.7, inner_split_seed)
+    require_both_classes(inner_train, "the 70% inner training split")
+    y_train = np.array([e.label == Label.UNSAFE for e in inner_train.episodes], dtype=np.int64)
+    y_test = np.array([e.label == Label.UNSAFE for e in inner_test.episodes], dtype=np.int64)
+
+    scored = []
+    for d in candidate_ds:
+        table = AbstractionTable.build(inner_train, d)
+        x_train = episode_feature_matrix(inner_train.episodes, table, mode, table.corpus_ids)
+        seed = derive_seed(inner_split_seed, f"level-forest:{d!r}")
+        model = train_forest(x_train, y_train, n_trees, seed)
+        x_test = episode_feature_matrix(inner_test.episodes, table, mode)
+        f1 = macro_f1(y_test, predict_batch(model, x_test).mean >= 0.5)
+        scored.append((d, table, model, f1))
+
+    best_f1 = max(item[3] for item in scored)
+    labels = [e.label for e in inner_test.episodes]
+    rows = []
+    for d, table, model, f1 in scored:
+        in_range = f1 >= best_f1 - OPTIMAL_RANGE_SLACK
+        excluded, operation_f1, mean_fire = False, None, None
+        if in_range:
+            if mode is FeatureMode.FREQUENCY:
+                excluded = criterion_holds(predict(model, np.zeros(table.n)), criterion, theta)
+            if not excluded:
+                monitor = MonitorModel(table, model, mode, criterion, theta)
+                traces = run_traces(monitor, [e.qs for e in inner_test.episodes])
+                (row,) = sweep(traces, labels, [criterion], [theta]).rows
+                operation_f1, mean_fire = row.metrics.f1_macro, row.stats.decision_step_avg
+        rows.append(LevelRow(d, table.n, f1, operation_f1, mean_fire, in_range, excluded))
+
+    replayed = [row for row in rows if row.operation_f1 is not None]
+    if not replayed:
+        raise ValueError("every in-range candidate was excluded; widen the grid")
+    best_operation = max(row.operation_f1 for row in replayed)
+    good = [row for row in replayed if row.operation_f1 >= best_operation - OPTIMAL_RANGE_SLACK]
+    fire = {row.d: math.inf if row.mean_fire_step is None else row.mean_fire_step for row in good}
+    d_star = min(fire, key=lambda d: (fire[d], -d))
+    in_range_ds = [row.d for row in rows if row.in_optimal_range]
+    return LevelSelection((min(in_range_ds), max(in_range_ds)), d_star, rows)
 
 
 # ---------------------------------------------------------------------------

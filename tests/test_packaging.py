@@ -8,10 +8,12 @@ import subprocess
 import sys
 import textwrap
 from pathlib import Path
+from typing import Optional
 from unittest import mock
 
 import pytest
 
+import safemon
 import safemon.agent
 from safemon.agent import AgentTrainConfig
 from safemon.cli import cmd_train_agent, main
@@ -51,6 +53,28 @@ def calls_of(package: Path, functions) -> list[tuple[str, str]]:
                 calls.append((source.stem, owner))
             nodes.extend((child, owner) for child in ast.iter_child_nodes(node))
     return calls
+
+
+def package_imports(package: Path) -> list[tuple[str, Optional[str]]]:
+    """(module, innermost enclosing function, or None at module level) of
+    every import of a safemon module in the package's sources."""
+    found = []
+    for source in package.rglob("*.py"):
+        nodes = [(ast.parse(source.read_text(encoding="utf-8"), filename=str(source)), None)]
+        while nodes:
+            node, owner = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] if node.level == 0 else ["safemon"]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            else:
+                names = []
+            if any(name.split(".")[0] == "safemon" for name in names):
+                found.append((source.stem, owner))
+            nodes.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return found
 
 
 def test_every_json_input_is_decoded_by_dataset_decode():
@@ -136,6 +160,32 @@ def test_watch_imports_neither_the_agent_nor_the_evaluation_module():
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.splitlines() == ["[]", "safemon.agent"]
+
+
+def test_imports_point_down():
+    """abstraction, the bottom layer, imports no safemon module, and a
+    module other than cli imports its package neighbours at the top. The
+    one exception is dataset.collect, which needs the agent module that
+    imports dataset; the benchmark's tracer spans collect where it is."""
+    imports = package_imports(ROOT / "src" / "safemon")
+    assert ("cli", "cmd_select_d") in imports  # the walk sees imports inside functions
+    assert [owner for module, owner in imports if module == "abstraction"] == []
+    inside = {(module, owner) for module, owner in imports if owner is not None and module != "cli"}
+    assert inside == {("dataset", "collect")}, sorted(inside)
+
+
+def test_every_export_resolves_to_its_home_module_binding():
+    """safemon's lazy table names, for each exported name, the module that
+    defines it, and the package's __getattr__ returns that module's object."""
+    assert sum(map(len, safemon._EXPORTS.values())) == len(safemon.__all__)  # none listed twice
+    for name in safemon.__all__:
+        home = importlib.import_module(f"safemon.{safemon._HOME[name]}")
+        value = safemon.__getattr__(name)
+        assert value is getattr(home, name), name
+        assert getattr(value, "__module__", home.__name__) == home.__name__, name
+        assert name in dir(safemon)
+    with pytest.raises(AttributeError, match="no attribute 'unexported'"):
+        safemon.__getattr__("unexported")
 
 
 def test_a_bare_pytest_run_imports_the_package_from_src():

@@ -1,9 +1,10 @@
 """The README pipeline end to end on a reduced budget, each command in its
-own process: train-agent, collect, select-d, build, evaluate, watch on
-cart-pole, and train-agent, collect, build, evaluate on mountain-car.
+own process: the README's block (train-agent, collect, select-d, build,
+evaluate, watch) on cart-pole, its budgets and seeds set by one table,
+and train-agent, collect, build, evaluate on mountain-car.
 
 The runs are marked slow and left out of the default run; select them
-with `-m slow`. One fast test reads the README's own block, in process.
+with `-m slow`. Two fast tests read the README's own block, in process.
 """
 
 import json
@@ -18,19 +19,19 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
-# Cart-pole seed 7 at 3,000 steps lands in the unsafe-rate band (12.0% over
-# 200 rollouts), so both corpora hold safe and unsafe episodes.
-COMMANDS = [
-    ["train-agent", "--env", "cartpole", "--steps", "3000", "--checkpoint-interval", "3000",
-     "--seed", "7", "--out", "agent.json"],
-    ["collect", "--agent", "agent.json", "--episodes", "60", "--seed", "7", "--out", "train.jsonl"],
-    ["collect", "--agent", "agent.json", "--episodes", "30", "--seed", "8", "--out", "test.jsonl"],
-    ["select-d", "--episodes", "train.jsonl", "--grid", "0.5,1,2,5", "--trees", "20",
-     "--seed", "3", "--out", "levels.json"],
-    ["build", "--episodes", "train.jsonl", "--d", "1.0", "--trees", "20", "--seed", "9",
-     "--out", "monitor.json"],
-    ["evaluate", "--model", "monitor.json", "--episodes", "test.jsonl", "--out-prefix", "report",
-     "--sweep", "--traces"],
+# The cart-pole leg runs the README's block, each command with the flags
+# of its row set to a reduced budget and its own seed; a row names only
+# flags its command gives. Cart-pole seed 7 at 3,000 steps lands in the
+# unsafe-rate band (12.0% over 200 rollouts), so both corpora hold safe
+# and unsafe episodes.
+REDUCED = [
+    ("train-agent", {"--steps": "3000", "--checkpoint-interval": "3000", "--seed": "7"}),
+    ("collect", {"--episodes": "60", "--seed": "7"}),
+    ("collect", {"--episodes": "30", "--seed": "8"}),
+    ("select-d", {"--grid": "0.5,1,2,5", "--trees": "20", "--seed": "3"}),
+    ("build", {"--trees": "20", "--seed": "9"}),
+    ("evaluate", {}),
+    ("watch", {}),
 ]
 
 
@@ -94,17 +95,29 @@ def causes(path: Path):
     return {json.loads(line)["cause"] for line in path.read_text(encoding="utf-8").splitlines()}
 
 
+def reduced_pipeline() -> list[list[str]]:
+    """The README block's commands, each with its REDUCED row's values."""
+    commands = []
+    for argv, (_, flags) in zip(readme_pipeline(), REDUCED, strict=True):
+        argv = list(argv)
+        for flag, value in flags.items():
+            argv[argv.index(flag) + 1] = value
+        commands.append(argv)
+    return commands
+
+
 def run_pipeline(workdir: Path):
     """Run every cart-pole command in `workdir`, checking that nothing
     warned; returns each command's output and each file written."""
-    outputs = run_commands(workdir, [(argv, "") for argv in COMMANDS])
+    *commands, watch = reduced_pipeline()
+    outputs = run_commands(workdir, [(argv, "") for argv in commands])
 
     # Stream the Q-values of the first unsafe test episode into watch.
     episodes = [json.loads(line) for line in (workdir / "test.jsonl").read_text(encoding="utf-8").splitlines()]
     assert {e["label"] for e in episodes} == {"safe", "unsafe"}
     unsafe = next(e for e in episodes if e["label"] == "unsafe")
     stream = "".join(json.dumps({"t": t, "q": s["q"]}) + "\n" for t, s in enumerate(unsafe["steps"]))
-    done = safemon(["watch", "--model", "monitor.json"], workdir, stdin=stream)
+    done = safemon(watch, workdir, stdin=stream)
     assert (done.returncode, done.stderr) == (0, "")
     replies = [json.loads(line) for line in done.stdout.splitlines()]
     assert [r["t"] for r in replies] == list(range(len(unsafe["steps"])))
@@ -122,7 +135,7 @@ def test_pipeline_exits_zero_and_reruns_byte_identical(tmp_path):
     ]
     report = json.loads(first[1]["agent.json.report.json"])
     (selected,) = [c for c in report["checkpoints"] if c["step"] == report["selected_step"]]
-    rate = quoted_rate(first[0][" ".join(COMMANDS[0])])
+    rate = quoted_rate(first[0][" ".join(reduced_pipeline()[0])])
     assert rate == f"{selected['unsafe_rate']:.1%}" == "12.0%"
     assert run_pipeline(tmp_path / "second") == first
 
@@ -174,3 +187,14 @@ def test_readme_pipeline_reads_only_files_it_wrote_before():
         if "out" in args:
             written.add(args["out"])
     assert {"agent.json", "train.jsonl", "test.jsonl", "monitor.json"} <= written
+
+
+def test_every_readme_command_has_a_reduced_row_of_its_own_flags():
+    """The slow cart-pole leg runs the README block as written but for the
+    values REDUCED sets, so each command of the block has a row, in order,
+    and each row names only flags its command gives."""
+    block = readme_pipeline()
+    assert [argv[0] for argv in block] == [name for name, _ in REDUCED]
+    for argv, (name, flags) in zip(block, REDUCED):
+        missing = sorted(set(flags) - set(argv))
+        assert not missing, f"{name} in the README block gives no {missing}"
