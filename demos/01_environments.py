@@ -9,7 +9,7 @@ cart-pole track (|x| > 2.4) and crossing the mountain-car left border
 
 import numpy as np
 
-from safemon import CARTPOLE, MOUNTAINCAR, make_env
+from safemon import CARTPOLE, MOUNTAINCAR, Cause, make_env
 
 print("=== cart-pole, random actions ===")
 env = make_env(CARTPOLE)
@@ -22,7 +22,7 @@ for seed in range(4):
         total += out.reward
     print(
         f"seed {seed}: {env.steps_taken:3d} steps, reward {total:5.1f}, "
-        f"ended by {out.cause.value}, violation={out.violation}"
+        f"ended by {out.cause.value}, violation={out.cause is Cause.VIOLATION}"
     )
 
 print()
@@ -35,7 +35,7 @@ while not env.done:
     out = env.step(1 if theta + 0.25 * theta_dot + 0.05 > 0 else 0)
 print(
     f"{env.steps_taken} steps, final x = {out.next_state[0]:+.3f}, "
-    f"ended by {out.cause.value}, violation={out.violation}"
+    f"ended by {out.cause.value}, violation={out.cause is Cause.VIOLATION}"
 )
 
 print()
@@ -61,6 +61,6 @@ while not env.done:
     total += out.reward
 print(
     f"{env.steps_taken} steps, final position {out.next_state[0]:+.3f}, "
-    f"ended by {out.cause.value}, violation={out.violation}, "
+    f"ended by {out.cause.value}, violation={out.cause is Cause.VIOLATION}, "
     f"episode reward {total:.0f} (crossing costs the full -200)"
 )

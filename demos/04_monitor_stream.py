@@ -38,14 +38,13 @@ def synthetic_episode(unsafe, steps=12):
         actions=np.zeros(steps, dtype=np.int64),
         qs=qs,
         rewards=-np.ones(steps),
-        label=Label.UNSAFE if unsafe else Label.SAFE,
         cause=Cause.VIOLATION if unsafe else Cause.STEP_LIMIT,
     )
 
 
 corpus = EpisodeSet(episodes=[synthetic_episode(i % 4 == 0) for i in range(120)])
 table = AbstractionTable.build(corpus, d=1.0)
-x = episode_feature_matrix(corpus.episodes, table, FeatureMode.BINARY)
+x = episode_feature_matrix(table.corpus_ids, table.n, FeatureMode.BINARY)
 y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
 forest = train_forest(x, y, n_trees=60, seed=5)
 model = MonitorModel(table=table, forest=forest, criterion=Criterion.UPPER_BOUND, theta=0.5)

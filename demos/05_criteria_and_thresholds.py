@@ -36,7 +36,6 @@ def wander(unsafe, steps):
         actions=np.zeros(steps, dtype=np.int64),
         qs=qs,
         rewards=-np.ones(steps),
-        label=Label.UNSAFE if unsafe else Label.SAFE,
         cause=Cause.VIOLATION if unsafe else Cause.STEP_LIMIT,
     )
 
@@ -46,7 +45,7 @@ train_set = EpisodeSet(episodes=episodes[:200])
 test_set = EpisodeSet(episodes=episodes[200:])
 
 table = AbstractionTable.build(train_set, d=2.0)
-x = episode_feature_matrix(train_set.episodes, table, FeatureMode.BINARY)
+x = episode_feature_matrix(table.corpus_ids, table.n, FeatureMode.BINARY)
 y = np.array([e.label is Label.UNSAFE for e in train_set.episodes], dtype=np.int64)
 forest = train_forest(x, y, n_trees=80, seed=1)
 model = MonitorModel(table=table, forest=forest)

@@ -10,7 +10,7 @@ per-level report that `safemon select-d` writes as JSON.
 import numpy as np
 
 from safemon import FeatureMode, select_level
-from safemon.dataset import Episode, EpisodeSet, Label
+from safemon.dataset import Episode, EpisodeSet
 from safemon.envs import Cause
 
 rng = np.random.default_rng(21)
@@ -27,7 +27,6 @@ def episode(unsafe, steps=15):
         actions=np.zeros(steps, dtype=np.int64),
         qs=qs,
         rewards=-np.ones(steps),
-        label=Label.UNSAFE if unsafe else Label.SAFE,
         cause=Cause.VIOLATION if unsafe else Cause.STEP_LIMIT,
     )
 

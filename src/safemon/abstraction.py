@@ -14,9 +14,12 @@ vector numpy's fixed cost is most of the work. A Q-value or level that
 bucketize cannot bucket goes to bucketize_batch, so every refusal has one
 source.
 
-episode_feature_matrix builds the end-of-episode rows: visit counts in
-frequency mode, presence bits, one byte each, in binary mode. Features
-are monotone visit counts, so each step changes at most one column.
+episode_feature_matrix builds the end-of-episode rows from the episodes'
+per-step ids, with no lookup of its own: visit counts in frequency mode,
+presence bits, one byte each, in binary mode. The ids of a table's own
+corpus come from building it (AbstractionTable.corpus_ids), those of any
+other episodes from lookup_batch. Features are monotone visit counts, so
+each step changes at most one column.
 prefix_feature_matrix, which builds every prefix of one episode as a
 compact matrix (one column per state the episode visits, plus the global
 ids of those columns), has no caller in the package: it stays only
@@ -237,33 +240,22 @@ def prefix_feature_matrix(
     return counts, columns
 
 
-def episode_feature_matrix(
-    episodes, table: AbstractionTable, mode: FeatureMode, ids=None
-) -> np.ndarray:
-    """End-of-episode feature rows for a list of episodes: uint8 presence
-    bits in binary mode, float32 visit counts in frequency mode.
+def episode_feature_matrix(ids, n: int, mode: FeatureMode) -> np.ndarray:
+    """End-of-episode feature rows over a table of n abstract states, one
+    per episode: uint8 presence bits in binary mode, float32 visit counts
+    in frequency mode.
 
-    `ids`, when given, holds each episode's per-step abstract ids, as
-    `table.corpus_ids` does for the corpus the table was built from, and
-    the episodes are not looked up again.
+    `ids` holds each episode's per-step abstract ids (unseen = -1): the
+    table's `corpus_ids` for the corpus it was built from, `lookup_batch`
+    of each episode's Q-matrix for any other.
     """
-    if ids is None:
-        ids = [table.lookup_batch(episode.qs) for episode in episodes]
     rows = np.repeat(np.arange(len(ids)), [len(i) for i in ids])
     flat = np.concatenate(ids) if ids else rows  # no episodes, no visits
     if mode is FeatureMode.BINARY:
         # Presence bits in bytes: a quarter of the memory of float32 counts,
         # for the matrix that build and select-d hold while they fit.
-        present = np.zeros((len(ids), table.n), dtype=np.uint8)
+        present = np.zeros((len(ids), n), dtype=np.uint8)
         seen = flat >= 0
         present[rows[seen], flat[seen]] = 1
         return present
-    return _visit_counts(len(ids), table.n, rows, flat)
-
-
-def distinct_q_count(episode_set) -> int:
-    """Number of distinct per-step Q-vectors in a corpus."""
-    seen = set()
-    for episode in episode_set.episodes:
-        seen.update(map(tuple, episode.qs.tolist()))
-    return len(seen)
+    return _visit_counts(len(ids), n, rows, flat)

@@ -96,6 +96,11 @@ class AgentTrainConfig:
         return 1.0 + (self.epsilon_end - 1.0) * min(step / self.epsilon_decay_steps, 1.0)
 
 
+def _param_count(layer_sizes) -> int:
+    """Number of parameters of the MLP: each layer's weights and biases."""
+    return sum(fan_in * fan_out + fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
+
+
 def _layer_views(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.ndarray]]:
     """(w, b) views into a flat buffer, each layer's weight matrix (row
     major) followed by its bias."""
@@ -108,50 +113,42 @@ def _layer_views(flat: np.ndarray, layer_sizes) -> list[tuple[np.ndarray, np.nda
     return views
 
 
+def he_params(layer_sizes, rng) -> np.ndarray:
+    """Flat parameters of a fresh network: He-normal weights, drawn layer
+    by layer in row-major order, and zero biases."""
+    params = np.zeros(_param_count(layer_sizes))
+    for w, _ in _layer_views(params, layer_sizes):
+        w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
+    return params
+
+
 class QNetwork:
     """Feed-forward ReLU MLP mapping a state to one Q-value per action.
 
-    Every parameter lives in one flat float64 array, `params`; `weights`
-    lists each layer's (w, b) as views into it, so writing a view writes
-    the network.
+    A network is its layer sizes, its parameters and its fixed input
+    normalisation (a state enters as (state - input_offset) / input_scale).
+    Every parameter lives in one flat float64 array, `params`, laid out as
+    `_layer_views` reads it; `weights` lists each layer's (w, b) as views
+    into it, so writing a view writes the network. The constructor copies
+    the arrays it is given and refuses `params` of another length than
+    the layer sizes need.
     """
 
-    def __init__(self, layer_sizes, rng=None, weights=None, input_offset=None, input_scale=None):
+    def __init__(self, layer_sizes, params, input_offset, input_scale):
         self.layer_sizes = tuple(int(s) for s in layer_sizes)
-        dim = self.layer_sizes[0]
-        self.input_offset = (
-            np.zeros(dim) if input_offset is None else np.asarray(input_offset, dtype=np.float64)
-        )
-        self.input_scale = (
-            np.ones(dim) if input_scale is None else np.asarray(input_scale, dtype=np.float64)
-        )
-        shapes = list(zip(self.layer_sizes, self.layer_sizes[1:]))
-        self.params = np.zeros(sum(fan_in * fan_out + fan_out for fan_in, fan_out in shapes))
+        self.params = np.array(params, dtype=np.float64)
+        count = _param_count(self.layer_sizes)
+        if self.params.shape != (count,):
+            raise ValueError(
+                f"parameters of shape {self.params.shape} where layer sizes "
+                f"{self.layer_sizes} need {count}"
+            )
+        self.input_offset = np.array(input_offset, dtype=np.float64)
+        self.input_scale = np.array(input_scale, dtype=np.float64)
         self.weights = _layer_views(self.params, self.layer_sizes)
-        if weights is not None:
-            if len(weights) != len(shapes):
-                raise ValueError(f"{len(weights)} weight layers for layer sizes {self.layer_sizes}")
-            for (w, b), (w_in, b_in) in zip(self.weights, weights):
-                for view, given in ((w, w_in), (b, b_in)):
-                    given = np.asarray(given, dtype=np.float64)
-                    if given.shape != view.shape:
-                        raise ValueError(
-                            f"weight of shape {given.shape} where layer sizes "
-                            f"{self.layer_sizes} need {view.shape}"
-                        )
-                    view[...] = given
-        else:
-            for w, _ in self.weights:
-                w[...] = rng.normal(0.0, math.sqrt(2.0 / w.shape[0]), size=w.shape)
 
     def copy(self) -> "QNetwork":
-        twin = object.__new__(QNetwork)
-        twin.layer_sizes = self.layer_sizes
-        twin.input_offset = self.input_offset.copy()
-        twin.input_scale = self.input_scale.copy()
-        twin.params = self.params.copy()
-        twin.weights = _layer_views(twin.params, twin.layer_sizes)
-        return twin
+        return QNetwork(self.layer_sizes, self.params, self.input_offset, self.input_scale)
 
     def _normalize(self, states) -> np.ndarray:
         """States mapped through the network's fixed input normalisation."""
@@ -313,18 +310,6 @@ class AgentModel:
     steps_trained: int
     report: Optional[TrainReport] = None
 
-    @property
-    def action_count(self) -> int:
-        return self.network.layer_sizes[-1]
-
-    def q_values(self, state) -> np.ndarray:
-        state = np.asarray(state, dtype=np.float64)
-        if state.shape != (self.network.layer_sizes[0],):
-            raise ValueError(
-                f"state of shape {state.shape} does not match input dim {self.network.layer_sizes[0]}"
-            )
-        return self.network.forward(state)
-
 
 def greedy_action(q) -> int:
     """Index of the maximum Q-value; ties break toward the lowest index."""
@@ -448,8 +433,8 @@ def _train_checkpoints(env_kind: str, config: AgentTrainConfig) -> list[tuple[in
     env = make_env(env_kind)
     offset, scale = _INPUT_NORMS[env_kind]
     layer_sizes = (env.state_dim, *HIDDEN_SIZES, env.action_count)
-    init_rng = derive_rng(config.seed, "init")
-    network = QNetwork(layer_sizes, rng=init_rng, input_offset=offset, input_scale=scale)
+    params = he_params(layer_sizes, derive_rng(config.seed, "init"))
+    network = QNetwork(layer_sizes, params, offset, scale)
     target = network.copy()
     optimizer = _SgdMomentum(network, config.learning_rate)
     # A run never holds more transitions than it takes steps.
@@ -614,8 +599,10 @@ AGENT_FIELDS = (
 
 
 def _agent_from_doc(doc: dict) -> AgentModel:
-    network = QNetwork(doc["layer_sizes"], weights=[(layer["w"], layer["b"]) for layer in doc["weights"]],
-                       input_offset=doc["input_offset"], input_scale=doc["input_scale"])
+    # float64 at once: a JSON integer too wide for int64 would make an object array.
+    params = np.concatenate([np.asarray(layer[key], dtype=np.float64).ravel()
+                             for layer in doc["weights"] for key in ("w", "b")])
+    network = QNetwork(doc["layer_sizes"], params, doc["input_offset"], doc["input_scale"])
     rep = doc.get("report")
     report = None if rep is None else TrainReport(
         rep["selected_step"], rep["band_satisfied"],

@@ -198,7 +198,7 @@ def cmd_build(args) -> int:
     require_both_classes(corpus, f"{args.episodes}: the corpus")
     mode = FeatureMode(args.features)
     table = AbstractionTable.build(corpus, args.d)
-    x = episode_feature_matrix(corpus.episodes, table, mode, table.corpus_ids)
+    x = episode_feature_matrix(table.corpus_ids, table.n, mode)
     y = np.array([e.label == Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
     forest = train_forest(x, y, args.trees, derive_seed(args.seed, "build-forest"))
 

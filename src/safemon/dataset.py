@@ -276,11 +276,14 @@ def save_document(path, doc, indent=None) -> None:
 
 @dataclass
 class Episode:
+    """One episode's per-step arrays and why it ended. Its label follows
+    from its cause: an episode is unsafe exactly when it ends in a
+    violation."""
+
     states: np.ndarray  # (length, state_dim)
     actions: np.ndarray  # (length,)
     qs: np.ndarray  # (length, action_count)
     rewards: np.ndarray  # (length,)
-    label: Label
     cause: Cause
 
     def __post_init__(self):
@@ -289,8 +292,10 @@ class Episode:
             raise DatasetError(f"episode length {length} outside [1, {STEP_LIMIT}]")
         if not (len(self.actions) == len(self.qs) == len(self.rewards) == length):
             raise DatasetError("per-step arrays disagree on episode length")
-        if (self.label is Label.UNSAFE) != (self.cause is Cause.VIOLATION):
-            raise DatasetError(f"label {self.label.value} inconsistent with cause {self.cause.value}")
+
+    @property
+    def label(self) -> Label:
+        return Label.UNSAFE if self.cause is Cause.VIOLATION else Label.SAFE
 
     @property
     def length(self) -> int:
@@ -342,7 +347,6 @@ def collect(agent: AgentModel, count: int, seed: int) -> EpisodeSet:
             actions=runs.actions[:length, i],
             qs=runs.qs[:length, i],
             rewards=runs.rewards[:length, i],
-            label=Label.UNSAFE if cause is Cause.VIOLATION else Label.SAFE,
             cause=cause,
         )
         for i, (length, cause) in enumerate(zip(runs.lengths, runs.causes))
@@ -432,14 +436,11 @@ def _episode_from_obj(obj: dict) -> Episode:
     if set(map(type, actions)) != {int} or not set(actions) <= set(range(width)):
         step = next(i for i, a in enumerate(actions) if type(a) is not int or not 0 <= a < width)
         raise DatasetError(f"step {step} has action {actions[step]!r}, not an integer in [0, {width})")
-    return Episode(
-        states=states,
-        actions=np.array(actions, dtype=np.int64),
-        qs=qs,
-        rewards=rewards,
-        label=Label(obj["label"]),
-        cause=Cause(obj["cause"]),
-    )
+    label = Label(obj["label"])
+    episode = Episode(states, np.array(actions, dtype=np.int64), qs, rewards, Cause(obj["cause"]))
+    if label is not episode.label:
+        raise DatasetError(f"label {label.value} inconsistent with cause {episode.cause.value}")
+    return episode
 
 
 def _step_template(state_dim: int, width: int) -> bytes:
@@ -467,8 +468,10 @@ def _float_tokens(values: np.ndarray) -> list[bytes]:
     return tokens
 
 
-def _unwritable(episode: Episode) -> Optional[str]:
-    """Why read_jsonl would refuse the episode's line, in its words, or None."""
+def _unwritable(episode: Episode, first: Episode) -> Optional[str]:
+    """Why read_jsonl would refuse the episode's line, in its words, or
+    None; `first` is the corpus's first episode, whose widths every
+    line must share."""
     columns = {"q": episode.qs, "s": episode.states, "r": episode.rewards}
     hit = _first_non_finite(columns.items())
     if hit is not None:
@@ -479,6 +482,10 @@ def _unwritable(episode: Episode) -> Optional[str]:
     if outside.any():
         step = int(np.argmax(outside))
         return f"step {step} has action {actions[step].item()!r}, not an integer in [0, {width})"
+    for what, mine, theirs in (("Q-values", episode.qs, first.qs),
+                               ("state values", episode.states, first.states)):
+        if mine.shape[1] != theirs.shape[1]:
+            return f"it has {mine.shape[1]} {what} per step, episode 0 has {theirs.shape[1]}"
     return None
 
 
@@ -488,12 +495,14 @@ def write_jsonl(episode_set: EpisodeSet, path) -> None:
     and filled into _step_template with one `%`.
 
     Every episode is checked before the file is opened: one that
-    read_jsonl would refuse (a non-finite state, Q-value or reward, or an
-    action outside [0, Q width)) raises ValueError naming it, its step and
-    field, and leaves `path` untouched.
+    read_jsonl would refuse (a non-finite state, Q-value or reward, an
+    action outside [0, Q width), or a Q width or state width other than
+    episode 0's) raises ValueError naming it, and its step and field or
+    its widths, and leaves `path` untouched.
     """
+    first = episode_set.episodes[0]
     for i, episode in enumerate(episode_set.episodes):
-        why = _unwritable(episode)
+        why = _unwritable(episode, first)
         if why is not None:
             raise ValueError(f"{path}: episode {i} not written: {why}")
     with open(path, "wb") as fh:
@@ -519,7 +528,8 @@ def read_jsonl(path) -> EpisodeSet:
     NaN or infinite, a row of states or Q-values of another width than the
     episode's first, an action that is not an integer index into the
     step's Q-vector, and a value nested too deeply to read, and lines whose
-    Q-vector width differs from the first episode's, fail with their number.
+    Q-vector or state width differs from the first episode's, fail with
+    their number.
 
     A line holds no set-level metadata, so the agent fingerprint stays
     unset.
@@ -539,14 +549,15 @@ def read_jsonl(path) -> EpisodeSet:
                 # A refusal shows the value it refuses, and repr recurses once per level.
                 why = "a value is nested too deeply to read" if type(exc) is RecursionError else exc
                 raise DatasetError(f"{path}: malformed episode at line {lineno}: {why}") from exc
-            width = episode.qs.shape[1]
+            widths = episode.qs.shape[1], episode.states.shape[1]
             if not episodes:
-                first_line, action_count = lineno, width
-            elif width != action_count:
-                raise DatasetError(
-                    f"{path}: episode at line {lineno} has {width} Q-values per step, "
-                    f"the one at line {first_line} has {action_count}"
-                )
+                first_line, first_widths = lineno, widths
+            for what, width, first_width in zip(("Q-values", "state values"), widths, first_widths):
+                if width != first_width:
+                    raise DatasetError(
+                        f"{path}: episode at line {lineno} has {width} {what} per step, "
+                        f"the one at line {first_line} has {first_width}"
+                    )
             episodes.append(episode)
     if not episodes:
         raise DatasetError(f"{path}: empty episode set")

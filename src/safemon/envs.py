@@ -70,10 +70,6 @@ class StepOutcome:
     def terminated(self) -> bool:
         return self.cause is not Cause.NONE
 
-    @property
-    def violation(self) -> bool:
-        return self.cause is Cause.VIOLATION
-
 
 class EnvError(ValueError):
     pass

@@ -53,10 +53,6 @@ class Confusion:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 @dataclass(frozen=True)
 class MetricsRow:
@@ -311,10 +307,11 @@ def select_level(
     scored = []
     for d in candidate_ds:
         table = AbstractionTable.build(inner_train, d)
-        x_train = episode_feature_matrix(inner_train.episodes, table, mode, table.corpus_ids)
+        x_train = episode_feature_matrix(table.corpus_ids, table.n, mode)
         seed = derive_seed(inner_split_seed, f"level-forest:{d!r}")
         model = train_forest(x_train, y_train, n_trees, seed)
-        x_test = episode_feature_matrix(inner_test.episodes, table, mode)
+        test_ids = [table.lookup_batch(e.qs) for e in inner_test.episodes]
+        x_test = episode_feature_matrix(test_ids, table.n, mode)
         f1 = macro_f1(y_test, predict_batch(model, x_test).mean >= 0.5)
         scored.append((d, table, model, f1))
 

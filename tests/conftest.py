@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 import safemon.monitor as monitor_module
 from reference import Reference, first_fire_step, summary, walk
 from safemon.abstraction import AbstractionTable
-from safemon.dataset import Episode, EpisodeSet, Label
+from safemon.agent import QNetwork, he_params
+from safemon.dataset import Episode, EpisodeSet
 from safemon.envs import Cause
 from safemon.forest import PackedTrees, forest_from_json_list, predict, predict_batch
 from safemon.monitor import MonitorStopped, RunningState, load_model, observe, run_traces, save_model
@@ -26,6 +27,17 @@ def orjson_refusing():
     return mock.patch.object(orjson, "loads", side_effect=orjson.JSONDecodeError("refused", "", 0))
 
 
+def random_network(layer_sizes, rng, input_offset=None, input_scale=None):
+    """A freshly initialised network, as training starts one; the input
+    normalisation defaults to none (offset 0, scale 1)."""
+    dim = layer_sizes[0]
+    return QNetwork(
+        layer_sizes, he_params(layer_sizes, rng),
+        np.zeros(dim) if input_offset is None else input_offset,
+        np.ones(dim) if input_scale is None else input_scale,
+    )
+
+
 def make_episode(qs, unsafe=False):
     """Episode with the given per-step Q-matrix and placeholder dynamics."""
     qs = np.asarray(qs, dtype=np.float64)
@@ -35,7 +47,6 @@ def make_episode(qs, unsafe=False):
         actions=np.zeros(t, dtype=np.int64),
         qs=qs,
         rewards=-np.ones(t),
-        label=Label.UNSAFE if unsafe else Label.SAFE,
         cause=Cause.VIOLATION if unsafe else Cause.STEP_LIMIT,
     )
 

@@ -14,7 +14,6 @@ from safemon.abstraction import (
     FeatureMode,
     bucketize,
     bucketize_batch,
-    distinct_q_count,
     episode_feature_matrix,
     prefix_feature_matrix,
 )
@@ -275,12 +274,13 @@ def test_encode_by_definition():
         episode = id_episode(ids)
         for mode, want in ((FeatureMode.BINARY, binary), (FeatureMode.FREQUENCY, frequency)):
             assert np.array_equal(dense_prefix(ids, 6, mode)[-1], want)
-            assert np.array_equal(episode_feature_matrix([episode], id_table(6), mode), [want])
+            ids_found = id_table(6).lookup_batch(episode.qs)
+            assert np.array_equal(episode_feature_matrix([ids_found], 6, mode), [want])
     for mode in FeatureMode:
         assert dense_prefix([], 4, mode).shape == (0, 4)
         counts, columns = prefix_feature_matrix(np.zeros(0, dtype=np.int64), 4, mode)
         assert counts.shape == (0, 0) and columns.shape == (0,)
-        assert episode_feature_matrix([], id_table(4), mode).shape == (0, 4)
+        assert episode_feature_matrix([], 4, mode).shape == (0, 4)
 
 
 def test_encode_drops_unseen_and_validates_range():
@@ -322,13 +322,13 @@ def test_episode_feature_matrix_matches_encode():
     corpus = make_set(episodes)
     table = AbstractionTable.build(corpus, 0.5)
     for mode in FeatureMode:
-        matrix = episode_feature_matrix(episodes, table, mode)
+        matrix = episode_feature_matrix([table.lookup_batch(e.qs) for e in episodes], table.n, mode)
         assert matrix.dtype == (np.uint8 if mode is FeatureMode.BINARY else np.float32)
         for row, episode in zip(matrix, episodes):
             ids = [table.lookup(q) for q in episode.qs]
             assert np.array_equal(row, encode(ids, table.n, mode)[-1])
         # The ids the table found while it was built give the same rows.
-        reused = episode_feature_matrix(episodes, table, mode, table.corpus_ids)
+        reused = episode_feature_matrix(table.corpus_ids, table.n, mode)
         assert reused.tobytes() == matrix.tobytes()
 
 
@@ -360,8 +360,8 @@ def test_encoders_match_reference_property(n, data, mode):
         matrix = dense_prefix(ids, n, mode)
         assert np.array_equal(matrix, encode(ids, n, mode))
         ends.append(matrix[-1])
-    episodes = [id_episode(ids) for ids in id_lists]
-    assert np.array_equal(episode_feature_matrix(episodes, id_table(n), mode), ends)
+    found = [id_table(n).lookup_batch(id_episode(ids).qs) for ids in id_lists]
+    assert np.array_equal(episode_feature_matrix(found, n, mode), ends)
 
 
 def test_lookup_rejects_wrong_width():
@@ -374,13 +374,6 @@ def test_lookup_rejects_wrong_width():
         with pytest.raises(ValueError, match="expected 2 Q-values per step"):
             table.lookup_batch(qs)
     assert table.lookup_batch(np.zeros((0, 2))).shape == (0,)
-
-
-def test_distinct_q_count():
-    corpus = make_set(
-        [make_episode([[1.0], [2.0], [1.0]]), make_episode([[2.0], [3.0]])]
-    )
-    assert distinct_q_count(corpus) == 3
 
 
 @pytest.mark.parametrize(

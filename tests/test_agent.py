@@ -10,7 +10,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import orjson_refusing
+from conftest import orjson_refusing, random_network
 from safemon import agent
 from safemon.agent import (
     BAND_EVAL_EPISODES,
@@ -37,7 +37,7 @@ from safemon.seeding import derive_seed
 def tiny_model(env_kind=CARTPOLE, seed=0):
     dims = {CARTPOLE: (4, 2), MOUNTAINCAR: (2, 3)}[env_kind]
     rng = np.random.default_rng(seed)
-    network = QNetwork((dims[0], 8, dims[1]), rng=rng)
+    network = random_network((dims[0], 8, dims[1]), rng)
     return AgentModel(env_kind=env_kind, network=network, gamma=0.99, seed=seed, steps_trained=0)
 
 
@@ -50,23 +50,23 @@ def test_greedy_action_rules():
 
 
 def test_q_values_deterministic_and_sized():
-    cart = tiny_model(CARTPOLE)
+    cart = tiny_model(CARTPOLE).network
     state = np.array([0.01, -0.02, 0.03, 0.0])
-    assert np.array_equal(cart.q_values(state), cart.q_values(state))
-    assert cart.q_values(state).shape == (2,)
-    mc = tiny_model(MOUNTAINCAR)
-    assert mc.q_values(np.array([-0.5, 0.0])).shape == (3,)
+    assert np.array_equal(cart.forward(state), cart.forward(state))
+    assert cart.forward(state).shape == (2,)
+    mc = tiny_model(MOUNTAINCAR).network
+    assert mc.forward(np.array([-0.5, 0.0])).shape == (3,)
 
 
 def test_q_values_dimension_mismatch():
     with pytest.raises(ValueError):
-        tiny_model(CARTPOLE).q_values(np.zeros(2))
+        tiny_model(CARTPOLE).network.forward(np.zeros(2))
 
 
 def test_td_gradient_matches_central_differences():
     # Ten-parameter toy network: (1 -> 2 -> 2) gives 1*2+2 + 2*2+2 = 10.
     rng = np.random.default_rng(3)
-    net = QNetwork((1, 2, 2), rng=rng)
+    net = random_network((1, 2, 2), rng)
     n_params = sum(w.size + b.size for w, b in net.weights)
     assert n_params == 10
 
@@ -99,7 +99,7 @@ def test_serialization_preserves_q_values(tmp_path):
     rng = np.random.default_rng(0)
     for _ in range(20):
         state = rng.uniform(-1, 1, size=4)
-        assert np.max(np.abs(restored.q_values(state) - model.q_values(state))) <= 1e-9
+        assert np.max(np.abs(restored.network.forward(state) - model.network.forward(state))) <= 1e-9
     assert agent_fingerprint(restored) == agent_fingerprint(model)
     assert restored.env_kind == CARTPOLE
 
@@ -157,7 +157,7 @@ def agent_models(draw):
     ]
     network = QNetwork(
         sizes,
-        weights=weights,
+        np.concatenate([array.ravel() for layer in weights for array in layer]),
         input_offset=draw(hnp.arrays(np.float64, sizes[0], elements=MODERATE)),
         input_scale=draw(hnp.arrays(np.float64, sizes[0], elements=st.floats(1e-3, 1e3))),
     )
@@ -337,9 +337,7 @@ def networks(draw):
     hidden = draw(st.lists(st.integers(1, 24), max_size=2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     offset, scale = NORMS[env_kind]
-    network = QNetwork(
-        (env.state_dim, *hidden, env.action_count), rng=rng, input_offset=offset, input_scale=scale
-    )
+    network = random_network((env.state_dim, *hidden, env.action_count), rng, offset, scale)
     return env_kind, network
 
 
@@ -365,7 +363,7 @@ def test_greedy_rollouts_equal_episodes_run_alone(net, seeds):
 def test_greedy_rollouts_reject_network_of_another_env():
     with pytest.raises(ValueError, match="input dim 2 does not match the cartpole state dim 4"):
         greedy_rollouts(tiny_model(MOUNTAINCAR).network, CARTPOLE, [1, 2])
-    three_actions = QNetwork((4, 8, 3), rng=np.random.default_rng(0))
+    three_actions = random_network((4, 8, 3), np.random.default_rng(0))
     with pytest.raises(ValueError, match="output dim 3 does not match the cartpole action count 2"):
         greedy_rollouts(three_actions, CARTPOLE, [1, 2])
 
@@ -475,7 +473,7 @@ def test_flat_update_equals_per_array_reference(
 
 
 def test_weights_are_views_of_params_and_copies_share_nothing():
-    network = QNetwork((4, 8, 8, 2), rng=np.random.default_rng(1))
+    network = random_network((4, 8, 8, 2), np.random.default_rng(1))
     assert network.params.shape == (4 * 8 + 8 + 8 * 8 + 8 + 8 * 2 + 2,)
     for w, b in network.weights:
         assert np.shares_memory(w, network.params)
@@ -496,11 +494,16 @@ def test_weights_are_views_of_params_and_copies_share_nothing():
         assert np.shares_memory(tb, twin.params) and not np.shares_memory(tb, b)
 
 
-def test_network_rejects_weights_of_another_shape():
-    with pytest.raises(ValueError, match=r"weight of shape \(3, 2\) where layer sizes"):
-        QNetwork((4, 2), weights=[(np.zeros((3, 2)), np.zeros(2))])
-    with pytest.raises(ValueError, match="1 weight layers for layer sizes"):
-        QNetwork((4, 8, 2), weights=[(np.zeros((4, 8)), np.zeros(8))])
+def test_network_rejects_params_of_another_length():
+    norm = (np.zeros(4), np.ones(4))
+    # (4, 2) needs 4 * 2 + 2 = 10 parameters; (4, 8, 2) needs 40 + 18 = 58.
+    assert QNetwork((4, 2), np.zeros(10), *norm).params.shape == (10,)
+    with pytest.raises(ValueError, match=r"parameters of shape \(8,\) where layer sizes \(4, 2\) need 10"):
+        QNetwork((4, 2), np.zeros(8), *norm)  # a (3, 2) weight and its bias
+    with pytest.raises(ValueError, match=r"parameters of shape \(40,\) where layer sizes \(4, 8, 2\) need 58"):
+        QNetwork((4, 8, 2), np.zeros(40), *norm)  # the first layer alone
+    with pytest.raises(ValueError, match=r"parameters of shape \(2, 5\) where layer sizes"):
+        QNetwork((4, 2), np.zeros((2, 5)), *norm)  # the count, but not flat
 
 
 @pytest.mark.parametrize("band", [None, (0.0, 0.05)])

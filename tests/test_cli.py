@@ -18,8 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import safemon.cli
-from conftest import make_episode, make_set, orjson_refusing, two_band_corpus
-from safemon.agent import AgentModel, QNetwork, load_agent, save_agent
+from conftest import make_episode, make_set, orjson_refusing, random_network, two_band_corpus
+from safemon.agent import AgentModel, load_agent, save_agent
 from safemon.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from safemon.dataset import DatasetError, write_jsonl
 from safemon.envs import CARTPOLE, ENV_KINDS
@@ -34,10 +34,8 @@ def corpus_path(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def agent_path(tmp_path_factory):
-    rng = np.random.default_rng(2)
-    network = QNetwork(
-        (4, 8, 2), rng=rng,
-        input_offset=np.zeros(4), input_scale=np.array([2.4, 3.0, 0.21, 3.0]),
+    network = random_network(
+        (4, 8, 2), np.random.default_rng(2), np.zeros(4), np.array([2.4, 3.0, 0.21, 3.0])
     )
     model = AgentModel(env_kind=CARTPOLE, network=network, gamma=0.99, seed=2, steps_trained=0)
     path = tmp_path_factory.mktemp("agent") / "agent.json"
@@ -356,6 +354,23 @@ def test_build_refuses_an_action_that_is_not_an_index_of_q(action, tmp_path, cap
     err = capsys.readouterr().err
     assert f"i/o error: {path}: malformed episode at line 3: step 1 has action " in err
     assert "not an integer in [0, 1)" in err
+    assert not (tmp_path / "m.json").exists()
+
+
+def test_build_refuses_a_label_its_cause_contradicts(tmp_path, capsys):
+    path = tmp_path / "labels.jsonl"
+    write_jsonl(two_band_corpus(n_per_class=3, steps=4), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    episode = json.loads(lines[1])  # an unsafe episode, ended by a violation
+    episode["label"] = "safe"
+    lines[1] = json.dumps(episode)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code = main(["build", "--episodes", str(path), "--d", "1.0", "--trees", "5",
+                 "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_IO
+    err = capsys.readouterr().err
+    assert (f"i/o error: {path}: malformed episode at line 2: "
+            "label safe inconsistent with cause violation") in err
     assert not (tmp_path / "m.json").exists()
 
 

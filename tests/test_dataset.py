@@ -17,8 +17,10 @@ import safemon.agent
 import safemon.dataset
 import safemon.forest
 import safemon.monitor
-from conftest import forest_of, id_table, leaf_tree, make_episode, make_set, orjson_refusing, two_band_corpus
-from safemon.agent import AgentModel, QNetwork, agent_fingerprint, load_agent, save_agent
+from conftest import (
+    forest_of, id_table, leaf_tree, make_episode, make_set, orjson_refusing, random_network, two_band_corpus,
+)
+from safemon.agent import AgentModel, agent_fingerprint, load_agent, save_agent
 from safemon.cli import main
 from safemon.dataset import (
     DatasetError,
@@ -37,12 +39,8 @@ from safemon.monitor import MonitorModel, load_model, save_model, watch_stream
 
 @pytest.fixture(scope="module")
 def random_cartpole_agent():
-    rng = np.random.default_rng(0)
-    network = QNetwork(
-        (4, 16, 2),
-        rng=rng,
-        input_offset=np.zeros(4),
-        input_scale=np.array([2.4, 3.0, 0.21, 3.0]),
+    network = random_network(
+        (4, 16, 2), np.random.default_rng(0), np.zeros(4), np.array([2.4, 3.0, 0.21, 3.0])
     )
     return AgentModel(env_kind=CARTPOLE, network=network, gamma=0.99, seed=0, steps_trained=0)
 
@@ -83,7 +81,7 @@ def test_collect_records_greedy_path(random_cartpole_agent):
     assert len({e.length for e in corpus.episodes}) > 1  # some end while others run
     for episode in corpus.episodes:
         for state, action, q in zip(episode.states, episode.actions, episode.qs):
-            assert np.array_equal(random_cartpole_agent.q_values(state), q)
+            assert np.array_equal(random_cartpole_agent.network.forward(state), q)
             assert action == int(np.argmax(q))
 
 
@@ -174,14 +172,21 @@ def test_jsonl_empty_file_errors(tmp_path):
 
 def test_jsonl_inconsistent_label_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
-    obj = {
-        "label": "unsafe",
-        "cause": "step_limit",
-        "steps": [{"s": [0.0, 0.0], "a": 0, "q": [0.1, 0.2], "r": -1.0}],
-    }
-    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
-    with pytest.raises(DatasetError, match="line 1"):
-        read_jsonl(path)
+    for label, cause in (("unsafe", "step_limit"), ("safe", "violation")):
+        obj = {
+            "label": label,
+            "cause": cause,
+            "steps": [{"s": [0.0, 0.0], "a": 0, "q": [0.1, 0.2], "r": -1.0}],
+        }
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"line 1: label {label} inconsistent with cause {cause}$"):
+            read_jsonl(path)
+
+
+def test_label_follows_cause():
+    for cause in Cause:
+        episode = Episode(np.zeros((1, 2)), np.zeros(1, dtype=np.int64), np.zeros((1, 2)), np.zeros(1), cause)
+        assert episode.label is (Label.UNSAFE if cause is Cause.VIOLATION else Label.SAFE)
 
 
 def test_episode_validation():
@@ -191,22 +196,38 @@ def test_episode_validation():
             actions=np.zeros(0, dtype=int),
             qs=np.zeros((0, 2)),
             rewards=np.zeros(0),
-            label=Label.SAFE,
             cause=Cause.STEP_LIMIT,
         )
     with pytest.raises(DatasetError):
         EpisodeSet(episodes=[])
 
 
+def widen_each_step(key):
+    """An edit for corpus_with_line_2_edited: one more value in `key` at
+    every step of the line."""
+    def edit(obj):
+        for step in obj["steps"]:
+            step[key].append(0.5)
+    return edit
+
+
 def test_jsonl_rejects_episode_of_another_width(tmp_path):
-    path = tmp_path / "mixed.jsonl"
-    write_jsonl(
-        make_set([make_episode([[1.0, 2.0]]), make_episode([[1.0, 2.0]]),
-                  make_episode([[1.0, 2.0, 3.0]])]),
-        path,
-    )
-    with pytest.raises(DatasetError, match="line 3 has 3 Q-values per step, the one at line 1 has 2"):
-        read_jsonl(path)
+    for key, what in (("q", "Q-values"), ("s", "state values")):
+        path = corpus_with_line_2_edited(tmp_path, widen_each_step(key))
+        with pytest.raises(DatasetError, match=f"line 2 has 3 {what} per step, the one at line 1 has 2$"):
+            read_jsonl(path)
+
+
+@pytest.mark.parametrize("field, what", [("qs", "Q-values"), ("states", "state values")])
+def test_write_refuses_episodes_of_another_width_before_opening_the_file(tmp_path, field, what):
+    episodes = [make_episode([[1.0, 2.0]] * 2) for _ in range(3)]
+    setattr(episodes[2], field, np.zeros((2, 3)))
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: episode 2 not written: it has 3 {what} "
+                                                   "per step, episode 0 has 2")):
+        write_jsonl(make_set(episodes), path)
+    assert path.read_bytes() == b"kept\n"
 
 
 def test_jsonl_rejects_scalar_q(tmp_path):
@@ -238,7 +259,6 @@ def episodes_of(draw, env_kind):
         ),
         qs=matrix(env.action_count),
         rewards=np.array(draw(st.lists(value, min_size=length, max_size=length))),
-        label=Label.UNSAFE if cause is Cause.VIOLATION else Label.SAFE,
         cause=cause,
     )
 
@@ -292,7 +312,6 @@ def test_jsonl_writes_edge_floats_as_json_dumps_does(tmp_path, width):
     episodes = [
         Episode(states=pick(k, 2), actions=np.arange(length, dtype=np.int64) % width,
                 qs=pick(k + 1, width), rewards=pick(k + 2, 1)[:, 0],
-                label=Label.UNSAFE if k else Label.SAFE,
                 cause=Cause.VIOLATION if k else Cause.GOAL)
         for k in range(2)
     ]
@@ -499,7 +518,6 @@ def test_orjson_decodes_corpus_arrays_as_json_does(data, env_kind):
                                             max_size=length)), dtype=np.int64),
         qs=matrix(env.action_count),
         rewards=matrix(1)[:, 0],
-        label=Label.SAFE,
         cause=Cause.STEP_LIMIT,
     )
     with tempfile.TemporaryDirectory() as tmp:

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import forest_of, id_table, make_episode, make_set, split_tree
-from safemon.agent import AGENT_FIELDS, AgentModel, CheckpointStat, QNetwork, TrainReport, save_agent
+from conftest import forest_of, id_table, make_episode, make_set, random_network, split_tree
+from safemon.agent import AGENT_FIELDS, AgentModel, CheckpointStat, TrainReport, save_agent
 from safemon.cli import main
 from safemon.dataset import write_jsonl
 from safemon.envs import CARTPOLE
@@ -59,8 +59,8 @@ RELATIONS = {("table", "ids"): "table id", ("table", "keys"): "table key"}
 
 
 def tiny_agent(path):
-    network = QNetwork((4, 8, 2), rng=np.random.default_rng(5), input_offset=np.zeros(4),
-                       input_scale=np.array([2.4, 3.0, 0.21, 3.0]))
+    network = random_network((4, 8, 2), np.random.default_rng(5), np.zeros(4),
+                             np.array([2.4, 3.0, 0.21, 3.0]))
     report = TrainReport(selected_step=300, band_satisfied=False,
                          checkpoints=[CheckpointStat(300, 0.5, 20.0, 20.0)])
     save_agent(AgentModel(CARTPOLE, network, gamma=0.99, seed=2, steps_trained=300, report=report),

@@ -97,9 +97,8 @@ def test_mountaincar_left_border_crossing_is_violation():
     assert expected_p < -1.2
     out = env.step(0)
     assert out.next_state[0] == pytest.approx(expected_p, abs=1e-15)
-    assert out.violation
-    assert out.terminated
     assert out.cause is Cause.VIOLATION
+    assert out.terminated
 
 
 def test_mountaincar_violation_reward_totals_minus_200():
@@ -119,7 +118,7 @@ def test_mountaincar_goal_terminates_safely():
     env.state = np.array([0.47, 0.05])
     out = env.step(2)
     assert out.cause is Cause.GOAL
-    assert out.terminated and not out.violation
+    assert out.terminated
     assert out.reward == -1.0
 
 
@@ -129,8 +128,8 @@ def test_cartpole_track_exit_is_violation():
     env.state = np.array([2.39, 3.0, 0.0, 0.0])
     out = env.step(1)
     assert out.next_state[0] > 2.4
-    assert out.violation
     assert out.cause is Cause.VIOLATION
+    assert out.terminated
 
 
 def test_cartpole_angle_failure_is_safe():
@@ -140,8 +139,7 @@ def test_cartpole_angle_failure_is_safe():
     out = env.step(1)
     assert abs(out.next_state[2]) > env.theta_threshold
     assert out.terminated
-    assert not out.violation
-    assert out.cause is Cause.ANGLE_FAILURE
+    assert out.cause is Cause.ANGLE_FAILURE  # the pole falling is no violation
 
 
 def test_cartpole_dynamics_match_canonical_equations():
@@ -208,7 +206,7 @@ def test_episode_invariants_random_policies(kind):
         while not env.done:
             out = env.step(int(rng.integers(env.action_count)))
             steps += 1
-            if out.violation:
+            if out.cause is Cause.VIOLATION:
                 violations += 1
                 assert out.terminated
             if kind == MOUNTAINCAR and not out.terminated:

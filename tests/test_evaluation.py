@@ -86,7 +86,8 @@ def test_metrics_latched_prediction_over_time():
     for t in range(3, 8):
         assert rows[t].confusion.tp == 1
     for row in rows:
-        assert row.confusion.total == 2
+        c = row.confusion
+        assert c.tp + c.fp + c.tn + c.fn == 2
 
 
 def test_metrics_weighted_equals_macro_on_balanced_sets():
@@ -111,7 +112,8 @@ def test_metrics_bounds_and_confusion_sum():
         for _ in range(n)
     ]
     for row in metrics_over_time(traces, labels):
-        assert row.confusion.total == n
+        c = row.confusion
+        assert c.tp + c.fp + c.tn + c.fn == n
         for v in (row.precision_weighted, row.recall_weighted, row.f1_weighted, row.f1_macro):
             assert 0.0 <= v <= 1.0
 
@@ -421,7 +423,7 @@ def test_evaluation_rejects_bad_input_with_one_message():
 
 def fitted_model(corpus, d=1.0, mode=FeatureMode.BINARY, **kwargs):
     table = AbstractionTable.build(corpus, d)
-    x = episode_feature_matrix(corpus.episodes, table, mode)
+    x = episode_feature_matrix(table.corpus_ids, table.n, mode)
     y = np.array([e.label is U for e in corpus.episodes], dtype=int)
     forest = train_forest(x, y, 25, seed=3)
     return MonitorModel(table=table, forest=forest, mode=mode, **kwargs)

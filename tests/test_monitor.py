@@ -279,7 +279,7 @@ def test_run_traces_memory_stays_below_the_per_tree_matrix():
     rng = np.random.default_rng(7)
     corpus = make_set(random_walk_episodes(rng, 300))
     table = AbstractionTable.build(corpus, 1.0)
-    x = episode_feature_matrix(corpus.episodes, table, FeatureMode.BINARY, table.corpus_ids)
+    x = episode_feature_matrix(table.corpus_ids, table.n, FeatureMode.BINARY)
     y = np.array([e.label is Label.UNSAFE for e in corpus.episodes], dtype=np.int64)
     model = MonitorModel(table=table, forest=train_forest(x, y, 100, seed=3))
     episodes = [e.qs for e in random_walk_episodes(rng, 300)]
@@ -321,7 +321,7 @@ def test_criterion_ordering_within_traces():
     from safemon.abstraction import episode_feature_matrix
     from safemon.forest import train_forest
 
-    x = episode_feature_matrix(corpus.episodes, table, FeatureMode.BINARY)
+    x = episode_feature_matrix(table.corpus_ids, table.n, FeatureMode.BINARY)
     y = np.array([e.label.value == "unsafe" for e in corpus.episodes], dtype=int)
     forest = train_forest(x, y, 30, seed=2)
 

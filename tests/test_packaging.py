@@ -77,6 +77,59 @@ def package_imports(package: Path) -> list[tuple[str, Optional[str]]]:
     return found
 
 
+def unreferenced_functions(package: Path) -> set[str]:
+    """Names of the functions, methods and properties defined in the
+    package's sources that no source references outside their own
+    definition, as an AST Name, an Attribute or an import alias; dunder
+    methods, which Python calls by protocol, are left out."""
+    defined, used = set(), set()
+    for source in package.rglob("*.py"):
+        nodes = [(ast.parse(source.read_text(encoding="utf-8"), filename=str(source)), ())]
+        while nodes:
+            node, inside = nodes.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.add(node.name)
+                inside += (node.name,)
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name.split(".")[-1], node.asname]
+            else:
+                names = []
+            used.update(name for name in names if name and name not in inside)
+            nodes.extend((child, inside) for child in ast.iter_child_nodes(node))
+    return {name for name in defined - used if not (name.startswith("__") and name.endswith("__"))}
+
+
+# Functions the package defines for readers outside it, each with its reason.
+UNREFERENCED_BY_DESIGN = {
+    **{name: "exported by safemon's lazy table" for names in safemon._EXPORTS.values() for name in names},
+    "prefix_feature_matrix": "spanned by the benchmark's tracer (perfbench/layers.py)",
+    "probability": "Tree.probability, patched by the benchmark's tracer to count tree walks",
+    "assessments": "DecisionTrace.assessments, read by the benchmark's workloads",
+    "error": "argparse calls the parser's error override",
+}
+
+
+def test_every_function_the_package_defines_is_referenced_in_it(tmp_path):
+    """A function, method or property nothing in src/safemon reads is dead
+    weight: it goes, or it is listed above with the reader it serves."""
+    (tmp_path / "probe.py").write_text(textwrap.dedent("""
+        from os import path as used_by_alias
+        def loops(): return loops()
+        def called(): return 1
+        class Box:
+            @property
+            def read(self): return called()
+            def unread(self): return self.read
+    """), encoding="utf-8")
+    assert unreferenced_functions(tmp_path) == {"loops", "unread"}  # the walk sees each kind
+    unreferenced = unreferenced_functions(ROOT / "src" / "safemon")
+    assert unreferenced - set(UNREFERENCED_BY_DESIGN) == set()
+
+
 def test_every_json_input_is_decoded_by_dataset_decode():
     """One decoder, one fallback rule and one nesting refusal for every
     JSON input: no other function decodes JSON text itself."""
